@@ -13,7 +13,7 @@ import numpy as np
 
 from symplearn.evaluation import report_table
 from symplearn.model import HamiltonianNet
-from symplearn.profiling import _profile_windows, profile_gradient_modes
+from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, loss_and_grad
 
@@ -23,8 +23,8 @@ def gradient_agreement():
     system = get_system("coupled_ho")
     net = HamiltonianNet(system.dim)
     theta = net.init_params(0)
-    windows = _profile_windows(system, batch_size=8, window_steps=6,
-                               h=0.01, seed=0)
+    windows = profile_windows(system, batch_size=8, window_steps=6,
+                              h=0.01, seed=0)
 
     grads = {}
     for mode in ("adjoint", "backprop"):
@@ -43,7 +43,7 @@ def memory_growth():
     table = [{"name": f"{r.grad_mode} / {r.window_steps} steps",
               "peak_bytes": r.peak_bytes, "wall_s": round(r.wall_s, 4)}
              for r in rows]
-    _, md = report_table(table)
+    md = report_table(table)
     print(md)
     adj = [r.peak_bytes for r in rows if r.grad_mode == "adjoint"]
     bp = [r.peak_bytes for r in rows if r.grad_mode == "backprop"]

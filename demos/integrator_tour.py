@@ -36,7 +36,7 @@ def drift_comparison():
         rows.append({"name": method, "drift_T=50": drifts["T=50"],
                      "drift_T=500": drifts["T=500"],
                      "growth": drifts["T=500"] / drifts["T=50"]})
-    _, md = report_table(rows)
+    md = report_table(rows)
     print(md)
     print("the two symplectic methods oscillate inside a band that never")
     print("widens (growth ~1); RK2 has the same one-step order as the")
@@ -61,7 +61,7 @@ def order_of_accuracy():
                      "err_h=0.1": errors[0.1],
                      "err_h=0.05": errors[0.05],
                      "ratio_per_halving": errors[0.05] / errors[0.025]})
-    _, md = report_table(rows)
+    md = report_table(rows)
     print(md)
     print("a ratio of ~4 per halving is second order, ~16 is fourth.\n")
 

@@ -33,15 +33,15 @@ def main():
     rows = [{"name": f"epoch {m['epoch']}", "train_loss": m["train_loss"],
              "val_loss": m["val_loss"], "lr": m["lr"]}
             for m in result.metrics]
-    _, md = report_table(rows)
+    md = report_table(rows)
     print(md)
     if result.saturation_epoch is not None:
         print(f"validation loss saturated at epoch {result.saturation_epoch}")
 
     net, theta = result.net, result.theta
     system = get_system("double_well")
-    grid = evaluate_ood(lambda pts: net.eval_h(theta, pts),
-                        lambda pts: net.dynamics(theta, pts), system)
+    grid, _ = evaluate_ood(lambda pts: net.eval_h(theta, pts),
+                           lambda pts: net.dynamics(theta, pts), system)
     print("on a 33x33 grid over the full sampling box "
           "(constant-aligned, since only gradients of H are observable):")
     print(f"  mean |H_model - H_true| = {grid['h_l1_mean']:.4f}")

@@ -17,11 +17,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "AdjointDiagnostics": "adjoint",
-    "adjoint_rhs": "adjoint",
     "backward_through_record": "adjoint",
     "record_rollout": "adjoint",
     "solve_adjoint_accumulate": "adjoint",
-    "terminal_conditions": "adjoint",
     "DatasetManifest": "data",
     "export_csv": "data",
     "generate_dataset": "data",
@@ -30,7 +28,6 @@ _EXPORTS = {
     "split_dataset": "data",
     "energy_drift": "evaluation",
     "evaluate_ood": "evaluation",
-    "parse_report_csv": "evaluation",
     "phase_grid": "evaluation",
     "report_table": "evaluation",
     "FpiConfig": "integrators",

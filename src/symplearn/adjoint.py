@@ -14,58 +14,33 @@ observation time going backward adds that time's loss gradient to lam.  The
 parameter gradient accumulates in place, one quadrature term per step, so the
 engine's footprint does not grow with the window length.
 
-The recorded-backprop engine replays the forward solve while keeping every
-network tape alive, then walks the whole computation backward, including the
-predictor and each fixed-point sweep.  Its footprint grows linearly with the
-window length; it exists as the exactness baseline the costate engine is
-checked against.
+The recorded-backprop engine runs the forward solve through the same
+`integrate` call as the costate engine, with a field callback that keeps
+every network tape alive, then walks the whole computation backward,
+including the predictor and each fixed-point sweep.  Its footprint grows
+linearly with the window length; it exists as the exactness baseline the
+costate engine is checked against.
 
 Why not fold theta into an augmented state and integrate one big ODE
 backward: the augmented system is no longer canonically Hamiltonian, so the
 symplectic solver would buy nothing there, and the quadrature view used here
 is both cheaper and exact for the discrete map.
 
-With the default midpoint quadrature the two engines agree to solver
-tolerance.  The midpoint rule's one-step map has derivative
-(I - (h/2)Df)^{-1}(I + (h/2)Df); its transpose is exactly one backward
-midpoint step of the costate equation at the same frozen midpoint, and the
-parameter term lands on the averaged costate at that midpoint.  An endpoint
-trapezoid quadrature is kept as an option; it differs from the discrete
-gradient at O(h^2) per unit time.
+The two engines agree to solver tolerance.  The midpoint rule's one-step map
+has derivative (I - (h/2)Df)^{-1}(I + (h/2)Df); its transpose is exactly one
+backward midpoint step of the costate equation at the same frozen midpoint,
+and the parameter term lands on the averaged costate at that midpoint, so
+the midpoint quadrature is the exact discrete adjoint (Sanz-Serna, SIAM
+Review 58(1), 2016).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import FpiConfig, NonFiniteError, StepReport, Trajectory
+from .integrators import FpiConfig, NonFiniteError, Trajectory, integrate
 from .memory import METER
 from .model import costate_to_direction
-
-
-def adjoint_rhs(net, theta, y, lam):
-    """Costate velocity -(df/dy)^T lam at the phase point y.
-
-    The contraction is a Hessian product: (df/dy)^T lam = d2H/dy2 applied to
-    (-lam_p, lam_q), so one tangent-over-reverse sweep per call suffices.
-    """
-    y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    lam2 = np.atleast_2d(np.asarray(lam, dtype=np.float64))
-    layers = net.unpack(theta)
-    acts = net._forward(layers, y2)
-    hw, _ = net.field_vjp(layers, acts, lam2, need_params=False)
-    net._drop(acts)
-    out = -hw
-    return out[0] if np.asarray(y).ndim == 1 else out
-
-
-def terminal_conditions(loss_partial):
-    """Costate start value at the window end: the loss gradient itself.
-
-    For the squared loss this is 2 (y_pred(T) - y_obs(T)); linear in the
-    residual, so scaling the loss scales the costate.
-    """
-    return np.array(loss_partial, dtype=np.float64, copy=True)
 
 
 @dataclass(frozen=True)
@@ -100,8 +75,7 @@ def _solve_costate_step(hess, lam_end, h, cfg):
     return cur, converged, resid
 
 
-def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig(),
-                             quadrature="midpoint"):
+def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
     """Backward costate sweep with in-place gradient accumulation.
 
     states:   [n+1, B, 2d] forward trajectory at the step endpoints
@@ -113,12 +87,9 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig(),
 
     Returns (grad, diagnostics) with grad flat [n_params].  No batch scaling
     happens here: partials carry whatever scaling the loss used (a batch mean
-    hands in partials divided by B), and grad inherits it.
-
-    quadrature='midpoint' evaluates the gradient integrand at step midpoints
-    with the averaged costate and matches recorded backprop to solver
-    tolerance.  quadrature='trapezoid' pairs step-endpoint integrands with
-    weight h/2 each, reusing the previous endpoint where no jump intervenes.
+    hands in partials divided by B), and grad inherits it.  The gradient
+    integrand is evaluated at each step midpoint with the averaged costate,
+    which matches recorded backprop to solver tolerance.
     """
     if isinstance(states, Trajectory):  # allow passing the Trajectory wrapper
         states = states.states
@@ -131,15 +102,12 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig(),
         raise ValueError(
             f"partials shape {partials.shape} does not match states {states.shape}"
         )
-    if quadrature not in ("midpoint", "trapezoid"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
     if n_steps < 1:
         raise ValueError("need at least one step")
 
     grad = np.zeros(net.n_params)
     lam = np.zeros_like(states[-1])
     METER.track(grad, lam)
-    last_integrand = None
     n_converged = 0
     worst = 0.0
 
@@ -155,18 +123,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig(),
                 METER.release(hess)
             n_converged += ok
             worst = max(worst, resid)
-
-            if quadrature == "midpoint":
-                grad += h * net.vjp_params(theta, mid, 0.5 * (lam + lam_end))
-            else:
-                jumped = bool(np.any(partials[n]))
-                if jumped or last_integrand is None:
-                    right = net.vjp_params(theta, states[n + 1], lam_end)
-                else:
-                    right = last_integrand
-                left = net.vjp_params(theta, states[n], lam)
-                grad += 0.5 * h * (right + left)
-                last_integrand = left
+            grad += h * net.vjp_params(theta, mid, 0.5 * (lam + lam_end))
     finally:
         METER.release(grad, lam)
     return grad, AdjointDiagnostics(
@@ -185,7 +142,6 @@ class _StepRecord:
     seed_kind: str
     seed_acts: list          # acts of the two predictor field evals, or []
     iter_acts: list          # acts of each fixed-point sweep, oldest first
-    report: StepReport
 
 
 @dataclass
@@ -206,85 +162,42 @@ class RecordedRollout:
 
 
 def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig(), observations=None):
-    """Forward implicit-midpoint rollout that keeps every network tape alive.
+    """Implicit-midpoint rollout through `integrate` that keeps every tape.
 
-    Mirrors the plain integrator step for step: same predictor, same
-    fixed-point sweep, same stopping rule, so the produced states match
-    integrate() exactly.  The retained tapes are what makes the later reverse
-    sweep possible, and what makes this engine's memory grow with n_steps.
+    The field callback records the network activations of each evaluation;
+    the evaluations arrive in solver order (two predictor evaluations when
+    seeding with the predictor, then one per fixed-point sweep), so each
+    step's StepReport says where its tapes end.  The retained tapes are what
+    makes the later reverse sweep possible, and what makes this engine's
+    memory grow with n_steps.
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     layers = net.unpack(theta)
-    if observations is None and cfg.guess_source == "observation":
-        raise ValueError("guess_source='observation' but no observations were supplied")
+    tapes = []
 
-    def field_eval(point):
+    def field(point):
         acts = net._forward(layers, point)
+        tapes.append(acts)
         g = net._reverse_input(layers, acts)
-        d = net.dim
-        return np.concatenate([g[..., d:], -g[..., :d]], axis=-1), acts
+        return np.concatenate([g[..., net.dim:], -g[..., :net.dim]], axis=-1)
 
-    states = np.empty((n_steps + 1,) + y0.shape)
-    states[0] = y0
-    steps = []
-    reports = []
-    y = y0
     try:
-        for i in range(n_steps):
-            seed_acts = []
-            iter_acts = []
-            try:
-                if cfg.guess_source == "predictor":
-                    f1, acts1 = field_eval(y)
-                    seed_acts.append(acts1)
-                    half = y + 0.5 * h * f1
-                    f2, acts2 = field_eval(half)
-                    seed_acts.append(acts2)
-                    cur = y + h * f2
-                elif cfg.guess_source == "observation":
-                    cur = np.broadcast_to(
-                        np.asarray(observations[i + 1], dtype=np.float64), y.shape
-                    ).copy()
-                else:
-                    cur = y.copy()
-                if not np.all(np.isfinite(cur)):
-                    raise NonFiniteError(f"non-finite seed at step {i}")
-
-                residuals = []
-                converged = False
-                for _ in range(cfg.max_iters):
-                    fmid, acts = field_eval(0.5 * (y + cur))
-                    iter_acts.append(acts)
-                    new = y + h * fmid
-                    if not np.all(np.isfinite(new)):
-                        raise NonFiniteError(f"non-finite iterate at step {i}")
-                    resid = float(np.max(np.abs(new - cur)))
-                    residuals.append(resid)
-                    cur = new
-                    if resid <= cfg.tol:
-                        converged = True
-                        break
-            except NonFiniteError:
-                for acts in seed_acts + iter_acts:
-                    METER.release(*acts[1:])
-                raise
-
-            report = StepReport(
-                iterations=len(residuals),
-                residual=residuals[-1],
-                converged=converged,
-                residuals=tuple(residuals),
-            )
-            steps.append(_StepRecord(cfg.guess_source, seed_acts, iter_acts, report))
-            reports.append(report)
-            y = cur
-            states[i + 1] = y
-    except NonFiniteError:
-        RecordedRollout(states, None, h, steps, reports).release()
+        traj, reports = integrate(field, y0, h, n_steps, cfg=cfg, observations=observations)
+    except (NonFiniteError, ValueError):
+        for acts in tapes:
+            METER.release(*acts[1:])
         raise
 
-    times = np.arange(n_steps + 1) * h
-    return RecordedRollout(states=states, times=times, h=h, steps=steps, reports=reports)
+    n_seed = 2 if cfg.guess_source == "predictor" else 0
+    steps = []
+    pos = 0
+    for report in reports:
+        end = pos + n_seed + report.iterations
+        steps.append(_StepRecord(cfg.guess_source, tapes[pos:pos + n_seed],
+                                 tapes[pos + n_seed:end]))
+        pos = end
+    return RecordedRollout(states=traj.states, times=traj.times, h=h, steps=steps,
+                           reports=reports)
 
 
 def backward_through_record(net, theta, record, partials):

@@ -5,10 +5,12 @@ level: --threads works by setting the BLAS thread-count environment variables,
 which only take effect if they are set before numpy first loads.  Heavy
 imports therefore live inside the command handlers.
 
-Option precedence is CLI flag > --config JSON file > built-in default.  The
-config file is a flat JSON object whose keys are the option names with
-underscores (for example {"grad_mode": "backprop", "epochs": 5}).  The thread
-cap is CLI-only, since a config file is read too late to matter.
+Option precedence is CLI flag > --config JSON file > built-in default; the
+training and solver options have no defaults here, so TrainConfig and
+FpiConfig fill in whatever was not given.  The config file is a flat JSON
+object whose keys are the option names with underscores (for example
+{"grad_mode": "backprop", "epochs": 5}).  The thread cap is CLI-only, since a
+config file is read too late to matter.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
 (solver blow-up or a training abort).
@@ -76,6 +78,17 @@ def _common_parent():
     return p
 
 
+# Options that fill TrainConfig and FpiConfig fields, with the parser for
+# values that arrive from a config file.  An option left unset is not passed,
+# so the dataclass default applies.
+_TRAIN_FIELDS = {
+    "grad_mode": str, "window_steps": int, "stride": int, "batch_size": int,
+    "epochs": int, "windows_per_traj": int, "lr": float, "shooting": str,
+    "segment_steps": int, "val_batches": int, "seed": int,
+}
+_FPI_FIELDS = {"fpi_tol": ("tol", float), "fpi_max_iters": ("max_iters", int),
+               "guess_source": ("guess_source", str)}
+
 DEFAULTS = {
     "gen-data": {
         "system": "double_well", "system_param": {}, "seed": 0,
@@ -84,24 +97,20 @@ DEFAULTS = {
         "smoke": False, "full": False,
     },
     "train": {
-        "data": None, "grad_mode": "adjoint", "window_steps": 6, "stride": 25,
-        "batch_size": 512, "epochs": 25, "windows_per_traj": 16, "lr": 0.01,
-        "shooting": "single", "segment_steps": None, "quadrature": "midpoint",
-        "fpi_tol": 1e-10, "fpi_max_iters": 50, "guess_source": "predictor",
-        "hidden": "16,32,16", "val_batches": 2, "seed": 0,
-        "out_dir": "runs/train",
+        "data": None, "hidden": None, "out_dir": "runs/train",
+        **dict.fromkeys(_TRAIN_FIELDS), **dict.fromkeys(_FPI_FIELDS),
     },
     "eval": {
         "checkpoint": None, "oracle": False, "system": "double_well",
         "system_param": {}, "grid_points": 33, "slice": [],
-        "drift_steps": 1000, "drift_h": 0.01, "fpi_tol": 1e-10,
+        "drift_steps": 1000, "drift_h": 0.01, "fpi_tol": None,
         "seed": 0, "out_dir": "runs/eval",
     },
     "integrate": {
         "system": None, "system_param": {}, "checkpoint": None,
         "method": "implicit_midpoint", "h": 0.01, "n_steps": 1000,
-        "y0": None, "fpi_tol": 1e-10, "fpi_max_iters": 50,
-        "guess_source": "predictor", "seed": 0, "out_dir": "runs/integrate",
+        "y0": None, "seed": 0, "out_dir": "runs/integrate",
+        **dict.fromkeys(_FPI_FIELDS),
     },
     "profile": {
         "system": "coupled_ho", "batch_size": 512, "window_steps": "4,8,16,32",
@@ -114,8 +123,7 @@ DEFAULTS = {
     "grad-check": {
         "system": "coupled_ho", "system_param": {}, "hidden": "8",
         "window_steps": 4, "batch_size": 4, "h": 0.01, "fd_step": 1e-5,
-        "fpi_tol": 1e-12, "quadrature": "midpoint", "seed": 0,
-        "out_dir": "runs/grad-check",
+        "fpi_tol": 1e-12, "seed": 0, "out_dir": "runs/grad-check",
     },
     "export-csv": {
         "data": None, "which": "noisy", "max_traj": None, "out": None,
@@ -160,7 +168,6 @@ def _build_parser():
     p.add_argument("--lr", type=float, default=S)
     p.add_argument("--shooting", choices=["single", "multiple"], default=S)
     p.add_argument("--segment-steps", type=int, default=S)
-    p.add_argument("--quadrature", choices=["midpoint", "trapezoid"], default=S)
     p.add_argument("--fpi-tol", type=float, default=S)
     p.add_argument("--fpi-max-iters", type=int, default=S)
     p.add_argument("--guess-source",
@@ -221,7 +228,6 @@ def _build_parser():
     p.add_argument("--h", type=float, default=S)
     p.add_argument("--fd-step", type=float, default=S)
     p.add_argument("--fpi-tol", type=float, default=S)
-    p.add_argument("--quadrature", choices=["midpoint", "trapezoid"], default=S)
 
     p = sub.add_parser("export-csv", parents=[common],
                        help="dump stored trajectories as CSV")
@@ -317,12 +323,10 @@ def _out_dir(opts):
 
 
 def _fpi(opts):
+    """FpiConfig from the solver options given; FpiConfig fills in the rest."""
     from .integrators import FpiConfig
-    return FpiConfig(
-        tol=float(opts.get("fpi_tol", 1e-10)),
-        max_iters=int(opts.get("fpi_max_iters", 50)),
-        guess_source=opts.get("guess_source", "predictor"),
-    )
+    return FpiConfig(**{field: parse(opts[key]) for key, (field, parse) in _FPI_FIELDS.items()
+                        if opts.get(key) is not None})
 
 
 # ----------------------------------------------------------------------
@@ -354,25 +358,14 @@ def cmd_gen_data(opts):
 
 
 def _train_config(opts):
+    """TrainConfig from the training options given; TrainConfig fills in the rest."""
     from .training import TrainConfig
-    seg = opts["segment_steps"]
     try:
-        return TrainConfig(
-            grad_mode=opts["grad_mode"],
-            window_steps=int(opts["window_steps"]),
-            stride=int(opts["stride"]),
-            batch_size=int(opts["batch_size"]),
-            epochs=int(opts["epochs"]),
-            windows_per_traj=int(opts["windows_per_traj"]),
-            lr=float(opts["lr"]),
-            shooting=opts["shooting"],
-            segment_steps=None if seg is None else int(seg),
-            quadrature=opts["quadrature"],
-            fpi=_fpi(opts),
-            hidden=_ints(opts["hidden"], "--hidden"),
-            seed=int(opts["seed"]),
-            val_batches=int(opts["val_batches"]),
-        )
+        given = {key: parse(opts[key]) for key, parse in _TRAIN_FIELDS.items()
+                 if opts[key] is not None}
+        if opts["hidden"] is not None:
+            given["hidden"] = _ints(opts["hidden"], "--hidden")
+        return TrainConfig(fpi=_fpi(opts), **given)
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -406,7 +399,7 @@ def cmd_train(opts):
 def cmd_eval(opts):
     import numpy as np
 
-    from .evaluation import energy_drift, evaluate_ood, phase_grid
+    from .evaluation import energy_drift, evaluate_ood
     from .systems import get_system
     system = get_system(opts["system"], **_kv_floats(opts["system_param"],
                                                      "--system-param"))
@@ -432,7 +425,7 @@ def cmd_eval(opts):
 
         source = str(opts["checkpoint"])
 
-    report = evaluate_ood(h_fn, dyn_fn, system, int(opts["grid_points"]), slices)
+    report, points = evaluate_ood(h_fn, dyn_fn, system, int(opts["grid_points"]), slices)
 
     rng = np.random.default_rng((int(opts["seed"]), 5))
     lo, hi = system.bounds[:, 0], system.bounds[:, 1]
@@ -451,18 +444,12 @@ def cmd_eval(opts):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    pts, _ = phase_grid(system, int(opts["grid_points"]), slices)
-    h_true = np.asarray(system.hamiltonian(pts), dtype=np.float64)
-    h_pred = np.asarray(h_fn(pts), dtype=np.float64)
-    err = np.abs(h_pred - report["offset"] - h_true)
-    dyn_err = np.sqrt(np.sum(
-        (np.asarray(dyn_fn(pts)) - np.asarray(system.dynamics(pts))) ** 2, axis=1))
-    coords = [f"x{i}" for i in range(pts.shape[1])]
-    lines = [",".join(coords + ["h_true", "h_pred", "h_err_aligned", "dyn_l2_err"])]
+    pts = points["pts"]
+    columns = ("h_true", "h_pred", "h_err_aligned", "dyn_l2_err")
+    lines = [",".join([f"x{i}" for i in range(pts.shape[1])] + list(columns))]
     for i in range(pts.shape[0]):
         cells = [repr(float(v)) for v in pts[i]]
-        cells += [repr(float(h_true[i])), repr(float(h_pred[i])),
-                  repr(float(err[i])), repr(float(dyn_err[i]))]
+        cells += [repr(float(points[name][i])) for name in columns]
         lines.append(",".join(cells))
     (out / "grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -524,8 +511,7 @@ def cmd_integrate(opts):
 
     h_vals = np.asarray(h_fn(traj.states), dtype=np.float64)
     drift = float(np.max(np.abs(h_vals - h_vals[0])))
-    iters = [r.iterations for r in reports if hasattr(r, "iterations")]
-    mean_iters = float(np.mean(iters)) if iters else 0.0
+    mean_iters = float(np.mean([r.iterations for r in reports]))
     print(f"integrated {label} for {opts['n_steps']} steps at h={opts['h']} "
           f"({opts['method']}); energy drift {drift:.3e}, "
           f"mean solver iterations {mean_iters:.2f}")
@@ -598,7 +584,7 @@ def cmd_check_tableau(opts):
 def cmd_grad_check(opts):
     import numpy as np
 
-    from .profiling import _profile_windows
+    from .profiling import profile_windows
     from .systems import get_system
     from .model import HamiltonianNet
     from .training import TrainConfig, _forward_loss, loss_and_grad
@@ -611,11 +597,11 @@ def cmd_grad_check(opts):
     theta = net.init_params(seed)
     h = float(opts["h"])
     n_steps = int(opts["window_steps"])
-    windows = _profile_windows(system, int(opts["batch_size"]), n_steps, h, seed)
+    windows = profile_windows(system, int(opts["batch_size"]), n_steps, h, seed)
 
     def config(mode):
-        return TrainConfig(grad_mode=mode, window_steps=n_steps,
-                           quadrature=opts["quadrature"], fpi=_fpi(opts), seed=seed)
+        return TrainConfig(grad_mode=mode, window_steps=n_steps, fpi=_fpi(opts),
+                           seed=seed)
 
     loss0, g_adj, _ = loss_and_grad(net, theta, windows, h, config("adjoint"))
     _, g_bp, _ = loss_and_grad(net, theta, windows, h, config("backprop"))

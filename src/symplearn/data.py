@@ -65,9 +65,15 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text):
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("manifest must hold a JSON object")
         version = raw.get("format_version")
         if version != MANIFEST_FORMAT_VERSION:
             raise ValueError(f"unsupported manifest format_version {version!r}")
+        fields = {f.name for f in dataclasses.fields(cls)}
+        if raw.keys() != fields:
+            raise ValueError(f"manifest keys: unknown {sorted(raw.keys() - fields)}, "
+                             f"missing {sorted(fields - raw.keys())}")
         return cls(**raw)
 
 

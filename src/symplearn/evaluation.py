@@ -53,7 +53,9 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
 
     h_fn maps [N, 2d] -> [N] values; dyn_fn maps [N, 2d] -> [N, 2d] fields.
     Values are aligned by subtracting the mean difference before the error
-    norms.  Returns a flat dict of floats plus grid metadata.
+    norms.  Returns (report, points): report is a flat dict of floats plus
+    grid metadata; points holds the per-point arrays the report summarizes,
+    keyed pts, h_true, h_pred, h_err_aligned and dyn_l2_err.
     """
     pts, meta = phase_grid(system, points_per_axis, slices)
     h_true = np.asarray(system.hamiltonian(pts), dtype=np.float64)
@@ -63,7 +65,7 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
     f_true = np.asarray(system.dynamics(pts), dtype=np.float64)
     f_pred = np.asarray(dyn_fn(pts), dtype=np.float64)
     dyn_err = np.sqrt(np.sum((f_pred - f_true) ** 2, axis=1))
-    return {
+    report = {
         "h_l1_mean": float(np.mean(aligned)),
         "h_l1_max": float(np.max(aligned)),
         "h_l1_mean_raw": float(np.mean(np.abs(h_pred - h_true))),
@@ -72,6 +74,9 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
         "n_points": int(pts.shape[0]),
         **meta,
     }
+    points = {"pts": pts, "h_true": h_true, "h_pred": h_pred,
+              "h_err_aligned": aligned, "dyn_l2_err": dyn_err}
+    return report, points
 
 
 def energy_drift(field, h_fn, y0, h, n_steps, method="implicit_midpoint",
@@ -88,10 +93,10 @@ def energy_drift(field, h_fn, y0, h, n_steps, method="implicit_midpoint",
 
 
 def report_table(rows):
-    """Render benchmark rows as (csv_text, markdown_text).
+    """Render benchmark rows as a markdown table.
 
     rows: list of dicts with a 'name' key and numeric columns; the column
-    set is the union over rows, missing cells rendered empty.
+    set is the union over rows, missing or empty cells rendered as '-'.
     """
     cols = []
     for row in rows:
@@ -107,36 +112,8 @@ def report_table(rows):
         # plain float() first: numpy scalars subclass float but repr() noisily
         return repr(float(value)) if isinstance(value, float) else str(value)
 
-    csv_lines = [",".join(header)]
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "|".join(" --- " for _ in header) + "|"]
     for row in rows:
-        csv_lines.append(",".join(cell(row, k) for k in header))
-    csv_text = "\n".join(csv_lines) + "\n"
-
-    md_lines = ["| " + " | ".join(header) + " |",
-                "|" + "|".join(" --- " for _ in header) + "|"]
-    for row in rows:
-        md_lines.append("| " + " | ".join(cell(row, k) or "-" for k in header) + " |")
-    md_text = "\n".join(md_lines) + "\n"
-    return csv_text, md_text
-
-
-def parse_report_csv(text):
-    """Inverse of the CSV half of report_table (floats where they parse)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = {}
-        for key, value in zip(header, cells):
-            if value == "":
-                continue
-            if key == "name":
-                row[key] = value
-            else:
-                try:
-                    row[key] = float(value)
-                except ValueError:
-                    row[key] = value
-        rows.append(row)
-    return rows
+        lines.append("| " + " | ".join(cell(row, k) or "-" for k in header) + " |")
+    return "\n".join(lines) + "\n"

@@ -7,12 +7,11 @@ The workhorse is the implicit midpoint rule
 solved by a second-order explicit predictor followed by fixed-point
 iteration.  The midpoint rule is symmetric, second order, and symplectic for
 arbitrary smooth Hamiltonians, separable or not, which is why it sits in the
-training loop.  A two-stage Gauss collocation pair (order 4) serves as the
-reference generator for datasets, and a staggered explicit Euler variant is
-kept for comparisons on separable systems.
-
-Partitioned Runge-Kutta tableaux are first-class: any registered pair can be
-stepped through the generic stage solver, and `check_symplectic_tableau`
+training loop, and the only method with a specialized stepper.  Every other
+method is a partitioned Runge-Kutta tableau stepped by the generic stage
+solver: the two-stage Gauss collocation pair (order 4) that generates
+datasets, the symplectic Euler pair, and the non-symplectic explicit
+midpoint (rk2) and explicit Euler baselines.  `check_symplectic_tableau`
 verifies the algebraic symplecticity conditions on the coefficients.
 
 Vector fields are plain callables f(y) -> ydot over flat states [..., 2d];
@@ -83,6 +82,8 @@ TABLEAUX = {
     ),
     # deliberately non-symplectic, kept so rejection paths stay exercised
     "explicit_euler": _tab("explicit_euler", [[0.0]], [1.0]),
+    # explicit midpoint: the second-order non-symplectic baseline
+    "rk2": _tab("rk2", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0]),
 }
 
 
@@ -213,24 +214,6 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), observation=None):
     )
 
 
-def symplectic_euler_step(f, y, h, dim):
-    """Staggered explicit Euler: advance q with f at y, then p with f at (q', p).
-
-    Symplectic for separable Hamiltonians only; for fields with genuine q-p
-    coupling it degrades to a plain first-order method.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    q_new = y[..., :dim] + h * f(y)[..., :dim]
-    shifted = np.concatenate([q_new, y[..., dim:]], axis=-1)
-    p_new = y[..., dim:] + h * f(shifted)[..., dim:]
-    return np.concatenate([q_new, p_new], axis=-1)
-
-
-def rk2_step(f, y, h):
-    """Plain explicit midpoint step, the non-symplectic baseline."""
-    return rk2_predictor(f, np.asarray(y, dtype=np.float64), h)
-
-
 def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
     """One step of an arbitrary partitioned Runge-Kutta pair.
 
@@ -279,11 +262,13 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
               dim=None, observations=None):
     """Roll a state forward n_steps of size h; returns (Trajectory, reports).
 
-    method is one of 'implicit_midpoint', 'symplectic_euler', 'rk2', a name
-    from the tableau registry, or a PrkTableau instance.  h may be negative
-    (the symmetric methods are time-reversible).  observations, when given,
-    must align with the step grid: observations[i] seeds the solve for step i
-    under guess_source='observation'.
+    method is 'implicit_midpoint' (the specialized fixed-point stepper), any
+    other name from the tableau registry ('symplectic_euler', 'gauss2',
+    'rk2', 'explicit_euler'), or a PrkTableau instance; the last two kinds go
+    through prk_step.  Every method returns one StepReport per step.  h may
+    be negative (the symmetric methods are time-reversible).  observations,
+    when given, must align with the step grid: observations[i] seeds the
+    solve for step i under guess_source='observation'.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -304,7 +289,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
     tableau = None
     if isinstance(method, PrkTableau):
         tableau = method
-    elif method in ("implicit_midpoint", "symplectic_euler", "rk2"):
+    elif method == "implicit_midpoint":
         pass
     elif method in TABLEAUX:
         tableau = TABLEAUX[method]
@@ -314,20 +299,15 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
     y = y0
     for i in range(n_steps):
         try:
-            if tableau is not None:
-                y, rep = prk_step(f, y, h, tableau, dim, cfg)
-                reports.append(rep)
-            elif method == "implicit_midpoint":
+            if tableau is None:
                 obs = observations[i + 1] if observations is not None else None
                 y, rep = implicit_midpoint_step(f, y, h, cfg, observation=obs)
-                reports.append(rep)
-            elif method == "symplectic_euler":
-                y = symplectic_euler_step(f, y, h, dim)
             else:
-                y = rk2_step(f, y, h)
+                y, rep = prk_step(f, y, h, tableau, dim, cfg)
             _check_finite(y, f"step {i}")
         except NonFiniteError as err:
             raise NonFiniteError(f"{err} (step {i} of {n_steps}, h={h})") from None
+        reports.append(rep)
         states[i + 1] = y
 
     times = np.arange(n_steps + 1) * h

@@ -243,13 +243,6 @@ class HamiltonianNet:
         hess = np.stack(cols, axis=1)
         return hess[0] if single else hess
 
-    def hess_blocks(self, theta, y):
-        """hess_state split into (Hqq, Hqp, Hpq, Hpp)."""
-        hess = self.hess_state(theta, y)
-        d = self.dim
-        return (hess[..., :d, :d], hess[..., :d, d:],
-                hess[..., d:, :d], hess[..., d:, d:])
-
     def vjp_params(self, theta, y, lam):
         """Sum over the batch of <lam, df/dtheta> at (theta, y), flat [n_params].
 

@@ -32,7 +32,7 @@ class ProfileRow:
     loss: float
 
 
-def _profile_windows(system, batch_size, window_steps, h, seed):
+def profile_windows(system, batch_size, window_steps, h, seed):
     """Noise-free windows rolled out from the true field: the profile should
     measure engine overhead, not data quality."""
     rng = np.random.default_rng((seed, 4))
@@ -57,7 +57,7 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
     theta = net.init_params(seed)
     rows = []
     for n_steps in window_steps:
-        windows = _profile_windows(system, batch_size, n_steps, h, seed)
+        windows = profile_windows(system, batch_size, n_steps, h, seed)
         for mode in ("adjoint", "backprop"):
             config = TrainConfig(grad_mode=mode, window_steps=n_steps,
                                  epochs=1, seed=seed)

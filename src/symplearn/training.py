@@ -14,6 +14,7 @@ trajectories they produce stay within solver tolerance of each other.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -116,7 +117,6 @@ class TrainConfig:
     plateau_patience: int = 3
     shooting: str = "single"            # 'single' or 'multiple'
     segment_steps: int | None = None    # solver steps per segment when multiple
-    quadrature: str = "midpoint"
     fpi: FpiConfig = FpiConfig()
     hidden: tuple = DEFAULT_HIDDEN
     seed: int = 0
@@ -130,6 +130,12 @@ class TrainConfig:
             raise ValueError(f"unknown shooting {self.shooting!r}")
         if self.window_steps < 1 or self.stride < 1:
             raise ValueError("window_steps and stride must be >= 1")
+        if self.batch_size < 1 or self.windows_per_traj < 1 or self.val_batches < 1:
+            raise ValueError("batch_size, windows_per_traj and val_batches must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
         if self.shooting == "multiple":
             seg = self.segment_steps
             if seg is None or seg < 2:
@@ -157,66 +163,58 @@ def _segment_windows(windows, segment_steps):
     return np.stack(parts, axis=1).reshape(b * n_seg, segment_steps + 1, width)
 
 
-def loss_and_grad(net, theta, windows, h, config):
-    """One batch: forward rollout, loss, and the parameter gradient.
+def _rollout(net, theta, windows, h, config, record=False):
+    """Forward half of one batch: roll the model field through the windows
+    and score the predictions.
 
-    Returns (loss, grad, converged_fraction).  Multiple shooting expands the
-    batch into per-segment windows first; the loss keeps the 1/B scale of the
-    original batch, so segment losses add within each window.
+    Multiple shooting expands the batch into per-segment windows first; the
+    loss keeps the 1/B scale of the original batch, so segment losses add
+    within each window.  record=True keeps the network tapes for recorded
+    backprop.  Returns (loss, partials, states, reports, record or None).
     """
-    batch = windows.shape[0]
+    scale = 1.0 / windows.shape[0]
     if config.shooting == "multiple":
         windows = _segment_windows(windows, config.segment_steps)
     n_steps = windows.shape[1] - 1
-    scale = 1.0 / batch
-    obs_tm = np.ascontiguousarray(np.swapaxes(windows, 0, 1))
     y0 = windows[:, 0, :]
-
-    if config.grad_mode == "adjoint":
-        def field(y):
-            return net.dynamics(theta, y)
-
-        traj, reports = integrate(
-            field, y0, h, n_steps, method="implicit_midpoint", cfg=config.fpi,
-            observations=obs_tm if config.fpi.guess_source == "observation" else None,
-        )
-        loss, partials = window_loss(traj.states, windows, batch_scale=scale)
-        grad, diag = adj.solve_adjoint_accumulate(
-            net, theta, traj.states, partials, h, cfg=config.fpi,
-            quadrature=config.quadrature,
-        )
-        # worst stage wins: a batch is only as converged as its weakest solve
-        frac = min(float(np.mean([r.converged for r in reports])),
-                   diag.converged_fraction)
+    observations = None
+    if config.fpi.guess_source == "observation":
+        observations = np.ascontiguousarray(np.swapaxes(windows, 0, 1))
+    rec = None
+    if record:
+        rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi,
+                                 observations=observations)
+        states, reports = rec.states, rec.reports
     else:
-        record = adj.record_rollout(
-            net, theta, y0, h, n_steps, cfg=config.fpi,
-            observations=obs_tm if config.fpi.guess_source == "observation" else None,
-        )
-        loss, partials = window_loss(record.states, windows, batch_scale=scale)
+        traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
+                                  cfg=config.fpi, observations=observations)
+        states = traj.states
+    loss, partials = window_loss(states, windows, batch_scale=scale)
+    return loss, partials, states, reports, rec
+
+
+def loss_and_grad(net, theta, windows, h, config):
+    """One batch: forward rollout, loss, and the parameter gradient.
+
+    Returns (loss, grad, converged_fraction).
+    """
+    backprop = config.grad_mode == "backprop"
+    loss, partials, states, reports, record = _rollout(net, theta, windows, h, config,
+                                                       record=backprop)
+    frac = float(np.mean([r.converged for r in reports]))
+    if backprop:
         grad = adj.backward_through_record(net, theta, record, partials)
-        frac = float(np.mean([r.converged for r in record.reports]))
+    else:
+        grad, diag = adj.solve_adjoint_accumulate(net, theta, states, partials, h,
+                                                  cfg=config.fpi)
+        # worst stage wins: a batch is only as converged as its weakest solve
+        frac = min(frac, diag.converged_fraction)
     return loss, grad, frac
 
 
 def _forward_loss(net, theta, windows, h, config):
     """Loss only, no gradient; used for validation and the epoch-0 baseline."""
-    scale = 1.0 / windows.shape[0]
-    if config.shooting == "multiple":
-        windows = _segment_windows(windows, config.segment_steps)
-    n_steps = windows.shape[1] - 1
-    obs_tm = np.ascontiguousarray(np.swapaxes(windows, 0, 1))
-
-    def field(y):
-        return net.dynamics(theta, y)
-
-    traj, _ = integrate(
-        field, windows[:, 0, :], h, n_steps, method="implicit_midpoint",
-        cfg=config.fpi,
-        observations=obs_tm if config.fpi.guess_source == "observation" else None,
-    )
-    loss, _ = window_loss(traj.states, windows, batch_scale=scale)
-    return loss
+    return _rollout(net, theta, windows, h, config)[0]
 
 
 @dataclasses.dataclass

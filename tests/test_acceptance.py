@@ -21,7 +21,7 @@ from symplearn.integrators import (FpiConfig, TABLEAUX,
                                    check_symplectic_tableau,
                                    implicit_midpoint_step, integrate)
 from symplearn.model import HamiltonianNet
-from symplearn.profiling import _profile_windows, profile_gradient_modes
+from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, \
     smoke_config, train
@@ -126,7 +126,7 @@ def test_c4_gradient_correctness():
 
     worst_fd, worst_bp = 0.0, 0.0
     for tau in (1, 4):
-        windows = _profile_windows(system, 4, tau, 0.01, seed=0)
+        windows = profile_windows(system, 4, tau, 0.01, seed=0)
         def cfg(mode):
             return TrainConfig(grad_mode=mode, window_steps=tau,
                                hidden=(8,), fpi=TIGHT)
@@ -181,7 +181,7 @@ def test_c6_desk_scale_learning(tmp_path):
     reduction = (result.metrics[0]["train_loss"]
                  / result.metrics[-1]["train_loss"])
     net, theta = result.net, result.theta
-    grid = evaluate_ood(lambda p: net.eval_h(theta, p),
+    grid, _ = evaluate_ood(lambda p: net.eval_h(theta, p),
                         lambda p: net.dynamics(theta, p),
                         get_system("double_well"))
     ok = grid["h_l1_mean"] <= 0.05 and reduction >= 10.0

@@ -83,6 +83,17 @@ def test_missing_dataset_names_the_path(tmp_path, capsys):
     assert str(tmp_path / "nowhere") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-size", "0"), ("--windows-per-traj", "0"), ("--val-batches", "0"),
+    ("--epochs", "-1"), ("--lr", "nan"),
+])
+def test_bad_train_values_exit_one(dataset, tmp_path, capsys, flag, value):
+    assert run_train(dataset, tmp_path / "out", flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     # a one-iteration solver at an impossible tolerance converges nowhere,
     # which the training loop reports as a numerical abort

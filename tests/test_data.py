@@ -32,6 +32,20 @@ def test_manifest_roundtrip():
         DatasetManifest.from_json(json.dumps({"format_version": 2}))
 
 
+def test_manifest_names_unknown_and_missing_keys():
+    raw = json.loads(DatasetManifest(
+        format_version=1, system="double_well", system_params={}, dim=1,
+        seed=3, n_train=10, n_val=2, n_steps=20, dt=0.001,
+        noise_std=0.01).to_json())
+    with pytest.raises(ValueError, match="unknown \\['colour'\\]"):
+        DatasetManifest.from_json(json.dumps({**raw, "colour": "blue"}))
+    del raw["dt"]
+    with pytest.raises(ValueError, match="missing \\['dt'\\]"):
+        DatasetManifest.from_json(json.dumps(raw))
+    with pytest.raises(ValueError, match="JSON object"):
+        DatasetManifest.from_json("[1, 2]")
+
+
 def test_generate_writes_the_documented_layout(tmp_path):
     manifest, clean, noisy = small_dataset(tmp_path)
     root = tmp_path / "ds"

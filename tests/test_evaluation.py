@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from symplearn.evaluation import (energy_drift, evaluate_ood,
-                                  parse_report_csv, phase_grid, report_table)
+from symplearn.evaluation import (energy_drift, evaluate_ood, phase_grid,
+                                  report_table)
 from symplearn.integrators import FpiConfig
 from symplearn.systems import get_system
 
@@ -41,7 +41,11 @@ def test_phase_grid_slices_fix_the_other_coordinates():
 
 def test_evaluate_oracle_is_exact():
     cho = get_system("coupled_ho")
-    out = evaluate_ood(cho.hamiltonian, cho.dynamics, cho, points_per_axis=9)
+    out, points = evaluate_ood(cho.hamiltonian, cho.dynamics, cho,
+                               points_per_axis=9)
+    assert np.array_equal(points["pts"], phase_grid(cho, 9)[0])
+    assert np.array_equal(points["h_pred"], points["h_true"])
+    assert not np.any(points["h_err_aligned"]) and not np.any(points["dyn_l2_err"])
     assert out["h_l1_mean"] == 0.0
     assert out["h_l1_max"] == 0.0
     assert out["dyn_l2_mean"] == 0.0
@@ -55,7 +59,7 @@ def test_value_error_ignores_additive_constants():
     def shifted(pts):
         return dw.hamiltonian(pts) + 7.25
 
-    out = evaluate_ood(shifted, dw.dynamics, dw, points_per_axis=9)
+    out, _ = evaluate_ood(shifted, dw.dynamics, dw, points_per_axis=9)
     assert out["offset"] == pytest.approx(7.25, abs=1e-12)
     assert out["h_l1_mean"] <= 1e-12
     assert out["h_l1_mean_raw"] == pytest.approx(7.25, abs=1e-12)
@@ -67,8 +71,9 @@ def test_field_error_reports_mean_pointwise_l2():
     def skewed(pts):
         return dw.dynamics(pts) + np.array([3.0, 4.0])  # constant 5.0 offset
 
-    out = evaluate_ood(dw.hamiltonian, skewed, dw, points_per_axis=5)
+    out, points = evaluate_ood(dw.hamiltonian, skewed, dw, points_per_axis=5)
     assert out["dyn_l2_mean"] == pytest.approx(5.0, abs=1e-12)
+    assert np.allclose(points["dyn_l2_err"], 5.0, atol=1e-12)
 
 
 def test_energy_drift_zero_steps_and_sho():
@@ -94,18 +99,13 @@ def test_energy_drift_grows_for_a_nonsymplectic_method():
     assert rk_long > 10 * sym_long
 
 
-def test_report_table_and_csv_roundtrip():
+def test_report_table_markdown():
     rows = [
         {"name": "midpoint", "err": 0.125, "iters": 4},
         {"name": "gauss2", "err": 1.0 / 3.0},
     ]
-    csv_text, md_text = report_table(rows)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "name,err,iters"
-    assert lines[2].endswith(",")  # missing cell renders empty
-    parsed = parse_report_csv(csv_text)
-    assert parsed[0] == {"name": "midpoint", "err": 0.125, "iters": 4.0}
-    assert parsed[1]["err"] == 1.0 / 3.0  # repr round-trips exactly
-    assert "iters" not in parsed[1]
-    assert md_text.splitlines()[0] == "| name | err | iters |"
-    assert md_text.splitlines()[3].endswith("| - |")
+    lines = report_table(rows).splitlines()
+    assert lines[0] == "| name | err | iters |"
+    assert lines[1] == "| --- | --- | --- |"
+    assert lines[2] == "| midpoint | 0.125 | 4 |"
+    assert lines[3] == f"| gauss2 | {1.0 / 3.0!r} | - |"  # missing cell

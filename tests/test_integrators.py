@@ -10,8 +10,7 @@ from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
 from symplearn.integrators import (FpiConfig, NonFiniteError, PrkTableau,
                                    TABLEAUX, check_symplectic_tableau,
                                    implicit_midpoint_step, integrate,
-                                   prk_step, reference_integrate, rk2_step,
-                                   symplectic_euler_step)
+                                   prk_step, reference_integrate)
 from symplearn.systems import get_system
 
 TIGHT = FpiConfig(tol=1e-13, max_iters=100)
@@ -23,13 +22,17 @@ TIGHT = FpiConfig(tol=1e-13, max_iters=100)
 
 def test_registry_contents():
     assert sorted(TABLEAUX) == ["explicit_euler", "gauss2", "implicit_midpoint",
-                                "symplectic_euler"]
+                                "rk2", "symplectic_euler"]
     mid = TABLEAUX["implicit_midpoint"]
     assert np.array_equal(mid.a_q, [[0.5]]) and np.array_equal(mid.b_q, [1.0])
     assert np.array_equal(mid.a_p, [[0.5]]) and np.array_equal(mid.b_p, [1.0])
 
     se = TABLEAUX["symplectic_euler"]
     assert np.array_equal(se.a_q, [[0.0]]) and np.array_equal(se.a_p, [[1.0]])
+
+    rk2 = TABLEAUX["rk2"]
+    assert np.array_equal(rk2.a_q, [[0.0, 0.0], [0.5, 0.0]])
+    assert np.array_equal(rk2.b_q, [0.0, 1.0]) and rk2.a_p is rk2.a_q
 
     g2 = TABLEAUX["gauss2"]
     s3 = np.sqrt(3.0)
@@ -168,14 +171,20 @@ def test_non_convergence_returns_best_iterate():
     assert report.iterations == 2
 
 
+def one_step(f, y, h, method):
+    traj, _ = integrate(f, y, h, 1, method=method, cfg=TIGHT)
+    return traj.states[-1]
+
+
 def test_staggered_euler_hand_step():
-    # q' = q + h p = 1; p' = p - h q' = -0.1 for the SHO at h = 0.1
-    got = symplectic_euler_step(sho_field, np.array([1.0, 0.0]), 0.1, dim=1)
-    assert np.allclose(got, [1.0, -0.1], atol=1e-15)
+    # the registered pair: p' = p - h q = -0.1 first, then q' = q + h p' = 0.99
+    # for the SHO at h = 0.1
+    got = one_step(sho_field, np.array([1.0, 0.0]), 0.1, "symplectic_euler")
+    assert np.allclose(got, [0.99, -0.1], atol=1e-15)
 
 
 def test_rk2_hand_step():
-    got = rk2_step(sho_field, np.array([1.0, 0.0]), 0.2)
+    got = one_step(sho_field, np.array([1.0, 0.0]), 0.2, "rk2")
     assert np.allclose(got, [0.98, -0.2], atol=1e-15)
 
 
@@ -226,8 +235,11 @@ def test_order_of_accuracy(method, expected, tol_frac):
     assert abs(ratio - expected) <= tol_frac * expected
 
 
+# the symplectic Euler pair is half implicit, so it stays symplectic for the
+# non-separable coupled_ho as well
 @pytest.mark.parametrize("name", ["double_well", "coupled_ho", "henon_heiles"])
-@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss2"])
+@pytest.mark.parametrize("method", ["implicit_midpoint", "gauss2",
+                                    "symplectic_euler"])
 def test_one_step_jacobian_is_symplectic(name, method):
     system = get_system(name)
     j = canonical_j(system.dim)
@@ -253,7 +265,7 @@ def test_staggered_euler_jacobian_symplectic_on_separable_system():
     for _ in range(5):
         y = rng.uniform(-0.8, 0.8, size=2)
         m = fd_jacobian(
-            lambda s: symplectic_euler_step(dw.dynamics, s, 0.01, dim=1), y,
+            lambda s: one_step(dw.dynamics, s, 0.01, "symplectic_euler"), y,
             eps=1e-6)
         assert np.max(np.abs(m.T @ j @ m - j)) <= 1e-6
 
@@ -265,7 +277,7 @@ def test_rk2_jacobian_is_not_symplectic():
     j = canonical_j(1)
     dw = get_system("double_well")
     y = np.array([0.9, 0.3])
-    m = fd_jacobian(lambda s: rk2_step(dw.dynamics, s, 0.5), y, eps=1e-6)
+    m = fd_jacobian(lambda s: one_step(dw.dynamics, s, 0.5, "rk2"), y, eps=1e-6)
     assert np.max(np.abs(m.T @ j @ m - j)) >= 1e-3
 
 

@@ -97,15 +97,6 @@ def test_hessian_matches_finite_differences_and_is_symmetric():
         assert np.max(np.abs(got - got.T)) <= 1e-10
 
 
-def test_hess_blocks_partition_the_hessian():
-    net = HamiltonianNet(2, hidden=(5,))
-    theta = net.init_params(8)
-    y = np.array([0.1, -0.2, 0.3, 0.4])
-    hqq, hqp, hpq, hpp = net.hess_blocks(theta, y)
-    full = net.hess_state(theta, y)
-    assert np.array_equal(np.block([[hqq, hqp], [hpq, hpp]]), full)
-
-
 def test_costate_to_direction_layout():
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(costate_to_direction(lam, 2), [-3.0, -4.0, 1.0, 2.0])

@@ -130,6 +130,12 @@ def test_train_config_validation():
         TrainConfig(shooting="multiple", window_steps=6, segment_steps=4)
     with pytest.raises(ValueError):
         TrainConfig(window_steps=0)
+    for bad in ({"batch_size": 0}, {"windows_per_traj": 0}, {"val_batches": 0},
+                {"epochs": -1}, {"lr": float("nan")}, {"lr": 0.0},
+                {"lr": float("inf")}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    assert TrainConfig(epochs=0).epochs == 0
 
 
 def test_smoke_config_defaults_and_overrides():
