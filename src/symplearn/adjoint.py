@@ -10,9 +10,12 @@ The costate engine integrates
 backward through the window with the same implicit midpoint rule used
 forward, freezing the state at the stored step endpoints and forming
 midpoints by averaging.  Observations contribute jumps: crossing an
-observation time going backward adds that time's loss gradient to lam.  The
-parameter gradient accumulates in place, one quadrature term per step, so the
-engine's footprint does not grow with the window length.
+observation time going backward adds that time's loss gradient to lam.
+With the Hessian frozen at the midpoint each backward step is linear in lam,
+so it is solved exactly by one batched linear solve: the costate sweep has no
+iteration and no tolerance of its own.  The parameter gradient accumulates in
+place, one quadrature term per step, so the engine's footprint does not grow
+with the window length.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
@@ -26,12 +29,12 @@ backward: the augmented system is no longer canonically Hamiltonian, so the
 symplectic solver would buy nothing there, and the quadrature view used here
 is both cheaper and exact for the discrete map.
 
-The two engines agree to solver tolerance.  The midpoint rule's one-step map
-has derivative (I - (h/2)Df)^{-1}(I + (h/2)Df); its transpose is exactly one
-backward midpoint step of the costate equation at the same frozen midpoint,
-and the parameter term lands on the averaged costate at that midpoint, so
-the midpoint quadrature is the exact discrete adjoint (Sanz-Serna, SIAM
-Review 58(1), 2016).
+The two engines agree to the forward solver's tolerance.  The midpoint
+rule's one-step map has derivative (I - (h/2)Df)^{-1}(I + (h/2)Df); its
+transpose is exactly one backward midpoint step of the costate equation at
+the same frozen midpoint, and the parameter term lands on the averaged
+costate at that midpoint, so the midpoint quadrature is the exact discrete
+adjoint (Sanz-Serna, SIAM Review 58(1), 2016).
 """
 
 from dataclasses import dataclass
@@ -40,42 +43,15 @@ import numpy as np
 
 from .integrators import FpiConfig, NonFiniteError, Trajectory, integrate
 from .memory import METER
-from .model import costate_to_direction
 
 
 @dataclass(frozen=True)
 class AdjointDiagnostics:
     steps: int
-    converged_fraction: float
-    max_residual: float
+    converged_fraction: float = 1.0   # always: every costate step is an exact solve
 
 
-def _solve_costate_step(hess, lam_end, h, cfg):
-    """One backward midpoint step of the linear costate equation.
-
-    Solves lam_start = lam_end + h * Hess . w(lam_mid) with
-    lam_mid = (lam_start + lam_end)/2 and Hess frozen at the step midpoint,
-    by fixed point iteration seeded with lam_end.  Linear in lam, contraction
-    rate O(h * |Hess|).
-    """
-    dim = lam_end.shape[-1] // 2
-    cur = lam_end.copy()
-    converged = False
-    resid = np.inf
-    for _ in range(cfg.max_iters):
-        mid = 0.5 * (cur + lam_end)
-        new = lam_end + h * np.einsum("bij,bj->bi", hess, costate_to_direction(mid, dim))
-        if not np.all(np.isfinite(new)):
-            raise NonFiniteError("non-finite costate iterate in backward solve")
-        resid = float(np.max(np.abs(new - cur)))
-        cur = new
-        if resid <= cfg.tol:
-            converged = True
-            break
-    return cur, converged, resid
-
-
-def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
+def solve_adjoint_accumulate(net, theta, states, partials, h):
     """Backward costate sweep with in-place gradient accumulation.
 
     states:   [n+1, B, 2d] forward trajectory at the step endpoints
@@ -85,11 +61,15 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
               rest enter as jumps on the way back.
     h:        forward step size (positive).
 
+    Each backward step is one exact batched linear solve, with no tolerance:
+    (I - (h/2) Hess P) lam_mid = lam_end, Hess frozen at the step midpoint
+    and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end.
+
     Returns (grad, diagnostics) with grad flat [n_params].  No batch scaling
     happens here: partials carry whatever scaling the loss used (a batch mean
     hands in partials divided by B), and grad inherits it.  The gradient
-    integrand is evaluated at each step midpoint with the averaged costate,
-    which matches recorded backprop to solver tolerance.
+    integrand is evaluated at each step midpoint with the midpoint costate,
+    which matches recorded backprop to the forward solver's tolerance.
     """
     if isinstance(states, Trajectory):  # allow passing the Trajectory wrapper
         states = states.states
@@ -105,11 +85,11 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
     if n_steps < 1:
         raise ValueError("need at least one step")
 
+    d = states.shape[-1] // 2
+    eye = np.eye(2 * d)
     grad = np.zeros(net.n_params)
     lam = np.zeros_like(states[-1])
     METER.track(grad, lam)
-    n_converged = 0
-    worst = 0.0
 
     try:
         for n in range(n_steps - 1, -1, -1):
@@ -118,19 +98,17 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
             hess = net.hess_state(theta, mid)
             METER.track(hess)
             try:
-                lam, ok, resid = _solve_costate_step(hess, lam_end, h, cfg)
+                a = 0.5 * h * np.concatenate([hess[..., d:], -hess[..., :d]], axis=-1)
+                lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
             finally:
                 METER.release(hess)
-            n_converged += ok
-            worst = max(worst, resid)
-            grad += h * net.vjp_params(theta, mid, 0.5 * (lam + lam_end))
+            if not np.all(np.isfinite(lam_mid)):
+                raise NonFiniteError("non-finite costate in backward solve")
+            lam = 2.0 * lam_mid - lam_end
+            grad += h * net.vjp_params(theta, mid, lam_mid)
     finally:
         METER.release(grad, lam)
-    return grad, AdjointDiagnostics(
-        steps=n_steps,
-        converged_fraction=n_converged / n_steps,
-        max_residual=worst,
-    )
+    return grad, AdjointDiagnostics(steps=n_steps)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +117,6 @@ def solve_adjoint_accumulate(net, theta, states, partials, h, cfg=FpiConfig()):
 
 @dataclass
 class _StepRecord:
-    seed_kind: str
     seed_acts: list          # acts of the two predictor field evals, or []
     iter_acts: list          # acts of each fixed-point sweep, oldest first
 
@@ -147,8 +124,8 @@ class _StepRecord:
 @dataclass
 class RecordedRollout:
     states: np.ndarray       # [n+1, B, 2d]
-    times: np.ndarray
     h: float
+    guess_source: str        # how every step's corrector was seeded
     steps: list
     reports: list
 
@@ -193,11 +170,10 @@ def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig(), observations=Non
     pos = 0
     for report in reports:
         end = pos + n_seed + report.iterations
-        steps.append(_StepRecord(cfg.guess_source, tapes[pos:pos + n_seed],
-                                 tapes[pos + n_seed:end]))
+        steps.append(_StepRecord(tapes[pos:pos + n_seed], tapes[pos + n_seed:end]))
         pos = end
-    return RecordedRollout(states=traj.states, times=traj.times, h=h, steps=steps,
-                           reports=reports)
+    return RecordedRollout(states=traj.states, h=h, guess_source=cfg.guess_source,
+                           steps=steps, reports=reports)
 
 
 def backward_through_record(net, theta, record, partials):
@@ -228,7 +204,7 @@ def backward_through_record(net, theta, record, partials):
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar
         # seed
-        if rec.seed_kind == "predictor":
+        if record.guess_source == "predictor":
             acts1, acts2 = rec.seed_acts
             # y_seed = y_n + h f(y_half), y_half = y_n + (h/2) f(y_n)
             ybar2, thbar2 = net.field_vjp(layers, acts2, h * cot, need_params=True)
@@ -239,7 +215,7 @@ def backward_through_record(net, theta, record, partials):
             METER.release(*acts1[1:])
             grad += thbar1
             cot_yn += ybar2 + ybar1
-        elif rec.seed_kind == "previous_state":
+        elif record.guess_source == "previous_state":
             cot_yn += cot
         # observation seeds are data: no path back
         rec.seed_acts = []

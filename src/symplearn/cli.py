@@ -88,12 +88,19 @@ _TRAIN_FIELDS = {
 }
 _FPI_FIELDS = {"fpi_tol": ("tol", float), "fpi_max_iters": ("max_iters", int),
                "guess_source": ("guess_source", str)}
+# Options of other commands that go to a library call only when given:
+# option key -> (parameter name, parser).
+_GEN_FIELDS = {"n_train": ("n_train", int), "n_val": ("n_val", int),
+               "n_steps": ("n_steps", int), "dt": ("dt", float),
+               "noise_std": ("noise_std", float)}
+_PROFILE_FIELDS = {"system": ("system_name", str), "batch_size": ("batch_size", int),
+                   "window_steps": ("window_steps", lambda v: _ints(v, "--window-steps")),
+                   "h": ("h", float), "repeats": ("repeats", int)}
 
 DEFAULTS = {
     "gen-data": {
         "system": "double_well", "system_param": {}, "seed": 0,
-        "out_dir": "runs/dataset", "n_train": None, "n_val": None,
-        "n_steps": None, "dt": None, "noise_std": None,
+        "out_dir": "runs/dataset", **dict.fromkeys(_GEN_FIELDS),
         "smoke": False, "full": False,
     },
     "train": {
@@ -102,7 +109,7 @@ DEFAULTS = {
     },
     "eval": {
         "checkpoint": None, "oracle": False, "system": "double_well",
-        "system_param": {}, "grid_points": 33, "slice": [],
+        "system_param": {}, "grid_points": None, "slice": [],
         "drift_steps": 1000, "drift_h": 0.01, "fpi_tol": None,
         "seed": 0, "out_dir": "runs/eval",
     },
@@ -113,8 +120,7 @@ DEFAULTS = {
         **dict.fromkeys(_FPI_FIELDS),
     },
     "profile": {
-        "system": "coupled_ho", "batch_size": 512, "window_steps": "4,8,16,32",
-        "h": 0.01, "repeats": 3, "seed": 0, "out_dir": "runs/profile",
+        **dict.fromkeys(_PROFILE_FIELDS), "seed": 0, "out_dir": "runs/profile",
     },
     "check-tableau": {
         "method": None, "file": None, "tol": 1e-12, "seed": 0,
@@ -322,11 +328,17 @@ def _out_dir(opts):
     return path
 
 
+def _given(opts, fields):
+    """Keyword arguments for the options in fields that were given; the
+    callee's own defaults fill in the rest."""
+    return {param: parse(opts[key]) for key, (param, parse) in fields.items()
+            if opts.get(key) is not None}
+
+
 def _fpi(opts):
     """FpiConfig from the solver options given; FpiConfig fills in the rest."""
     from .integrators import FpiConfig
-    return FpiConfig(**{field: parse(opts[key]) for key, (field, parse) in _FPI_FIELDS.items()
-                        if opts.get(key) is not None})
+    return FpiConfig(**_given(opts, _FPI_FIELDS))
 
 
 # ----------------------------------------------------------------------
@@ -334,22 +346,14 @@ def _fpi(opts):
 
 
 def cmd_gen_data(opts):
-    from .data import (DEFAULT_DT, DEFAULT_N_STEPS, DEFAULT_NOISE_STD,
-                       FULL_SCALE, SMOKE_SCALE, generate_dataset)
+    from .data import FULL_SCALE, SMOKE_SCALE, generate_dataset
     if opts["smoke"] and opts["full"]:
         raise UsageError("--smoke and --full are mutually exclusive")
-    scale = SMOKE_SCALE if opts["smoke"] else FULL_SCALE
-    n_train = opts["n_train"] if opts["n_train"] is not None else scale["n_train"]
-    n_val = opts["n_val"] if opts["n_val"] is not None else scale["n_val"]
+    sizes = {**(SMOKE_SCALE if opts["smoke"] else FULL_SCALE), **_given(opts, _GEN_FIELDS)}
     out = _out_dir(opts)
     manifest, _, _ = generate_dataset(
         opts["system"], out, seed=int(opts["seed"]),
-        n_train=n_train, n_val=n_val,
-        n_steps=opts["n_steps"] if opts["n_steps"] is not None else DEFAULT_N_STEPS,
-        dt=opts["dt"] if opts["dt"] is not None else DEFAULT_DT,
-        noise_std=(opts["noise_std"] if opts["noise_std"] is not None
-                   else DEFAULT_NOISE_STD),
-        system_params=_kv_floats(opts["system_param"], "--system-param"),
+        system_params=_kv_floats(opts["system_param"], "--system-param"), **sizes,
     )
     print(f"wrote {manifest.system} dataset to {out}: "
           f"n_train={manifest.n_train} n_val={manifest.n_val} "
@@ -361,8 +365,7 @@ def _train_config(opts):
     """TrainConfig from the training options given; TrainConfig fills in the rest."""
     from .training import TrainConfig
     try:
-        given = {key: parse(opts[key]) for key, parse in _TRAIN_FIELDS.items()
-                 if opts[key] is not None}
+        given = _given(opts, {key: (key, parse) for key, parse in _TRAIN_FIELDS.items()})
         if opts["hidden"] is not None:
             given["hidden"] = _ints(opts["hidden"], "--hidden")
         return TrainConfig(fpi=_fpi(opts), **given)
@@ -425,7 +428,8 @@ def cmd_eval(opts):
 
         source = str(opts["checkpoint"])
 
-    report, points = evaluate_ood(h_fn, dyn_fn, system, int(opts["grid_points"]), slices)
+    report, points = evaluate_ood(h_fn, dyn_fn, system, slices=slices, **_given(
+        opts, {"grid_points": ("points_per_axis", int)}))
 
     rng = np.random.default_rng((int(opts["seed"]), 5))
     lo, hi = system.bounds[:, 0], system.bounds[:, 1]
@@ -521,12 +525,7 @@ def cmd_integrate(opts):
 
 def cmd_profile(opts):
     from .profiling import profile_gradient_modes, profile_to_csv
-    steps = _ints(opts["window_steps"], "--window-steps")
-    rows = profile_gradient_modes(
-        system_name=opts["system"], batch_size=int(opts["batch_size"]),
-        window_steps=steps, h=float(opts["h"]), seed=int(opts["seed"]),
-        repeats=int(opts["repeats"]),
-    )
+    rows = profile_gradient_modes(seed=int(opts["seed"]), **_given(opts, _PROFILE_FIELDS))
     out = _out_dir(opts)
     path = out / "profile.csv"
     path.write_text(profile_to_csv(rows), encoding="utf-8")

@@ -217,32 +217,40 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), observation=None):
 def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
     """One step of an arbitrary partitioned Runge-Kutta pair.
 
-    Stage slopes for both partitions are solved jointly by fixed-point
-    iteration, seeded with the field at the current state.  Explicit pairs
-    converge in one sweep; implicit ones contract at rate O(h).
+    Explicit pairs (a_q and a_p both strictly lower triangular) evaluate their
+    stages in order, one field evaluation each, and report one iteration.
+    Implicit pairs solve the stage slopes of both partitions jointly by
+    fixed-point iteration, seeded with the field at the current state; they
+    contract at rate O(h).
     """
     y = np.asarray(y, dtype=np.float64)
     s = tableau.stages
     q0, p0 = y[..., :dim], y[..., dim:]
-    f0 = f(y)
-    # slopes[i] holds (k_i, l_i) stacked as a full-width field sample
-    slopes = np.stack([f0] * s, axis=0)
 
-    residuals = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        new_slopes = np.empty_like(slopes)
+    def stage(i, slopes, known):  # slope of stage i from slopes 0..known-1
+        q_i = q0 + h * sum(tableau.a_q[i, j] * slopes[j][..., :dim] for j in range(known))
+        p_i = p0 + h * sum(tableau.a_p[i, j] * slopes[j][..., dim:] for j in range(known))
+        return f(np.concatenate([q_i, p_i], axis=-1))
+
+    # slopes[i] holds (k_i, l_i) stacked as a full-width field sample
+    if not (np.triu(tableau.a_q).any() or np.triu(tableau.a_p).any()):
+        slopes = []
         for i in range(s):
-            q_i = q0 + h * sum(tableau.a_q[i, j] * slopes[j][..., :dim] for j in range(s))
-            p_i = p0 + h * sum(tableau.a_p[i, j] * slopes[j][..., dim:] for j in range(s))
-            new_slopes[i] = f(np.concatenate([q_i, p_i], axis=-1))
-        _check_finite(new_slopes, f"{tableau.name} stage iteration")
-        resid = float(np.max(np.abs(new_slopes - slopes)))
-        residuals.append(resid)
-        slopes = new_slopes
-        if resid <= cfg.tol:
-            converged = True
-            break
+            slopes.append(stage(i, slopes, i))
+            _check_finite(slopes[i], f"{tableau.name} stage {i}")
+        residuals, converged = [0.0], True
+    else:
+        slopes = np.stack([f(y)] * s, axis=0)
+        residuals, converged = [], False
+        for _ in range(cfg.max_iters):
+            new_slopes = np.stack([stage(i, slopes, s) for i in range(s)], axis=0)
+            _check_finite(new_slopes, f"{tableau.name} stage iteration")
+            resid = float(np.max(np.abs(new_slopes - slopes)))
+            residuals.append(resid)
+            slopes = new_slopes
+            if resid <= cfg.tol:
+                converged = True
+                break
 
     q1 = q0 + h * sum(tableau.b_q[i] * slopes[i][..., :dim] for i in range(s))
     p1 = p0 + h * sum(tableau.b_p[i] * slopes[i][..., dim:] for i in range(s))

@@ -144,13 +144,6 @@ class TrainConfig:
                 raise ValueError("segment_steps must divide window_steps")
 
 
-def smoke_config(**overrides):
-    """Desk-scale settings: pairs with the 1024/256-trajectory smoke dataset."""
-    base = dict(epochs=10, windows_per_traj=16, batch_size=512)
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
 def _segment_windows(windows, segment_steps):
     """Slice [B, n+1, 2d] windows into overlapping-endpoint segments,
     stacked as [B * n_seg, seg+1, 2d]: each segment restarts from the
@@ -196,7 +189,8 @@ def _rollout(net, theta, windows, h, config, record=False):
 def loss_and_grad(net, theta, windows, h, config):
     """One batch: forward rollout, loss, and the parameter gradient.
 
-    Returns (loss, grad, converged_fraction).
+    Returns (loss, grad, converged_fraction) with the fraction taken over the
+    forward solver steps; the costate steps are exact solves.
     """
     backprop = config.grad_mode == "backprop"
     loss, partials, states, reports, record = _rollout(net, theta, windows, h, config,
@@ -205,10 +199,7 @@ def loss_and_grad(net, theta, windows, h, config):
     if backprop:
         grad = adj.backward_through_record(net, theta, record, partials)
     else:
-        grad, diag = adj.solve_adjoint_accumulate(net, theta, states, partials, h,
-                                                  cfg=config.fpi)
-        # worst stage wins: a batch is only as converged as its weakest solve
-        frac = min(frac, diag.converged_fraction)
+        grad, _ = adj.solve_adjoint_accumulate(net, theta, states, partials, h)
     return loss, grad, frac
 
 

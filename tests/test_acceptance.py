@@ -23,8 +23,7 @@ from symplearn.integrators import (FpiConfig, TABLEAUX,
 from symplearn.model import HamiltonianNet
 from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
-from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, \
-    smoke_config, train
+from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, train
 
 from oracles import canonical_j, midpoint_linear_exact, sho_exact
 
@@ -177,7 +176,7 @@ def test_c6_desk_scale_learning(tmp_path):
     budget, t0 = 900.0, time.perf_counter()
     manifest, _, noisy = generate_dataset("double_well", tmp_path / "ds",
                                           seed=0, n_train=1024, n_val=256)
-    result = train(manifest, noisy, smoke_config())
+    result = train(manifest, noisy, TrainConfig(epochs=10))
     reduction = (result.metrics[0]["train_loss"]
                  / result.metrics[-1]["train_loss"])
     net, theta = result.net, result.theta

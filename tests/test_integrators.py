@@ -188,6 +188,20 @@ def test_rk2_hand_step():
     assert np.allclose(got, [0.98, -0.2], atol=1e-15)
 
 
+@pytest.mark.parametrize("method,evals", [("rk2", 2), ("explicit_euler", 1)])
+def test_explicit_pairs_take_one_evaluation_per_stage(method, evals):
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return sho_field(y)
+
+    _, reports = integrate(counted, np.array([1.0, 0.0]), 0.1, 3, method=method)
+    assert len(calls) == 3 * evals
+    assert [r.iterations for r in reports] == [1, 1, 1]
+    assert all(r.converged for r in reports)
+
+
 def test_generic_prk_midpoint_agrees_with_specialized_step():
     cho = get_system("coupled_ho")
     y = np.array([0.4, 0.3])

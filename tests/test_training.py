@@ -9,8 +9,8 @@ from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
 from symplearn.training import (Adam, NumericalAbort, ReduceOnPlateau,
                                 TrainConfig, _segment_windows, loss_and_grad,
-                                metrics_to_csv, saturation_epoch, smoke_config,
-                                train, window_loss)
+                                metrics_to_csv, saturation_epoch, train,
+                                window_loss)
 
 
 @pytest.fixture(autouse=True)
@@ -136,12 +136,6 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert TrainConfig(epochs=0).epochs == 0
-
-
-def test_smoke_config_defaults_and_overrides():
-    cfg = smoke_config()
-    assert cfg.epochs == 10 and cfg.batch_size == 512
-    assert smoke_config(epochs=2, grad_mode="backprop").epochs == 2
 
 
 # ---------------------------------------------------------- multiple shooting
