@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import FpiConfig, NonFiniteError, Trajectory, integrate
+from .integrators import FpiConfig, NonFiniteError, integrate
 from .memory import METER
 
 
@@ -71,8 +71,6 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
     integrand is evaluated at each step midpoint with the midpoint costate,
     which matches recorded backprop to the forward solver's tolerance.
     """
-    if isinstance(states, Trajectory):  # allow passing the Trajectory wrapper
-        states = states.states
     states = np.asarray(states, dtype=np.float64)
     partials = np.asarray(partials, dtype=np.float64)
     if states.ndim != 3 or partials.ndim != 3:

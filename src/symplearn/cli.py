@@ -5,18 +5,24 @@ level: --threads works by setting the BLAS thread-count environment variables,
 which only take effect if they are set before numpy first loads.  Heavy
 imports therefore live inside the command handlers.
 
-Option precedence is CLI flag > --config JSON file > built-in default; the
-training and solver options have no defaults here, so TrainConfig and
-FpiConfig fill in whatever was not given.  The config file is a flat JSON
-object whose keys are the option names with underscores (for example
-{"grad_mode": "backprop", "epochs": 5}).  The thread cap is CLI-only, since a
-config file is read too late to matter.
+Each option is declared once, in _build_parser: its flag, its default and
+the parser its value goes through.  Option precedence is CLI flag > --config
+JSON file > that default.  An option whose library call has a default of its
+own (every TrainConfig and FpiConfig field, the gen-data sizes, integrate's
+method, ...) defaults to None here and is passed only when given.  The config
+file is a flat JSON object whose keys are the option names with underscores
+(for example {"grad_mode": "backprop", "epochs": 5}); flag strings and config
+values go through the same parser, and a value that does not parse exits 1
+naming its flag or config key.  The thread cap is CLI-only, since a config
+file is read too late to matter.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
 (solver blow-up or a training abort).
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -29,9 +35,6 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-_COMMANDS = ("gen-data", "train", "eval", "integrate", "profile",
-             "check-tableau", "grad-check", "export-csv")
 
 
 class UsageError(Exception):
@@ -62,84 +65,48 @@ def _apply_thread_env(argv):
 
 
 # ----------------------------------------------------------------------
+# option parsers: flag strings and config-file JSON values go through the same
+# one; a ValueError or TypeError is reported against the flag or config key
+
+
+def _numbers(kind):
+    """Parser for a comma-separated list, or a JSON list, of kind."""
+    def parse(value):
+        if isinstance(value, str):
+            value = value.replace(",", " ").split()
+        return tuple(kind(v) for v in value)
+    return parse
+
+
+def _kv_floats(value):
+    """K=V strings, or a JSON object, as {K: float(V)}."""
+    if isinstance(value, dict):
+        return {str(k): float(v) for k, v in value.items()}
+    out = {}
+    for item in value:
+        if "=" not in item:
+            raise ValueError(f"expects K=V, got {item!r}")
+        k, v = item.split("=", 1)
+        out[k.strip()] = float(v)
+    return out
+
+
+def _axis_slices(value):
+    return {int(k): v for k, v in _kv_floats(value).items()}
+
+
+# ----------------------------------------------------------------------
 # parser
 
 
-def _common_parent():
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="JSON file of option defaults (CLI flags win)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="master seed for this command")
-    p.add_argument("--out-dir", default=argparse.SUPPRESS,
-                   help="directory all outputs are written under")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="cap BLAS/OpenMP threads (CLI-only; profile defaults to 1)")
-    return p
-
-
-# Options that fill TrainConfig and FpiConfig fields, with the parser for
-# values that arrive from a config file.  An option left unset is not passed,
-# so the dataclass default applies.
-_TRAIN_FIELDS = {
-    "grad_mode": str, "window_steps": int, "stride": int, "batch_size": int,
-    "epochs": int, "windows_per_traj": int, "lr": float, "shooting": str,
-    "segment_steps": int, "val_batches": int, "seed": int,
-}
-_FPI_FIELDS = {"fpi_tol": ("tol", float), "fpi_max_iters": ("max_iters", int),
-               "guess_source": ("guess_source", str)}
-# Options of other commands that go to a library call only when given:
-# option key -> (parameter name, parser).
-_GEN_FIELDS = {"n_train": ("n_train", int), "n_val": ("n_val", int),
-               "n_steps": ("n_steps", int), "dt": ("dt", float),
-               "noise_std": ("noise_std", float)}
-_PROFILE_FIELDS = {"system": ("system_name", str), "batch_size": ("batch_size", int),
-                   "window_steps": ("window_steps", lambda v: _ints(v, "--window-steps")),
-                   "h": ("h", float), "repeats": ("repeats", int)}
-
-DEFAULTS = {
-    "gen-data": {
-        "system": "double_well", "system_param": {}, "seed": 0,
-        "out_dir": "runs/dataset", **dict.fromkeys(_GEN_FIELDS),
-        "smoke": False, "full": False,
-    },
-    "train": {
-        "data": None, "hidden": None, "out_dir": "runs/train",
-        **dict.fromkeys(_TRAIN_FIELDS), **dict.fromkeys(_FPI_FIELDS),
-    },
-    "eval": {
-        "checkpoint": None, "oracle": False, "system": "double_well",
-        "system_param": {}, "grid_points": None, "slice": [],
-        "drift_steps": 1000, "drift_h": 0.01, "fpi_tol": None,
-        "seed": 0, "out_dir": "runs/eval",
-    },
-    "integrate": {
-        "system": None, "system_param": {}, "checkpoint": None,
-        "method": "implicit_midpoint", "h": 0.01, "n_steps": 1000,
-        "y0": None, "seed": 0, "out_dir": "runs/integrate",
-        **dict.fromkeys(_FPI_FIELDS),
-    },
-    "profile": {
-        **dict.fromkeys(_PROFILE_FIELDS), "seed": 0, "out_dir": "runs/profile",
-    },
-    "check-tableau": {
-        "method": None, "file": None, "tol": 1e-12, "seed": 0,
-        "out_dir": "runs/check-tableau",
-    },
-    "grad-check": {
-        "system": "coupled_ho", "system_param": {}, "hidden": "8",
-        "window_steps": 4, "batch_size": 4, "h": 0.01, "fd_step": 1e-5,
-        "fpi_tol": 1e-12, "seed": 0, "out_dir": "runs/grad-check",
-    },
-    "export-csv": {
-        "data": None, "which": "noisy", "max_traj": None, "out": None,
-        "seed": 0, "out_dir": "runs/export",
-    },
-}
-
-
 def _build_parser():
-    common = _common_parent()
+    """The argument parser, and per command option key -> (default, parser).
+
+    opt() declares an option once: its flag, the default a handler sees when
+    neither the flag nor the config file sets it (None leaves the value to
+    the library call's own default), and its value parser.  Its flag carries
+    no argparse type, so flag strings and config-file values parse alike.
+    """
     S = argparse.SUPPRESS
     parser = argparse.ArgumentParser(
         prog="symplearn",
@@ -147,109 +114,129 @@ def _build_parser():
                     "symplectic solver in the loop.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
+    specs = {}
 
-    p = sub.add_parser("gen-data", parents=[common],
-                       help="integrate a benchmark system and store noisy trajectories")
-    p.add_argument("--system", default=S)
-    p.add_argument("--system-param", action="append", default=S, metavar="K=V")
-    p.add_argument("--n-train", type=int, default=S)
-    p.add_argument("--n-val", type=int, default=S)
-    p.add_argument("--n-steps", type=int, default=S)
-    p.add_argument("--dt", type=float, default=S)
-    p.add_argument("--noise-std", type=float, default=S)
-    p.add_argument("--smoke", action="store_true", default=S,
-                   help="desk-scale sizes (1024 train / 256 val)")
-    p.add_argument("--full", action="store_true", default=S,
-                   help="full-scale sizes (16384 train / 8192 val; the default)")
+    def command(name, help_text, out_dir, seed=0):
+        p = sub.add_parser(name, help=help_text)
+        spec = specs[name] = {}
 
-    p = sub.add_parser("train", parents=[common],
-                       help="fit a Hamiltonian network to a stored dataset")
-    p.add_argument("--data", default=S, help="dataset directory from gen-data")
-    p.add_argument("--grad-mode", choices=["adjoint", "backprop"], default=S)
-    p.add_argument("--window-steps", type=int, default=S)
-    p.add_argument("--stride", type=int, default=S)
-    p.add_argument("--batch-size", type=int, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--windows-per-traj", type=int, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--shooting", choices=["single", "multiple"], default=S)
-    p.add_argument("--segment-steps", type=int, default=S)
-    p.add_argument("--fpi-tol", type=float, default=S)
-    p.add_argument("--fpi-max-iters", type=int, default=S)
-    p.add_argument("--guess-source",
-                   choices=["predictor", "observation", "previous_state"], default=S)
-    p.add_argument("--hidden", default=S, metavar="H1,H2,...")
-    p.add_argument("--val-batches", type=int, default=S)
+        def opt(flag, default=None, parse=str, **kw):
+            spec[flag[2:].replace("-", "_")] = (default, parse)
+            p.add_argument(flag, default=S, **kw)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a checkpoint against a known system on a phase-space grid")
-    p.add_argument("--checkpoint", default=S, help="model .json header path")
-    p.add_argument("--oracle", action="store_true", default=S,
-                   help="score the true system against itself (pipeline check)")
-    p.add_argument("--system", default=S)
-    p.add_argument("--system-param", action="append", default=S, metavar="K=V")
-    p.add_argument("--grid-points", type=int, default=S)
-    p.add_argument("--slice", action="append", default=S, metavar="AXIS=VALUE",
-                   help="fix a non-grid coordinate (default 0.0)")
-    p.add_argument("--drift-steps", type=int, default=S)
-    p.add_argument("--drift-h", type=float, default=S)
-    p.add_argument("--fpi-tol", type=float, default=S)
+        p.add_argument("--config", default=S,
+                       help="JSON file of option defaults (CLI flags win)")
+        opt("--seed", seed, int, help="master seed for this command")
+        opt("--out-dir", out_dir, help="directory all outputs are written under")
+        p.add_argument("--threads", type=int, default=S,
+                       help="cap BLAS/OpenMP threads (CLI-only; profile defaults to 1)")
+        return opt
 
-    p = sub.add_parser("integrate", parents=[common],
-                       help="roll a system or checkpoint forward and dump the trajectory CSV")
-    p.add_argument("--system", default=S)
-    p.add_argument("--system-param", action="append", default=S, metavar="K=V")
-    p.add_argument("--checkpoint", default=S)
-    p.add_argument("--method", default=S)
-    p.add_argument("--h", type=float, default=S)
-    p.add_argument("--n-steps", type=int, default=S)
-    p.add_argument("--y0", default=S, metavar="X1,X2,...")
-    p.add_argument("--fpi-tol", type=float, default=S)
-    p.add_argument("--fpi-max-iters", type=int, default=S)
-    p.add_argument("--guess-source",
-                   choices=["predictor", "observation", "previous_state"], default=S)
+    def system_opts(opt, default):
+        opt("--system", default)
+        opt("--system-param", {}, _kv_floats, action="append", metavar="K=V")
 
-    p = sub.add_parser("profile", parents=[common],
-                       help="memory/runtime comparison of the two gradient engines")
-    p.add_argument("--system", default=S)
-    p.add_argument("--batch-size", type=int, default=S)
-    p.add_argument("--window-steps", default=S, metavar="N1,N2,...")
-    p.add_argument("--h", type=float, default=S)
-    p.add_argument("--repeats", type=int, default=S)
+    def solver_opts(opt):
+        opt("--fpi-tol", None, float)
+        opt("--fpi-max-iters", None, int)
+        opt("--guess-source", choices=["predictor", "observation", "previous_state"])
 
-    p = sub.add_parser("check-tableau", parents=[common],
-                       help="verify the symplecticity conditions of a coefficient pair")
-    p.add_argument("--method", default=S, help="registered tableau name")
-    p.add_argument("--file", default=S,
-                   help="JSON file with a_q, b_q, a_p, b_p arrays")
-    p.add_argument("--tol", type=float, default=S)
+    opt = command("gen-data", "integrate a benchmark system and store noisy trajectories",
+                  "runs/dataset")
+    system_opts(opt, "double_well")
+    opt("--n-train", None, int)
+    opt("--n-val", None, int)
+    opt("--n-steps", None, int)
+    opt("--dt", None, float)
+    opt("--noise-std", None, float)
+    opt("--smoke", False, bool, action="store_true",
+        help="desk-scale sizes (1024 train / 256 val)")
+    opt("--full", False, bool, action="store_true",
+        help="full-scale sizes (16384 train / 8192 val; the default)")
 
-    p = sub.add_parser("grad-check", parents=[common],
-                       help="compare costate, reverse-tape, and finite-difference gradients")
-    p.add_argument("--system", default=S)
-    p.add_argument("--system-param", action="append", default=S, metavar="K=V")
-    p.add_argument("--hidden", default=S, metavar="H1,H2,...")
-    p.add_argument("--window-steps", type=int, default=S)
-    p.add_argument("--batch-size", type=int, default=S)
-    p.add_argument("--h", type=float, default=S)
-    p.add_argument("--fd-step", type=float, default=S)
-    p.add_argument("--fpi-tol", type=float, default=S)
+    # seed None: TrainConfig owns every training default, the seed included
+    opt = command("train", "fit a Hamiltonian network to a stored dataset", "runs/train",
+                  seed=None)
+    opt("--data", help="dataset directory from gen-data")
+    opt("--grad-mode", choices=["adjoint", "backprop"])
+    opt("--window-steps", None, int)
+    opt("--stride", None, int)
+    opt("--batch-size", None, int)
+    opt("--epochs", None, int)
+    opt("--windows-per-traj", None, int)
+    opt("--lr", None, float)
+    opt("--shooting", choices=["single", "multiple"])
+    opt("--segment-steps", None, int)
+    solver_opts(opt)
+    opt("--hidden", None, _numbers(int), metavar="H1,H2,...")
+    opt("--val-batches", None, int)
 
-    p = sub.add_parser("export-csv", parents=[common],
-                       help="dump stored trajectories as CSV")
-    p.add_argument("--data", default=S)
-    p.add_argument("--which", choices=["noisy", "clean"], default=S)
-    p.add_argument("--max-traj", type=int, default=S)
-    p.add_argument("--out", default=S, help="output CSV path (default under --out-dir)")
+    opt = command("eval", "score a checkpoint against a known system on a phase-space grid",
+                  "runs/eval")
+    opt("--checkpoint", help="model .json header path")
+    opt("--oracle", False, bool, action="store_true",
+        help="score the true system against itself (pipeline check)")
+    system_opts(opt, "double_well")
+    opt("--grid-points", None, int)
+    opt("--slice", {}, _axis_slices, action="append", metavar="AXIS=VALUE",
+        help="fix a non-grid coordinate (default 0.0)")
+    opt("--drift-steps", 1000, int)
+    opt("--drift-h", 0.01, float)
+    opt("--fpi-tol", None, float)
 
-    return parser
+    opt = command("integrate", "roll a system or checkpoint forward and dump the trajectory CSV",
+                  "runs/integrate")
+    system_opts(opt, None)
+    opt("--checkpoint")
+    opt("--method")
+    opt("--h", 0.01, float)
+    opt("--n-steps", 1000, int)
+    opt("--y0", None, _numbers(float), metavar="X1,X2,...")
+    solver_opts(opt)
+
+    opt = command("profile", "memory/runtime comparison of the two gradient engines",
+                  "runs/profile")
+    opt("--system")
+    opt("--batch-size", None, int)
+    opt("--window-steps", None, _numbers(int), metavar="N1,N2,...")
+    opt("--h", None, float)
+    opt("--repeats", None, int)
+
+    opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair",
+                  "runs/check-tableau")
+    opt("--method", help="registered tableau name")
+    opt("--file", help="JSON file with a_q, b_q, a_p, b_p arrays")
+    opt("--tol", None, float)
+
+    opt = command("grad-check", "compare costate, reverse-tape, and finite-difference gradients",
+                  "runs/grad-check")
+    system_opts(opt, "coupled_ho")
+    opt("--hidden", (8,), _numbers(int), metavar="H1,H2,...")
+    opt("--window-steps", 4, int)
+    opt("--batch-size", 4, int)
+    opt("--h", 0.01, float)
+    opt("--fd-step", 1e-5, float)
+    opt("--fpi-tol", 1e-12, float)
+
+    opt = command("export-csv", "dump stored trajectories as CSV", "runs/export")
+    opt("--data")
+    opt("--which", "noisy", choices=["noisy", "clean"])
+    opt("--max-traj", None, int)
+    opt("--out", help="output CSV path (default under --out-dir)")
+
+    return parser, specs
 
 
-def _merge_options(namespace):
-    ns = dict(vars(namespace))
-    cmd = ns.pop("cmd")
-    config_path = ns.pop("config", None)
-    merged = dict(DEFAULTS[cmd])
+def _merge_options(namespace, specs):
+    """Option values of the parsed command: flag > config file > default,
+    every given value through its option's parser.  A JSON null counts as
+    not given."""
+    flags = dict(vars(namespace))
+    cmd = flags.pop("cmd")
+    flags.pop("threads", None)
+    config_path = flags.pop("config", None)
+    spec = specs[cmd]
+    given = {}
     if config_path is not None:
         try:
             raw = pathlib.Path(config_path).read_text(encoding="utf-8")
@@ -264,62 +251,21 @@ def _merge_options(namespace):
             raise UsageError("threads must be passed on the command line "
                              "(a config file loads after numpy)")
         for key, value in file_cfg.items():
-            if key not in merged and key not in ("seed", "out_dir"):
+            if key not in spec:
                 raise UsageError(f"config key {key!r} is not an option of {cmd}")
-            merged[key] = value
-    ns.pop("threads", None)
-    merged.update(ns)
-    merged["cmd"] = cmd
-    return merged
-
-
-# ----------------------------------------------------------------------
-# small option normalizers (config files hand in typed JSON, the CLI strings)
-
-
-def _ints(value, flag):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = value.replace(",", " ").split()
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag} expects integers, got {value!r}") from None
-
-
-def _floats(value, flag):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = value.replace(",", " ").split()
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag} expects numbers, got {value!r}") from None
-
-
-def _kv_floats(value, flag):
-    if isinstance(value, dict):
-        return {str(k): float(v) for k, v in value.items()}
-    out = {}
-    for item in value or ():
-        if "=" not in item:
-            raise UsageError(f"{flag} expects K=V, got {item!r}")
-        k, v = item.split("=", 1)
+            given[key] = (value, f"config key {key!r}")
+    given.update((key, (value, "--" + key.replace("_", "-")))
+                 for key, value in flags.items())
+    opts = {key: default for key, (default, _) in spec.items()}
+    for key, (value, source) in given.items():
+        if value is None:
+            continue
         try:
-            out[k.strip()] = float(v)
-        except ValueError:
-            raise UsageError(f"{flag}: {v!r} is not a number") from None
-    return out
-
-
-def _axis_slices(value):
-    pairs = _kv_floats(value, "--slice")
-    try:
-        return {int(k): v for k, v in pairs.items()}
-    except ValueError:
-        raise UsageError("--slice axis must be an integer coordinate index") from None
+            opts[key] = spec[key][1](value)
+        except (TypeError, ValueError) as err:
+            raise UsageError(f"{source}: {err}") from None
+    opts["cmd"] = cmd
+    return opts
 
 
 def _out_dir(opts):
@@ -328,17 +274,32 @@ def _out_dir(opts):
     return path
 
 
-def _given(opts, fields):
-    """Keyword arguments for the options in fields that were given; the
-    callee's own defaults fill in the rest."""
-    return {param: parse(opts[key]) for key, (param, parse) in fields.items()
+def _given(opts, names):
+    """Keyword arguments for the options in names (option key -> parameter)
+    that are set; the callee's own defaults fill in the rest."""
+    return {param: opts[key] for key, param in names.items()
             if opts.get(key) is not None}
 
 
 def _fpi(opts):
     """FpiConfig from the solver options given; FpiConfig fills in the rest."""
     from .integrators import FpiConfig
-    return FpiConfig(**_given(opts, _FPI_FIELDS))
+    return FpiConfig(**_given(opts, {"fpi_tol": "tol", "fpi_max_iters": "max_iters",
+                                     "guess_source": "guess_source"}))
+
+
+def _random_state(system, seed):
+    """One start state drawn uniformly from the system's phase-space box."""
+    import numpy as np
+    rng = np.random.default_rng((seed, 5))
+    lo, hi = system.bounds[:, 0], system.bounds[:, 1]
+    return lo + (hi - lo) * rng.random(2 * system.dim)
+
+
+def _write_csv(path, header, rows):
+    from .data import csv_lines
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(csv_lines(header, rows))
 
 
 # ----------------------------------------------------------------------
@@ -349,12 +310,11 @@ def cmd_gen_data(opts):
     from .data import FULL_SCALE, SMOKE_SCALE, generate_dataset
     if opts["smoke"] and opts["full"]:
         raise UsageError("--smoke and --full are mutually exclusive")
-    sizes = {**(SMOKE_SCALE if opts["smoke"] else FULL_SCALE), **_given(opts, _GEN_FIELDS)}
+    sizes = {**(SMOKE_SCALE if opts["smoke"] else FULL_SCALE),
+             **_given(opts, {k: k for k in ("n_train", "n_val", "n_steps", "dt", "noise_std")})}
     out = _out_dir(opts)
-    manifest, _, _ = generate_dataset(
-        opts["system"], out, seed=int(opts["seed"]),
-        system_params=_kv_floats(opts["system_param"], "--system-param"), **sizes,
-    )
+    manifest, _, _ = generate_dataset(opts["system"], out, seed=opts["seed"],
+                                      system_params=opts["system_param"], **sizes)
     print(f"wrote {manifest.system} dataset to {out}: "
           f"n_train={manifest.n_train} n_val={manifest.n_val} "
           f"n_steps={manifest.n_steps} dt={manifest.dt} noise_std={manifest.noise_std}")
@@ -364,13 +324,8 @@ def cmd_gen_data(opts):
 def _train_config(opts):
     """TrainConfig from the training options given; TrainConfig fills in the rest."""
     from .training import TrainConfig
-    try:
-        given = _given(opts, {key: (key, parse) for key, parse in _TRAIN_FIELDS.items()})
-        if opts["hidden"] is not None:
-            given["hidden"] = _ints(opts["hidden"], "--hidden")
-        return TrainConfig(fpi=_fpi(opts), **given)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    fields = {f.name: f.name for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(fpi=_fpi(opts), **_given(opts, fields))
 
 
 def cmd_train(opts):
@@ -404,9 +359,7 @@ def cmd_eval(opts):
 
     from .evaluation import energy_drift, evaluate_ood
     from .systems import get_system
-    system = get_system(opts["system"], **_kv_floats(opts["system_param"],
-                                                     "--system-param"))
-    slices = _axis_slices(opts["slice"])
+    system = get_system(opts["system"], **opts["system_param"])
     if opts["oracle"]:
         h_fn, dyn_fn = system.hamiltonian, system.dynamics
         source = f"oracle:{system.name}"
@@ -419,27 +372,18 @@ def cmd_eval(opts):
             raise UsageError(
                 f"checkpoint has dim {net.dim}, system {system.name} has dim {system.dim}"
             )
-
-        def h_fn(pts):
-            return net.eval_h(theta, pts)
-
-        def dyn_fn(pts):
-            return net.dynamics(theta, pts)
-
+        h_fn = functools.partial(net.eval_h, theta)
+        dyn_fn = functools.partial(net.dynamics, theta)
         source = str(opts["checkpoint"])
 
-    report, points = evaluate_ood(h_fn, dyn_fn, system, slices=slices, **_given(
-        opts, {"grid_points": ("points_per_axis", int)}))
+    report, points = evaluate_ood(h_fn, dyn_fn, system, slices=opts["slice"], **_given(
+        opts, {"grid_points": "points_per_axis"}))
 
-    rng = np.random.default_rng((int(opts["seed"]), 5))
-    lo, hi = system.bounds[:, 0], system.bounds[:, 1]
-    y0 = lo + (hi - lo) * rng.random(2 * system.dim)
+    y0 = _random_state(system, opts["seed"])
     cfg = _fpi(opts)
-    report["drift_model_h"] = energy_drift(
-        dyn_fn, h_fn, y0, float(opts["drift_h"]), int(opts["drift_steps"]), cfg=cfg)
-    report["drift_true_h"] = energy_drift(
-        dyn_fn, system.hamiltonian, y0, float(opts["drift_h"]),
-        int(opts["drift_steps"]), cfg=cfg)
+    for key, h_ref in (("drift_model_h", h_fn), ("drift_true_h", system.hamiltonian)):
+        report[key] = energy_drift(dyn_fn, h_ref, y0, opts["drift_h"], opts["drift_steps"],
+                                   cfg=cfg)
     report["system"] = system.name
     report["source"] = source
 
@@ -449,13 +393,9 @@ def cmd_eval(opts):
         fh.write("\n")
 
     pts = points["pts"]
-    columns = ("h_true", "h_pred", "h_err_aligned", "dyn_l2_err")
-    lines = [",".join([f"x{i}" for i in range(pts.shape[1])] + list(columns))]
-    for i in range(pts.shape[0]):
-        cells = [repr(float(v)) for v in pts[i]]
-        cells += [repr(float(points[name][i])) for name in columns]
-        lines.append(",".join(cells))
-    (out / "grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ["h_true", "h_pred", "h_err_aligned", "dyn_l2_err"]
+    _write_csv(out / "grid.csv", [f"x{i}" for i in range(pts.shape[1])] + columns,
+               np.column_stack([pts] + [points[name] for name in columns]))
 
     print(f"h_l1_mean={report['h_l1_mean']:.6g} h_l1_max={report['h_l1_max']:.6g} "
           f"dyn_l2_mean={report['dyn_l2_mean']:.6g} "
@@ -470,62 +410,49 @@ def cmd_integrate(opts):
     from .integrators import integrate
     if bool(opts["system"]) == bool(opts["checkpoint"]):
         raise UsageError("pass exactly one of --system or --checkpoint")
-    h_fn = None
+    y0 = opts["y0"]
     if opts["system"]:
         from .systems import get_system
-        system = get_system(opts["system"],
-                            **_kv_floats(opts["system_param"], "--system-param"))
+        system = get_system(opts["system"], **opts["system_param"])
         field, h_fn, dim = system.dynamics, system.hamiltonian, system.dim
-        if opts["y0"] is not None:
-            y0 = np.array(_floats(opts["y0"], "--y0"))
-        else:
-            rng = np.random.default_rng((int(opts["seed"]), 5))
-            lo, hi = system.bounds[:, 0], system.bounds[:, 1]
-            y0 = lo + (hi - lo) * rng.random(2 * dim)
+        if y0 is None:
+            y0 = _random_state(system, opts["seed"])
         label = system.name
     else:
         from .model import load_checkpoint
         net, theta, _ = load_checkpoint(opts["checkpoint"])
-        if opts["y0"] is None:
+        if y0 is None:
             raise UsageError("--y0 is required when integrating a checkpoint")
-
-        def field(y):
-            return net.dynamics(theta, y)
-
-        def h_fn(pts):
-            return net.eval_h(theta, pts)
-
+        field = functools.partial(net.dynamics, theta)
+        h_fn = functools.partial(net.eval_h, theta)
         dim = net.dim
-        y0 = np.array(_floats(opts["y0"], "--y0"))
         label = f"checkpoint:{opts['checkpoint']}"
+    y0 = np.array(y0, dtype=np.float64)
     if y0.shape != (2 * dim,):
         raise UsageError(f"--y0 needs {2 * dim} coordinates, got {y0.size}")
 
-    traj, reports = integrate(field, y0, float(opts["h"]), int(opts["n_steps"]),
-                              method=opts["method"], cfg=_fpi(opts), dim=dim)
+    traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts), dim=dim,
+                              **_given(opts, {"method": "method"}))
     out = _out_dir(opts)
-    coords = [f"x{i}" for i in range(2 * dim)]
-    lines = [",".join(["step", "t"] + coords)]
-    for k in range(traj.states.shape[0]):
-        cells = [str(k), repr(float(traj.times[k]))]
-        cells += [repr(float(v)) for v in traj.states[k]]
-        lines.append(",".join(cells))
     path = out / "trajectory.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["step", "t"] + [f"x{i}" for i in range(2 * dim)],
+               ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
 
     h_vals = np.asarray(h_fn(traj.states), dtype=np.float64)
     drift = float(np.max(np.abs(h_vals - h_vals[0])))
     mean_iters = float(np.mean([r.iterations for r in reports]))
-    print(f"integrated {label} for {opts['n_steps']} steps at h={opts['h']} "
-          f"({opts['method']}); energy drift {drift:.3e}, "
-          f"mean solver iterations {mean_iters:.2f}")
+    method = f" ({opts['method']})" if opts["method"] else ""
+    print(f"integrated {label} for {opts['n_steps']} steps at h={opts['h']}{method}; "
+          f"energy drift {drift:.3e}, mean solver iterations {mean_iters:.2f}")
     print(f"trajectory {path}")
     return 0
 
 
 def cmd_profile(opts):
     from .profiling import profile_gradient_modes, profile_to_csv
-    rows = profile_gradient_modes(seed=int(opts["seed"]), **_given(opts, _PROFILE_FIELDS))
+    rows = profile_gradient_modes(seed=opts["seed"], **_given(opts, {
+        "system": "system_name", "batch_size": "batch_size",
+        "window_steps": "window_steps", "h": "h", "repeats": "repeats"}))
     out = _out_dir(opts)
     path = out / "profile.csv"
     path.write_text(profile_to_csv(rows), encoding="utf-8")
@@ -570,9 +497,10 @@ def cmd_check_tableau(opts):
             )
         except KeyError as err:
             raise UsageError(f"tableau file is missing key {err}") from None
-    report = check_symplectic_tableau(tableau, tol=float(opts["tol"]))
+    report = check_symplectic_tableau(tableau, **_given(opts, {"tol": "tol"}))
     verdict = "symplectic" if report.symplectic else "NOT symplectic"
-    print(f"{tableau.name}: {verdict} (tol {opts['tol']})")
+    tol = f" (tol {opts['tol']})" if opts["tol"] is not None else ""
+    print(f"{tableau.name}: {verdict}{tol}")
     print(f"  weight mismatch    max|b_q - b_p|               = {report.weight_mismatch:.3e}")
     print(f"  stage coupling     max|bA + (bA)' - bb'|        = {report.coupling_violation:.3e}")
     print(f"  node mismatch      max|c_q - c_p| (informational) = {report.node_mismatch:.3e}")
@@ -588,15 +516,11 @@ def cmd_grad_check(opts):
     from .model import HamiltonianNet
     from .training import TrainConfig, _forward_loss, loss_and_grad
 
-    system = get_system(opts["system"],
-                        **_kv_floats(opts["system_param"], "--system-param"))
-    hidden = _ints(opts["hidden"], "--hidden")
-    net = HamiltonianNet(system.dim, hidden=hidden)
-    seed = int(opts["seed"])
+    system = get_system(opts["system"], **opts["system_param"])
+    net = HamiltonianNet(system.dim, hidden=opts["hidden"])
+    seed, h, n_steps = opts["seed"], opts["h"], opts["window_steps"]
     theta = net.init_params(seed)
-    h = float(opts["h"])
-    n_steps = int(opts["window_steps"])
-    windows = profile_windows(system, int(opts["batch_size"]), n_steps, h, seed)
+    windows = profile_windows(system, opts["batch_size"], n_steps, h, seed)
 
     def config(mode):
         return TrainConfig(grad_mode=mode, window_steps=n_steps, fpi=_fpi(opts),
@@ -605,7 +529,7 @@ def cmd_grad_check(opts):
     loss0, g_adj, _ = loss_and_grad(net, theta, windows, h, config("adjoint"))
     _, g_bp, _ = loss_and_grad(net, theta, windows, h, config("backprop"))
 
-    step = float(opts["fd_step"])
+    step = opts["fd_step"]
     cfg_fwd = config("adjoint")
     g_fd = np.empty(net.n_params)
     for i in range(net.n_params):
@@ -616,23 +540,21 @@ def cmd_grad_check(opts):
         g_fd[i] = (up - dn) / (2.0 * step)
 
     scale = max(float(np.max(np.abs(g_adj))), float(np.max(np.abs(g_fd))), 1e-300)
-    floor = 1e-6 * scale
-    rel_fd = float(np.max(np.abs(g_adj - g_fd)
-                          / np.maximum(np.maximum(np.abs(g_adj), np.abs(g_fd)), floor)))
-    rel_bp = float(np.max(np.abs(g_adj - g_bp)
-                          / np.maximum(np.maximum(np.abs(g_adj), np.abs(g_bp)), floor)))
+
+    def rel_deviation(g):
+        """Max over parameters of |g_adj - g| / max(|g_adj|, |g|, 1e-6 scale)."""
+        return float(np.max(np.abs(g_adj - g) / np.maximum(
+            np.maximum(np.abs(g_adj), np.abs(g)), 1e-6 * scale)))
 
     out = _out_dir(opts)
-    lines = ["param_index,adjoint,backprop,finite_difference"]
-    for i in range(net.n_params):
-        lines.append(f"{i},{float(g_adj[i])!r},{float(g_bp[i])!r},{float(g_fd[i])!r}")
     path = out / "grad_check.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["param_index", "adjoint", "backprop", "finite_difference"],
+               zip(range(net.n_params), g_adj, g_bp, g_fd))
 
     print(f"loss={loss0:.6g} params={net.n_params} "
           f"(system {system.name}, {n_steps} steps, h={h})")
-    print(f"max relative deviation: adjoint vs finite differences = {rel_fd:.3e}, "
-          f"adjoint vs backprop = {rel_bp:.3e}")
+    print(f"max relative deviation: adjoint vs finite differences = "
+          f"{rel_deviation(g_fd):.3e}, adjoint vs backprop = {rel_deviation(g_bp):.3e}")
     print(f"gradients {path}")
     return 0
 
@@ -646,10 +568,8 @@ def cmd_export_csv(opts):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     else:
         out_path = _out_dir(opts) / f"{opts['which']}.csv"
-    max_traj = opts["max_traj"]
     try:
-        export_csv(opts["data"], out_path, which=opts["which"],
-                   max_traj=None if max_traj is None else int(max_traj))
+        export_csv(opts["data"], out_path, which=opts["which"], max_traj=opts["max_traj"])
     except OSError as err:
         raise UsageError(f"cannot read dataset at {opts['data']}: {err}") from None
     print(f"wrote {out_path}")
@@ -675,7 +595,7 @@ def main(argv=None):
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    parser = _build_parser()
+    parser, specs = _build_parser()
     try:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
@@ -683,7 +603,7 @@ def main(argv=None):
         # numerical failure, so usage maps to 1 (and --help stays 0)
         return 0 if not exc.code else 1
     try:
-        opts = _merge_options(namespace)
+        opts = _merge_options(namespace, specs)
         return _HANDLERS[opts["cmd"]](opts)
     except Exception as err:
         from .integrators import NonFiniteError

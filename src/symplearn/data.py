@@ -193,6 +193,15 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     return windows, traj_idx, start_idx
 
 
+def csv_lines(header, rows):
+    """CSV text one line at a time: floats as repr(float(v)), which reads
+    back to the same double, everything else as str(v)."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                       for v in row) + "\n"
+
+
 def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
     """Flatten a dataset array to CSV for eyeballing: one row per stored point."""
     manifest, clean, noisy = load_dataset(dataset_dir)
@@ -203,12 +212,10 @@ def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
         data = data[:max_traj]
     d = manifest.dim
     cols = ["traj", "step", "t"] + [f"q{i}" for i in range(d)] + [f"p{i}" for i in range(d)]
+    rows = ((i, s, float(s * manifest.dt), *data[i, s])
+            for i in range(data.shape[0]) for s in range(data.shape[1]))
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.shape[0]):
-            for s in range(data.shape[1]):
-                vals = ",".join(repr(float(v)) for v in data[i, s])
-                fh.write(f"{i},{s},{float(s * manifest.dt)!r},{vals}\n")
+        fh.writelines(csv_lines(cols, rows))
     return out_path

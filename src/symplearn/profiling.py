@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from .data import csv_lines
 from .integrators import REFERENCE_FPI, integrate
 from .memory import METER
 from .model import HamiltonianNet
@@ -78,10 +79,6 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
 
 
 def profile_to_csv(rows):
-    lines = ["grad_mode,window_steps,batch_size,peak_bytes,wall_s,loss"]
-    for r in rows:
-        lines.append(
-            f"{r.grad_mode},{r.window_steps},{r.batch_size},{r.peak_bytes},"
-            f"{r.wall_s!r},{r.loss!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """ProfileRow list as CSV text, one column per field."""
+    header = [f.name for f in dataclasses.fields(ProfileRow)]
+    return "".join(csv_lines(header, (dataclasses.astuple(r) for r in rows)))

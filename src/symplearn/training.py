@@ -20,9 +20,13 @@ import time
 import numpy as np
 
 from . import adjoint as adj
-from .data import sample_windows, split_dataset
+from .data import csv_lines, sample_windows, split_dataset
 from .integrators import FpiConfig, NonFiniteError, integrate
 from .model import DEFAULT_HIDDEN, HamiltonianNet
+
+
+# a batch whose solver steps fail to converge more often than this aborts training
+MAX_NONCONVERGED_FRACTION = 0.5
 
 
 class NumericalAbort(RuntimeError):
@@ -113,15 +117,12 @@ class TrainConfig:
     epochs: int = 25
     windows_per_traj: int = 16          # epoch length: n_train * this / batch_size
     lr: float = 0.01
-    plateau_factor: float = 0.5
-    plateau_patience: int = 3
     shooting: str = "single"            # 'single' or 'multiple'
     segment_steps: int | None = None    # solver steps per segment when multiple
     fpi: FpiConfig = FpiConfig()
     hidden: tuple = DEFAULT_HIDDEN
     seed: int = 0
     val_batches: int = 2
-    max_nonconverged_fraction: float = 0.5
 
     def __post_init__(self):
         if self.grad_mode not in ("adjoint", "backprop"):
@@ -253,7 +254,7 @@ def train(manifest, noisy, config, theta0=None):
 
     theta = net.init_params(config.seed) if theta0 is None else np.array(theta0, dtype=np.float64)
     adam = Adam(net.n_params, lr=config.lr)
-    sched = ReduceOnPlateau(config.lr, config.plateau_factor, config.plateau_patience)
+    sched = ReduceOnPlateau(config.lr)
     rng = np.random.default_rng((config.seed, 2))
 
     batch = min(config.batch_size, len(train_traj) * config.windows_per_traj)
@@ -306,7 +307,7 @@ def train(manifest, noisy, config, theta0=None):
                 raise NumericalAbort(
                     f"non-finite loss or gradient at epoch {epoch} batch {bi}"
                 )
-            if 1.0 - frac > config.max_nonconverged_fraction:
+            if 1.0 - frac > MAX_NONCONVERGED_FRACTION:
                 raise NumericalAbort(
                     f"{100 * (1 - frac):.0f}% of solver steps failed to converge "
                     f"at epoch {epoch} batch {bi} (h={h})"
@@ -335,10 +336,5 @@ def train(manifest, noisy, config, theta0=None):
 
 def metrics_to_csv(metrics):
     """Per-epoch metrics as CSV text (epoch, train_loss, val_loss, lr, wall_time_s)."""
-    lines = ["epoch,train_loss,val_loss,lr,wall_time_s"]
-    for row in metrics:
-        lines.append(
-            f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},"
-            f"{row['lr']!r},{row['wall_time_s']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ["epoch", "train_loss", "val_loss", "lr", "wall_time_s"]
+    return "".join(csv_lines(header, ([row[k] for k in header] for row in metrics)))

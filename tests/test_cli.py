@@ -61,11 +61,16 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_usage_problems_exit_one(capsys):
+def test_usage_problems_exit_one(tmp_path, capsys):
     assert main([]) == 1                      # missing command
     assert main(["no-such-command"]) == 1
     assert main(["train", "--no-such-flag"]) == 1
     assert main(["train"]) == 1               # --data is required
+    out = ["--out-dir", str(tmp_path / "o")]
+    assert main(["gen-data", "--system-param", "alpha", *out]) == 1
+    assert main(["eval", "--oracle", "--slice", "x=1", *out]) == 1
+    assert main(["integrate", "--system", "coupled_ho", "--y0", "a,b", *out]) == 1
+    assert main(["train", "--hidden", "a,b", *out]) == 1
     capsys.readouterr()
 
 
@@ -272,6 +277,60 @@ def test_config_rejects_thread_key_and_bad_json(dataset, tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert main(["train", "--data", str(dataset), "--config", str(cfg),
                  "--out-dir", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+
+
+def test_config_value_error_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drift_steps": "x"}))
+    assert main(["eval", "--oracle", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "drift_steps" in err
+
+
+# the same options as flags and as a config file (keys with underscores,
+# lists and K=V pairs as JSON) must write the same files
+PARITY = {
+    "gen-data": (["--system", "coupled_ho", "--system-param", "alpha=0.25",
+                  "--n-train", "3", "--n-val", "1", "--n-steps", "5",
+                  "--dt", "0.002", "--noise-std", "0.02", "--seed", "4"],
+                 {"system": "coupled_ho", "system_param": {"alpha": 0.25},
+                  "n_train": 3, "n_val": 1, "n_steps": 5, "dt": 0.002,
+                  "noise_std": 0.02, "seed": 4}),
+    "eval": (["--oracle", "--system", "henon_heiles", "--slice", "0=0.1",
+              "--grid-points", "5", "--drift-steps", "10", "--drift-h", "0.02",
+              "--fpi-tol", "1e-11", "--seed", "2"],
+             {"oracle": True, "system": "henon_heiles", "slice": {"0": 0.1},
+              "grid_points": 5, "drift_steps": 10, "drift_h": 0.02,
+              "fpi_tol": 1e-11, "seed": 2}),
+    "integrate": (["--system", "coupled_ho", "--system-param", "alpha=0.3",
+                   "--method", "gauss2", "--h", "0.05", "--n-steps", "8",
+                   "--y0", "0.3,0.2", "--fpi-max-iters", "40",
+                   "--guess-source", "previous_state"],
+                  {"system": "coupled_ho", "system_param": {"alpha": 0.3},
+                   "method": "gauss2", "h": 0.05, "n_steps": 8, "y0": [0.3, 0.2],
+                   "fpi_max_iters": 40, "guess_source": "previous_state"}),
+    "grad-check": (["--hidden", "3", "--window-steps", "2", "--batch-size", "2",
+                    "--h", "0.02", "--fd-step", "1e-6", "--seed", "1"],
+                   {"hidden": [3], "window_steps": 2, "batch_size": 2, "h": 0.02,
+                    "fd_step": 1e-6, "seed": 1}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(PARITY))
+def test_config_file_matches_flags(cmd, tmp_path, capsys):
+    flags, config = PARITY[cmd]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "b")}))
+    assert main([cmd, *flags, "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([cmd, "--config", str(cfg)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
     capsys.readouterr()
 
 
