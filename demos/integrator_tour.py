@@ -71,20 +71,12 @@ def fixed_point_convergence():
     sho = get_system("simple_harmonic")
     y0 = np.array([1.0, 0.0])
     for h in (0.4, 0.2, 0.1):
-        cfg = FpiConfig(tol=1e-14, max_iters=100,
-                        guess_source="previous_state")
+        cfg = FpiConfig(tol=1e-14, max_iters=100)
         _, rep = implicit_midpoint_step(sho.dynamics, y0, h, cfg)
         ratios = [b / a for a, b in zip(rep.residuals, rep.residuals[1:])
                   if a > 1e-10]
         print(f"  h={h:4.2f}: {rep.iterations} iterations, "
               f"mean contraction {np.mean(ratios):.4f} (h/2 = {h / 2})")
-    print()
-    print("seeding the corrector with the explicit predictor instead of the")
-    print("previous state skips the first few of those iterations:")
-    for guess in ("previous_state", "predictor"):
-        cfg = FpiConfig(tol=1e-12, max_iters=100, guess_source=guess)
-        _, rep = implicit_midpoint_step(sho.dynamics, y0, 0.2, cfg)
-        print(f"  {guess:15s} -> {rep.iterations} iterations")
 
 
 if __name__ == "__main__":

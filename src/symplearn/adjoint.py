@@ -19,10 +19,10 @@ with the window length.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
-every network tape alive, then walks the whole computation backward,
-including the predictor and each fixed-point sweep.  Its footprint grows
-linearly with the window length; it exists as the exactness baseline the
-costate engine is checked against.
+every network tape alive, then walks the whole computation backward
+through each fixed-point sweep.  Its footprint grows linearly with the
+window length; it exists as the exactness baseline the costate engine is
+checked against.
 
 Why not fold theta into an augmented state and integrate one big ODE
 backward: the augmented system is no longer canonically Hamiltonian, so the
@@ -37,6 +37,7 @@ costate at that midpoint, so the midpoint quadrature is the exact discrete
 adjoint (Sanz-Serna, SIAM Review 58(1), 2016).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,37 +115,28 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
 
 
 @dataclass
-class _StepRecord:
-    seed_acts: list          # acts of the two predictor field evals, or []
-    iter_acts: list          # acts of each fixed-point sweep, oldest first
-
-
-@dataclass
 class RecordedRollout:
     states: np.ndarray       # [n+1, B, 2d]
     h: float
-    guess_source: str        # how every step's corrector was seeded
-    steps: list
+    steps: list              # per step, the tapes of its sweeps, oldest first
     reports: list
 
     def release(self):
         """Drop every retained tape; backward_through_record calls this lazily."""
-        for rec in self.steps:
-            for acts in rec.seed_acts + rec.iter_acts:
+        for tapes in self.steps:
+            for acts in tapes:
                 METER.release(*acts[1:])
-            rec.seed_acts = []
-            rec.iter_acts = []
+            tapes.clear()
 
 
-def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig(), observations=None):
+def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
     """Implicit-midpoint rollout through `integrate` that keeps every tape.
 
     The field callback records the network activations of each evaluation;
-    the evaluations arrive in solver order (two predictor evaluations when
-    seeding with the predictor, then one per fixed-point sweep), so each
-    step's StepReport says where its tapes end.  The retained tapes are what
-    makes the later reverse sweep possible, and what makes this engine's
-    memory grow with n_steps.
+    the evaluations arrive in solver order, one per fixed-point sweep, so
+    each step's StepReport says where its tapes end.  The retained tapes are
+    what makes the later reverse sweep possible, and what makes this
+    engine's memory grow with n_steps.
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     layers = net.unpack(theta)
@@ -157,21 +149,15 @@ def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig(), observations=Non
         return np.concatenate([g[..., net.dim:], -g[..., :net.dim]], axis=-1)
 
     try:
-        traj, reports = integrate(field, y0, h, n_steps, cfg=cfg, observations=observations)
+        traj, reports = integrate(field, y0, h, n_steps, cfg=cfg)
     except (NonFiniteError, ValueError):
         for acts in tapes:
             METER.release(*acts[1:])
         raise
 
-    n_seed = 2 if cfg.guess_source == "predictor" else 0
-    steps = []
-    pos = 0
-    for report in reports:
-        end = pos + n_seed + report.iterations
-        steps.append(_StepRecord(tapes[pos:pos + n_seed], tapes[pos + n_seed:end]))
-        pos = end
-    return RecordedRollout(states=traj.states, h=h, guess_source=cfg.guess_source,
-                           steps=steps, reports=reports)
+    it = iter(tapes)
+    steps = [list(itertools.islice(it, r.iterations)) for r in reports]
+    return RecordedRollout(states=traj.states, h=h, steps=steps, reports=reports)
 
 
 def backward_through_record(net, theta, record, partials):
@@ -191,34 +177,18 @@ def backward_through_record(net, theta, record, partials):
     METER.track(grad, cot)
 
     for n in range(n_steps - 1, -1, -1):
-        rec = record.steps[n]
+        tapes = record.steps[n]
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
-        # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2)
-        for acts in reversed(rec.iter_acts):
+        # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), y_0 = y_n
+        for acts in reversed(tapes):
             ybar, thbar = net.field_vjp(layers, acts, h * cot, need_params=True)
             METER.release(*acts[1:])
             grad += thbar
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar
-        # seed
-        if record.guess_source == "predictor":
-            acts1, acts2 = rec.seed_acts
-            # y_seed = y_n + h f(y_half), y_half = y_n + (h/2) f(y_n)
-            ybar2, thbar2 = net.field_vjp(layers, acts2, h * cot, need_params=True)
-            METER.release(*acts2[1:])
-            grad += thbar2
-            cot_yn += cot
-            ybar1, thbar1 = net.field_vjp(layers, acts1, 0.5 * h * ybar2, need_params=True)
-            METER.release(*acts1[1:])
-            grad += thbar1
-            cot_yn += ybar2 + ybar1
-        elif record.guess_source == "previous_state":
-            cot_yn += cot
-        # observation seeds are data: no path back
-        rec.seed_acts = []
-        rec.iter_acts = []
-        cot = cot_yn
+        tapes.clear()
+        cot = cot_yn + cot
 
     METER.release(grad, cot)
     return grad

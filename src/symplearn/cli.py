@@ -69,6 +69,20 @@ def _apply_thread_env(argv):
 # one; a ValueError or TypeError is reported against the flag or config key
 
 
+def _int(value):
+    """An integer from a flag string or a JSON number; a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expects an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value):
+    """A switch: the flag sets True; a config file must hold true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expects true or false, got {value!r}")
+    return value
+
+
 def _numbers(kind):
     """Parser for a comma-separated list, or a JSON list, of kind."""
     def parse(value):
@@ -126,7 +140,7 @@ def _build_parser():
 
         p.add_argument("--config", default=S,
                        help="JSON file of option defaults (CLI flags win)")
-        opt("--seed", seed, int, help="master seed for this command")
+        opt("--seed", seed, _int, help="master seed for this command")
         opt("--out-dir", out_dir, help="directory all outputs are written under")
         p.add_argument("--threads", type=int, default=S,
                        help="cap BLAS/OpenMP threads (CLI-only; profile defaults to 1)")
@@ -138,20 +152,19 @@ def _build_parser():
 
     def solver_opts(opt):
         opt("--fpi-tol", None, float)
-        opt("--fpi-max-iters", None, int)
-        opt("--guess-source", choices=["predictor", "observation", "previous_state"])
+        opt("--fpi-max-iters", None, _int)
 
     opt = command("gen-data", "integrate a benchmark system and store noisy trajectories",
                   "runs/dataset")
     system_opts(opt, "double_well")
-    opt("--n-train", None, int)
-    opt("--n-val", None, int)
-    opt("--n-steps", None, int)
+    opt("--n-train", None, _int)
+    opt("--n-val", None, _int)
+    opt("--n-steps", None, _int)
     opt("--dt", None, float)
     opt("--noise-std", None, float)
-    opt("--smoke", False, bool, action="store_true",
+    opt("--smoke", False, _flag, action="store_true",
         help="desk-scale sizes (1024 train / 256 val)")
-    opt("--full", False, bool, action="store_true",
+    opt("--full", False, _flag, action="store_true",
         help="full-scale sizes (16384 train / 8192 val; the default)")
 
     # seed None: TrainConfig owns every training default, the seed included
@@ -159,28 +172,28 @@ def _build_parser():
                   seed=None)
     opt("--data", help="dataset directory from gen-data")
     opt("--grad-mode", choices=["adjoint", "backprop"])
-    opt("--window-steps", None, int)
-    opt("--stride", None, int)
-    opt("--batch-size", None, int)
-    opt("--epochs", None, int)
-    opt("--windows-per-traj", None, int)
+    opt("--window-steps", None, _int)
+    opt("--stride", None, _int)
+    opt("--batch-size", None, _int)
+    opt("--epochs", None, _int)
+    opt("--windows-per-traj", None, _int)
     opt("--lr", None, float)
     opt("--shooting", choices=["single", "multiple"])
-    opt("--segment-steps", None, int)
+    opt("--segment-steps", None, _int)
     solver_opts(opt)
-    opt("--hidden", None, _numbers(int), metavar="H1,H2,...")
-    opt("--val-batches", None, int)
+    opt("--hidden", None, _numbers(_int), metavar="H1,H2,...")
+    opt("--val-batches", None, _int)
 
     opt = command("eval", "score a checkpoint against a known system on a phase-space grid",
                   "runs/eval")
     opt("--checkpoint", help="model .json header path")
-    opt("--oracle", False, bool, action="store_true",
+    opt("--oracle", False, _flag, action="store_true",
         help="score the true system against itself (pipeline check)")
     system_opts(opt, "double_well")
-    opt("--grid-points", None, int)
+    opt("--grid-points", None, _int)
     opt("--slice", {}, _axis_slices, action="append", metavar="AXIS=VALUE",
         help="fix a non-grid coordinate (default 0.0)")
-    opt("--drift-steps", 1000, int)
+    opt("--drift-steps", 1000, _int)
     opt("--drift-h", 0.01, float)
     opt("--fpi-tol", None, float)
 
@@ -190,17 +203,17 @@ def _build_parser():
     opt("--checkpoint")
     opt("--method")
     opt("--h", 0.01, float)
-    opt("--n-steps", 1000, int)
+    opt("--n-steps", 1000, _int)
     opt("--y0", None, _numbers(float), metavar="X1,X2,...")
     solver_opts(opt)
 
     opt = command("profile", "memory/runtime comparison of the two gradient engines",
                   "runs/profile")
     opt("--system")
-    opt("--batch-size", None, int)
-    opt("--window-steps", None, _numbers(int), metavar="N1,N2,...")
+    opt("--batch-size", None, _int)
+    opt("--window-steps", None, _numbers(_int), metavar="N1,N2,...")
     opt("--h", None, float)
-    opt("--repeats", None, int)
+    opt("--repeats", None, _int)
 
     opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair",
                   "runs/check-tableau")
@@ -211,9 +224,9 @@ def _build_parser():
     opt = command("grad-check", "compare costate, reverse-tape, and finite-difference gradients",
                   "runs/grad-check")
     system_opts(opt, "coupled_ho")
-    opt("--hidden", (8,), _numbers(int), metavar="H1,H2,...")
-    opt("--window-steps", 4, int)
-    opt("--batch-size", 4, int)
+    opt("--hidden", (8,), _numbers(_int), metavar="H1,H2,...")
+    opt("--window-steps", 4, _int)
+    opt("--batch-size", 4, _int)
     opt("--h", 0.01, float)
     opt("--fd-step", 1e-5, float)
     opt("--fpi-tol", 1e-12, float)
@@ -221,7 +234,7 @@ def _build_parser():
     opt = command("export-csv", "dump stored trajectories as CSV", "runs/export")
     opt("--data")
     opt("--which", "noisy", choices=["noisy", "clean"])
-    opt("--max-traj", None, int)
+    opt("--max-traj", None, _int)
     opt("--out", help="output CSV path (default under --out-dir)")
 
     return parser, specs
@@ -284,8 +297,7 @@ def _given(opts, names):
 def _fpi(opts):
     """FpiConfig from the solver options given; FpiConfig fills in the rest."""
     from .integrators import FpiConfig
-    return FpiConfig(**_given(opts, {"fpi_tol": "tol", "fpi_max_iters": "max_iters",
-                                     "guess_source": "guess_source"}))
+    return FpiConfig(**_given(opts, {"fpi_tol": "tol", "fpi_max_iters": "max_iters"}))
 
 
 def _random_state(system, seed):

@@ -4,10 +4,11 @@ The workhorse is the implicit midpoint rule
 
     y' = y + h f((y + y') / 2)
 
-solved by a second-order explicit predictor followed by fixed-point
-iteration.  The midpoint rule is symmetric, second order, and symplectic for
-arbitrary smooth Hamiltonians, separable or not, which is why it sits in the
-training loop, and the only method with a specialized stepper.  Every other
+solved by fixed-point iteration started from the current state: an explicit
+predictor would cost two field evaluations to save about two sweeps.  The
+midpoint rule is symmetric, second order, and symplectic for arbitrary
+smooth Hamiltonians, separable or not, which is why it sits in the training
+loop, and the only method with a specialized stepper.  Every other
 method is a partitioned Runge-Kutta tableau stepped by the generic stage
 solver: the two-stage Gauss collocation pair (order 4) that generates
 datasets, the symplectic Euler pair, and the non-symplectic explicit
@@ -131,23 +132,18 @@ def check_symplectic_tableau(tableau, tol=1e-12):
 class FpiConfig:
     """Controls for the fixed-point corrector.
 
-    tol is on the max-norm change between successive iterates; guess_source
-    picks the initial iterate: the explicit second-order predictor, the
-    observation aligned with the step end (when supplied), or simply the
-    current state.
+    tol is on the max-norm change between successive iterates; max_iters
+    caps the sweeps of one solve.  Every solve starts from the current state.
     """
 
     tol: float = 1e-10
     max_iters: int = 50
-    guess_source: str = "predictor"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.guess_source not in ("predictor", "observation", "previous_state"):
-            raise ValueError(f"unknown guess_source {self.guess_source!r}")
 
 
 @dataclass(frozen=True)
@@ -167,34 +163,24 @@ class Trajectory:
         return len(self.times)
 
 
+def _report(residuals, converged):
+    return StepReport(len(residuals), residuals[-1], converged, tuple(residuals))
+
+
 def _check_finite(y, context):
     if not np.all(np.isfinite(y)):
         raise NonFiniteError(f"non-finite state during {context}")
 
 
-def rk2_predictor(f, y, h):
-    """Explicit midpoint step: y + h f(y + (h/2) f(y)); the corrector seed."""
-    return y + h * f(y + 0.5 * h * f(y))
-
-
-def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), observation=None):
-    """One implicit midpoint step solved by fixed-point iteration.
+def implicit_midpoint_step(f, y, h, cfg=FpiConfig()):
+    """One implicit midpoint step solved by fixed-point iteration from y.
 
     Returns (y_next, StepReport).  Non-convergence within max_iters is not
     fatal: the best iterate is returned with converged=False so the caller can
     count failures and decide.  Non-finite iterates raise NonFiniteError.
     """
     y = np.asarray(y, dtype=np.float64)
-    if cfg.guess_source == "predictor":
-        cur = rk2_predictor(f, y, h)
-    elif cfg.guess_source == "observation":
-        if observation is None:
-            raise ValueError("guess_source='observation' but no observation was supplied")
-        cur = np.broadcast_to(np.asarray(observation, dtype=np.float64), y.shape).copy()
-    else:
-        cur = y.copy()
-    _check_finite(cur, "implicit midpoint seeding")
-
+    cur = y
     residuals = []
     converged = False
     for _ in range(cfg.max_iters):
@@ -206,12 +192,7 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), observation=None):
         if resid <= cfg.tol:
             converged = True
             break
-    return cur, StepReport(
-        iterations=len(residuals),
-        residual=residuals[-1],
-        converged=converged,
-        residuals=tuple(residuals),
-    )
+    return cur, _report(residuals, converged)
 
 
 def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
@@ -254,29 +235,21 @@ def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
 
     q1 = q0 + h * sum(tableau.b_q[i] * slopes[i][..., :dim] for i in range(s))
     p1 = p0 + h * sum(tableau.b_p[i] * slopes[i][..., dim:] for i in range(s))
-    return np.concatenate([q1, p1], axis=-1), StepReport(
-        iterations=len(residuals),
-        residual=residuals[-1],
-        converged=converged,
-        residuals=tuple(residuals),
-    )
+    return np.concatenate([q1, p1], axis=-1), _report(residuals, converged)
 
 
 # ----------------------------------------------------------------------
 # trajectory drivers
 
 
-def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
-              dim=None, observations=None):
+def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), dim=None):
     """Roll a state forward n_steps of size h; returns (Trajectory, reports).
 
     method is 'implicit_midpoint' (the specialized fixed-point stepper), any
     other name from the tableau registry ('symplectic_euler', 'gauss2',
     'rk2', 'explicit_euler'), or a PrkTableau instance; the last two kinds go
     through prk_step.  Every method returns one StepReport per step.  h may
-    be negative (the symmetric methods are time-reversible).  observations,
-    when given, must align with the step grid: observations[i] seeds the
-    solve for step i under guess_source='observation'.
+    be negative (the symmetric methods are time-reversible).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -288,19 +261,14 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
         dim = y0.shape[-1] // 2
     if y0.shape[-1] != 2 * dim:
         raise ValueError(f"state width {y0.shape[-1]} does not match dim {dim}")
-    if observations is not None and len(observations) < n_steps + 1:
-        raise ValueError("observations must cover every step endpoint")
 
     states = np.empty((n_steps + 1,) + y0.shape)
     states[0] = y0
     reports = []
-    tableau = None
     if isinstance(method, PrkTableau):
         tableau = method
-    elif method == "implicit_midpoint":
-        pass
     elif method in TABLEAUX:
-        tableau = TABLEAUX[method]
+        tableau = None if method == "implicit_midpoint" else TABLEAUX[method]
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -308,8 +276,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(),
     for i in range(n_steps):
         try:
             if tableau is None:
-                obs = observations[i + 1] if observations is not None else None
-                y, rep = implicit_midpoint_step(f, y, h, cfg, observation=obs)
+                y, rep = implicit_midpoint_step(f, y, h, cfg)
             else:
                 y, rep = prk_step(f, y, h, tableau, dim, cfg)
             _check_finite(y, f"step {i}")

@@ -22,6 +22,7 @@ trivial.
 """
 
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -285,8 +286,16 @@ def _binary_sibling(header_path):
     return header_path.with_suffix(".bin")
 
 
+def _write_atomically(path, data):
+    """Write bytes to a temp file beside path, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(header_path, net, theta, seed):
-    """Write <stem>.json describing the model and <stem>.bin holding theta."""
+    """Write <stem>.bin holding theta, then <stem>.json describing the model;
+    each is renamed into place whole, so a header never meets a partial binary."""
     header_path = pathlib.Path(header_path)
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (net.n_params,):
@@ -303,10 +312,9 @@ def save_checkpoint(header_path, net, theta, seed):
         "data_file": bin_path.name,
     }
     header_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    theta.astype("<f8").tofile(bin_path)
+    _write_atomically(bin_path, theta.astype("<f8").tobytes())
+    _write_atomically(header_path,
+                      (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return header_path, bin_path
 
 

@@ -171,17 +171,13 @@ def _rollout(net, theta, windows, h, config, record=False):
         windows = _segment_windows(windows, config.segment_steps)
     n_steps = windows.shape[1] - 1
     y0 = windows[:, 0, :]
-    observations = None
-    if config.fpi.guess_source == "observation":
-        observations = np.ascontiguousarray(np.swapaxes(windows, 0, 1))
     rec = None
     if record:
-        rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi,
-                                 observations=observations)
+        rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi)
         states, reports = rec.states, rec.reports
     else:
         traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
-                                  cfg=config.fpi, observations=observations)
+                                  cfg=config.fpi)
         states = traj.states
     loss, partials = window_loss(states, windows, batch_scale=scale)
     return loss, partials, states, reports, rec

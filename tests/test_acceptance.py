@@ -196,7 +196,7 @@ def test_c7_fixed_point_contraction():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])  # unit oscillator: f = A y
     y0 = np.array([1.0, 0.0])
     h = 0.2
-    cfg = FpiConfig(tol=1e-14, max_iters=100, guess_source="previous_state")
+    cfg = FpiConfig(tol=1e-14, max_iters=100)
     y1, rep = implicit_midpoint_step(lambda y: y @ a.T, y0, h, cfg)
     res = [r for r in rep.residuals if r > 1e-10]
     ratios = [b / a_ for a_, b in zip(res, res[1:])]

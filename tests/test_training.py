@@ -275,9 +275,7 @@ def test_nonfinite_gradient_aborts(tiny_dataset, monkeypatch):
 
 def test_nonconvergence_beyond_half_aborts(tiny_dataset):
     manifest, _, noisy = tiny_dataset
-    cfg = tiny_config(epochs=1,
-                      fpi=FpiConfig(tol=1e-16, max_iters=1,
-                                    guess_source="previous_state"))
+    cfg = tiny_config(epochs=1, fpi=FpiConfig(tol=1e-16, max_iters=1))
     with pytest.raises(NumericalAbort, match="converge.*epoch 1 batch 0"):
         train(manifest, noisy, cfg)
 
