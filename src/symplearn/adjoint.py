@@ -13,9 +13,11 @@ midpoints by averaging.  Observations contribute jumps: crossing an
 observation time going backward adds that time's loss gradient to lam.
 With the Hessian frozen at the midpoint each backward step is linear in lam,
 so it is solved exactly by one batched linear solve: the costate sweep has no
-iteration and no tolerance of its own.  The parameter gradient accumulates in
-place, one quadrature term per step, so the engine's footprint does not grow
-with the window length.
+iteration and no tolerance of its own.  Each backward step makes one network
+forward pass at the midpoint: the closed-form Hessian and the parameter term
+reverse through the same tape.  The parameter gradient accumulates in place,
+one quadrature term per step, so the engine's footprint does not grow with
+the window length.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
@@ -44,6 +46,7 @@ import numpy as np
 
 from .integrators import FpiConfig, NonFiniteError, integrate
 from .memory import METER
+from .model import costate_to_direction
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,9 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
 
     Each backward step is one exact batched linear solve, with no tolerance:
     (I - (h/2) Hess P) lam_mid = lam_end, Hess frozen at the step midpoint
-    and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end.
+    and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end.  It
+    makes one network forward pass per backward step: the closed-form Hessian
+    and the parameter reverse along P lam_mid share that pass's tape.
 
     Returns (grad, diagnostics) with grad flat [n_params].  No batch scaling
     happens here: partials carry whatever scaling the loss used (a batch mean
@@ -86,6 +91,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
 
     d = states.shape[-1] // 2
     eye = np.eye(2 * d)
+    layers = net.unpack(theta)
     grad = np.zeros(net.n_params)
     lam = np.zeros_like(states[-1])
     METER.track(grad, lam)
@@ -94,17 +100,23 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
         for n in range(n_steps - 1, -1, -1):
             lam_end = lam + partials[n]      # observation jump at t_{n+1}
             mid = 0.5 * (states[n] + states[n + 1])
-            hess = net.hess_state(theta, mid)
-            METER.track(hess)
+            hess, acts = net._hess_and_tape(layers, mid)
             try:
-                a = 0.5 * h * np.concatenate([hess[..., d:], -hess[..., :d]], axis=-1)
-                lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
+                METER.track(hess)
+                try:
+                    a = 0.5 * h * np.concatenate([hess[..., d:], -hess[..., :d]], axis=-1)
+                    lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
+                finally:
+                    METER.release(hess)
+                if not np.all(np.isfinite(lam_mid)):
+                    raise NonFiniteError("non-finite costate in backward solve")
+                # the parameter term, reversed through the same forward tape
+                _, step_grad = net._mixed(layers, acts, costate_to_direction(lam_mid, d),
+                                          need_state=False, need_params=True)
             finally:
-                METER.release(hess)
-            if not np.all(np.isfinite(lam_mid)):
-                raise NonFiniteError("non-finite costate in backward solve")
+                net._drop(acts)
             lam = 2.0 * lam_mid - lam_end
-            grad += h * net.vjp_params(theta, mid, lam_mid)
+            grad += h * step_grad
     finally:
         METER.release(grad, lam)
     return grad, AdjointDiagnostics(steps=n_steps)

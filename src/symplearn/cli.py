@@ -309,8 +309,8 @@ def _random_state(system, seed):
 
 
 def _write_csv(path, header, rows):
-    from .data import csv_lines
-    with open(path, "w", encoding="utf-8") as fh:
+    from .data import csv_lines, open_atomically
+    with open_atomically(path) as fh:
         fh.writelines(csv_lines(header, rows))
 
 
@@ -341,7 +341,7 @@ def _train_config(opts):
 
 
 def cmd_train(opts):
-    from .data import load_dataset
+    from .data import load_dataset, open_atomically
     from .model import save_checkpoint
     from .training import metrics_to_csv, train
     if not opts["data"]:
@@ -355,7 +355,8 @@ def cmd_train(opts):
     out = _out_dir(opts)
     header_path, _ = save_checkpoint(out / "model.json", result.net, result.theta,
                                      seed=config.seed)
-    (out / "metrics.csv").write_text(metrics_to_csv(result.metrics), encoding="utf-8")
+    with open_atomically(out / "metrics.csv") as fh:
+        fh.write(metrics_to_csv(result.metrics))
     first, last = result.metrics[0], result.metrics[-1]
     print(f"trained {config.epochs} epochs on {manifest.system} "
           f"({config.grad_mode} gradients)")
@@ -369,6 +370,7 @@ def cmd_train(opts):
 def cmd_eval(opts):
     import numpy as np
 
+    from .data import open_atomically
     from .evaluation import energy_drift, evaluate_ood
     from .systems import get_system
     system = get_system(opts["system"], **opts["system_param"])
@@ -400,7 +402,7 @@ def cmd_eval(opts):
     report["source"] = source
 
     out = _out_dir(opts)
-    with open(out / "eval.json", "w", encoding="utf-8") as fh:
+    with open_atomically(out / "eval.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -461,13 +463,15 @@ def cmd_integrate(opts):
 
 
 def cmd_profile(opts):
+    from .data import open_atomically
     from .profiling import profile_gradient_modes, profile_to_csv
     rows = profile_gradient_modes(seed=opts["seed"], **_given(opts, {
         "system": "system_name", "batch_size": "batch_size",
         "window_steps": "window_steps", "h": "h", "repeats": "repeats"}))
     out = _out_dir(opts)
     path = out / "profile.csv"
-    path.write_text(profile_to_csv(rows), encoding="utf-8")
+    with open_atomically(path) as fh:
+        fh.write(profile_to_csv(rows))
     by_mode = {}
     for r in rows:
         by_mode.setdefault(r.grad_mode, []).append(r)

@@ -15,13 +15,15 @@ seeded with seed XOR i, so the content of a trajectory never depends on how
 many trajectories surround it or in what order they were produced.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
 import pathlib
 
 import numpy as np
 
-from .integrators import reference_integrate
+from .integrators import REFERENCE_FPI, integrate
 from .systems import get_system
 
 MANIFEST_FORMAT_VERSION = 1
@@ -125,7 +127,7 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
 
     ic_rng = np.random.default_rng((seed, 1))  # distinct stream from the noise ids
     ics = sample_initial_conditions(system, n_train + n_val, ic_rng)
-    traj, _ = reference_integrate(system.dynamics, ics, dt, n_steps)
+    traj, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
     clean = np.ascontiguousarray(np.swapaxes(traj.states, 0, 1))  # [n_traj, n+1, 2d]
     noisy = clean + _noise_like(clean.shape, seed, 0, noise_std)
 
@@ -143,9 +145,12 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
     )
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
-    clean.astype("<f8").tofile(out_dir / CLEAN_NAME)
-    noisy.astype("<f8").tofile(out_dir / NOISY_NAME)
+    # arrays first, manifest last: a manifest never describes partial arrays
+    for name, array in ((CLEAN_NAME, clean), (NOISY_NAME, noisy)):
+        with open_atomically(out_dir / name, "wb") as fh:
+            array.astype("<f8").tofile(fh)
+    with open_atomically(out_dir / MANIFEST_NAME) as fh:
+        fh.write(manifest.to_json())
     return manifest, clean, noisy
 
 
@@ -193,6 +198,22 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     return windows, traj_idx, start_idx
 
 
+@contextlib.contextmanager
+def open_atomically(path, mode="w"):
+    """Open a temp file beside path for writing (text is UTF-8); on a clean
+    exit rename it over path, on an error delete it.  path then holds either
+    its old content or the whole new one, never a partial write."""
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def csv_lines(header, rows):
     """CSV text one line at a time: floats as repr(float(v)), which reads
     back to the same double, everything else as str(v)."""
@@ -216,6 +237,6 @@ def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
             for i in range(data.shape[0]) for s in range(data.shape[1]))
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open_atomically(out_path) as fh:
         fh.writelines(csv_lines(cols, rows))
     return out_path

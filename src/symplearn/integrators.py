@@ -289,9 +289,5 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
     return Trajectory(times=times, states=states), reports
 
 
+# stage tolerance of the reference rollouts (datasets, profile windows)
 REFERENCE_FPI = FpiConfig(tol=1e-13, max_iters=100)
-
-
-def reference_integrate(f, y0, h, n_steps, cfg=REFERENCE_FPI):
-    """High-order reference rollout: the Gauss pair at a tight stage tolerance."""
-    return integrate(f, y0, h, n_steps, method="gauss2", cfg=cfg)

@@ -7,8 +7,9 @@ that scalar by explicit forward/reverse sweeps written out below:
     eval_h       H(theta, y)
     grad_state   dH/dy                       (one reverse sweep)
     dynamics     (dH/dp, -dH/dq)             (canonical field from grad_state)
-    hess_state   d2H/dy2                     (forward tangent over the reverse)
-    vjp_params   d/dtheta of <lam, f(y)>     (reverse over a directional tangent)
+    hess_state   d2H/dy2                     (closed form: reverse sweep plus
+                                              all 2d input tangents at once)
+    field_vjp    (df/dy)^T u, (df/dtheta)^T u  (reverse over a directional tangent)
 
 No autodiff framework is used: the passes are few, the layer structure is
 fixed, and writing them out keeps every buffer under our control, which the
@@ -22,11 +23,11 @@ trivial.
 """
 
 import json
-import os
 import pathlib
 
 import numpy as np
 
+from .data import open_atomically
 from .memory import METER
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -155,8 +156,8 @@ class HamiltonianNet:
             need_state  -> dT/dy      = (d2H/dy2) w_dir, row-wise
             need_params -> dT/dtheta  summed over the batch
 
-        which covers Hessian columns, the costate right-hand side and the
-        parameter-gradient integrand with one piece of code.
+        which covers the reverse through a recorded field evaluation and the
+        costate step's parameter-gradient integrand with one piece of code.
         """
         last = len(layers) - 1
         tans = [w_dir]
@@ -222,45 +223,80 @@ class HamiltonianNet:
         d = self.dim
         return np.concatenate([g[..., d:], -g[..., :d]], axis=-1)
 
+    def _hess_and_tape(self, layers, y):
+        """Closed-form d2H/dy2 [B, 2d, 2d] from one forward pass; returns
+        (hess, acts), the activations being the forward tape, to be released
+        with _drop.
+
+        For a tanh network the input Hessian is exactly
+
+            sum over hidden layers l of  J_l^T diag(delta_l * s''(z_l)) J_l
+
+        with J_l = dz_l/dy, delta_l the cotangent on a_l = tanh(z_l) from the
+        ordinary reverse sweep, and s'' = -2 a (1 - a^2) (BackPACK's per-layer
+        recursion; Dangel, Kunstner & Hennig, ICLR 2020).  The reverse sweep
+        runs first and keeps the curvature weights c_l = delta_l * s''(z_l);
+        the 2d input tangents then go forward together, stacked as
+        [B, 2d, n_l], one matmul per layer, and only the current layer's stack
+        is held.  Each layer adds J_l^T diag(c_l) J_l as one batched matmul;
+        the upper triangle is then mirrored onto the lower, so hess is exactly
+        symmetric.
+        """
+        acts = self._forward(layers, y)
+        batch, width = y.shape
+        last = len(layers) - 1
+        if last == 0:
+            return np.zeros((batch, width, width)), acts
+
+        curv = [None] * last
+        delta = layers[last][0][:, 0]
+        for l in range(last - 1, -1, -1):
+            a = acts[l + 1]
+            g = delta * (1.0 - a ** 2)
+            curv[l] = -2.0 * a * g
+            if l > 0:
+                delta = g @ layers[l][0].T
+        METER.track(*curv)
+
+        # J_0 is the rows of W_0 at every point, so layer 0 adds one matmul
+        # against their pairwise products, and J_1 is one matmul of the slopes
+        # against W_0 and W_1 combined
+        w0 = layers[0][0]
+        hess = (curv[0] @ (w0[:, None, :] * w0).reshape(width * width, -1).T
+                ).reshape(batch, width, width)
+        METER.release(curv[0])
+        tan = None
+        for l in range(1, last):
+            w = layers[l][0]
+            slope = 1.0 - acts[l] ** 2
+            if tan is None:
+                z_tan = slope @ (w0.T[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+            else:
+                z_tan = (tan * slope[:, None, :]).reshape(-1, len(w)) @ w
+            z_tan = z_tan.reshape(batch, width, -1)
+            METER.track(z_tan)
+            if tan is not None:
+                METER.release(tan)
+            tan = z_tan
+            hess += (tan * curv[l][:, None, :]) @ tan.transpose(0, 2, 1)
+            METER.release(curv[l])
+        if tan is not None:
+            METER.release(tan)
+        rows, cols = np.triu_indices(width, 1)
+        hess[:, cols, rows] = hess[:, rows, cols]
+        return hess, acts
+
     def hess_state(self, theta, y):
         """Full second derivative d2H/dy2, shape [..., 2d, 2d].
 
-        Built column by column: one tangent-over-reverse sweep per coordinate
-        direction (2d of them, so at most four for the systems shipped here).
-        The result is symmetric up to roundoff; nothing is symmetrized, so
-        tests can see the raw asymmetry.
+        The closed form of _hess_and_tape: one forward pass, one reverse
+        sweep and the 2d input tangents carried forward together.  The upper
+        triangle is mirrored, so the result is exactly symmetric.
         """
         y2, single = _as_batch(y, self.arch[0])
-        layers = self.unpack(theta)
-        acts = self._forward(layers, y2)
-        width = self.arch[0]
-        cols = []
-        for k in range(width):
-            e_k = np.zeros_like(y2)
-            e_k[:, k] = 1.0
-            col, _ = self._mixed(layers, acts, e_k, need_state=True, need_params=False)
-            cols.append(col)
+        hess, acts = self._hess_and_tape(self.unpack(theta), y2)
         self._drop(acts)
-        hess = np.stack(cols, axis=1)
         return hess[0] if single else hess
-
-    def vjp_params(self, theta, y, lam):
-        """Sum over the batch of <lam, df/dtheta> at (theta, y), flat [n_params].
-
-        f is the canonical field; the contraction is computed as the theta
-        gradient of the directional derivative <w, dH/dy> with
-        w = (-lam_p, lam_q), never materializing df/dtheta itself.
-        """
-        y2, single_y = _as_batch(y, self.arch[0])
-        lam2, single_l = _as_batch(lam, self.arch[0])
-        if y2.shape != lam2.shape:
-            raise ValueError(f"state batch {y2.shape} and costate batch {lam2.shape} differ")
-        layers = self.unpack(theta)
-        acts = self._forward(layers, y2)
-        w_dir = costate_to_direction(lam2, self.dim)
-        _, pg = self._mixed(layers, acts, w_dir, need_state=False, need_params=True)
-        self._drop(acts)
-        return pg
 
     def field_vjp(self, layers, acts, u, need_params):
         """Reverse through one recorded field evaluation.
@@ -286,13 +322,6 @@ def _binary_sibling(header_path):
     return header_path.with_suffix(".bin")
 
 
-def _write_atomically(path, data):
-    """Write bytes to a temp file beside path, then rename it over path."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(header_path, net, theta, seed):
     """Write <stem>.bin holding theta, then <stem>.json describing the model;
     each is renamed into place whole, so a header never meets a partial binary."""
@@ -312,9 +341,10 @@ def save_checkpoint(header_path, net, theta, seed):
         "data_file": bin_path.name,
     }
     header_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomically(bin_path, theta.astype("<f8").tobytes())
-    _write_atomically(header_path,
-                      (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    with open_atomically(bin_path, "wb") as fh:
+        theta.astype("<f8").tofile(fh)
+    with open_atomically(header_path) as fh:
+        fh.write(json.dumps(header, indent=2, sort_keys=True) + "\n")
     return header_path, bin_path
 
 

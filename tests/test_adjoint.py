@@ -191,13 +191,16 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
     states = rng.uniform(-0.8, 0.8, size=(2, 4, 2))
     partials = rng.standard_normal((1, 4, 2))
     mid = 0.5 * (states[0] + states[1])
+    layers = net.unpack(theta)
     want = np.zeros(net.n_params)
     rho = 0.0
     for b in range(4):
         jac = fd_jacobian(lambda y: net.dynamics(theta, y), mid[b])
         rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(jac)))))
         mu = np.linalg.solve((np.eye(2) - 0.5 * h * jac).T, partials[0, b])
-        want += h * net.vjp_params(theta, mid[b:b + 1], mu[None])
+        acts = net._forward(layers, mid[b:b + 1])
+        want += h * net.field_vjp(layers, acts, mu[None], need_params=True)[1]
+        net._drop(acts)
     assert 0.5 * h * rho > 2.0
     grad, _ = solve_adjoint_accumulate(net, theta, states, partials, h)
     assert rel(grad, want) <= 1e-6
@@ -242,6 +245,29 @@ def test_blown_up_rollout_releases_all_tapes():
     theta[0] = np.nan
     with pytest.raises(NonFiniteError):
         record_rollout(net, theta, np.zeros((2, 2)), 0.05, 4, cfg=TIGHT)
+    assert METER.live_bytes == 0
+
+
+def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch):
+    # each backward step runs one network forward pass, shared by the
+    # closed-form Hessian and the parameter term, and never evaluates the
+    # vector field itself
+    calls = {"_forward": 0, "_reverse_input": 0}
+    for name in calls:
+        original = getattr(HamiltonianNet, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(HamiltonianNet, name, counted)
+    net = HamiltonianNet(2)
+    theta = net.init_params(63)
+    rng = np.random.default_rng(64)
+    n_steps = 5
+    states = rng.uniform(-0.8, 0.8, size=(n_steps + 1, 16, 4))
+    partials = rng.standard_normal((n_steps, 16, 4))
+    solve_adjoint_accumulate(net, theta, states, partials, 0.05)
+    assert calls == {"_forward": n_steps, "_reverse_input": 0}
     assert METER.live_bytes == 0
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -167,6 +168,31 @@ def test_load_rejects_truncated_arrays(tmp_path):
     (root / NOISY_NAME).write_bytes(data[:-16])
     with pytest.raises(ValueError, match="manifest implies"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("failing_rename", [0, 1, 2])
+def test_failed_regeneration_leaves_the_old_manifest(tmp_path, monkeypatch, failing_rename):
+    # the arrays are renamed into place first and the manifest last; whichever
+    # rename fails, the previous manifest survives byte for byte and no temp
+    # file is left behind
+    small_dataset(tmp_path, seed=5)
+    root = tmp_path / "ds"
+    before = (root / MANIFEST_NAME).read_bytes()
+    real_replace = os.replace
+    renames = []
+
+    def flaky_replace(src, dst):
+        renames.append(os.path.basename(dst))
+        if len(renames) - 1 == failing_rename:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky_replace)
+    with pytest.raises(OSError, match="disk full"):
+        small_dataset(tmp_path, seed=6, n_train=9)
+    assert renames[-1] == [CLEAN_NAME, NOISY_NAME, MANIFEST_NAME][failing_rename]
+    assert (root / MANIFEST_NAME).read_bytes() == before
+    assert sorted(p.name for p in root.iterdir()) == [CLEAN_NAME, MANIFEST_NAME, NOISY_NAME]
 
 
 def test_export_csv_spot_values(tmp_path):

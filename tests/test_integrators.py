@@ -7,10 +7,9 @@ from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
                      fd_jacobian, midpoint_linear_exact, sho_energy,
                      sho_exact, sho_field)
 
-from symplearn.integrators import (FpiConfig, NonFiniteError, PrkTableau,
-                                   TABLEAUX, check_symplectic_tableau,
-                                   implicit_midpoint_step, integrate,
-                                   prk_step, reference_integrate)
+from symplearn.integrators import (REFERENCE_FPI, FpiConfig, NonFiniteError,
+                                   PrkTableau, TABLEAUX, check_symplectic_tableau,
+                                   implicit_midpoint_step, integrate, prk_step)
 from symplearn.systems import get_system
 
 TIGHT = FpiConfig(tol=1e-13, max_iters=100)
@@ -319,5 +318,6 @@ def test_nonfinite_blowup_is_reported_with_step_context():
 
 def test_reference_integrator_is_fourth_order_accurate():
     y0 = np.array([0.3, 0.7])
-    traj, _ = reference_integrate(sho_field, y0, h=0.01, n_steps=100)
+    traj, _ = integrate(sho_field, y0, h=0.01, n_steps=100, method="gauss2",
+                        cfg=REFERENCE_FPI)
     assert np.max(np.abs(traj.states[-1] - sho_exact(y0, 1.0))) <= 1e-10

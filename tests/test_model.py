@@ -104,6 +104,17 @@ def test_costate_to_direction_layout():
     assert np.array_equal(costate_to_direction(batch, 1), [[-2.0, 1.0], [-4.0, 3.0]])
 
 
+def param_contraction(net, theta, y, lam):
+    """Sum over the batch of <lam, df/dtheta>: the parameter half of the
+    reverse through one field evaluation at y."""
+    layers = net.unpack(theta)
+    acts = net._forward(layers, y)
+    try:
+        return net.field_vjp(layers, acts, lam, need_params=True)[1]
+    finally:
+        net._drop(acts)
+
+
 def test_linear_net_parameter_contraction_is_exact():
     # with no hidden layer H = w0 q + w1 p + b, so f = (w1, -w0) and
     # <lam, f> = lam_q w1 - lam_p w0: the theta gradient is (-lam_p, lam_q, 0)
@@ -111,7 +122,7 @@ def test_linear_net_parameter_contraction_is_exact():
     theta = np.array([0.7, -1.3, 0.25])
     y = np.array([[0.4, 0.9]])
     lam = np.array([[2.0, -3.0]])
-    got = net.vjp_params(theta, y, lam)
+    got = param_contraction(net, theta, y, lam)
     assert np.array_equal(got, [3.0, 2.0, 0.0])
 
 
@@ -126,7 +137,7 @@ def test_vjp_params_matches_finite_differences():
         return float(np.sum(lam * net.dynamics(th, y)))
 
     want = central_diff(contraction, theta, eps=1e-6)
-    got = net.vjp_params(theta, y, lam)
+    got = param_contraction(net, theta, y, lam)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-7 * scale
 
@@ -137,8 +148,8 @@ def test_vjp_params_sums_over_batch():
     theta = net.init_params(7)
     y = rng.uniform(-1, 1, size=(4, 2))
     lam = rng.standard_normal((4, 2))
-    whole = net.vjp_params(theta, y, lam)
-    parts = sum(net.vjp_params(theta, y[i:i + 1], lam[i:i + 1]) for i in range(4))
+    whole = param_contraction(net, theta, y, lam)
+    parts = sum(param_contraction(net, theta, y[i:i + 1], lam[i:i + 1]) for i in range(4))
     assert np.max(np.abs(whole - parts)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
 
 
@@ -156,6 +167,33 @@ def test_field_vjp_equals_hessian_contraction():
     w = costate_to_direction(u, 1)
     want = np.einsum("bij,bj->bi", hess, w)
     assert np.max(np.abs(ybar - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
+    # column k of d2H/dy2 is the state half of the reverse through one field
+    # evaluation, with the cotangent u that costate_to_direction maps to e_k
+    net = HamiltonianNet(dim, hidden=hidden)
+    theta = 3.0 * net.init_params(18)
+    rng = np.random.default_rng(19)
+    y = rng.uniform(-1, 1, size=(64, 2 * dim))
+    layers = net.unpack(theta)
+    acts = net._forward(layers, y)
+    cols = []
+    for k in range(2 * dim):
+        e_k = np.zeros_like(y)
+        e_k[:, k] = 1.0
+        u = np.concatenate([e_k[:, dim:], -e_k[:, :dim]], axis=1)
+        assert np.array_equal(costate_to_direction(u, dim), e_k)
+        cols.append(net.field_vjp(layers, acts, u, need_params=False)[0])
+    net._drop(acts)
+    want = np.stack(cols, axis=-1)
+    got = net.hess_state(theta, y)
+    if not hidden:
+        assert np.array_equal(got, np.zeros_like(got))
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.array_equal(got, got.swapaxes(-1, -2))
 
 
 def test_methods_are_pure():
@@ -180,7 +218,7 @@ def test_bad_shapes_are_rejected():
     with pytest.raises(ValueError):
         net.eval_h(theta[:-1], np.zeros(2))
     with pytest.raises(ValueError):
-        net.vjp_params(theta, np.zeros((2, 2)), np.zeros((3, 2)))
+        net.hess_state(theta, np.zeros((2, 3)))
 
 
 def test_checkpoint_roundtrip(tmp_path):
