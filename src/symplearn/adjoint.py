@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import FpiConfig, NonFiniteError, integrate
+from .integrators import SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
 from .memory import METER
 from .model import costate_to_direction
 
@@ -177,6 +177,10 @@ def backward_through_record(net, theta, record, partials):
 
     partials is [n, B, 2d] as in solve_adjoint_accumulate.  Tapes are released
     as they are consumed, so peak memory sits at the end of the forward pass.
+    Each step's first iterate was extrapolated from the states before it, so
+    the cotangent left on that iterate goes back onto those states with the
+    same weights; two pending buffers carry it to the earlier steps, and the
+    result is the exact gradient of the computed loss.
     """
     partials = np.asarray(partials, dtype=np.float64)
     n_steps = len(record.steps)
@@ -186,13 +190,16 @@ def backward_through_record(net, theta, record, partials):
     h = record.h
     grad = np.zeros(net.n_params)
     cot = np.zeros_like(record.states[-1])
-    METER.track(grad, cot)
+    # cotangents of states[n] and states[n-1] owed by the seeds of later steps
+    owed = (np.zeros_like(cot), np.zeros_like(cot))
+    METER.track(grad, cot, *owed)
 
     for n in range(n_steps - 1, -1, -1):
         tapes = record.steps[n]
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
-        # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), y_0 = y_n
+        # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
+        # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, 2)]
         for acts in reversed(tapes):
             ybar, thbar = net.field_vjp(layers, acts, h * cot, need_params=True)
             METER.release(*acts[1:])
@@ -200,7 +207,9 @@ def backward_through_record(net, theta, record, partials):
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar
         tapes.clear()
-        cot = cot_yn + cot
+        # the seed's cotangent: w_0 onto states[n], w_1 and w_2 owed further back
+        w = SEED_WEIGHTS[min(n, 2)] + (0.0, 0.0)
+        cot, owed = cot_yn + owed[0] + w[0] * cot, (owed[1] + w[1] * cot, w[2] * cot)
 
-    METER.release(grad, cot)
+    METER.release(grad, cot, *owed)
     return grad

@@ -4,8 +4,11 @@ The workhorse is the implicit midpoint rule
 
     y' = y + h f((y + y') / 2)
 
-solved by fixed-point iteration started from the current state: an explicit
-predictor would cost two field evaluations to save about two sweeps.  The
+solved by fixed-point iteration.  Inside `integrate` each solve starts from
+an extrapolation of the states already stored, `3 y_n - 3 y_{n-1} + y_{n-2}`
+(O(h^3)) once two earlier steps exist, `2 y_n - y_{n-1}` after one and `y_n`
+at the first step, so the seed costs no field evaluation; an explicit
+predictor would cost two evaluations to save about two sweeps.  The
 midpoint rule is symmetric, second order, and symplectic for arbitrary
 smooth Hamiltonians, separable or not, which is why it sits in the training
 loop, and the only method with a specialized stepper.  Every other
@@ -133,7 +136,8 @@ class FpiConfig:
     """Controls for the fixed-point corrector.
 
     tol is on the max-norm change between successive iterates; max_iters
-    caps the sweeps of one solve.  Every solve starts from the current state.
+    caps the sweeps of one solve.  A solve starts from the seed its caller
+    hands in: `integrate` extrapolates one from its last states.
     """
 
     tol: float = 1e-10
@@ -172,15 +176,20 @@ def _check_finite(y, context):
         raise NonFiniteError(f"non-finite state during {context}")
 
 
-def implicit_midpoint_step(f, y, h, cfg=FpiConfig()):
-    """One implicit midpoint step solved by fixed-point iteration from y.
+def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
+    """One implicit midpoint step solved by fixed-point iteration.
 
-    Returns (y_next, StepReport).  Non-convergence within max_iters is not
-    fatal: the best iterate is returned with converged=False so the caller can
-    count failures and decide.  Non-finite iterates raise NonFiniteError.
+    start is the first iterate, a guess at y_next shaped like y; None starts
+    from y itself.  The seed sets how many sweeps the solve takes; the result
+    moves only at the level of cfg.tol.  Returns (y_next, StepReport).
+    Non-convergence within max_iters is not fatal: the best iterate is
+    returned with converged=False so the caller can count failures and
+    decide.  Non-finite iterates raise NonFiniteError.
     """
     y = np.asarray(y, dtype=np.float64)
-    cur = y
+    cur = y if start is None else np.asarray(start, dtype=np.float64)
+    if cur.shape != y.shape:
+        raise ValueError(f"start shape {cur.shape} does not match state shape {y.shape}")
     residuals = []
     converged = False
     for _ in range(cfg.max_iters):
@@ -241,6 +250,11 @@ def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
 # ----------------------------------------------------------------------
 # trajectory drivers
 
+# Weights on y_n, y_{n-1}, y_{n-2} of the extrapolated first iterate of step
+# n, indexed by how many earlier states exist: constant, linear, quadratic.
+# Recorded backprop routes the seed's cotangent through the same weights.
+SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+
 
 def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), dim=None):
     """Roll a state forward n_steps of size h; returns (Trajectory, reports).
@@ -249,7 +263,9 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
     other name from the tableau registry ('symplectic_euler', 'gauss2',
     'rk2', 'explicit_euler'), or a PrkTableau instance; the last two kinds go
     through prk_step.  Every method returns one StepReport per step.  h may
-    be negative (the symmetric methods are time-reversible).
+    be negative (the symmetric methods are time-reversible).  Each implicit
+    midpoint solve is seeded by extrapolating the states stored so far with
+    SEED_WEIGHTS; the first step starts from y0.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -276,7 +292,9 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
     for i in range(n_steps):
         try:
             if tableau is None:
-                y, rep = implicit_midpoint_step(f, y, h, cfg)
+                start = (sum(c * states[i - k] for k, c in enumerate(SEED_WEIGHTS[min(i, 2)]))
+                         if i else None)
+                y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
             else:
                 y, rep = prk_step(f, y, h, tableau, dim, cfg)
             _check_finite(y, f"step {i}")

@@ -10,7 +10,7 @@ from symplearn.adjoint import (backward_through_record, record_rollout,
 from symplearn.integrators import FpiConfig, NonFiniteError, integrate
 from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
-from symplearn.training import window_loss
+from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, window_loss
 
 TIGHT = FpiConfig(tol=1e-12, max_iters=100)
 
@@ -150,6 +150,33 @@ def test_engines_agree_under_final_only_observation():
 
     record = record_rollout(net, theta, windows[:, 0, :], 0.02, 5, cfg=cfg)
     g_bp = backward_through_record(net, theta, record, partials)
+    assert rel(g_adj, g_bp) <= 1e-6
+
+
+def test_backprop_is_exact_through_the_extrapolated_seed():
+    # at a loose, capped solver the computed loss is far from the converged
+    # map's, so only a reverse that also routes each step's leftover
+    # first-iterate cotangent back onto the states its seed was extrapolated
+    # from matches finite differences of that loss; dropping it reads ~3e-3
+    net = HamiltonianNet(1, hidden=(8, 8))
+    theta = net.init_params(70)
+    h, cfg = 0.1, FpiConfig(tol=1e-3, max_iters=4)
+    windows = make_windows(net, theta, batch=4, n_steps=5, h=h, seed=71)
+    config = TrainConfig(grad_mode="backprop", fpi=cfg, hidden=(8, 8))
+    _, grad, _ = loss_and_grad(net, theta, windows, h, config)
+    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta,
+                      eps=1e-5)
+    assert rel(grad, fd) <= 1e-6
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_engines_agree_on_every_seed_branch(n_steps):
+    # windows of 1, 2 and 3 steps end on the y_n, linear and quadratic seeds
+    net = HamiltonianNet(1, hidden=(6, 6))
+    theta = net.init_params(72)
+    windows = make_windows(net, theta, batch=4, n_steps=n_steps, h=0.05, seed=73)
+    g_adj = adjoint_grad(net, theta, windows, 0.05, TIGHT)
+    g_bp = backprop_grad(net, theta, windows, 0.05, TIGHT)
     assert rel(g_adj, g_bp) <= 1e-6
 
 

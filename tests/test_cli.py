@@ -302,8 +302,9 @@ def config_error(capsys, tmp_path, cmd, config, *flags):
 
 @pytest.mark.parametrize("cmd", ["train", "integrate"])
 def test_config_with_retired_seed_key_exits_one(cmd, tmp_path, capsys):
-    # the corrector always starts from the current state, so the option that
-    # chose its seed is gone; old config files name it and must fail loudly
+    # the corrector's seed is fixed (integrate extrapolates it from the last
+    # states), so the option that chose it is gone; old config files name it
+    # and must fail loudly
     # (the key is spelled in parts so that a search for it finds no live use)
     key = "_".join(("guess", "source"))
     err = config_error(capsys, tmp_path, cmd, {key: "predictor"})

@@ -7,6 +7,7 @@ from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
                      fd_jacobian, midpoint_linear_exact, sho_energy,
                      sho_exact, sho_field)
 
+from symplearn.data import sample_initial_conditions
 from symplearn.integrators import (REFERENCE_FPI, FpiConfig, NonFiniteError,
                                    PrkTableau, TABLEAUX, check_symplectic_tableau,
                                    implicit_midpoint_step, integrate, prk_step)
@@ -137,6 +138,18 @@ def test_zero_field_fixed_point_is_immediate():
     assert report.residual == 0.0
 
 
+def test_midpoint_step_starts_from_the_given_seed():
+    # seeded with the exact linear solution, one sweep confirms it
+    sho_a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    y = np.array([0.7, -0.4])
+    exact = midpoint_linear_exact(sho_a, y, 0.2)
+    got, report = implicit_midpoint_step(sho_field, y, 0.2, TIGHT, start=exact)
+    assert report.iterations == 1 and report.converged
+    assert np.max(np.abs(got - exact)) <= 1e-15
+    with pytest.raises(ValueError, match="start shape"):
+        implicit_midpoint_step(sho_field, y, 0.2, TIGHT, start=exact[None])
+
+
 def test_non_convergence_returns_best_iterate():
     cfg = FpiConfig(tol=1e-15, max_iters=2)
     _, report = implicit_midpoint_step(sho_field, np.array([1.0, 0.0]), h=0.3,
@@ -183,6 +196,24 @@ def test_generic_prk_midpoint_agrees_with_specialized_step():
                           dim=1, cfg=TIGHT)
     direct, _ = implicit_midpoint_step(cho.dynamics, y, 0.1, cfg=TIGHT)
     assert np.max(np.abs(via_prk - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["double_well", "henon_heiles"])
+def test_extrapolated_seed_saves_sweeps(name):
+    # integrate seeds each solve from its stored states; a hand loop of
+    # steps started from y_n is the reference it must beat on sweeps and
+    # match on states
+    system = get_system(name)
+    y0 = sample_initial_conditions(system, 64, np.random.default_rng(80))
+    cfg, h = FpiConfig(), 0.025
+    traj, reports = integrate(system.dynamics, y0, h, 6, cfg=cfg)
+    y, plain = y0, []
+    for i in range(6):
+        y, rep = implicit_midpoint_step(system.dynamics, y, h, cfg)
+        plain.append(rep)
+        assert np.max(np.abs(traj.states[i + 1] - y)) <= 1e-9
+    assert reports[0] == plain[0]
+    assert sum(r.iterations for r in reports) < sum(r.iterations for r in plain)
 
 
 # ----------------------------------------------------------------------
