@@ -151,17 +151,9 @@ def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
     engine's memory grow with n_steps.
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
-    layers = net.unpack(theta)
     tapes = []
-
-    def field(point):
-        acts = net._forward(layers, point)
-        tapes.append(acts)
-        g = net._reverse_input(layers, acts)
-        return np.concatenate([g[..., net.dim:], -g[..., :net.dim]], axis=-1)
-
     try:
-        traj, reports = integrate(field, y0, h, n_steps, cfg=cfg)
+        traj, reports = integrate(net.field(theta, tapes), y0, h, n_steps, cfg=cfg)
     except (NonFiniteError, ValueError):
         for acts in tapes:
             METER.release(*acts[1:])

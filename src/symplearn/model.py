@@ -7,6 +7,8 @@ that scalar by explicit forward/reverse sweeps written out below:
     eval_h       H(theta, y)
     grad_state   dH/dy                       (one reverse sweep)
     dynamics     (dH/dp, -dH/dq)             (canonical field from grad_state)
+    field        the same field as a closure   (theta unpacked once per
+                                              rollout; optionally keeps tapes)
     hess_state   d2H/dy2                     (closed form: reverse sweep plus
                                               all 2d input tangents at once)
     field_vjp    (df/dy)^T u, (df/dtheta)^T u  (reverse over a directional tangent)
@@ -16,6 +18,11 @@ fixed, and writing them out keeps every buffer under our control, which the
 memory accounting in the gradient engines depends on.  tanh keeps the model
 C^2; the costate equations differentiate the vector field once more, so a
 merely C^1 activation would break them.
+
+Each pass does only the work its output needs: the output layer is linear
+with one unit, so reverse sweeps start just below it from the row W_L[:, 0],
+and nothing zero or thrown away is computed.  Passes write in place only into
+arrays they have just created, never into theta, a tape or a direction.
 
 Parameters travel as a single flat float64 vector (layer by layer, weight
 matrix then bias) so optimizers, finite differencing and checkpoints stay
@@ -110,24 +117,24 @@ class HamiltonianNet:
             layers.append((w, b))
         return layers
 
-    def pack_layer_grads(self, layer_grads):
-        """Per-layer (dW, db) -> flat vector matching the theta layout."""
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in layer_grads])
-
     # ------------------------------------------------------------------
     # forward / reverse sweeps
 
     def _forward(self, layers, y):
         """Activation list a_0..a_L; hidden layers tanh, output linear.
 
+        Each layer's bias add and tanh run in place on its fresh product.
         The list is registered with the allocation meter while alive; callers
         must pair it with _drop.
         """
         acts = [y]
         last = len(layers) - 1
         for l, (w, b) in enumerate(layers):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if l < last else z)
+            z = acts[-1] @ w
+            z += b
+            if l < last:
+                np.tanh(z, out=z)
+            acts.append(z)
         METER.track(*acts[1:])
         return acts
 
@@ -136,65 +143,84 @@ class HamiltonianNet:
         METER.release(*acts[1:])
 
     def _reverse_input(self, layers, acts):
-        """d(sum of outputs)/d(input), walked back layer by layer."""
-        bar = np.ones_like(acts[-1])
-        last = len(layers) - 1
-        for l in range(last, -1, -1):
-            w, _ = layers[l]
-            if l < last:
-                bar = bar * (1.0 - acts[l + 1] ** 2)
-            bar = bar @ w.T
+        """d(sum of outputs)/d(input), walked back layer by layer.
+
+        The output layer is linear with one unit, so the cotangent just below
+        it is the row W_L[:, 0] at every point; the sweep starts there.
+        """
+        bar = layers[-1][0][:, 0]
+        for l in range(len(layers) - 2, -1, -1):
+            slope = acts[l + 1] * acts[l + 1]
+            np.subtract(1.0, slope, out=slope)
+            slope *= bar
+            bar = slope @ layers[l][0].T
+        if bar.ndim == 1:            # no hidden layer: the same row everywhere
+            bar = np.tile(bar, (len(acts[0]), 1))
         return bar
 
     def _mixed(self, layers, acts, w_dir, need_state, need_params):
         """Tangent sweep along w_dir, then reverse through primal and tangent.
 
-        The tangent forward propagates ydot_0 = w_dir through the network,
-        producing the directional derivative T = <w_dir, dH/dy> per row.  The
-        reverse sweep then differentiates sum(T):
+        The tangent forward propagates ydot_0 = w_dir through the hidden
+        layers, towards the directional derivative T = <w_dir, dH/dy> per
+        row.  The reverse sweep then differentiates sum(T):
 
             need_state  -> dT/dy      = (d2H/dy2) w_dir, row-wise
             need_params -> dT/dtheta  summed over the batch
 
         which covers the reverse through a recorded field evaluation and the
         costate step's parameter-gradient integrand with one piece of code.
+        It starts below the linear output layer, where the primal cotangent s
+        is exactly zero and the tangent cotangent r is the row W_L[:, 0], so T
+        itself is never formed.  The slopes 1 - a^2 are kept (metered) from
+        the tangent forward, giving gz = s * slope - 2 r a ydot and
+        gzt = r * slope.  Batch sums are products with a row of ones, and the
+        layer gradients land in the unpacked views of one flat vector.
         """
         last = len(layers) - 1
         tans = [w_dir]
-        zts = []
-        for l, (w, _) in enumerate(layers):
-            zt = tans[-1] @ w
-            zts.append(zt)
-            if l < last:
-                tans.append((1.0 - acts[l + 1] ** 2) * zt)
-            else:
-                tans.append(zt)
-        METER.track(*zts, *tans[1:])
+        slopes = []
+        for l in range(last):
+            slope = acts[l + 1] * acts[l + 1]
+            np.subtract(1.0, slope, out=slope)
+            tan = tans[-1] @ layers[l][0]
+            tan *= slope
+            slopes.append(slope)
+            tans.append(tan)
+        METER.track(*slopes, *tans[1:])
 
-        s = np.zeros_like(acts[-1])      # cotangent on a_l
-        r = np.ones_like(tans[-1])       # cotangent on adot_l
-        layer_grads = [None] * len(layers) if need_params else None
-        for l in range(last, -1, -1):
-            w, _ = layers[l]
-            if l < last:
-                a_next = acts[l + 1]
-                sp = 1.0 - a_next ** 2
-                gz = s * sp + r * (-2.0 * a_next * sp * zts[l])
-                gzt = r * sp
-            else:
-                gz = s
-                gzt = r
+        grad = grads = ones = None
+        if need_params:
+            grad = np.empty(self.n_params)
+            grads = self.unpack(grad)
+            ones = np.ones(len(w_dir))
+            dw, db = grads[last]
+            dw[:, 0] = ones @ tans[last]
+            db[:] = 0.0
+        s = None                         # zero until the first hidden layer
+        r = layers[last][0][:, 0]
+        for l in range(last - 1, -1, -1):
+            w = layers[l][0]
+            gz = r * acts[l + 1]
+            gz *= tans[l + 1]
+            gz *= -2.0
+            if s is not None:
+                gz += s * slopes[l]
+            gzt = r * slopes[l]
             if need_params:
-                dw = acts[l].T @ gz + tans[l].T @ gzt
-                layer_grads[l] = (dw, gz.sum(axis=0))
+                dw, db = grads[l]
+                np.matmul(acts[l].T, gz, out=dw)
+                dw += tans[l].T @ gzt
+                np.matmul(ones, gz, out=db)
             if l > 0 or need_state:
                 s = gz @ w.T
+            if l > 0:
                 r = gzt @ w.T
 
-        METER.release(*zts, *tans[1:])
-        state_out = s if need_state else None
-        param_out = self.pack_layer_grads(layer_grads) if need_params else None
-        return state_out, param_out
+        METER.release(*slopes, *tans[1:])
+        if need_state and s is None:     # no hidden layer: T is linear in y
+            s = np.zeros_like(w_dir)
+        return (s if need_state else None), grad
 
     # ------------------------------------------------------------------
     # public operations
@@ -222,6 +248,29 @@ class HamiltonianNet:
         g = self.grad_state(theta, y)
         d = self.dim
         return np.concatenate([g[..., d:], -g[..., :d]], axis=-1)
+
+    def field(self, theta, tapes=None):
+        """The canonical field y -> (dH/dp, -dH/dq) over a batch [B, 2d], as
+        a closure that unpacks theta once for a whole rollout.
+
+        Each evaluation is one forward pass and one input reverse.  With a
+        list for tapes the closure appends each evaluation's activations to
+        it and keeps them metered for a later reverse; otherwise it drops
+        them at once.
+        """
+        layers = self.unpack(theta)
+        d = self.dim
+
+        def evaluate(y):
+            acts = self._forward(layers, y)
+            g = self._reverse_input(layers, acts)
+            if tapes is None:
+                self._drop(acts)
+            else:
+                tapes.append(acts)
+            return np.concatenate([g[:, d:], -g[:, :d]], axis=1)
+
+        return evaluate
 
     def _hess_and_tape(self, layers, y):
         """Closed-form d2H/dy2 [B, 2d, 2d] from one forward pass; returns
@@ -282,8 +331,8 @@ class HamiltonianNet:
             METER.release(curv[l])
         if tan is not None:
             METER.release(tan)
-        rows, cols = np.triu_indices(width, 1)
-        hess[:, cols, rows] = hess[:, rows, cols]
+        for i in range(1, width):
+            hess[:, i, :i] = hess[:, :i, i]
         return hess, acts
 
     def hess_state(self, theta, y):

@@ -176,8 +176,7 @@ def _rollout(net, theta, windows, h, config, record=False):
         rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi)
         states, reports = rec.states, rec.reports
     else:
-        traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
-                                  cfg=config.fpi)
+        traj, reports = integrate(net.field(theta), y0, h, n_steps, cfg=config.fpi)
         states = traj.states
     loss, partials = window_loss(states, windows, batch_scale=scale)
     return loss, partials, states, reports, rec

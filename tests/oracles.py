@@ -45,6 +45,49 @@ def naive_h(theta, arch, point):
     return float(a[0])
 
 
+def naive_tangent_reverse(theta, arch, y, w_dir):
+    """Reference tangent-over-reverse sweep through the network at a batch y.
+
+    Carries the tangent ydot_0 = w_dir forward through every layer, keeping
+    each pre-activation tangent zt_l, so the output tangent is
+    T = <w_dir, dH/dy> per row; then reverses sum(T) through primal and
+    tangent together, starting from cotangent 0 on the output and 1 on its
+    tangent.  Returns (dT/dy [B, 2d], dT/dtheta summed over the batch, flat
+    in the parameter layout).
+    """
+    layers = naive_unpack(theta, arch)
+    last = len(layers) - 1
+    acts = [np.asarray(y, dtype=np.float64)]
+    for l, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if l < last else z)
+    tans = [np.asarray(w_dir, dtype=np.float64)]
+    zts = []
+    for l, (w, _) in enumerate(layers):
+        zt = tans[-1] @ w
+        zts.append(zt)
+        tans.append((1.0 - acts[l + 1] ** 2) * zt if l < last else zt)
+
+    s = np.zeros_like(acts[-1])      # cotangent on a_l
+    r = np.ones_like(tans[-1])       # cotangent on adot_l
+    grads = [None] * len(layers)
+    for l in range(last, -1, -1):
+        w, _ = layers[l]
+        if l < last:
+            a_next = acts[l + 1]
+            sp = 1.0 - a_next ** 2
+            gz = s * sp + r * (-2.0 * a_next * sp * zts[l])
+            gzt = r * sp
+        else:
+            gz = s
+            gzt = r
+        grads[l] = np.concatenate([(acts[l].T @ gz + tans[l].T @ gzt).ravel(),
+                                   gz.sum(axis=0)])
+        s = gz @ w.T
+        r = gzt @ w.T
+    return s, np.concatenate(grads)
+
+
 # ----------------------------------------------------------------------
 # finite differencing
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff, fd_hessian, naive_h
+from oracles import central_diff, fd_hessian, naive_h, naive_tangent_reverse
 
 from symplearn.memory import METER
 from symplearn.model import (HamiltonianNet, costate_to_direction,
@@ -194,6 +194,96 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
         assert np.array_equal(got, np.zeros_like(got))
     assert np.max(np.abs(got - want)) <= 1e-13
     assert np.array_equal(got, got.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
+    # _mixed under every need_state/need_params setting, and field_vjp on
+    # top of it, against the plain tangent-over-reverse sweep; with no
+    # hidden layer the state output is exactly zero
+    net = HamiltonianNet(dim, hidden=hidden)
+    theta = 2.0 * net.init_params(22)
+    rng = np.random.default_rng(23)
+    y = rng.uniform(-1, 1, size=(batch, 2 * dim))
+    u = rng.standard_normal((batch, 2 * dim))
+    w_dir = np.concatenate([-u[:, dim:], u[:, :dim]], axis=1)
+    want = naive_tangent_reverse(theta, net.arch, y, w_dir)
+
+    def check(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    layers = net.unpack(theta)
+    acts = net._forward(layers, y)
+    try:
+        for need_state in (True, False):
+            for need_params in (True, False):
+                got = net._mixed(layers, acts, w_dir, need_state, need_params)
+                for flag, part, ref in zip((need_state, need_params), got, want):
+                    if flag:
+                        check(part, ref)
+                    else:
+                        assert part is None
+        for need_params in (True, False):
+            ybar, thetabar = net.field_vjp(layers, acts, u, need_params=need_params)
+            check(ybar, want[0])
+            if need_params:
+                check(thetabar, want[1])
+            else:
+                assert thetabar is None
+    finally:
+        net._drop(acts)
+
+
+@pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
+def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
+    # the passes work in place on their own buffers only: theta, the tape
+    # and the direction come out untouched, and no call writes into what an
+    # earlier call returned
+    net = HamiltonianNet(2, hidden=hidden)
+    theta = net.init_params(24)
+    rng = np.random.default_rng(25)
+    y = rng.uniform(-1, 1, size=(32, 4))
+    w_dir = rng.standard_normal((32, 4))
+    kept = [theta.copy(), y.copy(), w_dir.copy()]
+    layers = net.unpack(theta)
+    acts = net._forward(layers, y)
+    tape = [a.copy() for a in acts]
+
+    def sweeps():
+        fresh = net._forward(layers, y)
+        net._drop(fresh)
+        hess, hess_tape = net._hess_and_tape(layers, y)
+        net._drop(hess_tape)
+        return [*fresh, net._reverse_input(layers, acts),
+                *net._mixed(layers, acts, w_dir, need_state=True, need_params=True),
+                hess, *hess_tape]
+
+    try:
+        first = sweeps()
+        first_copy = [a.copy() for a in first]
+        second = sweeps()
+    finally:
+        net._drop(acts)
+    for a, b, c in zip(first, first_copy, second):
+        assert np.array_equal(a, b)
+        assert np.array_equal(b, c)
+    for now, before in zip([theta, y, w_dir, *acts], kept + tape):
+        assert np.array_equal(now, before)
+
+
+def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
+    net = HamiltonianNet(2, hidden=(6, 5))
+    theta = net.init_params(26)
+    y = np.random.default_rng(27).uniform(-1, 1, size=(9, 4))
+    assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
+    assert METER.live_bytes == 0
+    tapes = []
+    assert np.array_equal(net.field(theta, tapes)(y), net.dynamics(theta, y))
+    assert len(tapes) == 1 and np.array_equal(tapes[0][0], y)
+    net._drop(tapes[0])
 
 
 def test_methods_are_pure():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from symplearn.adjoint import backward_through_record, solve_adjoint_accumulate
 from symplearn.data import generate_dataset, load_dataset, sample_windows
 from symplearn.integrators import FpiConfig
 from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
 from symplearn.training import (Adam, NumericalAbort, ReduceOnPlateau,
-                                TrainConfig, _segment_windows, loss_and_grad,
+                                TrainConfig, _rollout, _segment_windows, loss_and_grad,
                                 metrics_to_csv, saturation_epoch, train,
                                 window_loss)
 
@@ -181,6 +182,37 @@ def test_multiple_shooting_restarts_reduce_the_loss(tiny_dataset):
     ls, _, _ = loss_and_grad(net, theta, windows, 0.01, single)
     lm, _, _ = loss_and_grad(net, theta, windows, 0.01, multi)
     assert lm < ls
+
+
+@pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
+def test_each_sweep_evaluates_the_field_once(tiny_dataset, monkeypatch, grad_mode):
+    # a field evaluation is one input reverse, so counting _reverse_input
+    # counts the solver's sweeps, taped or not; neither gradient engine's
+    # reverse evaluates the field again
+    calls = []
+    original = HamiltonianNet._reverse_input
+
+    def counted(self, *args):
+        calls.append(None)
+        return original(self, *args)
+    monkeypatch.setattr(HamiltonianNet, "_reverse_input", counted)
+    manifest, _, noisy = tiny_dataset
+    windows, _, _ = sample_windows(noisy, 8, 4, np.random.default_rng(5), stride=10)
+    net = HamiltonianNet(1, hidden=(8,))
+    theta = net.init_params(0)
+    config = tiny_config(grad_mode=grad_mode, window_steps=4)
+    h = config.stride * manifest.dt
+    backprop = grad_mode == "backprop"
+    _, partials, states, reports, record = _rollout(net, theta, windows, h, config,
+                                                    record=backprop)
+    sweeps = sum(r.iterations for r in reports)
+    assert sweeps > len(reports)
+    assert len(calls) == sweeps
+    if backprop:
+        backward_through_record(net, theta, record, partials)
+    else:
+        solve_adjoint_accumulate(net, theta, states, partials, h)
+    assert len(calls) == sweeps
 
 
 # -------------------------------------------------------------- training loop
