@@ -13,11 +13,17 @@ system's phase-space box (with rejection below the energy cap where the
 system defines one); noise for trajectory i comes from its own generator
 seeded with seed XOR i, so the content of a trajectory never depends on how
 many trajectories surround it or in what order they were produced.
+
+Each array exists in memory at most once.  Generation keeps only the
+integrator's time-major states and streams both files from them one
+trajectory at a time; loading maps both files read-only, so only the pages a
+caller touches become resident (training reads noisy alone).
 """
 
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import pathlib
 
@@ -38,6 +44,14 @@ DEFAULT_NOISE_STD = 0.01
 
 FULL_SCALE = {"n_train": 16384, "n_val": 8192}
 SMOKE_SCALE = {"n_train": 1024, "n_val": 256}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,6 +75,24 @@ class DatasetManifest:
     def shape(self):
         return (self.n_traj, self.n_steps + 1, 2 * self.dim)
 
+    def __post_init__(self):
+        """Reject a field of the wrong type or range, naming it: counts are
+        integers (not booleans), dt and noise_std finite numbers."""
+        for name, low in (("dim", 1), ("seed", 0), ("n_train", 1), ("n_val", 0),
+                          ("n_steps", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"manifest {name} must be an integer >= {low}, got {value!r}")
+        if not (_is_finite(self.dt) and self.dt > 0):
+            raise ValueError(f"manifest dt must be a finite number > 0, got {self.dt!r}")
+        if not (_is_finite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"manifest noise_std must be a finite number >= 0, "
+                             f"got {self.noise_std!r}")
+        for name, kind in (("system", str), ("system_params", dict)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"manifest {name} must be a {kind.__name__}, got {value!r}")
+
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
@@ -70,7 +102,7 @@ class DatasetManifest:
         if not isinstance(raw, dict):
             raise ValueError("manifest must hold a JSON object")
         version = raw.get("format_version")
-        if version != MANIFEST_FORMAT_VERSION:
+        if not _is_int(version) or version != MANIFEST_FORMAT_VERSION:
             raise ValueError(f"unsupported manifest format_version {version!r}")
         fields = {f.name for f in dataclasses.fields(cls)}
         if raw.keys() != fields:
@@ -100,37 +132,21 @@ def sample_initial_conditions(system, n, rng):
     return out
 
 
-def _noise_like(shape, seed, traj_offset, noise_std):
-    """Per-trajectory noise blocks, each from generator seed XOR trajectory id."""
-    noise = np.empty(shape)
-    for i in range(shape[0]):
-        rng = np.random.default_rng(seed ^ (traj_offset + i))
-        noise[i] = noise_std * rng.standard_normal(shape[1:])
-    return noise
-
-
 def generate_dataset(system_name, out_dir, seed, n_train, n_val,
                      n_steps=DEFAULT_N_STEPS, dt=DEFAULT_DT,
                      noise_std=DEFAULT_NOISE_STD, system_params=None):
     """Integrate, corrupt, and write one dataset directory.
 
-    Returns (manifest, clean, noisy).  Deterministic for fixed arguments: the
-    reference integration is batched across trajectories but convergence is
-    independent of machine parallelism, and every random stream is seeded.
+    Returns load_dataset(out_dir): (manifest, clean, noisy), read-only maps of
+    the written files.  The only full-size array held is the integrator's
+    time-major states; clean.f64 and then noisy.f64 are streamed from it one
+    trajectory at a time, each noisy trajectory drawing its noise as it is
+    written.  Deterministic for fixed arguments: the reference integration
+    is batched across trajectories but convergence is independent of machine
+    parallelism, and every random stream is seeded.
     """
     system_params = dict(system_params or {})
     system = get_system(system_name, **system_params)
-    if n_train < 1 or n_val < 0:
-        raise ValueError("need n_train >= 1 and n_val >= 0")
-    if n_steps < 1 or dt <= 0 or noise_std < 0:
-        raise ValueError("need n_steps >= 1, dt > 0, noise_std >= 0")
-
-    ic_rng = np.random.default_rng((seed, 1))  # distinct stream from the noise ids
-    ics = sample_initial_conditions(system, n_train + n_val, ic_rng)
-    traj, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
-    clean = np.ascontiguousarray(np.swapaxes(traj.states, 0, 1))  # [n_traj, n+1, 2d]
-    noisy = clean + _noise_like(clean.shape, seed, 0, noise_std)
-
     manifest = DatasetManifest(
         format_version=MANIFEST_FORMAT_VERSION,
         system=system_name,
@@ -143,32 +159,49 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
         dt=dt,
         noise_std=noise_std,
     )
+
+    ic_rng = np.random.default_rng((seed, 1))  # distinct stream from the noise ids
+    ics = sample_initial_conditions(system, manifest.n_traj, ic_rng)
+    traj, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
+    states = traj.states  # [n + 1, n_traj, 2d]: trajectory i is states[:, i]
+    row_shape = manifest.shape[1:]
+    clean_rows = (states[:, i] for i in range(manifest.n_traj))
+    noisy_rows = (states[:, i]
+                  + noise_std * np.random.default_rng(seed ^ i).standard_normal(row_shape)
+                  for i in range(manifest.n_traj))
+
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # arrays first, manifest last: a manifest never describes partial arrays
-    for name, array in ((CLEAN_NAME, clean), (NOISY_NAME, noisy)):
+    for name, rows in ((CLEAN_NAME, clean_rows), (NOISY_NAME, noisy_rows)):
         with open_atomically(out_dir / name, "wb") as fh:
-            array.astype("<f8").tofile(fh)
+            for row in rows:
+                fh.write(np.ascontiguousarray(row, dtype="<f8"))
     with open_atomically(out_dir / MANIFEST_NAME) as fh:
         fh.write(manifest.to_json())
-    return manifest, clean, noisy
+    return load_dataset(out_dir)
 
 
 def load_dataset(dataset_dir):
-    """Read a dataset directory back; returns (manifest, clean, noisy)."""
+    """Open a dataset directory; returns (manifest, clean, noisy).
+
+    Both arrays are read-only memory maps of their files, as plain ndarrays.
+    Nothing is read until a caller indexes them, and then only the pages it
+    touches, so training, which samples noisy alone, never pages in clean.
+    Each file must hold exactly the bytes the manifest implies.
+    """
     dataset_dir = pathlib.Path(dataset_dir)
     manifest = DatasetManifest.from_json(
         (dataset_dir / MANIFEST_NAME).read_text(encoding="utf-8")
     )
+    expected = 8 * math.prod(manifest.shape)
     arrays = []
     for name in (CLEAN_NAME, NOISY_NAME):
-        flat = np.fromfile(dataset_dir / name, dtype="<f8")
-        expected = int(np.prod(manifest.shape))
-        if flat.size != expected:
-            raise ValueError(
-                f"{name} holds {flat.size} values, manifest implies {expected}"
-            )
-        arrays.append(flat.reshape(manifest.shape))
+        size = (dataset_dir / name).stat().st_size
+        if size != expected:
+            raise ValueError(f"{name} holds {size} bytes, manifest implies {expected}")
+        arrays.append(np.memmap(dataset_dir / name, dtype="<f8", mode="r",
+                                shape=manifest.shape).view(np.ndarray))
     return manifest, arrays[0], arrays[1]
 
 

@@ -99,6 +99,39 @@ def test_bad_train_values_exit_one(dataset, tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def _append(name, extra):
+    def mutate(root):
+        with open(root / name, "ab") as fh:
+            fh.write(extra)
+    return mutate
+
+
+def _manifest(**changes):
+    def mutate(root):
+        raw = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps({**raw, **changes}))
+    return mutate
+
+
+# the fixture dataset holds 8 + 2 trajectories; the split-changing cases keep
+# that total, so the arrays still match the manifest's byte count
+@pytest.mark.parametrize("mutate", [
+    _append("noisy.f64", b"\0\0\0"), _manifest(n_train=-3, n_val=13),
+    _manifest(n_train=9, n_val=True), _manifest(dim="1"), _manifest(n_steps=60.0),
+    _manifest(dt=float("nan")), _manifest(noise_std=-0.01),
+    _manifest(format_version=True),
+], ids=["noisy-3-trailing-bytes", "negative-n-train", "boolean-n-val", "string-dim",
+        "fractional-n-steps", "nan-dt", "negative-noise-std", "boolean-format-version"])
+def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate):
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    mutate(bad)
+    assert run_train(bad, tmp_path / "out", "--epochs", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     # a one-iteration solver at an impossible tolerance converges nowhere,
     # which the training loop reports as a numerical abort

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_manifest_names_unknown_and_missing_keys():
         DatasetManifest.from_json(json.dumps(raw))
     with pytest.raises(ValueError, match="JSON object"):
         DatasetManifest.from_json("[1, 2]")
+
+
+VALID_MANIFEST = DatasetManifest(
+    format_version=1, system="double_well", system_params={}, dim=1, seed=3,
+    n_train=10, n_val=2, n_steps=20, dt=0.001, noise_std=0.01)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("format_version", True), ("system", 3), ("system_params", []),
+    ("dim", "1"), ("dim", 0), ("seed", -1), ("n_train", -3), ("n_train", True),
+    ("n_val", -1), ("n_steps", 20.0), ("dt", 0.0), ("dt", float("nan")),
+    ("dt", "0.001"), ("noise_std", -0.01), ("noise_std", float("inf")),
+])
+def test_manifest_rejects_a_bad_field_by_name(field, value):
+    raw = json.loads(VALID_MANIFEST.to_json())
+    with pytest.raises(ValueError, match=field):
+        DatasetManifest.from_json(json.dumps({**raw, field: value}))
 
 
 def test_generate_writes_the_documented_layout(tmp_path):
@@ -168,6 +186,69 @@ def test_load_rejects_truncated_arrays(tmp_path):
     (root / NOISY_NAME).write_bytes(data[:-16])
     with pytest.raises(ValueError, match="manifest implies"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("name,change", [(NOISY_NAME, 3), (CLEAN_NAME, -3)])
+def test_load_requires_the_exact_byte_length(tmp_path, name, change):
+    # a few trailing bytes are as wrong as a missing value
+    small_dataset(tmp_path)
+    path = tmp_path / "ds" / name
+    data = path.read_bytes()
+    path.write_bytes(data + b"\0" * change if change > 0 else data[:change])
+    with pytest.raises(ValueError, match=f"{name} holds {len(data) + change} bytes"):
+        load_dataset(tmp_path / "ds")
+
+
+# SHA-256 of clean.f64 and noisy.f64 for small_dataset's arguments (seed 5,
+# 8 + 4 trajectories, 40 steps), as written before generation streamed its
+# files: the streamed writer must reproduce them byte for byte
+PINNED_SHA256 = {
+    "double_well": ("191e248e1446dd0cd23cdc54251b528f586ee2b91e28f4469d470b5a4a9fdd8d",
+                    "9bf188858d10bdd4a975d038b5b43f615af2cee824f9d26a8e936170857ac560"),
+    "henon_heiles": ("311396ca2bfeeab6496b707fa2d2c36491ac0bbad4c45f3af0294f33670f3df7",
+                     "f127419affe96c61db7dbfed4a1b375d66c3aa5b5ec3e9c807a2affe5098ad03"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_SHA256))
+def test_written_bytes_match_the_pinned_digests(tmp_path, system):
+    small_dataset(tmp_path, system=system)
+    digests = tuple(hashlib.sha256((tmp_path / "ds" / name).read_bytes()).hexdigest()
+                    for name in (CLEAN_NAME, NOISY_NAME))
+    assert digests == PINNED_SHA256[system]
+
+
+def traced_peak(fn):
+    """(fn(), the peak of NumPy and Python allocations while fn ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_each_array_is_held_at_most_once(tmp_path):
+    # generation holds the integrator's states and streams both files from
+    # them; loading maps the files and allocates nothing of their size
+    (manifest, clean, noisy), gen_peak = traced_peak(
+        lambda: small_dataset(tmp_path, n_train=192, n_val=64, n_steps=160))
+    array_bytes = 8 * np.prod(manifest.shape)
+    assert gen_peak <= 1.5 * array_bytes
+    (_, again_clean, again_noisy), load_peak = traced_peak(
+        lambda: load_dataset(tmp_path / "ds"))
+    assert load_peak <= 0.05 * array_bytes
+    assert np.array_equal(again_clean, clean) and np.array_equal(again_noisy, noisy)
+
+
+def test_loaded_arrays_are_plain_and_read_only(tmp_path):
+    for arrays in (small_dataset(tmp_path)[1:], load_dataset(tmp_path / "ds")[1:]):
+        for array in arrays:
+            assert type(array) is np.ndarray
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("failing_rename", [0, 1, 2])
