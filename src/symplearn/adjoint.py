@@ -13,11 +13,13 @@ midpoints by averaging.  Observations contribute jumps: crossing an
 observation time going backward adds that time's loss gradient to lam.
 With the Hessian frozen at the midpoint each backward step is linear in lam,
 so it is solved exactly by one batched linear solve: the costate sweep has no
-iteration and no tolerance of its own.  Each backward step makes one network
-forward pass at the midpoint: the closed-form Hessian and the parameter term
-reverse through the same tape.  The parameter gradient accumulates in place,
-one quadrature term per step, so the engine's footprint does not grow with
-the window length.
+iteration and no tolerance of its own.  Each backward step is one fused
+pass at the midpoint: one network forward pass and one primal reverse give
+the closed-form Hessian, and the parameter term's tangent-over-reverse runs
+on that tape and the primal reverse's kept slopes and cotangents.  The
+parameter gradient accumulates in place, one quadrature term per step, so
+the engine's footprint does not grow with the window length.  Each engine
+call prepares the network once (HamiltonianNet.prepare) for all its passes.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
@@ -46,7 +48,7 @@ import numpy as np
 
 from .integrators import SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
 from .memory import METER
-from .model import costate_to_direction
+from .model import canonical_field, costate_to_direction
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,9 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
     Each backward step is one exact batched linear solve, with no tolerance:
     (I - (h/2) Hess P) lam_mid = lam_end, Hess frozen at the step midpoint
     and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end.  It
-    makes one network forward pass per backward step: the closed-form Hessian
-    and the parameter reverse along P lam_mid share that pass's tape.
+    makes one network forward pass and one primal reverse per backward step:
+    the closed-form Hessian and the parameter reverse along P lam_mid share
+    that pass's tape and the reverse's slopes and cotangents.
 
     Returns (grad, diagnostics) with grad flat [n_params].  No batch scaling
     happens here: partials carry whatever scaling the loss used (a batch mean
@@ -91,7 +94,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
 
     d = states.shape[-1] // 2
     eye = np.eye(2 * d)
-    layers = net.unpack(theta)
+    prep = net.prepare(theta)
     grad = np.zeros(net.n_params)
     lam = np.zeros_like(states[-1])
     METER.track(grad, lam)
@@ -100,21 +103,24 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
         for n in range(n_steps - 1, -1, -1):
             lam_end = lam + partials[n]      # observation jump at t_{n+1}
             mid = 0.5 * (states[n] + states[n + 1])
-            hess, acts = net._hess_and_tape(layers, mid)
+            hess, acts, primal = net._hess_and_tape(prep, mid)
             try:
                 METER.track(hess)
                 try:
-                    a = 0.5 * h * np.concatenate([hess[..., d:], -hess[..., :d]], axis=-1)
+                    a = 0.5 * h * canonical_field(hess, d)
                     lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
                 finally:
                     METER.release(hess)
                 if not np.all(np.isfinite(lam_mid)):
                     raise NonFiniteError("non-finite costate in backward solve")
-                # the parameter term, reversed through the same forward tape
-                _, step_grad = net._mixed(layers, acts, costate_to_direction(lam_mid, d),
-                                          need_state=False, need_params=True)
+                # the parameter term, reversed through the same forward tape on
+                # the Hessian pass's primal reverse
+                _, step_grad = net._tangent_reverse(prep, acts, primal,
+                                                    costate_to_direction(lam_mid, d),
+                                                    False, True)
             finally:
                 net._drop(acts)
+                net._drop_primal(primal)
             lam = 2.0 * lam_mid - lam_end
             grad += h * step_grad
     finally:
@@ -178,7 +184,7 @@ def backward_through_record(net, theta, record, partials):
     n_steps = len(record.steps)
     if partials.shape[0] != n_steps:
         raise ValueError(f"partials cover {partials.shape[0]} steps, record has {n_steps}")
-    layers = net.unpack(theta)
+    prep = net.prepare(theta)
     h = record.h
     grad = np.zeros(net.n_params)
     cot = np.zeros_like(record.states[-1])
@@ -193,7 +199,7 @@ def backward_through_record(net, theta, record, partials):
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
         # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, 2)]
         for acts in reversed(tapes):
-            ybar, thbar = net.field_vjp(layers, acts, h * cot, need_params=True)
+            ybar, thbar = net.field_vjp(prep, acts, h * cot, need_params=True)
             METER.release(*acts[1:])
             grad += thbar
             cot_yn += cot + 0.5 * ybar

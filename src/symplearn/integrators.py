@@ -24,6 +24,7 @@ fixed-point solves, convergence is judged on the max residual across the
 whole batch, so all trajectories in a batch see the same iteration count.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +185,9 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
     moves only at the level of cfg.tol.  Returns (y_next, StepReport).
     Non-convergence within max_iters is not fatal: the best iterate is
     returned with converged=False so the caller can count failures and
-    decide.  Non-finite iterates raise NonFiniteError.
+    decide.  Non-finite iterates raise NonFiniteError: a NaN or inf in an
+    iterate makes its residual max|new - cur| NaN or inf, so the residual the
+    stopping rule needs is also the finiteness check.
     """
     y = np.asarray(y, dtype=np.float64)
     cur = y if start is None else np.asarray(start, dtype=np.float64)
@@ -194,8 +197,9 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
     converged = False
     for _ in range(cfg.max_iters):
         new = y + h * f(0.5 * (y + cur))
-        _check_finite(new, "implicit midpoint iteration")
         resid = float(np.max(np.abs(new - cur)))
+        if not math.isfinite(resid):
+            raise NonFiniteError("non-finite state during implicit midpoint iteration")
         residuals.append(resid)
         cur = new
         if resid <= cfg.tol:
@@ -297,7 +301,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
                 y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
             else:
                 y, rep = prk_step(f, y, h, tableau, dim, cfg)
-            _check_finite(y, f"step {i}")
+                _check_finite(y, f"step {i}")
         except NonFiniteError as err:
             raise NonFiniteError(f"{err} (step {i} of {n_steps}, h={h})") from None
         reports.append(rep)

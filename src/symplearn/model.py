@@ -7,7 +7,7 @@ that scalar by explicit forward/reverse sweeps written out below:
     eval_h       H(theta, y)
     grad_state   dH/dy                       (one reverse sweep)
     dynamics     (dH/dp, -dH/dq)             (canonical field from grad_state)
-    field        the same field as a closure   (theta unpacked once per
+    field        the same field as a closure   (one prepared network per
                                               rollout; optionally keeps tapes)
     hess_state   d2H/dy2                     (closed form: reverse sweep plus
                                               all 2d input tangents at once)
@@ -19,25 +19,43 @@ memory accounting in the gradient engines depends on.  tanh keeps the model
 C^2; the costate equations differentiate the vector field once more, so a
 merely C^1 activation would break them.
 
+The passes run on a PreparedNet, built once per engine call (one rollout,
+one costate sweep, one recorded reverse).  It holds every hidden layer's
+W^T contiguous, because a matmul against a transposed view costs 1.3-2.7x
+a contiguous one at these shapes, and makes on first use the field's copy
+of the input layer's W^T with the canonical rotation (dH/dp, -dH/dq) folded
+into its columns, so a field evaluation ends on the field itself, and the
+weight-only products of the closed-form Hessian.
+
+One tangent-over-reverse routine, _tangent_reverse, serves the reverse
+through a recorded field evaluation and the costate step's parameter term.
+It runs on the primal reverse's per-layer slopes 1 - a^2, cotangents and
+curvature weights: the costate step hands in the ones its Hessian pass
+made, and a recorded tape gets them from one primal reverse (_mixed).
+
 Each pass does only the work its output needs: the output layer is linear
 with one unit, so reverse sweeps start just below it from the row W_L[:, 0],
-and nothing zero or thrown away is computed.  Passes write in place only into
-arrays they have just created, never into theta, a tape or a direction.
+only eval_h runs the output layer's matmul, and nothing zero or thrown away
+is computed.  Passes write in place only into arrays they have just
+created, never into theta, a tape or a direction.
 
 Parameters travel as a single flat float64 vector (layer by layer, weight
 matrix then bias) so optimizers, finite differencing and checkpoints stay
 trivial.
 """
 
+import functools
 import json
 import pathlib
 
 import numpy as np
 
-from .data import open_atomically
+from .data import _is_int, open_atomically
 from .memory import METER
 
 CHECKPOINT_FORMAT_VERSION = 1
+_HEADER_KEYS = {"format_version", "kind", "dim", "arch", "seed", "param_count", "dtype",
+                "data_file"}
 
 DEFAULT_HIDDEN = (16, 32, 16)
 
@@ -58,6 +76,12 @@ def costate_to_direction(lam, dim):
     return np.concatenate([-lam[..., dim:], lam[..., :dim]], axis=-1)
 
 
+def canonical_field(g, dim):
+    """Map dH/dy = (g_q, g_p) to the canonical field (g_p, -g_q), along the
+    last axis; applied to a matrix's columns it folds the same map into it."""
+    return np.concatenate([g[..., dim:], -g[..., :dim]], axis=-1)
+
+
 def _as_batch(y, width):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
@@ -69,6 +93,37 @@ def _as_batch(y, width):
             raise ValueError(f"phase points have width {y.shape[1]}, expected {width}")
         return y, False
     raise ValueError("phase points must be a vector [2d] or a batch [B, 2d]")
+
+
+class PreparedNet:
+    """One parameter vector laid out for the passes of one engine call: the
+    (W, b) views of theta (layers), the row W_L[:, 0] every reverse starts
+    from (head), and each hidden layer's W^T made contiguous (wt).  Built on
+    first use, so that a lone dynamics call pays for neither: field_chain,
+    the reverse chain with canonical_field folded into its last operand, and
+    hess_terms, the closed-form Hessian's weight-only products.
+    """
+
+    def __init__(self, layers, dim):
+        self.layers = layers
+        self.dim = dim
+        self.head = layers[-1][0][:, 0]
+        self.wt = [np.ascontiguousarray(w.T) for w, _ in layers[:-1]]
+
+    @functools.cached_property
+    def field_chain(self):
+        if not self.wt:
+            return canonical_field(self.head, self.dim), []
+        return self.head, [canonical_field(self.wt[0], self.dim), *self.wt[1:]]
+
+    @functools.cached_property
+    def hess_terms(self):
+        w0, wt0 = self.layers[0][0], self.wt[0]
+        pairs = np.ascontiguousarray((w0[:, None, :] * w0).reshape(len(w0) ** 2, -1).T)
+        cross = None
+        if len(self.wt) > 1:
+            cross = (wt0[:, :, None] * self.layers[1][0][:, None, :]).reshape(len(wt0), -1)
+        return pairs, cross
 
 
 class HamiltonianNet:
@@ -117,19 +172,25 @@ class HamiltonianNet:
             layers.append((w, b))
         return layers
 
+    def prepare(self, theta):
+        """The PreparedNet of theta, for the passes of one engine call."""
+        return PreparedNet(self.unpack(theta), self.dim)
+
     # ------------------------------------------------------------------
     # forward / reverse sweeps
 
-    def _forward(self, layers, y):
-        """Activation list a_0..a_L; hidden layers tanh, output linear.
+    def _forward(self, prep, y, with_h=False):
+        """Activation list a_0 = y, a_1.. through the hidden layers (tanh),
+        then H itself from the linear output layer only when with_h is set:
+        every reverse starts below that layer, so no other pass needs H.
 
         Each layer's bias add and tanh run in place on its fresh product.
         The list is registered with the allocation meter while alive; callers
         must pair it with _drop.
         """
         acts = [y]
-        last = len(layers) - 1
-        for l, (w, b) in enumerate(layers):
+        last = len(prep.layers) - 1
+        for l, (w, b) in enumerate(prep.layers if with_h else prep.layers[:last]):
             z = acts[-1] @ w
             z += b
             if l < last:
@@ -142,24 +203,56 @@ class HamiltonianNet:
     def _drop(acts):
         METER.release(*acts[1:])
 
-    def _reverse_input(self, layers, acts):
-        """d(sum of outputs)/d(input), walked back layer by layer.
-
-        The output layer is linear with one unit, so the cotangent just below
-        it is the row W_L[:, 0] at every point; the sweep starts there.
+    def _reverse_input(self, prep, acts, field=False):
+        """d(sum of outputs)/d(input), walked back layer by layer from the
+        head row; with field set, the canonical field (dH/dp, -dH/dq) instead,
+        through the reverse chain that has the rotation folded in.
         """
-        bar = layers[-1][0][:, 0]
-        for l in range(len(layers) - 2, -1, -1):
+        bar, back = prep.field_chain if field else (prep.head, prep.wt)
+        for l in range(len(back) - 1, -1, -1):
             slope = acts[l + 1] * acts[l + 1]
             np.subtract(1.0, slope, out=slope)
             slope *= bar
-            bar = slope @ layers[l][0].T
+            bar = slope @ back[l]
         if bar.ndim == 1:            # no hidden layer: the same row everywhere
             bar = np.tile(bar, (len(acts[0]), 1))
         return bar
 
-    def _mixed(self, layers, acts, w_dir, need_state, need_params):
-        """Tangent sweep along w_dir, then reverse through primal and tangent.
+    def _primal_reverse(self, prep, acts):
+        """The ordinary reverse sweep of H on a tape, kept per hidden layer l
+        for the passes built on it: (slopes, cots, curv) with
+
+            slopes[l] = 1 - a^2               tanh'(z_l), a = a_{l+1}
+            cots[l]   = g_l = delta_l * slope  the cotangent on z_l
+            curv[l]   = -2 a g_l               delta_l * tanh''(z_l)
+
+        delta_l being the cotangent on a_{l+1}.  Metered while alive; callers
+        pair it with _drop_primal.
+        """
+        last = len(prep.layers) - 1
+        slopes, cots, curv = [None] * last, [None] * last, [None] * last
+        delta = prep.head
+        for l in range(last - 1, -1, -1):
+            a = acts[l + 1]
+            slope = a * a
+            np.subtract(1.0, slope, out=slope)
+            g = delta * slope
+            c = a * g
+            c *= -2.0
+            slopes[l], cots[l], curv[l] = slope, g, c
+            if l > 0:
+                delta = g @ prep.wt[l]
+        primal = (slopes, cots, curv)
+        METER.track(*slopes, *cots, *curv)
+        return primal
+
+    @staticmethod
+    def _drop_primal(primal):
+        METER.release(*primal[0], *primal[1], *primal[2])
+
+    def _tangent_reverse(self, prep, acts, primal, w_dir, need_state, need_params):
+        """Tangent sweep along w_dir, then reverse through primal and tangent,
+        on the primal reverse's pieces (_primal_reverse) for the same tape.
 
         The tangent forward propagates ydot_0 = w_dir through the hidden
         layers, towards the directional derivative T = <w_dir, dH/dy> per
@@ -170,24 +263,25 @@ class HamiltonianNet:
 
         which covers the reverse through a recorded field evaluation and the
         costate step's parameter-gradient integrand with one piece of code.
-        It starts below the linear output layer, where the primal cotangent s
-        is exactly zero and the tangent cotangent r is the row W_L[:, 0], so T
-        itself is never formed.  The slopes 1 - a^2 are kept (metered) from
-        the tangent forward, giving gz = s * slope - 2 r a ydot and
-        gzt = r * slope.  Batch sums are products with a row of ones, and the
-        layer gradients land in the unpacked views of one flat vector.
+        It starts below the linear output layer, where the primal cotangent
+        is exactly zero and the tangent cotangent is the head row, so T itself
+        is never formed, and the tangent cotangent on each z_l is the primal
+        g_l.  With zt_l the tangent of z_l, the cotangent on z_l is
+        gz = curv_l * zt_l + s * slope_l, s the cotangent on a_{l+1}; the
+        first term is formed on the way forward.  Batch sums are products
+        with a row of ones, and the layer gradients land in the unpacked
+        views of one flat vector.
         """
-        last = len(layers) - 1
+        slopes, cots, curv = primal
+        last = len(prep.layers) - 1
         tans = [w_dir]
-        slopes = []
+        gzs = []
         for l in range(last):
-            slope = acts[l + 1] * acts[l + 1]
-            np.subtract(1.0, slope, out=slope)
-            tan = tans[-1] @ layers[l][0]
-            tan *= slope
-            slopes.append(slope)
-            tans.append(tan)
-        METER.track(*slopes, *tans[1:])
+            zt = tans[-1] @ prep.layers[l][0]
+            gzs.append(curv[l] * zt)
+            zt *= slopes[l]
+            tans.append(zt)
+        METER.track(*gzs, *tans[1:])
 
         grad = grads = ones = None
         if need_params:
@@ -198,29 +292,30 @@ class HamiltonianNet:
             dw[:, 0] = ones @ tans[last]
             db[:] = 0.0
         s = None                         # zero until the first hidden layer
-        r = layers[last][0][:, 0]
         for l in range(last - 1, -1, -1):
-            w = layers[l][0]
-            gz = r * acts[l + 1]
-            gz *= tans[l + 1]
-            gz *= -2.0
+            gz = gzs[l]
             if s is not None:
-                gz += s * slopes[l]
-            gzt = r * slopes[l]
+                s *= slopes[l]
+                gz += s
             if need_params:
                 dw, db = grads[l]
                 np.matmul(acts[l].T, gz, out=dw)
-                dw += tans[l].T @ gzt
+                dw += tans[l].T @ cots[l]
                 np.matmul(ones, gz, out=db)
             if l > 0 or need_state:
-                s = gz @ w.T
-            if l > 0:
-                r = gzt @ w.T
+                s = gz @ prep.wt[l]
 
-        METER.release(*slopes, *tans[1:])
+        METER.release(*gzs, *tans[1:])
         if need_state and s is None:     # no hidden layer: T is linear in y
             s = np.zeros_like(w_dir)
         return (s if need_state else None), grad
+
+    def _mixed(self, prep, acts, w_dir, need_state, need_params):
+        """_tangent_reverse on a recorded tape, after one primal reverse."""
+        primal = self._primal_reverse(prep, acts)
+        out = self._tangent_reverse(prep, acts, primal, w_dir, need_state, need_params)
+        self._drop_primal(primal)
+        return out
 
     # ------------------------------------------------------------------
     # public operations
@@ -228,8 +323,7 @@ class HamiltonianNet:
     def eval_h(self, theta, y):
         """Scalar energy H(theta, y); batch in -> vector of energies out."""
         y2, single = _as_batch(y, self.arch[0])
-        layers = self.unpack(theta)
-        acts = self._forward(layers, y2)
+        acts = self._forward(self.prepare(theta), y2, True)
         out = acts[-1][:, 0].copy()
         self._drop(acts)
         return float(out[0]) if single else out
@@ -237,103 +331,89 @@ class HamiltonianNet:
     def grad_state(self, theta, y):
         """dH/dy, shape like y."""
         y2, single = _as_batch(y, self.arch[0])
-        layers = self.unpack(theta)
-        acts = self._forward(layers, y2)
-        g = self._reverse_input(layers, acts)
+        prep = self.prepare(theta)
+        acts = self._forward(prep, y2)
+        g = self._reverse_input(prep, acts)
         self._drop(acts)
         return g[0] if single else g
 
     def dynamics(self, theta, y):
         """Canonical vector field (dH/dp, -dH/dq) at y."""
-        g = self.grad_state(theta, y)
-        d = self.dim
-        return np.concatenate([g[..., d:], -g[..., :d]], axis=-1)
+        return canonical_field(self.grad_state(theta, y), self.dim)
 
     def field(self, theta, tapes=None):
         """The canonical field y -> (dH/dp, -dH/dq) over a batch [B, 2d], as
-        a closure that unpacks theta once for a whole rollout.
+        a closure over one PreparedNet of theta for a whole rollout.
 
-        Each evaluation is one forward pass and one input reverse.  With a
-        list for tapes the closure appends each evaluation's activations to
-        it and keeps them metered for a later reverse; otherwise it drops
-        them at once.
+        Each evaluation is one forward pass through the hidden layers and one
+        input reverse whose last matmul lands on the field.  With a list for
+        tapes the closure appends each evaluation's activations to it and
+        keeps them metered for a later reverse; otherwise it drops them at
+        once.
         """
-        layers = self.unpack(theta)
-        d = self.dim
+        prep = self.prepare(theta)
 
         def evaluate(y):
-            acts = self._forward(layers, y)
-            g = self._reverse_input(layers, acts)
+            acts = self._forward(prep, y)
+            f = self._reverse_input(prep, acts, True)
             if tapes is None:
                 self._drop(acts)
             else:
                 tapes.append(acts)
-            return np.concatenate([g[:, d:], -g[:, :d]], axis=1)
+            return f
 
         return evaluate
 
-    def _hess_and_tape(self, layers, y):
+    def _hess_and_tape(self, prep, y):
         """Closed-form d2H/dy2 [B, 2d, 2d] from one forward pass; returns
-        (hess, acts), the activations being the forward tape, to be released
-        with _drop.
+        (hess, acts, primal), the activations being the forward tape, to be
+        released with _drop, and primal the pieces of its reverse sweep
+        (_primal_reverse), to be released with _drop_primal.
 
         For a tanh network the input Hessian is exactly
 
-            sum over hidden layers l of  J_l^T diag(delta_l * s''(z_l)) J_l
+            sum over hidden layers l of  J_l^T diag(curv_l) J_l
 
-        with J_l = dz_l/dy, delta_l the cotangent on a_l = tanh(z_l) from the
-        ordinary reverse sweep, and s'' = -2 a (1 - a^2) (BackPACK's per-layer
-        recursion; Dangel, Kunstner & Hennig, ICLR 2020).  The reverse sweep
-        runs first and keeps the curvature weights c_l = delta_l * s''(z_l);
-        the 2d input tangents then go forward together, stacked as
-        [B, 2d, n_l], one matmul per layer, and only the current layer's stack
-        is held.  Each layer adds J_l^T diag(c_l) J_l as one batched matmul;
-        the upper triangle is then mirrored onto the lower, so hess is exactly
-        symmetric.
+        with J_l = dz_l/dy and curv_l = delta_l * tanh''(z_l) from the
+        ordinary reverse sweep (BackPACK's per-layer recursion; Dangel,
+        Kunstner & Hennig, ICLR 2020).  The reverse sweep runs first; the 2d
+        input tangents then go forward together, stacked as [B, 2d, n_l],
+        one matmul per layer on the kept slopes, and only the current
+        layer's stack is held.  Each layer adds J_l^T diag(curv_l) J_l as one
+        batched matmul; the upper triangle is then mirrored onto the lower,
+        so hess is exactly symmetric.
         """
-        acts = self._forward(layers, y)
+        acts = self._forward(prep, y)
+        primal = self._primal_reverse(prep, acts)
         batch, width = y.shape
-        last = len(layers) - 1
+        last = len(prep.layers) - 1
         if last == 0:
-            return np.zeros((batch, width, width)), acts
-
-        curv = [None] * last
-        delta = layers[last][0][:, 0]
-        for l in range(last - 1, -1, -1):
-            a = acts[l + 1]
-            g = delta * (1.0 - a ** 2)
-            curv[l] = -2.0 * a * g
-            if l > 0:
-                delta = g @ layers[l][0].T
-        METER.track(*curv)
+            return np.zeros((batch, width, width)), acts, primal
+        slopes, _, curv = primal
+        pairs, cross = prep.hess_terms
 
         # J_0 is the rows of W_0 at every point, so layer 0 adds one matmul
         # against their pairwise products, and J_1 is one matmul of the slopes
         # against W_0 and W_1 combined
-        w0 = layers[0][0]
-        hess = (curv[0] @ (w0[:, None, :] * w0).reshape(width * width, -1).T
-                ).reshape(batch, width, width)
-        METER.release(curv[0])
+        hess = (curv[0] @ pairs).reshape(batch, width, width)
         tan = None
         for l in range(1, last):
-            w = layers[l][0]
-            slope = 1.0 - acts[l] ** 2
+            w = prep.layers[l][0]
             if tan is None:
-                z_tan = slope @ (w0.T[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+                z_tan = slopes[0] @ cross
             else:
-                z_tan = (tan * slope[:, None, :]).reshape(-1, len(w)) @ w
+                z_tan = (tan * slopes[l - 1][:, None, :]).reshape(-1, len(w)) @ w
             z_tan = z_tan.reshape(batch, width, -1)
             METER.track(z_tan)
             if tan is not None:
                 METER.release(tan)
             tan = z_tan
             hess += (tan * curv[l][:, None, :]) @ tan.transpose(0, 2, 1)
-            METER.release(curv[l])
         if tan is not None:
             METER.release(tan)
         for i in range(1, width):
             hess[:, i, :i] = hess[:, :i, i]
-        return hess, acts
+        return hess, acts, primal
 
     def hess_state(self, theta, y):
         """Full second derivative d2H/dy2, shape [..., 2d, 2d].
@@ -343,11 +423,12 @@ class HamiltonianNet:
         triangle is mirrored, so the result is exactly symmetric.
         """
         y2, single = _as_batch(y, self.arch[0])
-        hess, acts = self._hess_and_tape(self.unpack(theta), y2)
+        hess, acts, primal = self._hess_and_tape(self.prepare(theta), y2)
         self._drop(acts)
+        self._drop_primal(primal)
         return hess[0] if single else hess
 
-    def field_vjp(self, layers, acts, u, need_params):
+    def field_vjp(self, prep, acts, u, need_params):
         """Reverse through one recorded field evaluation.
 
         Given the cotangent u on f(y) = (dH/dp, -dH/dq) and the activations
@@ -359,7 +440,7 @@ class HamiltonianNet:
         This is the workhorse of the backprop-through-solver engine.
         """
         w_dir = costate_to_direction(u, self.dim)
-        return self._mixed(layers, acts, w_dir, need_state=True, need_params=need_params)
+        return self._mixed(prep, acts, w_dir, need_state=True, need_params=need_params)
 
 
 # ----------------------------------------------------------------------
@@ -398,25 +479,49 @@ def save_checkpoint(header_path, net, theta, seed):
 
 
 def load_checkpoint(header_path):
-    """Read a checkpoint pair back; returns (net, theta, header)."""
+    """Read a checkpoint pair back; returns (net, theta, header).
+
+    The header must hold exactly the fields save_checkpoint writes, each of
+    its type; data_file must be a bare file name, read from beside the
+    header; and every parameter must be finite.  Anything else raises
+    ValueError naming the field.
+    """
     header_path = pathlib.Path(header_path)
     with open(header_path, encoding="utf-8") as fh:
         header = json.load(fh)
-    version = header.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header must hold a JSON object")
+    if header.keys() != _HEADER_KEYS:
+        raise ValueError(f"checkpoint header keys: unknown {sorted(header.keys() - _HEADER_KEYS)}, "
+                         f"missing {sorted(_HEADER_KEYS - header.keys())}")
+    version = header["format_version"]
+    if not _is_int(version) or version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    arch = tuple(header["arch"])
-    if len(arch) < 2 or arch[-1] != 1 or arch[0] % 2 != 0:
-        raise ValueError(f"checkpoint arch {arch} is not a scalar network over phase space")
+    for name, want in (("kind", "hamiltonian-net"), ("dtype", "<f8")):
+        if header[name] != want:
+            raise ValueError(f"checkpoint {name} must be {want!r}, got {header[name]!r}")
+    if not _is_int(header["seed"]):
+        raise ValueError(f"checkpoint seed must be an integer, got {header['seed']!r}")
+    arch = header["arch"]
+    if not (isinstance(arch, list) and len(arch) >= 2 and all(_is_int(w) and w >= 1 for w in arch)
+            and arch[-1] == 1 and arch[0] % 2 == 0):
+        raise ValueError(f"checkpoint arch {arch!r} is not a scalar network over phase space")
     net = HamiltonianNet(arch[0] // 2, hidden=arch[1:-1])
-    if net.n_params != header["param_count"]:
-        raise ValueError(
-            f"header param_count {header['param_count']} does not match arch {arch}"
-        )
-    bin_path = header_path.parent / header["data_file"]
-    theta = np.fromfile(bin_path, dtype="<f8")
+    if not _is_int(header["dim"]) or header["dim"] != net.dim:
+        raise ValueError(f"checkpoint dim {header['dim']!r} does not match arch {arch}")
+    if not _is_int(header["param_count"]) or header["param_count"] != net.n_params:
+        raise ValueError(f"checkpoint param_count {header['param_count']!r} does not match "
+                         f"arch {arch}")
+    data_file = header["data_file"]
+    if not (isinstance(data_file, str) and data_file not in ("", ".", "..")
+            and pathlib.PurePath(data_file).name == data_file):
+        raise ValueError(f"checkpoint data_file must be a bare file name, got {data_file!r}")
+    theta = np.fromfile(header_path.parent / data_file, dtype="<f8")
     if theta.shape != (net.n_params,):
         raise ValueError(
             f"parameter file holds {theta.size} values, arch {arch} needs {net.n_params}"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"checkpoint parameters hold {np.count_nonzero(~np.isfinite(theta))} "
+                         "non-finite values")
     return net, theta, header

@@ -69,7 +69,7 @@ def test_adjoint_rhs_is_negative_jacobian_transpose():
     # recorded field evaluation produces it
     net = HamiltonianNet(1, hidden=(6,))
     theta = net.init_params(40)
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     rng = np.random.default_rng(41)
     for _ in range(5):
         y = rng.uniform(-1, 1, size=2)
@@ -218,7 +218,7 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
     states = rng.uniform(-0.8, 0.8, size=(2, 4, 2))
     partials = rng.standard_normal((1, 4, 2))
     mid = 0.5 * (states[0] + states[1])
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     want = np.zeros(net.n_params)
     rho = 0.0
     for b in range(4):
@@ -276,10 +276,11 @@ def test_blown_up_rollout_releases_all_tapes():
 
 
 def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch):
-    # each backward step runs one network forward pass, shared by the
-    # closed-form Hessian and the parameter term, and never evaluates the
-    # vector field itself
-    calls = {"_forward": 0, "_reverse_input": 0}
+    # each backward step runs one network forward pass and one primal
+    # reverse, both shared by the closed-form Hessian and the parameter term
+    # (no _mixed, which would reverse the primal again), and never evaluates
+    # the vector field itself
+    calls = {"_forward": 0, "_reverse_input": 0, "_primal_reverse": 0, "_mixed": 0}
     for name in calls:
         original = getattr(HamiltonianNet, name)
 
@@ -294,7 +295,8 @@ def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch
     states = rng.uniform(-0.8, 0.8, size=(n_steps + 1, 16, 4))
     partials = rng.standard_normal((n_steps, 16, 4))
     solve_adjoint_accumulate(net, theta, states, partials, 0.05)
-    assert calls == {"_forward": n_steps, "_reverse_input": 0}
+    assert calls == {"_forward": n_steps, "_reverse_input": 0, "_primal_reverse": n_steps,
+                     "_mixed": 0}
     assert METER.live_bytes == 0
 
 

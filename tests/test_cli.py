@@ -456,6 +456,62 @@ def test_eval_without_checkpoint_or_oracle_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _bad_header(header):
+    return [1, 2]
+
+
+def _no_arch(header):
+    del header["arch"]
+    return header
+
+
+def _escaping_data_file(header):
+    header["data_file"] = "../dw/fit/model.bin"
+    return header
+
+
+def _absolute_data_file(header):
+    header["data_file"] = str(pathlib.Path.cwd().anchor) + "model.bin"
+    return header
+
+
+def _fractional_arch(header):
+    header["arch"][1] = 16.5
+    return header
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (_bad_header, "JSON object"),
+    (_no_arch, "missing ['arch']"),
+    (_escaping_data_file, "data_file"),
+    (_absolute_data_file, "data_file"),
+    (_fractional_arch, "checkpoint arch"),
+    (None, "non-finite"),
+])
+def test_eval_malformed_checkpoint_exits_one_with_one_line(checkpoint, tmp_path, capsys,
+                                                           corrupt, needle):
+    # a header of the wrong shape, a payload path leaving the checkpoint's
+    # directory and a NaN weight all stop at load, naming what is wrong
+    src = tmp_path / "src"
+    shutil.copytree(checkpoint.parent, src)
+    header = json.loads((src / "model.json").read_text())
+    if corrupt is None:
+        theta = np.fromfile(src / header["data_file"], dtype="<f8")
+        theta[3] = np.nan
+        theta.tofile(src / header["data_file"])
+    else:
+        (src / "model.json").write_text(json.dumps(corrupt(header)))
+    # a sibling checkpoint the escaping data_file would otherwise reach
+    shutil.copytree(checkpoint.parent, tmp_path / "dw" / "fit")
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(src / "model.json"), "--system",
+                 "double_well", "--grid-points", "5", "--drift-steps", "10",
+                 "--out-dir", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and needle in err
+
+
 def test_eval_reruns_are_identical(checkpoint, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -347,6 +347,28 @@ def test_nonfinite_blowup_is_reported_with_step_context():
     assert "step" in message and "h=" in message
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_midpoint_nonfinite_sweep_raises_with_step_context(bad):
+    # a non-finite iterate is caught from the sweep's residual: poison one
+    # row of the third sweep of step 2, after finite sweeps and steps
+    calls = []
+
+    def poisoned(y):
+        calls.append(None)
+        f = sho_field(y)
+        if len(calls) == sweeps_before + 3:
+            f[1, 0] = bad
+        return f
+
+    y0 = np.array([[0.3, 0.7], [0.5, -0.2]])
+    clean, reports = integrate(sho_field, y0, h=0.1, n_steps=4)
+    sweeps_before = sum(r.iterations for r in reports[:2])
+    assert reports[2].iterations > 3
+    with pytest.raises(NonFiniteError) as exc_info:
+        integrate(poisoned, y0, h=0.1, n_steps=4)
+    assert "(step 2 of 4, h=0.1)" in str(exc_info.value)
+
+
 def test_reference_integrator_is_fourth_order_accurate():
     y0 = np.array([0.3, 0.7])
     traj, _ = integrate(sho_field, y0, h=0.01, n_steps=100, method="gauss2",

@@ -107,7 +107,7 @@ def test_costate_to_direction_layout():
 def param_contraction(net, theta, y, lam):
     """Sum over the batch of <lam, df/dtheta>: the parameter half of the
     reverse through one field evaluation at y."""
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     acts = net._forward(layers, y)
     try:
         return net.field_vjp(layers, acts, lam, need_params=True)[1]
@@ -159,7 +159,7 @@ def test_field_vjp_equals_hessian_contraction():
     theta = net.init_params(9)
     y = rng.uniform(-1, 1, size=(3, 2))
     u = rng.standard_normal((3, 2))
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     acts = net._forward(layers, y)
     ybar, _ = net.field_vjp(layers, acts, u, need_params=False)
     net._drop(acts)
@@ -178,7 +178,7 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
     theta = 3.0 * net.init_params(18)
     rng = np.random.default_rng(19)
     y = rng.uniform(-1, 1, size=(64, 2 * dim))
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     acts = net._forward(layers, y)
     cols = []
     for k in range(2 * dim):
@@ -215,17 +215,24 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     acts = net._forward(layers, y)
+    # the costate step's parameter reverse: the tangent-over-reverse on the
+    # primal pieces the Hessian pass kept, with no second primal reverse
+    _, hess_tape, primal = net._hess_and_tape(layers, y)
     try:
         for need_state in (True, False):
             for need_params in (True, False):
                 got = net._mixed(layers, acts, w_dir, need_state, need_params)
-                for flag, part, ref in zip((need_state, need_params), got, want):
+                fused = net._tangent_reverse(layers, hess_tape, primal, w_dir,
+                                             need_state, need_params)
+                for flag, part, fused_part, ref in zip((need_state, need_params), got,
+                                                       fused, want):
                     if flag:
                         check(part, ref)
+                        check(fused_part, ref)
                     else:
-                        assert part is None
+                        assert part is None and fused_part is None
         for need_params in (True, False):
             ybar, thetabar = net.field_vjp(layers, acts, u, need_params=need_params)
             check(ybar, want[0])
@@ -235,6 +242,8 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
                 assert thetabar is None
     finally:
         net._drop(acts)
+        net._drop(hess_tape)
+        net._drop_primal(primal)
 
 
 @pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
@@ -248,18 +257,19 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
     y = rng.uniform(-1, 1, size=(32, 4))
     w_dir = rng.standard_normal((32, 4))
     kept = [theta.copy(), y.copy(), w_dir.copy()]
-    layers = net.unpack(theta)
+    layers = net.prepare(theta)
     acts = net._forward(layers, y)
     tape = [a.copy() for a in acts]
 
     def sweeps():
         fresh = net._forward(layers, y)
         net._drop(fresh)
-        hess, hess_tape = net._hess_and_tape(layers, y)
+        hess, hess_tape, primal = net._hess_and_tape(layers, y)
         net._drop(hess_tape)
-        return [*fresh, net._reverse_input(layers, acts),
+        net._drop_primal(primal)
+        return [*fresh, net._reverse_input(layers, acts), net._reverse_input(layers, acts, True),
                 *net._mixed(layers, acts, w_dir, need_state=True, need_params=True),
-                hess, *hess_tape]
+                hess, *hess_tape, *primal[0], *primal[1], *primal[2]]
 
     try:
         first = sweeps()
@@ -284,6 +294,19 @@ def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
     assert np.array_equal(net.field(theta, tapes)(y), net.dynamics(theta, y))
     assert len(tapes) == 1 and np.array_equal(tapes[0][0], y)
     net._drop(tapes[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
+    # the closure ends its reverse on W_0^T with the canonical rotation
+    # folded into its columns, or on the rotated head row when no layer is
+    # hidden; dynamics rotates the plain input gradient afterwards
+    net = HamiltonianNet(dim, hidden=hidden)
+    theta = 2.0 * net.init_params(28)
+    for batch in (1, 64, 512):
+        y = np.random.default_rng(batch).uniform(-1, 1, size=(batch, 2 * dim))
+        assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
 
 
 def test_methods_are_pure():
