@@ -177,8 +177,11 @@ def backward_through_record(net, theta, record, partials):
     as they are consumed, so peak memory sits at the end of the forward pass.
     Each step's first iterate was extrapolated from the states before it, so
     the cotangent left on that iterate goes back onto those states with the
-    same weights; two pending buffers carry it to the earlier steps, and the
-    result is the exact gradient of the computed loss.
+    same weights.  One owed buffer per weight beyond the first carries it to
+    the earlier steps: while step n is reversed, owed[j] holds what the
+    seeds of later steps owe states[n - j].  Step n adds owed[0] to the
+    cotangent of states[n] and shifts the rest down by one.  The result is
+    the exact gradient of the computed loss.
     """
     partials = np.asarray(partials, dtype=np.float64)
     n_steps = len(record.steps)
@@ -188,8 +191,8 @@ def backward_through_record(net, theta, record, partials):
     h = record.h
     grad = np.zeros(net.n_params)
     cot = np.zeros_like(record.states[-1])
-    # cotangents of states[n] and states[n-1] owed by the seeds of later steps
-    owed = (np.zeros_like(cot), np.zeros_like(cot))
+    top = len(SEED_WEIGHTS) - 1
+    owed = [np.zeros_like(cot) for _ in range(top)]
     METER.track(grad, cot, *owed)
 
     for n in range(n_steps - 1, -1, -1):
@@ -197,7 +200,7 @@ def backward_through_record(net, theta, record, partials):
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
-        # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, 2)]
+        # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, top)]
         for acts in reversed(tapes):
             ybar, thbar = net.field_vjp(prep, acts, h * cot, need_params=True)
             METER.release(*acts[1:])
@@ -205,9 +208,11 @@ def backward_through_record(net, theta, record, partials):
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar
         tapes.clear()
-        # the seed's cotangent: w_0 onto states[n], w_1 and w_2 owed further back
-        w = SEED_WEIGHTS[min(n, 2)] + (0.0, 0.0)
-        cot, owed = cot_yn + owed[0] + w[0] * cot, (owed[1] + w[1] * cot, w[2] * cot)
+        # the seed's cotangent: w_0 onto states[n], the rest owed further back
+        w = SEED_WEIGHTS[min(n, top)]
+        w += (0.0,) * (top + 1 - len(w))
+        cot, owed = (cot_yn + owed[0] + w[0] * cot,
+                     [o + c * cot for o, c in zip(owed[1:] + [0.0], w[1:])])
 
     METER.release(grad, cot, *owed)
     return grad

@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import pathlib
 import sys
@@ -76,6 +77,20 @@ def _int(value):
     return int(value)
 
 
+def _float(value):
+    """A finite number from a flag string or a JSON number; a JSON boolean,
+    NaN or infinity is an error."""
+    if isinstance(value, bool):
+        raise ValueError(f"expects a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:            # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expects a finite number, got {value!r}")
+    return number
+
+
 def _flag(value):
     """A switch: the flag sets True; a config file must hold true or false."""
     if not isinstance(value, bool):
@@ -93,15 +108,15 @@ def _numbers(kind):
 
 
 def _kv_floats(value):
-    """K=V strings, or a JSON object, as {K: float(V)}."""
+    """K=V strings, or a JSON object, as {K: _float(V)}."""
     if isinstance(value, dict):
-        return {str(k): float(v) for k, v in value.items()}
+        return {str(k): _float(v) for k, v in value.items()}
     out = {}
     for item in value:
         if "=" not in item:
             raise ValueError(f"expects K=V, got {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = float(v)
+        out[k.strip()] = _float(v)
     return out
 
 
@@ -151,7 +166,7 @@ def _build_parser():
         opt("--system-param", {}, _kv_floats, action="append", metavar="K=V")
 
     def solver_opts(opt):
-        opt("--fpi-tol", None, float)
+        opt("--fpi-tol", None, _float)
         opt("--fpi-max-iters", None, _int)
 
     opt = command("gen-data", "integrate a benchmark system and store noisy trajectories",
@@ -160,8 +175,8 @@ def _build_parser():
     opt("--n-train", None, _int)
     opt("--n-val", None, _int)
     opt("--n-steps", None, _int)
-    opt("--dt", None, float)
-    opt("--noise-std", None, float)
+    opt("--dt", None, _float)
+    opt("--noise-std", None, _float)
     opt("--smoke", False, _flag, action="store_true",
         help="desk-scale sizes (1024 train / 256 val)")
     opt("--full", False, _flag, action="store_true",
@@ -177,7 +192,7 @@ def _build_parser():
     opt("--batch-size", None, _int)
     opt("--epochs", None, _int)
     opt("--windows-per-traj", None, _int)
-    opt("--lr", None, float)
+    opt("--lr", None, _float)
     opt("--shooting", choices=["single", "multiple"])
     opt("--segment-steps", None, _int)
     solver_opts(opt)
@@ -194,17 +209,17 @@ def _build_parser():
     opt("--slice", {}, _axis_slices, action="append", metavar="AXIS=VALUE",
         help="fix a non-grid coordinate (default 0.0)")
     opt("--drift-steps", 1000, _int)
-    opt("--drift-h", 0.01, float)
-    opt("--fpi-tol", None, float)
+    opt("--drift-h", 0.01, _float)
+    opt("--fpi-tol", None, _float)
 
     opt = command("integrate", "roll a system or checkpoint forward and dump the trajectory CSV",
                   "runs/integrate")
     system_opts(opt, None)
     opt("--checkpoint")
     opt("--method")
-    opt("--h", 0.01, float)
+    opt("--h", 0.01, _float)
     opt("--n-steps", 1000, _int)
-    opt("--y0", None, _numbers(float), metavar="X1,X2,...")
+    opt("--y0", None, _numbers(_float), metavar="X1,X2,...")
     solver_opts(opt)
 
     opt = command("profile", "memory/runtime comparison of the two gradient engines",
@@ -212,14 +227,14 @@ def _build_parser():
     opt("--system")
     opt("--batch-size", None, _int)
     opt("--window-steps", None, _numbers(_int), metavar="N1,N2,...")
-    opt("--h", None, float)
+    opt("--h", None, _float)
     opt("--repeats", None, _int)
 
     opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair",
                   "runs/check-tableau")
     opt("--method", help="registered tableau name")
     opt("--file", help="JSON file with a_q, b_q, a_p, b_p arrays")
-    opt("--tol", None, float)
+    opt("--tol", None, _float)
 
     opt = command("grad-check", "compare costate, reverse-tape, and finite-difference gradients",
                   "runs/grad-check")
@@ -227,9 +242,9 @@ def _build_parser():
     opt("--hidden", (8,), _numbers(_int), metavar="H1,H2,...")
     opt("--window-steps", 4, _int)
     opt("--batch-size", 4, _int)
-    opt("--h", 0.01, float)
-    opt("--fd-step", 1e-5, float)
-    opt("--fpi-tol", 1e-12, float)
+    opt("--h", 0.01, _float)
+    opt("--fd-step", 1e-5, _float)
+    opt("--fpi-tol", 1e-12, _float)
 
     opt = command("export-csv", "dump stored trajectories as CSV", "runs/export")
     opt("--data")
@@ -387,7 +402,7 @@ def cmd_eval(opts):
                 f"checkpoint has dim {net.dim}, system {system.name} has dim {system.dim}"
             )
         h_fn = functools.partial(net.eval_h, theta)
-        dyn_fn = functools.partial(net.dynamics, theta)
+        dyn_fn = net.field(theta)
         source = str(opts["checkpoint"])
 
     report, points = evaluate_ood(h_fn, dyn_fn, system, slices=opts["slice"], **_given(
@@ -437,7 +452,7 @@ def cmd_integrate(opts):
         net, theta, _ = load_checkpoint(opts["checkpoint"])
         if y0 is None:
             raise UsageError("--y0 is required when integrating a checkpoint")
-        field = functools.partial(net.dynamics, theta)
+        field = net.field(theta)
         h_fn = functools.partial(net.eval_h, theta)
         dim = net.dim
         label = f"checkpoint:{opts['checkpoint']}"

@@ -29,7 +29,7 @@ import pathlib
 
 import numpy as np
 
-from .integrators import REFERENCE_FPI, integrate
+from .integrators import REFERENCE_FPI, _is_finite, _is_int, integrate
 from .systems import get_system
 
 MANIFEST_FORMAT_VERSION = 1
@@ -44,14 +44,6 @@ DEFAULT_NOISE_STD = 0.01
 
 FULL_SCALE = {"n_train": 16384, "n_val": 8192}
 SMOKE_SCALE = {"n_train": 1024, "n_val": 256}
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,7 +69,8 @@ class DatasetManifest:
 
     def __post_init__(self):
         """Reject a field of the wrong type or range, naming it: counts are
-        integers (not booleans), dt and noise_std finite numbers."""
+        integers (not booleans); dt, noise_std and the system parameters
+        finite numbers."""
         for name, low in (("dim", 1), ("seed", 0), ("n_train", 1), ("n_val", 0),
                           ("n_steps", 1)):
             value = getattr(self, name)
@@ -92,6 +85,9 @@ class DatasetManifest:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"manifest {name} must be a {kind.__name__}, got {value!r}")
+        if not all(_is_finite(v) for v in self.system_params.values()):
+            raise ValueError(f"manifest system_params must map names to finite numbers, "
+                             f"got {self.system_params!r}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"

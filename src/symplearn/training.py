@@ -14,14 +14,13 @@ trajectories they produce stay within solver tolerance of each other.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
 
 from . import adjoint as adj
 from .data import csv_lines, sample_windows, split_dataset
-from .integrators import FpiConfig, NonFiniteError, integrate
+from .integrators import FpiConfig, NonFiniteError, _is_finite, _is_int, integrate
 from .model import DEFAULT_HIDDEN, HamiltonianNet
 
 
@@ -125,20 +124,29 @@ class TrainConfig:
     val_batches: int = 2
 
     def __post_init__(self):
-        if self.grad_mode not in ("adjoint", "backprop"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
-        if self.shooting not in ("single", "multiple"):
-            raise ValueError(f"unknown shooting {self.shooting!r}")
-        if self.window_steps < 1 or self.stride < 1:
-            raise ValueError("window_steps and stride must be >= 1")
-        if self.batch_size < 1 or self.windows_per_traj < 1 or self.val_batches < 1:
-            raise ValueError("batch_size, windows_per_traj and val_batches must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        """Reject a field of the wrong type or range, naming it."""
+        for name, choices in (("grad_mode", ("adjoint", "backprop")),
+                              ("shooting", ("single", "multiple"))):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):
+                raise ValueError(f"unknown {name} {value!r}")
+        for name, low in (("window_steps", 1), ("stride", 1), ("batch_size", 1),
+                          ("epochs", 0), ("windows_per_traj", 1), ("seed", 0),
+                          ("val_batches", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (_is_finite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
+        if not isinstance(self.fpi, FpiConfig):
+            raise ValueError(f"fpi must be an FpiConfig, got {self.fpi!r}")
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(_is_int(w) and w >= 1 for w in self.hidden)):
+            raise ValueError(f"hidden must be a sequence of integers >= 1, got {self.hidden!r}")
+        seg = self.segment_steps
+        if not (seg is None or _is_int(seg)):
+            raise ValueError(f"segment_steps must be an integer, got {seg!r}")
         if self.shooting == "multiple":
-            seg = self.segment_steps
             if seg is None or seg < 2:
                 raise ValueError("multiple shooting needs segment_steps >= 2")
             if self.window_steps % seg != 0:

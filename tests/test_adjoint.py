@@ -157,21 +157,25 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
     # at a loose, capped solver the computed loss is far from the converged
     # map's, so only a reverse that also routes each step's leftover
     # first-iterate cotangent back onto the states its seed was extrapolated
-    # from matches finite differences of that loss; dropping it reads ~3e-3
+    # from matches finite differences of that loss; dropping it reads ~3e-3.
+    # Seven steps use the quartic row three times, so cotangents owed four
+    # steps back pass through every owed buffer
     net = HamiltonianNet(1, hidden=(8, 8))
     theta = net.init_params(70)
     h, cfg = 0.1, FpiConfig(tol=1e-3, max_iters=4)
-    windows = make_windows(net, theta, batch=4, n_steps=5, h=h, seed=71)
     config = TrainConfig(grad_mode="backprop", fpi=cfg, hidden=(8, 8))
-    _, grad, _ = loss_and_grad(net, theta, windows, h, config)
-    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta,
-                      eps=1e-5)
-    assert rel(grad, fd) <= 1e-6
+    for n_steps in (5, 7):
+        windows = make_windows(net, theta, batch=4, n_steps=n_steps, h=h, seed=71)
+        _, grad, _ = loss_and_grad(net, theta, windows, h, config)
+        fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta,
+                          eps=1e-5)
+        assert rel(grad, fd) <= 1e-6
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5])
 def test_engines_agree_on_every_seed_branch(n_steps):
-    # windows of 1, 2 and 3 steps end on the y_n, linear and quadratic seeds
+    # windows of 1 to 5 steps end on the y_n, linear, quadratic, cubic and
+    # quartic seeds
     net = HamiltonianNet(1, hidden=(6, 6))
     theta = net.init_params(72)
     windows = make_windows(net, theta, batch=4, n_steps=n_steps, h=0.05, seed=73)
@@ -253,17 +257,23 @@ def test_costate_memory_does_not_grow_with_window_length():
 
 
 def test_backprop_memory_grows_with_window_length():
+    # every step keeps at least one tape (one [B, sum of hidden] stack), so
+    # twelve more steps hold at least twelve more tapes at the peak; with
+    # the quartic seed each step after the fourth converges here in exactly
+    # one sweep, and the growth is exactly that
     net = HamiltonianNet(1)
     theta = net.init_params(58)
+    batch = 32
+    tape_bytes = batch * sum(net.arch[1:-1]) * 8
 
     def peak(n_steps):
-        windows = make_windows(net, theta, batch=32, n_steps=n_steps, h=0.01,
+        windows = make_windows(net, theta, batch=batch, n_steps=n_steps, h=0.01,
                                seed=59)
         with METER.measure() as meter:
             backprop_grad(net, theta, windows, 0.01, TIGHT)
             return meter.peak_bytes
 
-    assert peak(16) >= 2.0 * peak(4)
+    assert peak(16) - peak(4) >= 12 * tape_bytes
 
 
 def test_blown_up_rollout_releases_all_tapes():

@@ -369,6 +369,21 @@ def test_config_integers_reject_fractions(tmp_path, capsys):
     assert json.loads((tmp_path / "ok" / "eval.json").read_text())["points_per_axis"] == 3
 
 
+def test_numbers_reject_booleans_and_non_finite_values(tmp_path, capsys):
+    # a JSON true is not the number 1, and NaN or an infinity is no step size
+    for cmd, key, value, flags in (
+            ("train", "lr", True, ("--data", "d")),
+            ("eval", "drift_h", float("nan"), ("--oracle",)),
+            ("integrate", "h", float("inf"), ("--system", "coupled_ho")),
+            ("gen-data", "system_param", {"alpha": float("nan")}, ()),
+            ("train", "lr", 10 ** 400, ("--data", "d"))):
+        err = config_error(capsys, tmp_path, cmd, {key: value}, *flags)
+        assert f"config key {key!r}" in err
+    assert main(["eval", "--oracle", "--drift-h", "nan", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "--drift-h" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # the same options as flags and as a config file (keys with underscores,
 # lists and K=V pairs as JSON) must write the same files
 PARITY = {
@@ -520,6 +535,32 @@ def test_eval_reruns_are_identical(checkpoint, tmp_path):
                      "20", "--seed", "11", "--out-dir", str(out)]) == 0
     assert (a / "eval.json").read_bytes() == (b / "eval.json").read_bytes()
     assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", [None, "gauss2"])
+def test_eval_and_integrate_write_the_bytes_of_dynamics(checkpoint, tmp_path, monkeypatch,
+                                                        capsys, method):
+    # eval's grid and drift rollouts and integrate --checkpoint run on one
+    # prepared field closure per command; integrating net.dynamics instead
+    # must write the same files byte for byte
+    extra = ["--method", method] if method else []
+
+    def run(out):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--system", "double_well",
+                     "--grid-points", "5", "--drift-steps", "30",
+                     "--out-dir", str(out / "eval")]) == 0
+        assert main(["integrate", "--checkpoint", str(checkpoint), "--y0", "0.5,-0.3",
+                     "--h", "0.05", "--n-steps", "30", *extra,
+                     "--out-dir", str(out / "integrate")]) == 0
+
+    run(tmp_path / "field")
+    monkeypatch.setattr(HamiltonianNet, "field",
+                        lambda net, theta, tapes=None: lambda y: net.dynamics(theta, y))
+    run(tmp_path / "dynamics")
+    capsys.readouterr()
+    for name in ("eval/eval.json", "eval/grid.csv", "integrate/trajectory.csv"):
+        assert ((tmp_path / "field" / name).read_bytes()
+                == (tmp_path / "dynamics" / name).read_bytes())
 
 
 # ------------------------------------------------------------------- integrate

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
                      fd_jacobian, midpoint_linear_exact, sho_energy,
                      sho_exact, sho_field)
 
 from symplearn.data import sample_initial_conditions
-from symplearn.integrators import (REFERENCE_FPI, FpiConfig, NonFiniteError,
+from symplearn import integrators
+from symplearn.integrators import (REFERENCE_FPI, SEED_WEIGHTS, FpiConfig, NonFiniteError,
                                    PrkTableau, TABLEAUX, check_symplectic_tableau,
                                    implicit_midpoint_step, integrate, prk_step)
 from symplearn.systems import get_system
@@ -198,11 +200,30 @@ def test_generic_prk_midpoint_agrees_with_specialized_step():
     assert np.max(np.abs(via_prk - direct)) <= 1e-12
 
 
+@given(k=st.integers(0, len(SEED_WEIGHTS) - 1),
+       coeffs=st.lists(st.integers(-1000, 1000), min_size=1, max_size=len(SEED_WEIGHTS)),
+       t0=st.integers(-50, 50))
+def test_seed_rows_extrapolate_polynomials_exactly(k, coeffs, t0):
+    # row k weighs y_n, y_{n-1}, ..., y_{n-k}; on the values of an integer
+    # polynomial of degree <= k at consecutive integer times it must land on
+    # the next value exactly (every sum here is an exact integer in float64)
+    row = SEED_WEIGHTS[k]
+    assert len(row) == k + 1 and sum(row) == 1.0
+    coeffs = coeffs[:k + 1]
+
+    def poly(t):
+        return float(sum(c * t ** j for j, c in enumerate(coeffs)))
+
+    got = sum(w * poly(t0 - j) for j, w in enumerate(row))
+    assert got == poly(t0 + 1)
+
+
 @pytest.mark.parametrize("name", ["double_well", "henon_heiles"])
-def test_extrapolated_seed_saves_sweeps(name):
+def test_extrapolated_seed_saves_sweeps(name, monkeypatch):
     # integrate seeds each solve from its stored states; a hand loop of
     # steps started from y_n is the reference it must beat on sweeps and
-    # match on states
+    # match on states, and on a 32-step rollout the quartic row must beat
+    # the table cut back to the quadratic row
     system = get_system(name)
     y0 = sample_initial_conditions(system, 64, np.random.default_rng(80))
     cfg, h = FpiConfig(), 0.025
@@ -214,6 +235,15 @@ def test_extrapolated_seed_saves_sweeps(name):
         assert np.max(np.abs(traj.states[i + 1] - y)) <= 1e-9
     assert reports[0] == plain[0]
     assert sum(r.iterations for r in reports) < sum(r.iterations for r in plain)
+
+    def sweeps(n_steps):
+        return sum(r.iterations for r in integrate(system.dynamics, y0, h, n_steps,
+                                                   cfg=cfg)[1])
+
+    quartic = sweeps(32)
+    monkeypatch.setattr(integrators, "SEED_WEIGHTS", SEED_WEIGHTS[:3])
+    quadratic = sweeps(32)
+    assert quartic < 0.9 * quadratic     # 131 vs 161 (dw), 103 vs 143 (hh)
 
 
 # ----------------------------------------------------------------------

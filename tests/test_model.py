@@ -1,5 +1,8 @@
 """The network engine against naive re-implementations and finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,15 +220,18 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    # the costate step's parameter reverse: the tangent-over-reverse on the
-    # primal pieces the Hessian pass kept, with no second primal reverse
-    _, hess_tape, primal = net._hess_and_tape(layers, y)
     try:
         for need_state in (True, False):
             for need_params in (True, False):
                 got = net._mixed(layers, acts, w_dir, need_state, need_params)
+                # the costate step's parameter reverse: the tangent-over-reverse
+                # on the primal pieces a Hessian pass kept, with no second primal
+                # reverse; it consumes them, so each call gets a fresh pass
+                _, hess_tape, primal = net._hess_and_tape(layers, y)
                 fused = net._tangent_reverse(layers, hess_tape, primal, w_dir,
                                              need_state, need_params)
+                net._drop(hess_tape)
+                net._drop_primal(primal)
                 for flag, part, fused_part, ref in zip((need_state, need_params), got,
                                                        fused, want):
                     if flag:
@@ -242,8 +248,6 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
                 assert thetabar is None
     finally:
         net._drop(acts)
-        net._drop(hess_tape)
-        net._drop_primal(primal)
 
 
 @pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
@@ -307,6 +311,83 @@ def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
     for batch in (1, 64, 512):
         y = np.random.default_rng(batch).uniform(-1, 1, size=(batch, 2 * dim))
         assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
+    # one PreparedNet serves batches of 512, 1 and 3 in turn from its bias
+    # and head rows tiled per batch size.  The forward pass and the first
+    # multiply of each reverse must equal the broadcasting reference bit for
+    # bit, every pass must equal the same pass on a fresh PreparedNet, and
+    # the cached rows must come out unwritten
+    net = HamiltonianNet(dim, hidden=hidden)
+    theta = 2.0 * net.init_params(30)
+    layers = net.unpack(theta)
+    head = layers[-1][0][:, 0]
+    prep = net.prepare(theta)
+    field = net.field(theta)
+    rng = np.random.default_rng(31)
+    for batch in (512, 1, 3, 512, 1):
+        y = rng.uniform(-1, 1, size=(batch, 2 * dim))
+        u = rng.standard_normal((batch, 2 * dim))
+        want = [y]
+        for w, b in layers[:-1]:
+            want.append(np.tanh(want[-1] @ w + b))
+        grad = head
+        for l in range(len(layers) - 2, -1, -1):
+            grad = ((1.0 - want[l + 1] * want[l + 1]) * grad) @ np.ascontiguousarray(
+                layers[l][0].T)
+        grad = np.broadcast_to(grad, y.shape)
+
+        acts = net._forward(prep, y)
+        try:
+            assert all(np.array_equal(a, b) for a, b in zip(acts, want, strict=True))
+            assert np.array_equal(net._reverse_input(prep, acts), grad)
+            assert np.array_equal(net.grad_state(theta, y), grad)
+            primal = net._primal_reverse(prep, acts)
+            if hidden:
+                a = want[-1]
+                assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
+            net._drop_primal(primal)
+            assert np.array_equal(field(y), net.dynamics(theta, y))
+            assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
+            hess, tape, primal = net._hess_and_tape(prep, y)
+            net._drop(tape)
+            net._drop_primal(primal)
+            assert np.array_equal(hess, net.hess_state(theta, y))
+            fresh = net.prepare(theta)
+            for got, ref in zip(net.field_vjp(prep, acts, u, need_params=True),
+                                net.field_vjp(fresh, acts, u, need_params=True)):
+                assert np.array_equal(got, ref)
+        finally:
+            net._drop(acts)
+    for batch in (1, 3, 512):
+        biases, head_rows, field_rows = prep.rows(batch)
+        for (_, b), tiled in zip(layers[:-1], biases, strict=True):
+            assert np.array_equal(tiled, np.broadcast_to(b, tiled.shape))
+        assert np.array_equal(head_rows, np.broadcast_to(head, head_rows.shape))
+        assert np.array_equal(field_rows, np.broadcast_to(prep.field_chain[0],
+                                                          field_rows.shape))
+
+
+def test_field_closure_is_freed_without_the_cycle_collector():
+    # the closure holds the PreparedNet and its tiled rows; it must not sit in
+    # a reference cycle, or every rollout's rows would live until the cycle
+    # collector happened to run
+    net = HamiltonianNet(1, hidden=(4,))
+    theta = net.init_params(32)
+    y = np.random.default_rng(33).uniform(-1, 1, size=(8, 2))
+    gc.disable()
+    try:
+        field = net.field(theta)
+        field(y)
+        field(y[0])
+        ref = weakref.ref(field)
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_methods_are_pure():
