@@ -40,7 +40,6 @@ _EXPORTS = {
     "implicit_midpoint_step": "integrators",
     "integrate": "integrators",
     "prk_step": "integrators",
-    "AllocationMeter": "memory",
     "METER": "memory",
     "HamiltonianNet": "model",
     "costate_to_direction": "model",

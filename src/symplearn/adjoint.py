@@ -26,7 +26,8 @@ The recorded-backprop engine runs the forward solve through the same
 every network tape alive, then walks the whole computation backward
 through each fixed-point sweep.  Its footprint grows linearly with the
 window length; it exists as the exactness baseline the costate engine is
-checked against.
+checked against.  Neither engine keeps memory accounts; profiling measures
+both footprints in traced bytes (symplearn.memory).
 
 Why not fold theta into an augmented state and integrate one big ODE
 backward: the augmented system is no longer canonically Hamiltonian, so the
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
-from .memory import METER
 from .model import canonical_field, costate_to_direction
 
 
@@ -97,34 +97,20 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
     prep = net.prepare(theta)
     grad = np.zeros(net.n_params)
     lam = np.zeros_like(states[-1])
-    METER.track(grad, lam)
-
-    try:
-        for n in range(n_steps - 1, -1, -1):
-            lam_end = lam + partials[n]      # observation jump at t_{n+1}
-            mid = 0.5 * (states[n] + states[n + 1])
-            hess, acts, primal = net._hess_and_tape(prep, mid)
-            try:
-                METER.track(hess)
-                try:
-                    a = 0.5 * h * canonical_field(hess, d)
-                    lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
-                finally:
-                    METER.release(hess)
-                if not np.all(np.isfinite(lam_mid)):
-                    raise NonFiniteError("non-finite costate in backward solve")
-                # the parameter term, reversed through the same forward tape on
-                # the Hessian pass's primal reverse
-                _, step_grad = net._tangent_reverse(prep, acts, primal,
-                                                    costate_to_direction(lam_mid, d),
-                                                    False, True)
-            finally:
-                net._drop(acts)
-                net._drop_primal(primal)
-            lam = 2.0 * lam_mid - lam_end
-            grad += h * step_grad
-    finally:
-        METER.release(grad, lam)
+    for n in range(n_steps - 1, -1, -1):
+        lam_end = lam + partials[n]      # observation jump at t_{n+1}
+        mid = 0.5 * (states[n] + states[n + 1])
+        hess, acts, primal = net._hess_and_tape(prep, mid)
+        a = 0.5 * h * canonical_field(hess, d)
+        lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
+        if not np.all(np.isfinite(lam_mid)):
+            raise NonFiniteError("non-finite costate in backward solve")
+        # the parameter term, reversed through the same forward tape on the
+        # Hessian pass's primal reverse
+        _, step_grad = net._tangent_reverse(prep, acts, primal,
+                                            costate_to_direction(lam_mid, d), False, True)
+        lam = 2.0 * lam_mid - lam_end
+        grad += h * step_grad
     return grad, AdjointDiagnostics(steps=n_steps)
 
 
@@ -139,13 +125,6 @@ class RecordedRollout:
     steps: list              # per step, the tapes of its sweeps, oldest first
     reports: list
 
-    def release(self):
-        """Drop every retained tape; backward_through_record calls this lazily."""
-        for tapes in self.steps:
-            for acts in tapes:
-                METER.release(*acts[1:])
-            tapes.clear()
-
 
 def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
     """Implicit-midpoint rollout through `integrate` that keeps every tape.
@@ -158,13 +137,7 @@ def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     tapes = []
-    try:
-        traj, reports = integrate(net.field(theta, tapes), y0, h, n_steps, cfg=cfg)
-    except (NonFiniteError, ValueError):
-        for acts in tapes:
-            METER.release(*acts[1:])
-        raise
-
+    traj, reports = integrate(net.field(theta, tapes), y0, h, n_steps, cfg=cfg)
     it = iter(tapes)
     steps = [list(itertools.islice(it, r.iterations)) for r in reports]
     return RecordedRollout(states=traj.states, h=h, steps=steps, reports=reports)
@@ -173,7 +146,7 @@ def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
 def backward_through_record(net, theta, record, partials):
     """Reverse sweep over a recorded rollout; returns the flat theta gradient.
 
-    partials is [n, B, 2d] as in solve_adjoint_accumulate.  Tapes are released
+    partials is [n, B, 2d] as in solve_adjoint_accumulate.  Tapes are freed
     as they are consumed, so peak memory sits at the end of the forward pass.
     Each step's first iterate was extrapolated from the states before it, so
     the cotangent left on that iterate goes back onto those states with the
@@ -193,7 +166,6 @@ def backward_through_record(net, theta, record, partials):
     cot = np.zeros_like(record.states[-1])
     top = len(SEED_WEIGHTS) - 1
     owed = [np.zeros_like(cot) for _ in range(top)]
-    METER.track(grad, cot, *owed)
 
     for n in range(n_steps - 1, -1, -1):
         tapes = record.steps[n]
@@ -203,7 +175,6 @@ def backward_through_record(net, theta, record, partials):
         # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, top)]
         for acts in reversed(tapes):
             ybar, thbar = net.field_vjp(prep, acts, h * cot, need_params=True)
-            METER.release(*acts[1:])
             grad += thbar
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar
@@ -213,6 +184,4 @@ def backward_through_record(net, theta, record, partials):
         w += (0.0,) * (top + 1 - len(w))
         cot, owed = (cot_yn + owed[0] + w[0] * cot,
                      [o + c * cot for o, c in zip(owed[1:] + [0.0], w[1:])])
-
-    METER.release(grad, cot, *owed)
     return grad

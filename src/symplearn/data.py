@@ -184,7 +184,8 @@ def load_dataset(dataset_dir):
     Both arrays are read-only memory maps of their files, as plain ndarrays.
     Nothing is read until a caller indexes them, and then only the pages it
     touches, so training, which samples noisy alone, never pages in clean.
-    Each file must hold exactly the bytes the manifest implies.
+    Each file must hold exactly the bytes the manifest implies, noisy only
+    finite values.
     """
     dataset_dir = pathlib.Path(dataset_dir)
     manifest = DatasetManifest.from_json(
@@ -198,6 +199,9 @@ def load_dataset(dataset_dir):
             raise ValueError(f"{name} holds {size} bytes, manifest implies {expected}")
         arrays.append(np.memmap(dataset_dir / name, dtype="<f8", mode="r",
                                 shape=manifest.shape).view(np.ndarray))
+    # min and max propagate NaN and reach any infinity, and allocate nothing
+    if not (math.isfinite(arrays[1].min()) and math.isfinite(arrays[1].max())):
+        raise ValueError(f"{NOISY_NAME} holds non-finite values")
     return manifest, arrays[0], arrays[1]
 
 
@@ -257,6 +261,8 @@ def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
     manifest, clean, noisy = load_dataset(dataset_dir)
     if which not in ("clean", "noisy"):
         raise ValueError("which must be 'clean' or 'noisy'")
+    if max_traj is not None and max_traj < 1:
+        raise ValueError(f"max_traj must be at least 1, got {max_traj}")
     data = clean if which == "clean" else noisy
     if max_traj is not None:
         data = data[:max_traj]

@@ -1,51 +1,44 @@
-"""Live-byte accounting for the gradient engines.
+"""Peak traced bytes of a block of code, for the gradient-engine profile.
 
-The profiler compares the memory behaviour of the two gradient modes, and the
-comparison has to be reproducible across machines, so instead of asking the OS
-allocator we count bytes explicitly: engine code registers every buffer it
-retains (activation tapes, solver iterates, checkpoint stacks, accumulators)
-and releases it when the buffer is dropped.  Arrays handed in by callers
-(parameters, observation windows, precomputed trajectories) are never counted;
-the meter answers "how much extra memory did the engine hold".
+tracemalloc sees every block that Python and NumPy allocate, so the meter
+counts real bytes, whether or not engine code mentions them.  A block's peak
+is the traced peak while it ran minus the bytes traced when it began, so what
+callers held before it is not counted.  Tracing is switched on for the block
+only if it was off.  A block resets the traced peak, so blocks must not nest.
 """
 
-import contextlib
+import tracemalloc
 
 
-class AllocationMeter:
-    """Running count of live engine-held bytes plus the peak seen so far."""
+class TracedBlock:
+    """One measured block: peak_bytes reads its peak so far inside it, and
+    its final peak once it has ended."""
 
-    __slots__ = ("live_bytes", "peak_bytes")
+    def __enter__(self):
+        self._started = not tracemalloc.is_tracing()
+        if self._started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        self._base = tracemalloc.get_traced_memory()[0]
+        self._final = None
+        return self
 
-    def __init__(self):
-        self.reset()
+    def __exit__(self, *exc):
+        self._final = self.peak_bytes
+        if self._started:
+            tracemalloc.stop()
 
-    def reset(self):
-        self.live_bytes = 0
-        self.peak_bytes = 0
-
-    def track(self, *arrays):
-        for arr in arrays:
-            self.live_bytes += arr.nbytes
-        if self.live_bytes > self.peak_bytes:
-            self.peak_bytes = self.live_bytes
-
-    def release(self, *arrays):
-        for arr in arrays:
-            self.live_bytes -= arr.nbytes
-        if self.live_bytes < 0:
-            raise RuntimeError("allocation meter went negative: track/release mismatch")
-
-    @contextlib.contextmanager
-    def measure(self):
-        """Reset, run the block, leave peak_bytes holding the block's peak."""
-        self.reset()
-        yield self
-        if self.live_bytes != 0:
-            raise RuntimeError(
-                f"engine leaked {self.live_bytes} tracked bytes past the measured block"
-            )
+    @property
+    def peak_bytes(self):
+        if self._final is None:
+            return tracemalloc.get_traced_memory()[1] - self._base
+        return self._final
 
 
-# one process-wide meter; engines are single-threaded so this is safe
-METER = AllocationMeter()
+class PeakMeter:
+    """measure() returns a fresh TracedBlock; the meter holds no state."""
+
+    measure = TracedBlock
+
+
+METER = PeakMeter()

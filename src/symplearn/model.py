@@ -14,8 +14,8 @@ that scalar by explicit forward/reverse sweeps written out below:
     field_vjp    (df/dy)^T u, (df/dtheta)^T u  (reverse over a directional tangent)
 
 No autodiff framework is used: the passes are few, the layer structure is
-fixed, and writing them out keeps every buffer under our control, which the
-memory accounting in the gradient engines depends on.  tanh keeps the model
+fixed, and writing them out makes every buffer's size and lifetime explicit,
+which is what lets the engines bound their memory.  tanh keeps the model
 C^2; the costate equations differentiate the vector field once more, so a
 merely C^1 activation would break them.
 
@@ -59,7 +59,6 @@ import numpy as np
 
 from .data import open_atomically
 from .integrators import _is_int
-from .memory import METER
 
 CHECKPOINT_FORMAT_VERSION = 1
 _HEADER_KEYS = {"format_version", "kind", "dim", "arch", "seed", "param_count", "dtype",
@@ -222,8 +221,7 @@ class HamiltonianNet:
         every reverse starts below that layer, so no other pass needs H.
 
         Each layer's bias add (of the tiled bias rows) and tanh run in place
-        on its fresh product.  The list is registered with the allocation
-        meter while alive; callers must pair it with _drop.
+        on its fresh product.
         """
         acts = [y]
         last = len(prep.layers) - 1
@@ -236,12 +234,7 @@ class HamiltonianNet:
             else:
                 z += b
             acts.append(z)
-        METER.track(*acts[1:])
         return acts
-
-    @staticmethod
-    def _drop(acts):
-        METER.release(*acts[1:])
 
     def _reverse_input(self, prep, acts, field=False):
         """d(sum of outputs)/d(input), walked back layer by layer from the
@@ -267,9 +260,8 @@ class HamiltonianNet:
             cots[l]   = g_l = delta_l * slope  the cotangent on z_l
             curv[l]   = -2 a g_l               delta_l * tanh''(z_l)
 
-        delta_l being the cotangent on a_{l+1}.  Metered while alive; callers
-        pair it with _drop_primal.  _tangent_reverse overwrites curv, so the
-        pieces serve one tangent-over-reverse at most.
+        delta_l being the cotangent on a_{l+1}.  _tangent_reverse overwrites
+        curv, so the pieces serve one tangent-over-reverse at most.
         """
         last = len(prep.layers) - 1
         slopes, cots, curv = [None] * last, [None] * last, [None] * last
@@ -284,13 +276,7 @@ class HamiltonianNet:
             slopes[l], cots[l], curv[l] = slope, g, c
             if l > 0:
                 delta = g @ prep.wt[l]
-        primal = (slopes, cots, curv)
-        METER.track(*slopes, *cots, *curv)
-        return primal
-
-    @staticmethod
-    def _drop_primal(primal):
-        METER.release(*primal[0], *primal[1], *primal[2])
+        return slopes, cots, curv
 
     def _tangent_reverse(self, prep, acts, primal, w_dir, need_state, need_params):
         """Tangent sweep along w_dir, then reverse through primal and tangent,
@@ -315,7 +301,7 @@ class HamiltonianNet:
         views of one flat vector.
 
         The pass consumes primal: gz is formed in place over curv_l, so the
-        caller must drop primal afterwards and never hand it in again.
+        caller must never hand it in again.
         """
         slopes, cots, gzs = primal
         last = len(prep.layers) - 1
@@ -325,7 +311,6 @@ class HamiltonianNet:
             gzs[l] *= zt
             zt *= slopes[l]
             tans.append(zt)
-        METER.track(*tans[1:])
 
         grad = grads = ones = None
         if need_params:
@@ -349,7 +334,6 @@ class HamiltonianNet:
             if l > 0 or need_state:
                 s = gz @ prep.wt[l]
 
-        METER.release(*tans[1:])
         if need_state and s is None:     # no hidden layer: T is linear in y
             s = np.zeros_like(w_dir)
         return (s if need_state else None), grad
@@ -357,9 +341,7 @@ class HamiltonianNet:
     def _mixed(self, prep, acts, w_dir, need_state, need_params):
         """_tangent_reverse on a recorded tape, after one primal reverse."""
         primal = self._primal_reverse(prep, acts)
-        out = self._tangent_reverse(prep, acts, primal, w_dir, need_state, need_params)
-        self._drop_primal(primal)
-        return out
+        return self._tangent_reverse(prep, acts, primal, w_dir, need_state, need_params)
 
     # ------------------------------------------------------------------
     # public operations
@@ -367,18 +349,14 @@ class HamiltonianNet:
     def eval_h(self, theta, y):
         """Scalar energy H(theta, y); batch in -> vector of energies out."""
         y2, single = _as_batch(y, self.arch[0])
-        acts = self._forward(self.prepare(theta), y2, True)
-        out = acts[-1][:, 0].copy()
-        self._drop(acts)
+        out = self._forward(self.prepare(theta), y2, True)[-1][:, 0]
         return float(out[0]) if single else out
 
     def grad_state(self, theta, y):
         """dH/dy, shape like y."""
         y2, single = _as_batch(y, self.arch[0])
         prep = self.prepare(theta)
-        acts = self._forward(prep, y2)
-        g = self._reverse_input(prep, acts)
-        self._drop(acts)
+        g = self._reverse_input(prep, self._forward(prep, y2))
         return g[0] if single else g
 
     def dynamics(self, theta, y):
@@ -393,28 +371,24 @@ class HamiltonianNet:
         input reverse whose last matmul lands on the field.  A single state
         [2d] goes through as a batch of one and comes back as [2d].  With a
         list for tapes the closure appends each evaluation's activations to
-        it and keeps them metered for a later reverse; otherwise it drops
-        them at once.
+        it for a later reverse.
         """
         prep = self.prepare(theta)
 
         def evaluate(y):
             single = y.ndim == 1
             acts = self._forward(prep, y[None, :] if single else y)
-            f = self._reverse_input(prep, acts, True)
-            if tapes is None:
-                self._drop(acts)
-            else:
+            if tapes is not None:
                 tapes.append(acts)
+            f = self._reverse_input(prep, acts, True)
             return f[0] if single else f
 
         return evaluate
 
     def _hess_and_tape(self, prep, y):
         """Closed-form d2H/dy2 [B, 2d, 2d] from one forward pass; returns
-        (hess, acts, primal), the activations being the forward tape, to be
-        released with _drop, and primal the pieces of its reverse sweep
-        (_primal_reverse), to be released with _drop_primal.
+        (hess, acts, primal), the activations being the forward tape and
+        primal the pieces of its reverse sweep (_primal_reverse).
 
         For a tanh network the input Hessian is exactly
 
@@ -449,14 +423,8 @@ class HamiltonianNet:
                 z_tan = slopes[0] @ cross
             else:
                 z_tan = (tan * slopes[l - 1][:, None, :]).reshape(-1, len(w)) @ w
-            z_tan = z_tan.reshape(batch, width, -1)
-            METER.track(z_tan)
-            if tan is not None:
-                METER.release(tan)
-            tan = z_tan
+            tan = z_tan.reshape(batch, width, -1)
             hess += (tan * curv[l][:, None, :]) @ tan.transpose(0, 2, 1)
-        if tan is not None:
-            METER.release(tan)
         for i in range(1, width):
             hess[:, i, :i] = hess[:, :i, i]
         return hess, acts, primal
@@ -469,9 +437,7 @@ class HamiltonianNet:
         triangle is mirrored, so the result is exactly symmetric.
         """
         y2, single = _as_batch(y, self.arch[0])
-        hess, acts, primal = self._hess_and_tape(self.prepare(theta), y2)
-        self._drop(acts)
-        self._drop_primal(primal)
+        hess = self._hess_and_tape(self.prepare(theta), y2)[0]
         return hess[0] if single else hess
 
     def field_vjp(self, prep, acts, u, need_params):

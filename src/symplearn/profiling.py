@@ -1,11 +1,11 @@
 """Side-by-side memory and wall-time profile of the two gradient engines.
 
-Memory numbers are tracked bytes from the allocation meter, so they count
-what each engine retains internally: the reverse engine keeps every solver
-iterate's activation tape until the backward sweep consumes it, which grows
-linearly with the window length, while the costate engine re-derives what it
-needs from the stored trajectory and holds only per-step work buffers.  Wall
-time is the minimum over repeats of a full loss+gradient evaluation.
+Memory numbers are real bytes (symplearn.memory): recorded backprop from its
+taped rollout through its reverse, which keeps every solver iterate's tape
+and grows linearly with the window length, and the costate sweep alone, which
+re-derives what it needs from the stored states and partials (checkpoints,
+not counted) and holds only per-step work buffers.  Wall time is the minimum
+over repeats of a full, untraced loss+gradient evaluation.
 """
 
 import dataclasses
@@ -13,12 +13,13 @@ import time
 
 import numpy as np
 
+from .adjoint import backward_through_record, solve_adjoint_accumulate
 from .data import csv_lines
 from .integrators import REFERENCE_FPI, integrate
 from .memory import METER
 from .model import HamiltonianNet
 from .systems import get_system
-from .training import TrainConfig, loss_and_grad
+from .training import TrainConfig, _rollout, loss_and_grad
 
 PROFILE_WINDOW_STEPS = (4, 8, 16, 32)
 
@@ -45,13 +46,28 @@ def profile_windows(system, batch_size, window_steps, h, seed):
     return np.ascontiguousarray(np.swapaxes(traj.states, 0, 1))
 
 
+def engine_peak(net, theta, windows, h, config):
+    """(loss, traced peak bytes of the gradient engine) for one batch,
+    computed as loss_and_grad computes it."""
+    if config.grad_mode == "adjoint":
+        loss, partials, states, _, _ = _rollout(net, theta, windows, h, config)
+        with METER.measure() as block:
+            solve_adjoint_accumulate(net, theta, states, partials, h)
+        return loss, block.peak_bytes
+    with METER.measure() as block:
+        loss, partials, _, _, record = _rollout(net, theta, windows, h, config, record=True)
+        backward_through_record(net, theta, record, partials)
+    return loss, block.peak_bytes
+
+
 def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
                            window_steps=PROFILE_WINDOW_STEPS, h=0.01,
                            seed=0, repeats=3):
     """Profile both engines over a range of window lengths.
 
     Same freshly initialized network, same windows, same solver settings for
-    both engines at each length; returns a list of ProfileRow.
+    both engines at each length; returns a list of ProfileRow.  Tracing
+    slows the engines by a third, so the peak comes from a pass of its own.
     """
     system = get_system(system_name)
     net = HamiltonianNet(system.dim)
@@ -63,14 +79,11 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
             config = TrainConfig(grad_mode=mode, window_steps=n_steps,
                                  epochs=1, seed=seed)
             best = np.inf
-            peak = 0
-            loss = np.nan
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                with METER.measure() as meter:
-                    loss, _, _ = loss_and_grad(net, theta, windows, h, config)
-                    peak = meter.peak_bytes
+                loss_and_grad(net, theta, windows, h, config)
                 best = min(best, time.perf_counter() - t0)
+            loss, peak = engine_peak(net, theta, windows, h, config)
             rows.append(ProfileRow(
                 grad_mode=mode, window_steps=n_steps, batch_size=batch_size,
                 peak_bytes=peak, wall_s=float(best), loss=float(loss),

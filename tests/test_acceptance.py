@@ -155,6 +155,12 @@ def test_c4_gradient_correctness():
 
 
 def test_c5_memory_footprint_shapes():
+    """Peaks are real bytes, the tracemalloc peak of each gradient engine
+    alone (profiling.engine_peak): the costate sweep given an untraced
+    rollout's states and partials, and recorded backprop from its taped
+    rollout through its reverse.  The stored states and partials grow with
+    the window; they are checkpoint storage, which the constant-memory claim
+    excludes, so the costate peak does not count them."""
     budget, t0 = 300.0, time.perf_counter()
     rows = profile_gradient_modes(system_name="coupled_ho", batch_size=512,
                                   window_steps=(4, 8, 16, 32), h=0.01,

@@ -1,5 +1,8 @@
 """Both gradient engines against finite differences and against each other."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,26 @@ from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, window
 TIGHT = FpiConfig(tol=1e-12, max_iters=100)
 
 
-@pytest.fixture(autouse=True)
-def balanced_meter():
-    METER.reset()
-    yield
-    assert METER.live_bytes == 0, "a gradient engine leaked tracked buffers"
+# traced bytes an engine call may leave behind once it has returned or
+# raised and its result is gone: interpreter bookkeeping, far below any of
+# the buffers the retention tests below hold
+SLACK_BYTES = 4096
+
+
+@pytest.fixture
+def traced_bytes():
+    """Runs the test under tracemalloc; yields a function that collects
+    garbage and reads the bytes traced now."""
+    tracemalloc.start()
+
+    def now():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    try:
+        yield now
+    finally:
+        tracemalloc.stop()
 
 
 def rel(a, b):
@@ -78,7 +96,6 @@ def test_adjoint_rhs_is_negative_jacobian_transpose():
         want = -jac.T @ lam
         acts = net._forward(layers, y[None])
         ybar, _ = net.field_vjp(layers, acts, lam[None], need_params=False)
-        net._drop(acts)
         assert np.max(np.abs(-ybar[0] - want)) <= 1e-7
 
 
@@ -93,20 +110,29 @@ def test_record_rollout_reproduces_integrate_exactly():
     assert np.array_equal(record.states, traj.states)
     assert [r.iterations for r in record.reports] == \
            [r.iterations for r in reports]
-    record.release()
 
 
-def test_record_keeps_one_tape_per_sweep_and_backward_frees_them():
-    net = HamiltonianNet(1, hidden=(6,))
+def test_record_keeps_one_tape_per_sweep_and_backward_frees_them(traced_bytes):
+    net = HamiltonianNet(1, hidden=(64,))
     theta = net.init_params(46)
-    y0 = np.random.default_rng(47).uniform(-0.5, 0.5, size=(3, 2))
+    y0 = np.random.default_rng(47).uniform(-0.5, 0.5, size=(256, 2))
+    partials = np.ones((5, 256, 2))
+    # a first pass warms the interpreter's caches
+    backward_through_record(net, theta, record_rollout(net, theta, y0, 0.05, 5), partials)
+    base = traced_bytes()
     record = record_rollout(net, theta, y0, 0.05, 5)
     # every field evaluation is a sweep: the tapes split exactly by report
     assert [len(tapes) for tapes in record.steps] == \
            [r.iterations for r in record.reports]
-    assert METER.live_bytes > 0
-    backward_through_record(net, theta, record, np.ones((5, 3, 2)))
-    assert METER.live_bytes == 0
+    tape_bytes = sum(a.nbytes for tapes in record.steps for acts in tapes for a in acts[1:])
+    held = traced_bytes() - base
+    assert held >= tape_bytes + record.states.nbytes
+    grad = backward_through_record(net, theta, record, partials)
+    del grad
+    assert all(not tapes for tapes in record.steps)
+    assert traced_bytes() - base <= held - tape_bytes + SLACK_BYTES
+    del record
+    assert traced_bytes() - base <= SLACK_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +257,6 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
         mu = np.linalg.solve((np.eye(2) - 0.5 * h * jac).T, partials[0, b])
         acts = net._forward(layers, mid[b:b + 1])
         want += h * net.field_vjp(layers, acts, mu[None], need_params=True)[1]
-        net._drop(acts)
     assert 0.5 * h * rho > 2.0
     grad, _ = solve_adjoint_accumulate(net, theta, states, partials, h)
     assert rel(grad, want) <= 1e-6
@@ -276,13 +301,18 @@ def test_backprop_memory_grows_with_window_length():
     assert peak(16) - peak(4) >= 12 * tape_bytes
 
 
-def test_blown_up_rollout_releases_all_tapes():
-    net = HamiltonianNet(1, hidden=(4,))
+def test_blown_up_rollout_releases_all_tapes(traced_bytes):
+    # the first field evaluation is NaN: its tape, [256, 64], is held when
+    # the solver raises, and must go with the exception
+    net = HamiltonianNet(1, hidden=(64,))
     theta = net.init_params(60)
     theta[0] = np.nan
-    with pytest.raises(NonFiniteError):
-        record_rollout(net, theta, np.zeros((2, 2)), 0.05, 4, cfg=TIGHT)
-    assert METER.live_bytes == 0
+    y0 = np.zeros((256, 2))
+    for _ in range(2):           # the first pass warms the interpreter's caches
+        base = traced_bytes()
+        with pytest.raises(NonFiniteError):
+            record_rollout(net, theta, y0, 0.05, 4, cfg=TIGHT)
+    assert traced_bytes() - base <= SLACK_BYTES
 
 
 def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch):
@@ -307,17 +337,51 @@ def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch
     solve_adjoint_accumulate(net, theta, states, partials, 0.05)
     assert calls == {"_forward": n_steps, "_reverse_input": 0, "_primal_reverse": n_steps,
                      "_mixed": 0}
-    assert METER.live_bytes == 0
 
 
-def test_nonfinite_costate_releases_tracked_buffers():
-    net = HamiltonianNet(1, hidden=(4,))
+def test_nonfinite_costate_releases_tracked_buffers(traced_bytes):
+    # the first backward step's costate is NaN: its Hessian, its tape and
+    # its primal reverse ([256, 64] per layer piece) are held when the sweep
+    # raises, and must go with the exception
+    net = HamiltonianNet(1, hidden=(64,))
     theta = net.init_params(61)
-    states = np.zeros((3, 2, 2))
-    partials = np.full((2, 2, 2), np.nan)
-    with pytest.raises(NonFiniteError):
-        solve_adjoint_accumulate(net, theta, states, partials, 0.05)
-    assert METER.live_bytes == 0
+    states = np.zeros((3, 256, 2))
+    partials = np.full((2, 256, 2), np.nan)
+    for _ in range(2):           # the first pass warms the interpreter's caches
+        base = traced_bytes()
+        with pytest.raises(NonFiniteError):
+            solve_adjoint_accumulate(net, theta, states, partials, 0.05)
+    assert traced_bytes() - base <= SLACK_BYTES
+
+
+def test_meter_sees_a_buffer_no_engine_code_mentions(monkeypatch):
+    # a Hessian pass that also stashes one [B, 64] array per backward step:
+    # nothing registers it, and the costate sweep's measured peak must still
+    # rise by every stashed byte (up to the slack: the clean sweep's peak
+    # need not fall in its last step, where all the stashed arrays are held)
+    net = HamiltonianNet(1)
+    theta = net.init_params(65)
+    rng = np.random.default_rng(66)
+    n_steps, batch = 8, 64
+    states = rng.uniform(-0.8, 0.8, size=(n_steps + 1, batch, 2))
+    partials = rng.standard_normal((n_steps, batch, 2))
+
+    def peak():
+        with METER.measure() as block:
+            solve_adjoint_accumulate(net, theta, states, partials, 0.05)
+        return block.peak_bytes
+
+    clean = peak()
+    stash = []
+    hess_and_tape = HamiltonianNet._hess_and_tape
+
+    def stashing(self, prep, y):
+        stash.append(np.ones((len(y), 64)))
+        return hess_and_tape(self, prep, y)
+
+    monkeypatch.setattr(HamiltonianNet, "_hess_and_tape", stashing)
+    assert peak() - clean >= n_steps * batch * 64 * 8 - SLACK_BYTES
+    assert len(stash) == n_steps
 
 
 # ----------------------------------------------------------------------
@@ -336,4 +400,3 @@ def test_shape_validation():
     record = record_rollout(net, theta, np.zeros((2, 2)), 0.1, 3)
     with pytest.raises(ValueError):
         backward_through_record(net, theta, record, partials[:2])
-    record.release()

@@ -106,6 +106,14 @@ def _append(name, extra):
     return mutate
 
 
+def _poke(name, index, value):
+    def mutate(root):
+        data = np.fromfile(root / name, dtype="<f8")
+        data[index] = value
+        data.tofile(root / name)
+    return mutate
+
+
 def _manifest(**changes):
     def mutate(root):
         raw = json.loads((root / "manifest.json").read_text())
@@ -119,9 +127,10 @@ def _manifest(**changes):
     _append("noisy.f64", b"\0\0\0"), _manifest(n_train=-3, n_val=13),
     _manifest(n_train=9, n_val=True), _manifest(dim="1"), _manifest(n_steps=60.0),
     _manifest(dt=float("nan")), _manifest(noise_std=-0.01),
-    _manifest(format_version=True),
+    _manifest(format_version=True), _poke("noisy.f64", 5, np.nan),
 ], ids=["noisy-3-trailing-bytes", "negative-n-train", "boolean-n-val", "string-dim",
-        "fractional-n-steps", "nan-dt", "negative-noise-std", "boolean-format-version"])
+        "fractional-n-steps", "nan-dt", "negative-noise-std", "boolean-format-version",
+        "noisy-nan"])
 def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate):
     bad = tmp_path / "bad"
     shutil.copytree(dataset, bad)
@@ -657,3 +666,14 @@ def test_export_csv_roundtrip(dataset, tmp_path, capsys):
     assert len(lines) == 1 + 2 * 61
     assert main(["export-csv", "--out-dir", str(tmp_path / "e")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("max_traj", ["-1", "0"])
+def test_export_csv_rejects_max_traj_below_one(dataset, tmp_path, capsys, max_traj):
+    target = tmp_path / "rows.csv"
+    code = main(["export-csv", "--data", str(dataset), "--max-traj", max_traj,
+                 "--out", str(target)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not target.exists()

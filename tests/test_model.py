@@ -8,16 +8,8 @@ import pytest
 
 from oracles import central_diff, fd_hessian, naive_h, naive_tangent_reverse
 
-from symplearn.memory import METER
 from symplearn.model import (HamiltonianNet, costate_to_direction,
                              load_checkpoint, param_count, save_checkpoint)
-
-
-@pytest.fixture(autouse=True)
-def balanced_meter():
-    METER.reset()
-    yield
-    assert METER.live_bytes == 0, "an engine call leaked tracked buffers"
 
 
 def test_param_count_default_arch():
@@ -112,10 +104,7 @@ def param_contraction(net, theta, y, lam):
     reverse through one field evaluation at y."""
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    try:
-        return net.field_vjp(layers, acts, lam, need_params=True)[1]
-    finally:
-        net._drop(acts)
+    return net.field_vjp(layers, acts, lam, need_params=True)[1]
 
 
 def test_linear_net_parameter_contraction_is_exact():
@@ -165,7 +154,6 @@ def test_field_vjp_equals_hessian_contraction():
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
     ybar, _ = net.field_vjp(layers, acts, u, need_params=False)
-    net._drop(acts)
     hess = net.hess_state(theta, y)
     w = costate_to_direction(u, 1)
     want = np.einsum("bij,bj->bi", hess, w)
@@ -190,7 +178,6 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
         u = np.concatenate([e_k[:, dim:], -e_k[:, :dim]], axis=1)
         assert np.array_equal(costate_to_direction(u, dim), e_k)
         cols.append(net.field_vjp(layers, acts, u, need_params=False)[0])
-    net._drop(acts)
     want = np.stack(cols, axis=-1)
     got = net.hess_state(theta, y)
     if not hidden:
@@ -220,34 +207,29 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    try:
-        for need_state in (True, False):
-            for need_params in (True, False):
-                got = net._mixed(layers, acts, w_dir, need_state, need_params)
-                # the costate step's parameter reverse: the tangent-over-reverse
-                # on the primal pieces a Hessian pass kept, with no second primal
-                # reverse; it consumes them, so each call gets a fresh pass
-                _, hess_tape, primal = net._hess_and_tape(layers, y)
-                fused = net._tangent_reverse(layers, hess_tape, primal, w_dir,
-                                             need_state, need_params)
-                net._drop(hess_tape)
-                net._drop_primal(primal)
-                for flag, part, fused_part, ref in zip((need_state, need_params), got,
-                                                       fused, want):
-                    if flag:
-                        check(part, ref)
-                        check(fused_part, ref)
-                    else:
-                        assert part is None and fused_part is None
+    for need_state in (True, False):
         for need_params in (True, False):
-            ybar, thetabar = net.field_vjp(layers, acts, u, need_params=need_params)
-            check(ybar, want[0])
-            if need_params:
-                check(thetabar, want[1])
-            else:
-                assert thetabar is None
-    finally:
-        net._drop(acts)
+            got = net._mixed(layers, acts, w_dir, need_state, need_params)
+            # the costate step's parameter reverse: the tangent-over-reverse
+            # on the primal pieces a Hessian pass kept, with no second primal
+            # reverse; it consumes them, so each call gets a fresh pass
+            _, hess_tape, primal = net._hess_and_tape(layers, y)
+            fused = net._tangent_reverse(layers, hess_tape, primal, w_dir,
+                                         need_state, need_params)
+            for flag, part, fused_part, ref in zip((need_state, need_params), got,
+                                                   fused, want):
+                if flag:
+                    check(part, ref)
+                    check(fused_part, ref)
+                else:
+                    assert part is None and fused_part is None
+    for need_params in (True, False):
+        ybar, thetabar = net.field_vjp(layers, acts, u, need_params=need_params)
+        check(ybar, want[0])
+        if need_params:
+            check(thetabar, want[1])
+        else:
+            assert thetabar is None
 
 
 @pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
@@ -267,20 +249,14 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
 
     def sweeps():
         fresh = net._forward(layers, y)
-        net._drop(fresh)
         hess, hess_tape, primal = net._hess_and_tape(layers, y)
-        net._drop(hess_tape)
-        net._drop_primal(primal)
         return [*fresh, net._reverse_input(layers, acts), net._reverse_input(layers, acts, True),
                 *net._mixed(layers, acts, w_dir, need_state=True, need_params=True),
                 hess, *hess_tape, *primal[0], *primal[1], *primal[2]]
 
-    try:
-        first = sweeps()
-        first_copy = [a.copy() for a in first]
-        second = sweeps()
-    finally:
-        net._drop(acts)
+    first = sweeps()
+    first_copy = [a.copy() for a in first]
+    second = sweeps()
     for a, b, c in zip(first, first_copy, second):
         assert np.array_equal(a, b)
         assert np.array_equal(b, c)
@@ -293,11 +269,9 @@ def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
     theta = net.init_params(26)
     y = np.random.default_rng(27).uniform(-1, 1, size=(9, 4))
     assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
-    assert METER.live_bytes == 0
     tapes = []
     assert np.array_equal(net.field(theta, tapes)(y), net.dynamics(theta, y))
     assert len(tapes) == 1 and np.array_equal(tapes[0][0], y)
-    net._drop(tapes[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -341,27 +315,21 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         grad = np.broadcast_to(grad, y.shape)
 
         acts = net._forward(prep, y)
-        try:
-            assert all(np.array_equal(a, b) for a, b in zip(acts, want, strict=True))
-            assert np.array_equal(net._reverse_input(prep, acts), grad)
-            assert np.array_equal(net.grad_state(theta, y), grad)
-            primal = net._primal_reverse(prep, acts)
-            if hidden:
-                a = want[-1]
-                assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
-            net._drop_primal(primal)
-            assert np.array_equal(field(y), net.dynamics(theta, y))
-            assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
-            hess, tape, primal = net._hess_and_tape(prep, y)
-            net._drop(tape)
-            net._drop_primal(primal)
-            assert np.array_equal(hess, net.hess_state(theta, y))
-            fresh = net.prepare(theta)
-            for got, ref in zip(net.field_vjp(prep, acts, u, need_params=True),
-                                net.field_vjp(fresh, acts, u, need_params=True)):
-                assert np.array_equal(got, ref)
-        finally:
-            net._drop(acts)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, want, strict=True))
+        assert np.array_equal(net._reverse_input(prep, acts), grad)
+        assert np.array_equal(net.grad_state(theta, y), grad)
+        primal = net._primal_reverse(prep, acts)
+        if hidden:
+            a = want[-1]
+            assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
+        assert np.array_equal(field(y), net.dynamics(theta, y))
+        assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
+        hess = net._hess_and_tape(prep, y)[0]
+        assert np.array_equal(hess, net.hess_state(theta, y))
+        fresh = net.prepare(theta)
+        for got, ref in zip(net.field_vjp(prep, acts, u, need_params=True),
+                            net.field_vjp(fresh, acts, u, need_params=True)):
+            assert np.array_equal(got, ref)
     for batch in (1, 3, 512):
         biases, head_rows, field_rows = prep.rows(batch)
         for (_, b), tiled in zip(layers[:-1], biases, strict=True):

@@ -6,19 +6,11 @@ import pytest
 from symplearn.adjoint import backward_through_record, solve_adjoint_accumulate
 from symplearn.data import generate_dataset, load_dataset, sample_windows
 from symplearn.integrators import FpiConfig
-from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
 from symplearn.training import (Adam, NumericalAbort, ReduceOnPlateau,
                                 TrainConfig, _rollout, _segment_windows, loss_and_grad,
                                 metrics_to_csv, saturation_epoch, train,
                                 window_loss)
-
-
-@pytest.fixture(autouse=True)
-def balanced_meter():
-    METER.reset()
-    yield
-    assert METER.live_bytes == 0
 
 
 @pytest.fixture(scope="module")
