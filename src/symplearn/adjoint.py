@@ -17,9 +17,11 @@ iteration and no tolerance of its own.  Each backward step is one fused
 pass at the midpoint: one network forward pass and one primal reverse give
 the closed-form Hessian, and the parameter term's tangent-over-reverse runs
 on that tape and the primal reverse's kept slopes and cotangents.  The
-parameter gradient accumulates in place, one quadrature term per step, so
-the engine's footprint does not grow with the window length.  Each engine
-call prepares the network once (HamiltonianNet.prepare) for all its passes.
+parameter gradient accumulates in place, one quadrature term per step, and
+each step's tape and primal reverse are freed before the next step's pass,
+so the engine holds one step's pieces at a time and its footprint does not
+grow with the window length.  Each engine call prepares the network once
+(HamiltonianNet.prepare) for all its passes.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
@@ -111,6 +113,8 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
                                             costate_to_direction(lam_mid, d), False, True)
         lam = 2.0 * lam_mid - lam_end
         grad += h * step_grad
+        # held into the next Hessian pass, this step's pieces would raise the peak by half
+        del hess, acts, primal
     return grad, AdjointDiagnostics(steps=n_steps)
 
 

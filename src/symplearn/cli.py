@@ -128,6 +128,14 @@ def _axis_slices(value):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage problem as one error line and exit 1, where argparse
+    prints its usage text and exits 2 (this tool's numerical-failure code)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser():
     """The argument parser, and per command option key -> (default, parser).
 
@@ -137,7 +145,7 @@ def _build_parser():
     no argparse type, so flag strings and config-file values parse alike.
     """
     S = argparse.SUPPRESS
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symplearn",
         description="Learn Hamiltonians from noisy trajectories with a "
                     "symplectic solver in the loop.",
@@ -193,8 +201,6 @@ def _build_parser():
     opt("--epochs", None, _int)
     opt("--windows-per-traj", None, _int)
     opt("--lr", None, _float)
-    opt("--shooting", choices=["single", "multiple"])
-    opt("--segment-steps", None, _int)
     solver_opts(opt)
     opt("--hidden", None, _numbers(_int), metavar="H1,H2,...")
     opt("--val-batches", None, _int)
@@ -518,6 +524,8 @@ def cmd_check_tableau(opts):
             raise UsageError(f"cannot read tableau file: {err}") from None
         except json.JSONDecodeError as err:
             raise UsageError(f"tableau file is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(f"tableau file {opts['file']} must hold a JSON object")
         try:
             tableau = PrkTableau(
                 name=raw.get("name", pathlib.Path(opts["file"]).stem),
@@ -528,6 +536,9 @@ def cmd_check_tableau(opts):
             )
         except KeyError as err:
             raise UsageError(f"tableau file is missing key {err}") from None
+        except (TypeError, OverflowError) as err:
+            raise UsageError(f"tableau file holds a coefficient that is not a float64: "
+                             f"{err}") from None
     report = check_symplectic_tableau(tableau, **_given(opts, {"tol": "tol"}))
     verdict = "symplectic" if report.symplectic else "NOT symplectic"
     tol = f" (tol {opts['tol']})" if opts["tol"] is not None else ""
@@ -547,6 +558,9 @@ def cmd_grad_check(opts):
     from .model import HamiltonianNet
     from .training import TrainConfig, _forward_loss, loss_and_grad
 
+    step = opts["fd_step"]                 # finite: its option parser checks that
+    if step <= 0:
+        raise ValueError(f"fd_step must be positive, got {step!r}")
     system = get_system(opts["system"], **opts["system_param"])
     net = HamiltonianNet(system.dim, hidden=opts["hidden"])
     seed, h, n_steps = opts["seed"], opts["h"], opts["window_steps"]
@@ -560,7 +574,6 @@ def cmd_grad_check(opts):
     loss0, g_adj, _ = loss_and_grad(net, theta, windows, h, config("adjoint"))
     _, g_bp, _ = loss_and_grad(net, theta, windows, h, config("backprop"))
 
-    step = opts["fd_step"]
     cfg_fwd = config("adjoint")
     g_fd = np.empty(net.n_params)
     for i in range(net.n_params):
@@ -628,14 +641,10 @@ def main(argv=None):
         return 1
     parser, specs = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; this tool reserves 2 for
-        # numerical failure, so usage maps to 1 (and --help stays 0)
-        return 0 if not exc.code else 1
-    try:
-        opts = _merge_options(namespace, specs)
+        opts = _merge_options(parser.parse_args(argv), specs)
         return _HANDLERS[opts["cmd"]](opts)
+    except SystemExit:               # --help has printed its text
+        return 0
     except Exception as err:
         from .integrators import NonFiniteError
         from .training import NumericalAbort

@@ -9,7 +9,7 @@ something about generalization rather than memorized paths.
 
 import numpy as np
 
-from .integrators import FpiConfig, integrate
+from .integrators import FpiConfig, _is_int, integrate
 
 GRID_POINTS_PER_AXIS = 33
 
@@ -22,6 +22,8 @@ def phase_grid(system, points_per_axis=GRID_POINTS_PER_AXIS, slices=None):
     its index (into the flat [q, p] state) to another value.  Returns
     (points [P*P, 2d], meta dict).
     """
+    if not (_is_int(points_per_axis) and points_per_axis >= 1):
+        raise ValueError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
     d = system.dim
     width = 2 * d
     free_q, free_p = d - 1, 2 * d - 1

@@ -64,6 +64,17 @@ class PrkTableau:
     a_p: np.ndarray
     b_p: np.ndarray
 
+    def __post_init__(self):
+        """Reject coefficients that do not form a finite s-stage pair."""
+        coeffs = (self.a_q, self.b_q, self.a_p, self.b_p)
+        shapes = [np.shape(c) for c in coeffs]
+        s = shapes[1][0] if len(shapes[1]) == 1 else 0
+        if s < 1 or shapes != [(s, s), (s,), (s, s), (s,)]:
+            raise ValueError(f"tableau {self.name!r} needs a_q and a_p of shape (s, s) and "
+                             f"b_q and b_p of length s >= 1, got shapes {shapes}")
+        if not all(np.all(np.isfinite(c)) for c in coeffs):
+            raise ValueError(f"tableau {self.name!r} has a non-finite coefficient")
+
     @property
     def stages(self):
         return len(self.b_q)

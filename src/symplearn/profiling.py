@@ -15,7 +15,7 @@ import numpy as np
 
 from .adjoint import backward_through_record, solve_adjoint_accumulate
 from .data import csv_lines
-from .integrators import REFERENCE_FPI, integrate
+from .integrators import REFERENCE_FPI, _is_int, integrate
 from .memory import METER
 from .model import HamiltonianNet
 from .systems import get_system
@@ -69,6 +69,8 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
     both engines at each length; returns a list of ProfileRow.  Tracing
     slows the engines by a third, so the peak comes from a pass of its own.
     """
+    if not (_is_int(repeats) and repeats >= 1):
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     system = get_system(system_name)
     net = HamiltonianNet(system.dim)
     theta = net.init_params(seed)

@@ -6,6 +6,7 @@ and (for the chaotic one) an energy cap that keeps sampled orbits in the
 bounded regime.  States are flat vectors (q_1..q_d, p_1..p_d).
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,9 +152,15 @@ SYSTEMS = {
 
 
 def get_system(name, **params):
-    """Build a registered system by name; params go to its constructor."""
+    """Build a registered system by name; params go to its constructor,
+    which must take every one of them."""
     try:
         factory = SYSTEMS[name]
     except KeyError:
         raise ValueError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}") from None
+    accepted = sorted(inspect.signature(factory).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"system {name!r} takes no parameter {unknown}; "
+                         f"it accepts {accepted}")
     return factory(**params)

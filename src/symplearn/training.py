@@ -32,33 +32,24 @@ class NumericalAbort(RuntimeError):
     """Training stopped because the numbers went bad, with context attached."""
 
 
-def window_loss(pred_states, windows, batch_scale=None):
+def window_loss(pred_states, windows):
     """Squared mismatch over a window, skipping the shared initial point.
 
-    pred_states is time-major [n+1, B, 2d] (or [n+1, 2d] for one window),
-    windows batch-major [B, n+1, 2d] (or [n+1, 2d]).  Returns
-    (loss, partials [n, B, 2d]) where loss sums residual squares over steps
-    and coordinates and averages over the batch; partials is the gradient of
-    that scalar with respect to the predictions.  batch_scale overrides the
-    1/B factor (the multi-segment path needs a scale other than the expanded
-    batch size).
+    pred_states is time-major [n+1, B, 2d], windows batch-major [B, n+1, 2d].
+    Returns (loss, partials [n, B, 2d]) where loss sums residual squares over
+    steps and coordinates and averages over the batch; partials is the
+    gradient of that scalar with respect to the predictions.
     """
     pred_states = np.asarray(pred_states, dtype=np.float64)
-    windows = np.asarray(windows, dtype=np.float64)
-    single = windows.ndim == 2
-    if single:
-        pred_states = pred_states[:, None, :]
-        windows = windows[None]
-    obs = np.swapaxes(windows, 0, 1)
-    if pred_states.shape != obs.shape:
+    obs = np.swapaxes(np.asarray(windows, dtype=np.float64), 0, 1)
+    if pred_states.ndim != 3 or pred_states.shape != obs.shape:
         raise ValueError(
             f"predictions {pred_states.shape} do not line up with windows {obs.shape}"
         )
-    if batch_scale is None:
-        batch_scale = 1.0 / windows.shape[0]
+    scale = 1.0 / obs.shape[1]
     resid = pred_states[1:] - obs[1:]
-    loss = float(np.sum(resid ** 2) * batch_scale)
-    partials = (2.0 * batch_scale) * resid
+    loss = float(np.sum(resid ** 2) * scale)
+    partials = (2.0 * scale) * resid
     return loss, partials
 
 
@@ -116,8 +107,6 @@ class TrainConfig:
     epochs: int = 25
     windows_per_traj: int = 16          # epoch length: n_train * this / batch_size
     lr: float = 0.01
-    shooting: str = "single"            # 'single' or 'multiple'
-    segment_steps: int | None = None    # solver steps per segment when multiple
     fpi: FpiConfig = FpiConfig()
     hidden: tuple = DEFAULT_HIDDEN
     seed: int = 0
@@ -125,11 +114,8 @@ class TrainConfig:
 
     def __post_init__(self):
         """Reject a field of the wrong type or range, naming it."""
-        for name, choices in (("grad_mode", ("adjoint", "backprop")),
-                              ("shooting", ("single", "multiple"))):
-            value = getattr(self, name)
-            if not (isinstance(value, str) and value in choices):
-                raise ValueError(f"unknown {name} {value!r}")
+        if not (isinstance(self.grad_mode, str) and self.grad_mode in ("adjoint", "backprop")):
+            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         for name, low in (("window_steps", 1), ("stride", 1), ("batch_size", 1),
                           ("epochs", 0), ("windows_per_traj", 1), ("seed", 0),
                           ("val_batches", 1)):
@@ -143,40 +129,15 @@ class TrainConfig:
         if not (isinstance(self.hidden, (tuple, list))
                 and all(_is_int(w) and w >= 1 for w in self.hidden)):
             raise ValueError(f"hidden must be a sequence of integers >= 1, got {self.hidden!r}")
-        seg = self.segment_steps
-        if not (seg is None or _is_int(seg)):
-            raise ValueError(f"segment_steps must be an integer, got {seg!r}")
-        if self.shooting == "multiple":
-            if seg is None or seg < 2:
-                raise ValueError("multiple shooting needs segment_steps >= 2")
-            if self.window_steps % seg != 0:
-                raise ValueError("segment_steps must divide window_steps")
-
-
-def _segment_windows(windows, segment_steps):
-    """Slice [B, n+1, 2d] windows into overlapping-endpoint segments,
-    stacked as [B * n_seg, seg+1, 2d]: each segment restarts from the
-    observation at its left edge."""
-    b, n_plus, width = windows.shape
-    n = n_plus - 1
-    n_seg = n // segment_steps
-    parts = [windows[:, s * segment_steps:(s + 1) * segment_steps + 1, :]
-             for s in range(n_seg)]
-    return np.stack(parts, axis=1).reshape(b * n_seg, segment_steps + 1, width)
 
 
 def _rollout(net, theta, windows, h, config, record=False):
     """Forward half of one batch: roll the model field through the windows
     and score the predictions.
 
-    Multiple shooting expands the batch into per-segment windows first; the
-    loss keeps the 1/B scale of the original batch, so segment losses add
-    within each window.  record=True keeps the network tapes for recorded
-    backprop.  Returns (loss, partials, states, reports, record or None).
+    record=True keeps the network tapes for recorded backprop.  Returns
+    (loss, partials, states, reports, record or None).
     """
-    scale = 1.0 / windows.shape[0]
-    if config.shooting == "multiple":
-        windows = _segment_windows(windows, config.segment_steps)
     n_steps = windows.shape[1] - 1
     y0 = windows[:, 0, :]
     rec = None
@@ -186,7 +147,7 @@ def _rollout(net, theta, windows, h, config, record=False):
     else:
         traj, reports = integrate(net.field(theta), y0, h, n_steps, cfg=config.fpi)
         states = traj.states
-    loss, partials = window_loss(states, windows, batch_scale=scale)
+    loss, partials = window_loss(states, windows)
     return loss, partials, states, reports, rec
 
 

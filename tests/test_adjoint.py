@@ -13,6 +13,8 @@ from symplearn.adjoint import (backward_through_record, record_rollout,
 from symplearn.integrators import FpiConfig, NonFiniteError, integrate
 from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
+from symplearn.profiling import engine_peak, profile_windows
+from symplearn.systems import get_system
 from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, window_loss
 
 TIGHT = FpiConfig(tol=1e-12, max_iters=100)
@@ -279,6 +281,21 @@ def test_costate_memory_does_not_grow_with_window_length():
             return meter.peak_bytes
 
     assert peak(16) <= 1.05 * peak(4)
+
+
+def test_costate_step_frees_its_pieces_before_the_next():
+    # one backward step's tape and primal reverse set the costate peak; a
+    # second step must not run its Hessian pass while the first's are held
+    system = get_system("coupled_ho")
+    net = HamiltonianNet(1)
+    theta = net.init_params(0)
+    config = TrainConfig(epochs=1)
+
+    def peak(n_steps):
+        windows = profile_windows(system, 512, n_steps, 0.01, 0)
+        return engine_peak(net, theta, windows, 0.01, config)[1]
+
+    assert peak(2) <= 1.05 * peak(1)
 
 
 def test_backprop_memory_grows_with_window_length():

@@ -4,6 +4,7 @@ exit codes and output are observable directly; the module entry point, the
 installed console script and the import-order guarantee get one subprocess
 check each."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -81,6 +82,36 @@ def test_unknown_system_exits_one(tmp_path, capsys):
     assert "unknown system" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["gen-data", "--smoke"], ["eval", "--oracle"]])
+def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
+    code = main([*cmd, "--system-param", "foo=1", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "'double_well'" in err and "['foo']" in err and "['width_scale']" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["grad-check", "--fd-step", "0"], "fd_step"),
+    (["profile", "--repeats", "0", "--window-steps", "2", "--batch-size", "4"], "repeats"),
+    (["eval", "--oracle", "--grid-points", "0"], "points_per_axis"),
+], ids=["fd-step", "repeats", "grid-points"])
+def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
+    assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ") and len(err.splitlines()) == 1
+
+
+def test_train_options_are_the_train_config_fields():
+    # _train_config forwards only TrainConfig fields, so a train option
+    # that is not one would be parsed and silently ignored
+    from symplearn.training import TrainConfig
+    _, specs = cli._build_parser()
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set(specs["train"]) == (fields - {"fpi"}) | {"data", "out_dir", "fpi_tol",
+                                                          "fpi_max_iters"}
+
+
 def test_missing_dataset_names_the_path(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nowhere"),
                  "--out-dir", str(tmp_path / "out")])
@@ -90,7 +121,7 @@ def test_missing_dataset_names_the_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--batch-size", "0"), ("--windows-per-traj", "0"), ("--val-batches", "0"),
-    ("--epochs", "-1"), ("--lr", "nan"),
+    ("--epochs", "-1"), ("--lr", "nan"), ("--no-such-flag", "1"),
 ])
 def test_bad_train_values_exit_one(dataset, tmp_path, capsys, flag, value):
     assert run_train(dataset, tmp_path / "out", flag, value) == 1
@@ -636,6 +667,20 @@ def test_check_tableau_from_file(tmp_path, capsys):
     path.write_text(json.dumps({"a_q": [[0.5]]}))
     assert main(["check-tableau", "--file", str(path)]) == 1  # missing keys
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, message", [
+    ([1, 2], "JSON object"),
+    ({"a_q": [[0.5, 0.1]], "b_q": [1.0], "a_p": [[0.5]], "b_p": [1]}, "shape"),
+], ids=["list", "non-square"])
+def test_check_tableau_rejects_a_malformed_file(tmp_path, capsys, body, message):
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(body))
+    assert main(["check-tableau", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert message in captured.err
 
 
 # ------------------------------------------------------------------ grad-check

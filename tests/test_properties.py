@@ -1,8 +1,9 @@
 """Property tests for the file and config loaders and the CLI's exit-code
-contract: whatever a manifest, checkpoint header, checkpoint binary or
-training config holds, loading it either succeeds with valid, finite values
-or raises ValueError, and through the CLI a malformed input exits 1 with one
-line, never with a traceback or a silent NaN."""
+contract: whatever a manifest, checkpoint header, checkpoint binary,
+training config, system parameter or tableau file holds, loading it either
+succeeds with valid, finite values or raises ValueError, and through the CLI
+a malformed input exits 1 with one line, never with a traceback or a silent
+NaN."""
 
 import contextlib
 import dataclasses
@@ -225,7 +226,6 @@ def check_config(config):
         value = getattr(config, name)
         assert isinstance(value, int) and not isinstance(value, bool) and value >= low
     assert config.grad_mode in ("adjoint", "backprop")
-    assert config.shooting in ("single", "multiple")
     assert isinstance(config.lr, (int, float)) and not isinstance(config.lr, bool)
     assert math.isfinite(config.lr) and config.lr > 0
     assert isinstance(config.fpi, FpiConfig)
@@ -283,7 +283,7 @@ def test_cli_builds_the_base_train_config(dataset):
 def test_cli_on_a_malformed_train_config_exits_one_with_one_line(dataset, data):
     # a valid training config file with one key set to any JSON value
     key = data.draw(st.sampled_from(sorted(TRAIN_BASE) + [
-        "fpi_max_iters", "seed", "shooting", "segment_steps", "windows_per_traj"]))
+        "fpi_max_iters", "seed", "windows_per_traj"]))
     value = data.draw(JSON)
     result = train_cli(dataset[0], {**TRAIN_BASE, key: value})
     if isinstance(result, TrainConfig):
@@ -291,3 +291,55 @@ def test_cli_on_a_malformed_train_config_exits_one_with_one_line(dataset, data):
         assert not isinstance(value, bool)     # no training option is a switch
     else:
         assert_one_line_error(*result)
+
+
+# --------------------------------------------------------- system parameters
+
+
+def _finite(text):
+    try:
+        return math.isfinite(float(text))
+    except (ValueError, OverflowError):
+        return False
+
+
+@SETTINGS
+@given(key=st.sampled_from(["alpha", "width_scale"]) | st.text(max_size=8),
+       value=st.floats().map(repr) | st.text(max_size=6))
+def test_cli_on_a_drawn_system_param_exits_one_with_one_line(key, value):
+    item = f"{key}={value}"
+    with temp_dir() as tmp:
+        code, _, err = run_cli(["eval", "--oracle", "--system", "coupled_ho",
+                                f"--system-param={item}", "--grid-points", 3,
+                                "--drift-steps", 2, "--out-dir", tmp / "out"])
+    name, text = item.split("=", 1)
+    if name.strip() == "alpha" and _finite(text):
+        # a well-formed value: it scores, or a huge one blows the drift
+        # rollout up, which is a numerical failure and not a usage error
+        assert code in (0, 2)
+        if code == 2:
+            assert err.splitlines()[-1].startswith("numerical failure: ")
+    else:
+        assert_one_line_error(code, err)
+
+
+# --------------------------------------------------------------- tableau files
+
+TABLEAU_BASE = {"name": "midpoint", "a_q": [[0.5]], "b_q": [1.0], "a_p": [[0.5]],
+                "b_p": [1.0]}
+
+
+@SETTINGS
+@given(data=st.data())
+def test_cli_on_a_malformed_tableau_file_exits_one_with_one_line(data):
+    doc = mutate(TABLEAU_BASE, data.draw(mutations(TABLEAU_BASE)))
+    with temp_dir() as tmp:
+        path = tmp / "tableau.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["check-tableau", "--file", path,
+                                  "--out-dir", tmp / "out"])
+    if code == 0:
+        assert "symplectic" in out.splitlines()[0]
+        assert err == ""
+    else:
+        assert_one_line_error(code, err)

@@ -8,7 +8,7 @@ from symplearn.data import generate_dataset, load_dataset, sample_windows
 from symplearn.integrators import FpiConfig
 from symplearn.model import HamiltonianNet
 from symplearn.training import (Adam, NumericalAbort, ReduceOnPlateau,
-                                TrainConfig, _rollout, _segment_windows, loss_and_grad,
+                                TrainConfig, _rollout, loss_and_grad,
                                 metrics_to_csv, saturation_epoch, train,
                                 window_loss)
 
@@ -59,21 +59,25 @@ def test_window_loss_matches_finite_differences():
 
 
 def test_window_loss_batch_mean_and_scale_override():
+    # the loss and its partials carry the 1/B of a batch mean
     rng = np.random.default_rng(1)
     pred = rng.normal(size=(3, 4, 2))
     obs = rng.normal(size=(4, 3, 2))
     loss_mean, part_mean = window_loss(pred, obs)
-    loss_sum, part_sum = window_loss(pred, obs, batch_scale=1.0)
-    assert loss_sum == pytest.approx(4.0 * loss_mean)
-    assert np.allclose(part_sum, 4.0 * part_mean)
-    # the mean equals the average of the per-window sums
-    singles = [window_loss(pred[:, b], obs[b])[0] for b in range(4)]
-    assert loss_mean == pytest.approx(np.mean(singles))
+    resid = pred[1:] - np.swapaxes(obs, 0, 1)[1:]
+    assert loss_mean == pytest.approx(np.sum(resid ** 2) / 4.0)
+    assert np.allclose(part_mean, 2.0 * resid / 4.0)
+    # the mean equals the average of the per-window sums (batches of one)
+    singles = [window_loss(pred[:, b:b + 1], obs[b:b + 1]) for b in range(4)]
+    assert loss_mean == pytest.approx(np.mean([loss for loss, _ in singles]))
+    assert np.allclose(part_mean, np.concatenate([p for _, p in singles], axis=1) / 4.0)
 
 
 def test_window_loss_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="line up"):
         window_loss(np.zeros((3, 2, 2)), np.zeros((2, 4, 2)))
+    with pytest.raises(ValueError, match="line up"):   # one unbatched window
+        window_loss(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 # ------------------------------------------------------------------ optimizer
@@ -115,12 +119,6 @@ def test_reduce_on_plateau_schedule():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="grad_mode"):
         TrainConfig(grad_mode="forward")
-    with pytest.raises(ValueError, match="shooting"):
-        TrainConfig(shooting="triple")
-    with pytest.raises(ValueError, match="segment_steps"):
-        TrainConfig(shooting="multiple")
-    with pytest.raises(ValueError, match="divide"):
-        TrainConfig(shooting="multiple", window_steps=6, segment_steps=4)
     with pytest.raises(ValueError):
         TrainConfig(window_steps=0)
     for bad in ({"batch_size": 0}, {"windows_per_traj": 0}, {"val_batches": 0},
@@ -129,51 +127,6 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert TrainConfig(epochs=0).epochs == 0
-
-
-# ---------------------------------------------------------- multiple shooting
-
-def test_segment_windows_layout():
-    rng = np.random.default_rng(2)
-    windows = rng.normal(size=(2, 7, 2))  # 6 steps per window
-    segs = _segment_windows(windows, 3)
-    assert segs.shape == (4, 4, 2)
-    assert np.array_equal(segs[0], windows[0, 0:4])
-    assert np.array_equal(segs[1], windows[0, 3:7])   # restarts at the seam
-    assert np.array_equal(segs[2], windows[1, 0:4])
-    assert np.array_equal(segs[3], windows[1, 3:7])
-
-
-def test_single_segment_multiple_shooting_equals_single(tiny_dataset):
-    manifest, _, noisy = tiny_dataset
-    rng = np.random.default_rng(3)
-    windows, _, _ = sample_windows(noisy, 4, 4, rng, stride=10)
-    net = HamiltonianNet(1, hidden=(8,))
-    theta = net.init_params(0)
-    single = TrainConfig(window_steps=4, stride=10, hidden=(8,))
-    multi = TrainConfig(window_steps=4, stride=10, hidden=(8,),
-                        shooting="multiple", segment_steps=4)
-    ls, gs, fs = loss_and_grad(net, theta, windows, 0.01, single)
-    lm, gm, fm = loss_and_grad(net, theta, windows, 0.01, multi)
-    assert ls == lm
-    assert np.array_equal(gs, gm)
-    assert fs == fm
-
-
-def test_multiple_shooting_restarts_reduce_the_loss(tiny_dataset):
-    # re-seeding each segment from observations cannot accumulate rollout
-    # error across seams, so a poor model scores better under multiple shooting
-    manifest, _, noisy = tiny_dataset
-    rng = np.random.default_rng(4)
-    windows, _, _ = sample_windows(noisy, 8, 4, rng, stride=10)
-    net = HamiltonianNet(1, hidden=(8,))
-    theta = net.init_params(0)
-    single = TrainConfig(window_steps=4, stride=10, hidden=(8,))
-    multi = TrainConfig(window_steps=4, stride=10, hidden=(8,),
-                        shooting="multiple", segment_steps=2)
-    ls, _, _ = loss_and_grad(net, theta, windows, 0.01, single)
-    lm, _, _ = loss_and_grad(net, theta, windows, 0.01, multi)
-    assert lm < ls
 
 
 @pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
