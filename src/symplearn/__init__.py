@@ -26,6 +26,7 @@ _EXPORTS = {
     "load_dataset": "data",
     "sample_windows": "data",
     "split_dataset": "data",
+    "write_csv": "data",
     "energy_drift": "evaluation",
     "evaluate_ood": "evaluation",
     "phase_grid": "evaluation",
@@ -48,7 +49,6 @@ _EXPORTS = {
     "save_checkpoint": "model",
     "ProfileRow": "profiling",
     "profile_gradient_modes": "profiling",
-    "profile_to_csv": "profiling",
     "HamiltonianSystem": "systems",
     "SYSTEMS": "systems",
     "get_system": "systems",
@@ -58,7 +58,6 @@ _EXPORTS = {
     "TrainConfig": "training",
     "TrainResult": "training",
     "loss_and_grad": "training",
-    "metrics_to_csv": "training",
     "saturation_epoch": "training",
     "train": "training",
     "window_loss": "training",

@@ -110,7 +110,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
         # the parameter term, reversed through the same forward tape on the
         # Hessian pass's primal reverse
         _, step_grad = net._tangent_reverse(prep, acts, primal,
-                                            costate_to_direction(lam_mid, d), False, True)
+                                            costate_to_direction(lam_mid, d), False)
         lam = 2.0 * lam_mid - lam_end
         grad += h * step_grad
         # held into the next Hessian pass, this step's pieces would raise the peak by half
@@ -178,7 +178,7 @@ def backward_through_record(net, theta, record, partials):
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
         # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, top)]
         for acts in reversed(tapes):
-            ybar, thbar = net.field_vjp(prep, acts, h * cot, need_params=True)
+            ybar, thbar = net.field_vjp(prep, acts, h * cot)
             grad += thbar
             cot_yn += cot + 0.5 * ybar
             cot = 0.5 * ybar

@@ -17,7 +17,8 @@ naming its flag or config key.  The thread cap is CLI-only, since a config
 file is read too late to matter.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(solver blow-up or a training abort).
+(solver blow-up or a training abort).  A failure prints one line on stderr:
+handlers run with NumPy's floating-point warnings off.
 """
 
 import argparse
@@ -186,9 +187,7 @@ def _build_parser():
     opt("--dt", None, _float)
     opt("--noise-std", None, _float)
     opt("--smoke", False, _flag, action="store_true",
-        help="desk-scale sizes (1024 train / 256 val)")
-    opt("--full", False, _flag, action="store_true",
-        help="full-scale sizes (16384 train / 8192 val; the default)")
+        help="desk-scale sizes (1024 train / 256 val; the default is 16384 / 8192)")
 
     # seed None: TrainConfig owns every training default, the seed included
     opt = command("train", "fit a Hamiltonian network to a stored dataset", "runs/train",
@@ -322,17 +321,11 @@ def _fpi(opts):
 
 
 def _random_state(system, seed):
-    """One start state drawn uniformly from the system's phase-space box."""
+    """One start state, drawn as dataset starts are (below any energy cap)."""
     import numpy as np
-    rng = np.random.default_rng((seed, 5))
-    lo, hi = system.bounds[:, 0], system.bounds[:, 1]
-    return lo + (hi - lo) * rng.random(2 * system.dim)
 
-
-def _write_csv(path, header, rows):
-    from .data import csv_lines, open_atomically
-    with open_atomically(path) as fh:
-        fh.writelines(csv_lines(header, rows))
+    from .data import sample_initial_conditions
+    return sample_initial_conditions(system, 1, np.random.default_rng((seed, 5)))[0]
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +334,6 @@ def _write_csv(path, header, rows):
 
 def cmd_gen_data(opts):
     from .data import FULL_SCALE, SMOKE_SCALE, generate_dataset
-    if opts["smoke"] and opts["full"]:
-        raise UsageError("--smoke and --full are mutually exclusive")
     sizes = {**(SMOKE_SCALE if opts["smoke"] else FULL_SCALE),
              **_given(opts, {k: k for k in ("n_train", "n_val", "n_steps", "dt", "noise_std")})}
     out = _out_dir(opts)
@@ -362,9 +353,9 @@ def _train_config(opts):
 
 
 def cmd_train(opts):
-    from .data import load_dataset, open_atomically
+    from .data import load_dataset, write_csv
     from .model import save_checkpoint
-    from .training import metrics_to_csv, train
+    from .training import train
     if not opts["data"]:
         raise UsageError("--data (dataset directory) is required")
     try:
@@ -376,8 +367,8 @@ def cmd_train(opts):
     out = _out_dir(opts)
     header_path, _ = save_checkpoint(out / "model.json", result.net, result.theta,
                                      seed=config.seed)
-    with open_atomically(out / "metrics.csv") as fh:
-        fh.write(metrics_to_csv(result.metrics))
+    write_csv(out / "metrics.csv", list(result.metrics[0]),
+              (row.values() for row in result.metrics))
     first, last = result.metrics[0], result.metrics[-1]
     print(f"trained {config.epochs} epochs on {manifest.system} "
           f"({config.grad_mode} gradients)")
@@ -391,7 +382,7 @@ def cmd_train(opts):
 def cmd_eval(opts):
     import numpy as np
 
-    from .data import open_atomically
+    from .data import open_atomically, write_csv
     from .evaluation import energy_drift, evaluate_ood
     from .systems import get_system
     system = get_system(opts["system"], **opts["system_param"])
@@ -429,8 +420,8 @@ def cmd_eval(opts):
 
     pts = points["pts"]
     columns = ["h_true", "h_pred", "h_err_aligned", "dyn_l2_err"]
-    _write_csv(out / "grid.csv", [f"x{i}" for i in range(pts.shape[1])] + columns,
-               np.column_stack([pts] + [points[name] for name in columns]))
+    write_csv(out / "grid.csv", [f"x{i}" for i in range(pts.shape[1])] + columns,
+              np.column_stack([pts] + [points[name] for name in columns]))
 
     print(f"h_l1_mean={report['h_l1_mean']:.6g} h_l1_max={report['h_l1_max']:.6g} "
           f"dyn_l2_mean={report['dyn_l2_mean']:.6g} "
@@ -442,6 +433,7 @@ def cmd_eval(opts):
 def cmd_integrate(opts):
     import numpy as np
 
+    from .data import write_csv
     from .integrators import integrate
     if bool(opts["system"]) == bool(opts["checkpoint"]):
         raise UsageError("pass exactly one of --system or --checkpoint")
@@ -466,12 +458,12 @@ def cmd_integrate(opts):
     if y0.shape != (2 * dim,):
         raise UsageError(f"--y0 needs {2 * dim} coordinates, got {y0.size}")
 
-    traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts), dim=dim,
+    traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
     out = _out_dir(opts)
     path = out / "trajectory.csv"
-    _write_csv(path, ["step", "t"] + [f"x{i}" for i in range(2 * dim)],
-               ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
+    write_csv(path, ["step", "t"] + [f"x{i}" for i in range(2 * dim)],
+              ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
 
     h_vals = np.asarray(h_fn(traj.states), dtype=np.float64)
     drift = float(np.max(np.abs(h_vals - h_vals[0])))
@@ -484,15 +476,15 @@ def cmd_integrate(opts):
 
 
 def cmd_profile(opts):
-    from .data import open_atomically
-    from .profiling import profile_gradient_modes, profile_to_csv
+    from .data import write_csv
+    from .profiling import ProfileRow, profile_gradient_modes
     rows = profile_gradient_modes(seed=opts["seed"], **_given(opts, {
         "system": "system_name", "batch_size": "batch_size",
         "window_steps": "window_steps", "h": "h", "repeats": "repeats"}))
     out = _out_dir(opts)
     path = out / "profile.csv"
-    with open_atomically(path) as fh:
-        fh.write(profile_to_csv(rows))
+    write_csv(path, [f.name for f in dataclasses.fields(ProfileRow)],
+              map(dataclasses.astuple, rows))
     by_mode = {}
     for r in rows:
         by_mode.setdefault(r.grad_mode, []).append(r)
@@ -553,6 +545,7 @@ def cmd_check_tableau(opts):
 def cmd_grad_check(opts):
     import numpy as np
 
+    from .data import write_csv
     from .profiling import profile_windows
     from .systems import get_system
     from .model import HamiltonianNet
@@ -592,8 +585,8 @@ def cmd_grad_check(opts):
 
     out = _out_dir(opts)
     path = out / "grad_check.csv"
-    _write_csv(path, ["param_index", "adjoint", "backprop", "finite_difference"],
-               zip(range(net.n_params), g_adj, g_bp, g_fd))
+    write_csv(path, ["param_index", "adjoint", "backprop", "finite_difference"],
+              zip(range(net.n_params), g_adj, g_bp, g_fd))
 
     print(f"loss={loss0:.6g} params={net.n_params} "
           f"(system {system.name}, {n_steps} steps, h={h})")
@@ -642,7 +635,9 @@ def main(argv=None):
     parser, specs = _build_parser()
     try:
         opts = _merge_options(parser.parse_args(argv), specs)
-        return _HANDLERS[opts["cmd"]](opts)
+        import numpy as np           # only now: --threads is applied
+        with np.errstate(all="ignore"):
+            return _HANDLERS[opts["cmd"]](opts)
     except SystemExit:               # --help has printed its text
         return 0
     except Exception as err:

@@ -10,9 +10,11 @@ with the first n_train trajectories forming the training split and the rest
 validation.  Trajectories come from the order-4 Gauss reference integrator at
 the stored step size.  Initial conditions are drawn uniformly from the
 system's phase-space box (with rejection below the energy cap where the
-system defines one); noise for trajectory i comes from its own generator
-seeded with seed XOR i, so the content of a trajectory never depends on how
-many trajectories surround it or in what order they were produced.
+system defines one) by `sample_initial_conditions`, which draws the CLI's
+and the profiler's starts too.  Noise for trajectory i comes from its own
+generator seeded with seed XOR i (so two dataset seeds share streams), and
+the content of a trajectory never depends on how many trajectories
+surround it or in what order they were produced.
 
 Each array exists in memory at most once.  Generation keeps only the
 integrator's time-major states and streams both files from them one
@@ -247,13 +249,15 @@ def open_atomically(path, mode="w"):
         raise
 
 
-def csv_lines(header, rows):
-    """CSV text one line at a time: floats as repr(float(v)), which reads
-    back to the same double, everything else as str(v)."""
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                       for v in row) + "\n"
+def write_csv(path, header, rows):
+    """Write a header line and rows to path as CSV, atomically: floats as
+    repr(float(v)), which reads back to the same double, everything else as
+    str(v)."""
+    with open_atomically(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
@@ -272,6 +276,5 @@ def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
             for i in range(data.shape[0]) for s in range(data.shape[1]))
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open_atomically(out_path) as fh:
-        fh.writelines(csv_lines(cols, rows))
+    write_csv(out_path, cols, rows)
     return out_path

@@ -12,12 +12,13 @@ earlier steps exist, the lower-order rows of SEED_WEIGHTS before that and
 explicit predictor would cost two to save about two sweeps.  The
 midpoint rule is symmetric, second order, and symplectic for arbitrary
 smooth Hamiltonians, separable or not, which is why it sits in the training
-loop, and the only method with a specialized stepper.  Every other
-method is a partitioned Runge-Kutta tableau stepped by the generic stage
-solver: the two-stage Gauss collocation pair (order 4) that generates
-datasets, the symplectic Euler pair, and the non-symplectic explicit
-midpoint (rk2) and explicit Euler baselines.  `check_symplectic_tableau`
-verifies the algebraic symplecticity conditions on the coefficients.
+loop.  Every other method is a partitioned Runge-Kutta tableau: the
+two-stage Gauss collocation pair (order 4) that generates datasets, the
+symplectic Euler pair, and the non-symplectic explicit midpoint (rk2) and
+explicit Euler baselines.  One fixed-point loop, `_fixed_point`, solves the
+midpoint step and the stages of the implicit tableaux alike.
+`check_symplectic_tableau` verifies the algebraic symplecticity conditions
+on the coefficients.
 
 Vector fields are plain callables f(y) -> ydot over flat states [..., 2d];
 everything here works on a single state [2d] or a batch [B, 2d].  For batched
@@ -27,7 +28,7 @@ whole batch, so all trajectories in a batch see the same iteration count.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,10 +177,16 @@ class FpiConfig:
 
 @dataclass(frozen=True)
 class StepReport:
-    iterations: int
-    residual: float
+    residuals: tuple    # max-norm change of each sweep, oldest first
     converged: bool
-    residuals: tuple = field(default=(), repr=False)
+
+    @property
+    def iterations(self):
+        return len(self.residuals)
+
+    @property
+    def residual(self):
+        return self.residuals[-1]
 
 
 @dataclass(frozen=True)
@@ -191,13 +198,31 @@ class Trajectory:
         return len(self.times)
 
 
-def _report(residuals, converged):
-    return StepReport(len(residuals), residuals[-1], converged, tuple(residuals))
-
-
 def _check_finite(y, context):
     if not np.all(np.isfinite(y)):
         raise NonFiniteError(f"non-finite state during {context}")
+
+
+def _fixed_point(update, x, cfg, context):
+    """Iterate x <- update(x) until the max-norm change is at most cfg.tol,
+    or for cfg.max_iters sweeps; returns (x, StepReport).  Non-convergence
+    is not fatal: the last iterate comes back with converged=False so the
+    caller can count failures and decide.  A non-finite iterate raises
+    NonFiniteError naming context: a NaN or inf makes the change
+    max|new - x| NaN or inf, so the stopping rule's residual is also the
+    finiteness check.
+    """
+    residuals = []
+    for _ in range(cfg.max_iters):
+        new = update(x)
+        resid = float(np.max(np.abs(new - x)))
+        if not math.isfinite(resid):
+            raise NonFiniteError(f"non-finite state during {context}")
+        residuals.append(resid)
+        x = new
+        if resid <= cfg.tol:
+            break
+    return x, StepReport(tuple(residuals), resid <= cfg.tol)
 
 
 def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
@@ -205,43 +230,29 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
 
     start is the first iterate, a guess at y_next shaped like y; None starts
     from y itself.  The seed sets how many sweeps the solve takes; the result
-    moves only at the level of cfg.tol.  Returns (y_next, StepReport).
-    Non-convergence within max_iters is not fatal: the best iterate is
-    returned with converged=False so the caller can count failures and
-    decide.  Non-finite iterates raise NonFiniteError: a NaN or inf in an
-    iterate makes its residual max|new - cur| NaN or inf, so the residual the
-    stopping rule needs is also the finiteness check.
+    moves only at the level of cfg.tol.  Returns (y_next, StepReport) from
+    _fixed_point.
     """
     y = np.asarray(y, dtype=np.float64)
     cur = y if start is None else np.asarray(start, dtype=np.float64)
     if cur.shape != y.shape:
         raise ValueError(f"start shape {cur.shape} does not match state shape {y.shape}")
-    residuals = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        new = y + h * f(0.5 * (y + cur))
-        resid = float(np.max(np.abs(new - cur)))
-        if not math.isfinite(resid):
-            raise NonFiniteError("non-finite state during implicit midpoint iteration")
-        residuals.append(resid)
-        cur = new
-        if resid <= cfg.tol:
-            converged = True
-            break
-    return cur, _report(residuals, converged)
+    return _fixed_point(lambda x: y + h * f(0.5 * (y + x)), cur, cfg,
+                        "implicit midpoint iteration")
 
 
-def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
+def prk_step(f, y, h, tableau, cfg=FpiConfig()):
     """One step of an arbitrary partitioned Runge-Kutta pair.
 
     Explicit pairs (a_q and a_p both strictly lower triangular) evaluate their
     stages in order, one field evaluation each, and report one iteration.
     Implicit pairs solve the stage slopes of both partitions jointly by
-    fixed-point iteration, seeded with the field at the current state; they
-    contract at rate O(h).
+    _fixed_point, seeded with the field at the current state; they contract
+    at rate O(h).
     """
     y = np.asarray(y, dtype=np.float64)
     s = tableau.stages
+    dim = y.shape[-1] // 2
     q0, p0 = y[..., :dim], y[..., dim:]
 
     def stage(i, slopes, known):  # slope of stage i from slopes 0..known-1
@@ -255,23 +266,15 @@ def prk_step(f, y, h, tableau, dim, cfg=FpiConfig()):
         for i in range(s):
             slopes.append(stage(i, slopes, i))
             _check_finite(slopes[i], f"{tableau.name} stage {i}")
-        residuals, converged = [0.0], True
+        report = StepReport((0.0,), True)
     else:
-        slopes = np.stack([f(y)] * s, axis=0)
-        residuals, converged = [], False
-        for _ in range(cfg.max_iters):
-            new_slopes = np.stack([stage(i, slopes, s) for i in range(s)], axis=0)
-            _check_finite(new_slopes, f"{tableau.name} stage iteration")
-            resid = float(np.max(np.abs(new_slopes - slopes)))
-            residuals.append(resid)
-            slopes = new_slopes
-            if resid <= cfg.tol:
-                converged = True
-                break
+        slopes, report = _fixed_point(
+            lambda x: np.stack([stage(i, x, s) for i in range(s)], axis=0),
+            np.stack([f(y)] * s, axis=0), cfg, f"{tableau.name} stage iteration")
 
     q1 = q0 + h * sum(tableau.b_q[i] * slopes[i][..., :dim] for i in range(s))
     p1 = p0 + h * sum(tableau.b_p[i] * slopes[i][..., dim:] for i in range(s))
-    return np.concatenate([q1, p1], axis=-1), _report(residuals, converged)
+    return np.concatenate([q1, p1], axis=-1), report
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +291,7 @@ SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
                 (5.0, -10.0, 10.0, -5.0, 1.0))
 
 
-def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), dim=None):
+def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     """Roll a state forward n_steps of size h; returns (Trajectory, reports).
 
     method is 'implicit_midpoint' (the specialized fixed-point stepper), any
@@ -305,10 +308,8 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
         raise ValueError("h must be nonzero")
     y0 = np.asarray(y0, dtype=np.float64)
     _check_finite(y0, "integration start")
-    if dim is None:
-        dim = y0.shape[-1] // 2
-    if y0.shape[-1] != 2 * dim:
-        raise ValueError(f"state width {y0.shape[-1]} does not match dim {dim}")
+    if y0.shape[-1] % 2:
+        raise ValueError(f"state width {y0.shape[-1]} is odd: a state is (q, p)")
 
     states = np.empty((n_steps + 1,) + y0.shape)
     states[0] = y0
@@ -329,7 +330,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig(), di
                          if i else None)
                 y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
             else:
-                y, rep = prk_step(f, y, h, tableau, dim, cfg)
+                y, rep = prk_step(f, y, h, tableau, cfg)
                 _check_finite(y, f"step {i}")
         except NonFiniteError as err:
             raise NonFiniteError(f"{err} (step {i} of {n_steps}, h={h})") from None

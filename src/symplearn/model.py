@@ -278,17 +278,15 @@ class HamiltonianNet:
                 delta = g @ prep.wt[l]
         return slopes, cots, curv
 
-    def _tangent_reverse(self, prep, acts, primal, w_dir, need_state, need_params):
+    def _tangent_reverse(self, prep, acts, primal, w_dir, need_state):
         """Tangent sweep along w_dir, then reverse through primal and tangent,
         on the primal reverse's pieces (_primal_reverse) for the same tape.
 
         The tangent forward propagates ydot_0 = w_dir through the hidden
         layers, towards the directional derivative T = <w_dir, dH/dy> per
-        row.  The reverse sweep then differentiates sum(T):
-
-            need_state  -> dT/dy      = (d2H/dy2) w_dir, row-wise
-            need_params -> dT/dtheta  summed over the batch
-
+        row.  The reverse sweep then differentiates sum(T) and returns
+        (dT/dy, dT/dtheta): dT/dy = (d2H/dy2) w_dir row-wise, None unless
+        need_state, and dT/dtheta summed over the batch,
         which covers the reverse through a recorded field evaluation and the
         costate step's parameter-gradient integrand with one piece of code.
         It starts below the linear output layer, where the primal cotangent
@@ -312,25 +310,22 @@ class HamiltonianNet:
             zt *= slopes[l]
             tans.append(zt)
 
-        grad = grads = ones = None
-        if need_params:
-            grad = np.empty(self.n_params)
-            grads = self.unpack(grad)
-            ones = np.ones(len(w_dir))
-            dw, db = grads[last]
-            dw[:, 0] = ones @ tans[last]
-            db[:] = 0.0
+        grad = np.empty(self.n_params)
+        grads = self.unpack(grad)
+        ones = np.ones(len(w_dir))
+        dw, db = grads[last]
+        dw[:, 0] = ones @ tans[last]
+        db[:] = 0.0
         s = None                         # zero until the first hidden layer
         for l in range(last - 1, -1, -1):
             gz = gzs[l]
             if s is not None:
                 s *= slopes[l]
                 gz += s
-            if need_params:
-                dw, db = grads[l]
-                np.matmul(acts[l].T, gz, out=dw)
-                dw += tans[l].T @ cots[l]
-                np.matmul(ones, gz, out=db)
+            dw, db = grads[l]
+            np.matmul(acts[l].T, gz, out=dw)
+            dw += tans[l].T @ cots[l]
+            np.matmul(ones, gz, out=db)
             if l > 0 or need_state:
                 s = gz @ prep.wt[l]
 
@@ -338,10 +333,10 @@ class HamiltonianNet:
             s = np.zeros_like(w_dir)
         return (s if need_state else None), grad
 
-    def _mixed(self, prep, acts, w_dir, need_state, need_params):
+    def _mixed(self, prep, acts, w_dir):
         """_tangent_reverse on a recorded tape, after one primal reverse."""
         primal = self._primal_reverse(prep, acts)
-        return self._tangent_reverse(prep, acts, primal, w_dir, need_state, need_params)
+        return self._tangent_reverse(prep, acts, primal, w_dir, True)
 
     # ------------------------------------------------------------------
     # public operations
@@ -440,7 +435,7 @@ class HamiltonianNet:
         hess = self._hess_and_tape(self.prepare(theta), y2)[0]
         return hess[0] if single else hess
 
-    def field_vjp(self, prep, acts, u, need_params):
+    def field_vjp(self, prep, acts, u):
         """Reverse through one recorded field evaluation.
 
         Given the cotangent u on f(y) = (dH/dp, -dH/dq) and the activations
@@ -451,8 +446,7 @@ class HamiltonianNet:
 
         This is the workhorse of the backprop-through-solver engine.
         """
-        w_dir = costate_to_direction(u, self.dim)
-        return self._mixed(prep, acts, w_dir, need_state=True, need_params=need_params)
+        return self._mixed(prep, acts, costate_to_direction(u, self.dim))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .adjoint import backward_through_record, solve_adjoint_accumulate
-from .data import csv_lines
+from .data import sample_initial_conditions
 from .integrators import REFERENCE_FPI, _is_int, integrate
 from .memory import METER
 from .model import HamiltonianNet
@@ -37,10 +37,7 @@ class ProfileRow:
 def profile_windows(system, batch_size, window_steps, h, seed):
     """Noise-free windows rolled out from the true field: the profile should
     measure engine overhead, not data quality."""
-    rng = np.random.default_rng((seed, 4))
-    lo = system.bounds[:, 0]
-    hi = system.bounds[:, 1]
-    y0 = lo + (hi - lo) * rng.random((batch_size, 2 * system.dim))
+    y0 = sample_initial_conditions(system, batch_size, np.random.default_rng((seed, 4)))
     traj, _ = integrate(system.dynamics, y0, h, window_steps,
                         method="implicit_midpoint", cfg=REFERENCE_FPI)
     return np.ascontiguousarray(np.swapaxes(traj.states, 0, 1))
@@ -91,9 +88,3 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
                 peak_bytes=peak, wall_s=float(best), loss=float(loss),
             ))
     return rows
-
-
-def profile_to_csv(rows):
-    """ProfileRow list as CSV text, one column per field."""
-    header = [f.name for f in dataclasses.fields(ProfileRow)]
-    return "".join(csv_lines(header, (dataclasses.astuple(r) for r in rows)))

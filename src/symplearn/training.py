@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import adjoint as adj
-from .data import csv_lines, sample_windows, split_dataset
+from .data import sample_windows, split_dataset
 from .integrators import FpiConfig, NonFiniteError, _is_finite, _is_int, integrate
 from .model import DEFAULT_HIDDEN, HamiltonianNet
 
@@ -57,11 +57,10 @@ class Adam:
     """Standard Adam on a flat parameter vector.  A zero gradient moves
     nothing: first and second moments stay zero and the update is exactly 0."""
 
-    def __init__(self, n_params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, n_params, lr=0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
@@ -79,10 +78,10 @@ class ReduceOnPlateau:
     """Halve the learning rate after `patience` consecutive epochs without a
     new best validation loss."""
 
-    def __init__(self, lr, factor=0.5, patience=3):
+    factor, patience = 0.5, 3
+
+    def __init__(self, lr):
         self.lr = lr
-        self.factor = factor
-        self.patience = patience
         self.best = np.inf
         self.bad = 0
 
@@ -181,10 +180,10 @@ class TrainResult:
     saturation_epoch: int | None
 
 
-def saturation_epoch(val_losses, rel_improve=0.01, patience=3):
+def saturation_epoch(val_losses):
     """First epoch index (1-based) after which the validation loss improved by
-    less than rel_improve for patience consecutive epochs; None if it never
-    saturated."""
+    less than 1% for 3 consecutive epochs; None if it never saturated."""
+    rel_improve, patience = 0.01, 3
     quiet = 0
     for i in range(1, len(val_losses)):
         prev, cur = val_losses[i - 1], val_losses[i]
@@ -296,9 +295,3 @@ def train(manifest, noisy, config, theta0=None):
 
     sat = saturation_epoch([row["val_loss"] for row in metrics[1:]])
     return TrainResult(theta=theta, net=net, metrics=metrics, saturation_epoch=sat)
-
-
-def metrics_to_csv(metrics):
-    """Per-epoch metrics as CSV text (epoch, train_loss, val_loss, lr, wall_time_s)."""
-    header = ["epoch", "train_loss", "val_loss", "lr", "wall_time_s"]
-    return "".join(csv_lines(header, ([row[k] for k in header] for row in metrics)))

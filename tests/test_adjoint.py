@@ -97,7 +97,7 @@ def test_adjoint_rhs_is_negative_jacobian_transpose():
         jac = fd_jacobian(lambda s: net.dynamics(theta, s), y, eps=1e-6)
         want = -jac.T @ lam
         acts = net._forward(layers, y[None])
-        ybar, _ = net.field_vjp(layers, acts, lam[None], need_params=False)
+        ybar, _ = net.field_vjp(layers, acts, lam[None])
         assert np.max(np.abs(-ybar[0] - want)) <= 1e-7
 
 
@@ -258,7 +258,7 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
         rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(jac)))))
         mu = np.linalg.solve((np.eye(2) - 0.5 * h * jac).T, partials[0, b])
         acts = net._forward(layers, mid[b:b + 1])
-        want += h * net.field_vjp(layers, acts, mu[None], need_params=True)[1]
+        want += h * net.field_vjp(layers, acts, mu[None])[1]
     assert 0.5 * h * rho > 2.0
     grad, _ = solve_adjoint_accumulate(net, theta, states, partials, h)
     assert rel(grad, want) <= 1e-6

@@ -250,9 +250,7 @@ def test_gen_data_scale_presets(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "smoke" / "manifest.json").read_text())
     assert manifest["n_train"] == 1024 and manifest["n_val"] == 256
-    assert main(["gen-data", "--smoke", "--full",
-                 "--out-dir", str(tmp_path / "b")]) == 1
-    assert "exclusive" in capsys.readouterr().err
+    capsys.readouterr()
 
 
 def test_gen_data_system_params_reach_the_manifest(tmp_path, capsys):
@@ -637,6 +635,49 @@ def test_integrate_argument_validation(tmp_path, capsys):
     assert main(["integrate", "--system", "coupled_ho", "--y0", "1,2,3",
                  "--out-dir", out]) == 1               # wrong width
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_henon_heiles_starts_below_the_energy_cap(seed, tmp_path, monkeypatch, capsys):
+    # eval's drift runs and integrate draw their start as datasets do, below
+    # the cap, where the rollout stays bounded (a start drawn from the whole
+    # box blew up at every one of these seeds)
+    from symplearn import evaluation
+    from symplearn.systems import get_system
+    hh = get_system("henon_heiles")
+    starts = []
+    drift = evaluation.energy_drift
+
+    def spy(field, h_ref, y0, *args, **kwargs):
+        starts.append(y0)
+        return drift(field, h_ref, y0, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "energy_drift", spy)
+    argv = ["--system", "henon_heiles", "--seed", str(seed)]
+    assert main(["eval", "--oracle", "--grid-points", "5", *argv,
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    assert main(["integrate", *argv, "--out-dir", str(tmp_path / "integrate")]) == 0
+    row = (tmp_path / "integrate" / "trajectory.csv").read_text().splitlines()[1]
+    starts.append(np.array([float(c) for c in row.split(",")[2:]]))
+    assert len(starts) == 3
+    assert all(hh.hamiltonian(y0) < hh.ic_energy_cap for y0 in starts)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("system,param", [("coupled_ho", "alpha=1e200"),
+                                          ("double_well", "width_scale=1e200")])
+def test_overflowing_system_param_fails_with_one_line(system, param, tmp_path, package_env):
+    # the overflow is reported by the solver's finiteness check alone, with
+    # no NumPy warning lines before it; a child process, because pytest
+    # would catch the warnings before they reach stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "symplearn", "eval", "--oracle", "--system", system,
+         "--system-param", param, "--grid-points", "3", "--drift-steps", "2",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=package_env)
+    assert out.returncode == 2
+    assert out.stderr.startswith("numerical failure: ") and out.stderr.count("\n") == 1, \
+        out.stderr
 
 
 # --------------------------------------------------------------- check-tableau

@@ -194,8 +194,7 @@ def test_explicit_pairs_take_one_evaluation_per_stage(method, evals):
 def test_generic_prk_midpoint_agrees_with_specialized_step():
     cho = get_system("coupled_ho")
     y = np.array([0.4, 0.3])
-    via_prk, _ = prk_step(cho.dynamics, y, 0.1, TABLEAUX["implicit_midpoint"],
-                          dim=1, cfg=TIGHT)
+    via_prk, _ = prk_step(cho.dynamics, y, 0.1, TABLEAUX["implicit_midpoint"], cfg=TIGHT)
     direct, _ = implicit_midpoint_step(cho.dynamics, y, 0.1, cfg=TIGHT)
     assert np.max(np.abs(via_prk - direct)) <= 1e-12
 

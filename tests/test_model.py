@@ -104,7 +104,7 @@ def param_contraction(net, theta, y, lam):
     reverse through one field evaluation at y."""
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    return net.field_vjp(layers, acts, lam, need_params=True)[1]
+    return net.field_vjp(layers, acts, lam)[1]
 
 
 def test_linear_net_parameter_contraction_is_exact():
@@ -153,7 +153,7 @@ def test_field_vjp_equals_hessian_contraction():
     u = rng.standard_normal((3, 2))
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    ybar, _ = net.field_vjp(layers, acts, u, need_params=False)
+    ybar, _ = net.field_vjp(layers, acts, u)
     hess = net.hess_state(theta, y)
     w = costate_to_direction(u, 1)
     want = np.einsum("bij,bj->bi", hess, w)
@@ -177,7 +177,7 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
         e_k[:, k] = 1.0
         u = np.concatenate([e_k[:, dim:], -e_k[:, :dim]], axis=1)
         assert np.array_equal(costate_to_direction(u, dim), e_k)
-        cols.append(net.field_vjp(layers, acts, u, need_params=False)[0])
+        cols.append(net.field_vjp(layers, acts, u)[0])
     want = np.stack(cols, axis=-1)
     got = net.hess_state(theta, y)
     if not hidden:
@@ -190,9 +190,10 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
 def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
-    # _mixed under every need_state/need_params setting, and field_vjp on
-    # top of it, against the plain tangent-over-reverse sweep; with no
-    # hidden layer the state output is exactly zero
+    # _mixed, the fused costate-step reverse with and without its state
+    # half, and field_vjp on top of _mixed, against the plain
+    # tangent-over-reverse sweep; with no hidden layer the state output is
+    # exactly zero
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(22)
     rng = np.random.default_rng(23)
@@ -207,29 +208,21 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
+    for part, ref in zip(net._mixed(layers, acts, w_dir), want):
+        check(part, ref)
     for need_state in (True, False):
-        for need_params in (True, False):
-            got = net._mixed(layers, acts, w_dir, need_state, need_params)
-            # the costate step's parameter reverse: the tangent-over-reverse
-            # on the primal pieces a Hessian pass kept, with no second primal
-            # reverse; it consumes them, so each call gets a fresh pass
-            _, hess_tape, primal = net._hess_and_tape(layers, y)
-            fused = net._tangent_reverse(layers, hess_tape, primal, w_dir,
-                                         need_state, need_params)
-            for flag, part, fused_part, ref in zip((need_state, need_params), got,
-                                                   fused, want):
-                if flag:
-                    check(part, ref)
-                    check(fused_part, ref)
-                else:
-                    assert part is None and fused_part is None
-    for need_params in (True, False):
-        ybar, thetabar = net.field_vjp(layers, acts, u, need_params=need_params)
-        check(ybar, want[0])
-        if need_params:
-            check(thetabar, want[1])
+        # the costate step's parameter reverse: the tangent-over-reverse on
+        # the primal pieces a Hessian pass kept, with no second primal
+        # reverse; it consumes them, so each call gets a fresh pass
+        _, hess_tape, primal = net._hess_and_tape(layers, y)
+        state, params = net._tangent_reverse(layers, hess_tape, primal, w_dir, need_state)
+        check(params, want[1])
+        if need_state:
+            check(state, want[0])
         else:
-            assert thetabar is None
+            assert state is None
+    for part, ref in zip(net.field_vjp(layers, acts, u), want):
+        check(part, ref)
 
 
 @pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
@@ -251,7 +244,7 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
         fresh = net._forward(layers, y)
         hess, hess_tape, primal = net._hess_and_tape(layers, y)
         return [*fresh, net._reverse_input(layers, acts), net._reverse_input(layers, acts, True),
-                *net._mixed(layers, acts, w_dir, need_state=True, need_params=True),
+                *net._mixed(layers, acts, w_dir),
                 hess, *hess_tape, *primal[0], *primal[1], *primal[2]]
 
     first = sweeps()
@@ -327,8 +320,7 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         hess = net._hess_and_tape(prep, y)[0]
         assert np.array_equal(hess, net.hess_state(theta, y))
         fresh = net.prepare(theta)
-        for got, ref in zip(net.field_vjp(prep, acts, u, need_params=True),
-                            net.field_vjp(fresh, acts, u, need_params=True)):
+        for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
     for batch in (1, 3, 512):
         biases, head_rows, field_rows = prep.rows(batch)

@@ -318,7 +318,7 @@ def test_cli_on_a_drawn_system_param_exits_one_with_one_line(key, value):
         # rollout up, which is a numerical failure and not a usage error
         assert code in (0, 2)
         if code == 2:
-            assert err.splitlines()[-1].startswith("numerical failure: ")
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
     else:
         assert_one_line_error(code, err)
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from symplearn.adjoint import backward_through_record, solve_adjoint_accumulate
-from symplearn.data import generate_dataset, load_dataset, sample_windows
+from symplearn.data import generate_dataset, load_dataset, sample_windows, write_csv
 from symplearn.integrators import FpiConfig
 from symplearn.model import HamiltonianNet
 from symplearn.training import (Adam, NumericalAbort, ReduceOnPlateau,
                                 TrainConfig, _rollout, loss_and_grad,
-                                metrics_to_csv, saturation_epoch, train,
-                                window_loss)
+                                saturation_epoch, train, window_loss)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ def test_adam_first_step_closed_form():
 
 
 def test_reduce_on_plateau_schedule():
-    sched = ReduceOnPlateau(1.0, factor=0.5, patience=3)
+    sched = ReduceOnPlateau(1.0)
     assert sched.update(1.0) == 1.0      # first value is the best so far
     assert sched.update(0.5) == 1.0      # new best
     assert sched.update(0.6) == 1.0      # bad 1
@@ -276,15 +275,18 @@ def test_saturation_epoch_cases():
     assert saturation_epoch([1.0, 0.99, 0.985]) is None  # streak too short
 
 
-def test_metrics_csv_roundtrips():
+def test_metrics_csv_roundtrips(tmp_path):
+    # written as the train command writes metrics.csv
     metrics = [
         {"epoch": 0, "train_loss": 0.125, "val_loss": 1.0 / 3.0, "lr": 0.01,
          "wall_time_s": 0.5},
         {"epoch": 1, "train_loss": 0.0625, "val_loss": 0.25, "lr": 0.005,
          "wall_time_s": 0.25},
     ]
-    text = metrics_to_csv(metrics)
-    lines = text.strip().splitlines()
+    path = tmp_path / "metrics.csv"
+    write_csv(path, list(metrics[0]), (row.values() for row in metrics))
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr,wall_time_s"
     cells = lines[1].split(",")
     assert int(cells[0]) == 0
