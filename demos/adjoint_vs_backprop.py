@@ -11,7 +11,6 @@ but one runs in constant memory and the other grows with the window length.
 
 import numpy as np
 
-from symplearn.evaluation import report_table
 from symplearn.model import HamiltonianNet
 from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
@@ -40,11 +39,10 @@ def memory_growth():
     print("== peak engine memory vs window length (batch 512) ==")
     rows = profile_gradient_modes(batch_size=512, window_steps=(4, 8, 16, 32),
                                   repeats=1)
-    table = [{"name": f"{r.grad_mode} / {r.window_steps} steps",
-              "peak_bytes": r.peak_bytes, "wall_s": round(r.wall_s, 4)}
-             for r in rows]
-    md = report_table(table)
-    print(md)
+    print(f"  {'engine':10s} {'steps':>5s} {'peak bytes':>12s} {'wall s':>8s}")
+    for r in rows:
+        print(f"  {r.grad_mode:10s} {r.window_steps:5d} {r.peak_bytes:12d} {r.wall_s:8.4f}")
+    print()
     adj = [r.peak_bytes for r in rows if r.grad_mode == "adjoint"]
     bp = [r.peak_bytes for r in rows if r.grad_mode == "backprop"]
     print(f"costate engine: {adj[0]} bytes at every length (flat)")

@@ -7,7 +7,7 @@ Run from the repository root:
 
 import numpy as np
 
-from symplearn.evaluation import energy_drift, report_table
+from symplearn.evaluation import energy_drift
 from symplearn.integrators import (FpiConfig, TABLEAUX,
                                    check_symplectic_tableau,
                                    implicit_midpoint_step, integrate)
@@ -27,17 +27,12 @@ def drift_comparison():
     print("== energy drift on a double-well orbit, short vs long horizon ==")
     dw = get_system("double_well")
     y0 = np.array([0.0, 0.8])
-    rows = []
+    print(f"  {'method':20s} {'drift T=50':>12s} {'drift T=500':>12s} {'growth':>8s}")
     for method in ("implicit_midpoint", "symplectic_euler", "rk2"):
-        drifts = {}
-        for label, n in (("T=50", 1000), ("T=500", 10000)):
-            drifts[label] = energy_drift(dw.dynamics, dw.hamiltonian, y0,
-                                         0.05, n, method=method)
-        rows.append({"name": method, "drift_T=50": drifts["T=50"],
-                     "drift_T=500": drifts["T=500"],
-                     "growth": drifts["T=500"] / drifts["T=50"]})
-    md = report_table(rows)
-    print(md)
+        short, long = (energy_drift(dw.dynamics, dw.hamiltonian, y0, 0.05, n,
+                                    method=method) for n in (1000, 10000))
+        print(f"  {method:20s} {short:12.3e} {long:12.3e} {long / short:8.2f}")
+    print()
     print("the two symplectic methods oscillate inside a band that never")
     print("widens (growth ~1); RK2 has the same one-step order as the")
     print("midpoint rule but its drift keeps accumulating with time.\n")
@@ -49,7 +44,7 @@ def order_of_accuracy():
     y0 = np.array([1.0, 0.0])
     t_end = 1.0
     exact = np.array([np.cos(t_end), -np.sin(t_end)])
-    rows = []
+    print(f"  {'method':20s} {'err h=0.1':>12s} {'err h=0.05':>12s} {'ratio per halving':>18s}")
     for method in ("implicit_midpoint", "gauss2"):
         errors = {}
         for h in (0.1, 0.05, 0.025):
@@ -57,12 +52,9 @@ def order_of_accuracy():
             traj, _ = integrate(sho.dynamics, y0, h, n, method=method,
                                 cfg=FpiConfig(tol=1e-14, max_iters=200))
             errors[h] = float(np.max(np.abs(traj.states[-1] - exact)))
-        rows.append({"name": method,
-                     "err_h=0.1": errors[0.1],
-                     "err_h=0.05": errors[0.05],
-                     "ratio_per_halving": errors[0.05] / errors[0.025]})
-    md = report_table(rows)
-    print(md)
+        print(f"  {method:20s} {errors[0.1]:12.3e} {errors[0.05]:12.3e} "
+              f"{errors[0.05] / errors[0.025]:18.2f}")
+    print()
     print("a ratio of ~4 per halving is second order, ~16 is fourth.\n")
 
 

@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from symplearn.data import generate_dataset
-from symplearn.evaluation import evaluate_ood, report_table
+from symplearn.evaluation import energy_drift, evaluate_ood
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, train
 
@@ -30,11 +30,10 @@ def main():
               f"{config.window_steps} solver steps) ...")
         result = train(manifest, noisy, config)
 
-    rows = [{"name": f"epoch {m['epoch']}", "train_loss": m["train_loss"],
-             "val_loss": m["val_loss"], "lr": m["lr"]}
-            for m in result.metrics]
-    md = report_table(rows)
-    print(md)
+    print(f"  {'epoch':>5s} {'train loss':>12s} {'val loss':>12s} {'lr':>10s}")
+    for m in result.metrics:
+        print(f"  {m['epoch']:5d} {m['train_loss']:12.4e} {m['val_loss']:12.4e} "
+              f"{m['lr']:10.3g}")
     if result.saturation_epoch is not None:
         print(f"validation loss saturated at epoch {result.saturation_epoch}")
 
@@ -49,7 +48,6 @@ def main():
     print(f"  mean field error        = {grid['dyn_l2_mean']:.4f}")
 
     # the learned field should also conserve its own energy when integrated
-    from symplearn.evaluation import energy_drift
     y0 = np.array([0.0, 0.8])
     drift = energy_drift(lambda y: net.dynamics(theta, y),
                          lambda pts: net.eval_h(theta, pts), y0, 0.01, 2000)

@@ -30,7 +30,6 @@ _EXPORTS = {
     "energy_drift": "evaluation",
     "evaluate_ood": "evaluation",
     "phase_grid": "evaluation",
-    "report_table": "evaluation",
     "FpiConfig": "integrators",
     "NonFiniteError": "integrators",
     "PrkTableau": "integrators",

@@ -14,7 +14,9 @@ file is a flat JSON object whose keys are the option names with underscores
 (for example {"grad_mode": "backprop", "epochs": 5}); flag strings and config
 values go through the same parser, and a value that does not parse exits 1
 naming its flag or config key.  The thread cap is CLI-only, since a config
-file is read too late to matter.
+file is read too late to matter: --threads is read by the one parser, as an
+integer like every other option, and _merge_options sets the BLAS variables
+before any handler imports numpy (profile defaults to one thread).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
 (solver blow-up or a training abort).  A failure prints one line on stderr:
@@ -41,29 +43,6 @@ _THREAD_ENV_VARS = (
 
 class UsageError(Exception):
     """Bad flags, bad config, missing files: exit code 1."""
-
-
-def _apply_thread_env(argv):
-    """Honor --threads before numpy can load.  Profiling defaults to one
-    thread so memory and runtime attribution stays unambiguous."""
-    threads = None
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif tok.startswith("--threads="):
-            threads = tok.split("=", 1)[1]
-    if threads is None and argv and argv[0] == "profile":
-        threads = "1"
-    if threads is None:
-        return
-    try:
-        n = int(threads)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"--threads expects a positive integer, got {threads!r}") from None
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(n)
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +242,16 @@ def _build_parser():
 def _merge_options(namespace, specs):
     """Option values of the parsed command: flag > config file > default,
     every given value through its option's parser.  A JSON null counts as
-    not given."""
+    not given.  First caps the BLAS threads at --threads, which profile
+    defaults to 1, while numpy is still unloaded."""
     flags = dict(vars(namespace))
     cmd = flags.pop("cmd")
-    flags.pop("threads", None)
+    threads = flags.pop("threads", 1 if cmd == "profile" else None)
+    if threads is not None:
+        if threads < 1:
+            raise UsageError(f"--threads expects a positive integer, got {threads}")
+        for var in _THREAD_ENV_VARS:
+            os.environ[var] = str(threads)
     config_path = flags.pop("config", None)
     spec = specs[cmd]
     given = {}
@@ -626,12 +611,6 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        _apply_thread_env(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     parser, specs = _build_parser()
     try:
         opts = _merge_options(parser.parse_args(argv), specs)

@@ -17,9 +17,10 @@ the content of a trajectory never depends on how many trajectories
 surround it or in what order they were produced.
 
 Each array exists in memory at most once.  Generation keeps only the
-integrator's time-major states and streams both files from them one
-trajectory at a time; loading maps both files read-only, so only the pages a
-caller touches become resident (training reads noisy alone).
+integrator's time-major states, streams both files from them one
+trajectory at a time and frees them before mapping the files back; loading
+maps both files read-only, so only the pages a caller touches become
+resident (training reads noisy alone).
 """
 
 import contextlib
@@ -177,6 +178,7 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
                 fh.write(np.ascontiguousarray(row, dtype="<f8"))
     with open_atomically(out_dir / MANIFEST_NAME) as fh:
         fh.write(manifest.to_json())
+    del traj, states   # freed before load_dataset faults in noisy to check it
     return load_dataset(out_dir)
 
 

@@ -1,4 +1,4 @@
-"""Model quality checks on held-out phase-space grids, plus report tables.
+"""Model quality checks on held-out phase-space grids and energy drift.
 
 A learned Hamiltonian is only determined up to an additive constant (the
 dynamics see gradients, never the value), so value comparisons subtract the
@@ -9,7 +9,7 @@ something about generalization rather than memorized paths.
 
 import numpy as np
 
-from .integrators import FpiConfig, _is_int, integrate
+from .integrators import FpiConfig, NonFiniteError, _is_int, integrate
 
 GRID_POINTS_PER_AXIS = 33
 
@@ -83,7 +83,8 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
 
 def energy_drift(field, h_fn, y0, h, n_steps, method="implicit_midpoint",
                  cfg=FpiConfig()):
-    """Max |H(y_k) - H(y_0)| along an integrated trajectory; 0.0 for no steps."""
+    """Max |H(y_k) - H(y_0)| along an integrated trajectory; 0.0 for no steps.
+    A non-finite drift raises NonFiniteError."""
     if n_steps == 0:
         return 0.0
     traj, _ = integrate(field, y0, h, n_steps, method=method, cfg=cfg)
@@ -91,31 +92,7 @@ def energy_drift(field, h_fn, y0, h, n_steps, method="implicit_midpoint",
     h0 = np.asarray(h_fn(y0b), dtype=np.float64)
     flat = traj.states.reshape(-1, traj.states.shape[-1])
     vals = np.asarray(h_fn(flat), dtype=np.float64).reshape(traj.states.shape[0], -1)
-    return float(np.max(np.abs(vals - h0[None, :])))
-
-
-def report_table(rows):
-    """Render benchmark rows as a markdown table.
-
-    rows: list of dicts with a 'name' key and numeric columns; the column
-    set is the union over rows, missing or empty cells rendered as '-'.
-    """
-    cols = []
-    for row in rows:
-        for key in row:
-            if key != "name" and key not in cols:
-                cols.append(key)
-    header = ["name"] + cols
-
-    def cell(row, key):
-        if key not in row:
-            return ""
-        value = row[key]
-        # plain float() first: numpy scalars subclass float but repr() noisily
-        return repr(float(value)) if isinstance(value, float) else str(value)
-
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join(" --- " for _ in header) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(cell(row, k) or "-" for k in header) + " |")
-    return "\n".join(lines) + "\n"
+    drift = float(np.max(np.abs(vals - h0[None, :])))
+    if not np.isfinite(drift):
+        raise NonFiniteError(f"non-finite energy drift {drift!r}")
+    return drift

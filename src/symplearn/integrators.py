@@ -184,18 +184,11 @@ class StepReport:
     def iterations(self):
         return len(self.residuals)
 
-    @property
-    def residual(self):
-        return self.residuals[-1]
-
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray    # [n+1]
     states: np.ndarray   # [n+1, ..., 2d]
-
-    def __len__(self):
-        return len(self.times)
 
 
 def _check_finite(y, context):

@@ -9,8 +9,6 @@ that scalar by explicit forward/reverse sweeps written out below:
     dynamics     (dH/dp, -dH/dq)             (canonical field from grad_state)
     field        the same field as a closure   (one prepared network per
                                               rollout; optionally keeps tapes)
-    hess_state   d2H/dy2                     (closed form: reverse sweep plus
-                                              all 2d input tangents at once)
     field_vjp    (df/dy)^T u, (df/dtheta)^T u  (reverse over a directional tangent)
 
 No autodiff framework is used: the passes are few, the layer structure is
@@ -423,17 +421,6 @@ class HamiltonianNet:
         for i in range(1, width):
             hess[:, i, :i] = hess[:, :i, i]
         return hess, acts, primal
-
-    def hess_state(self, theta, y):
-        """Full second derivative d2H/dy2, shape [..., 2d, 2d].
-
-        The closed form of _hess_and_tape: one forward pass, one reverse
-        sweep and the 2d input tangents carried forward together.  The upper
-        triangle is mirrored, so the result is exactly symmetric.
-        """
-        y2, single = _as_batch(y, self.arch[0])
-        hess = self._hess_and_tape(self.prepare(theta), y2)[0]
-        return hess[0] if single else hess
 
     def field_vjp(self, prep, acts, u):
         """Reverse through one recorded field evaluation.

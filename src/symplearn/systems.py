@@ -7,7 +7,7 @@ bounded regime.  States are flat vectors (q_1..q_d, p_1..p_d).
 """
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,9 +20,7 @@ class HamiltonianSystem:
     hamiltonian: Callable          # [..., 2d] -> [...]
     dynamics: Callable             # [..., 2d] -> [..., 2d]
     bounds: np.ndarray             # [2d, 2] per-coordinate (lo, hi)
-    params: dict = field(default_factory=dict)
     ic_energy_cap: float | None = None   # reject sampled states at or above this energy
-    separable: bool = True
 
     @property
     def width(self):
@@ -83,8 +81,6 @@ def coupled_ho(alpha=0.5):
         hamiltonian=hamiltonian,
         dynamics=dynamics,
         bounds=_unit_box(2),
-        params={"alpha": alpha},
-        separable=False,
     )
 
 

@@ -1,12 +1,11 @@
 """Command-line interface: exit codes, option precedence, and the file
 contracts of each subcommand.  Commands run in-process through cli.main so
 exit codes and output are observable directly; the module entry point, the
-installed console script and the import-order guarantee get one subprocess
-check each."""
+installed console script, the import-order guarantee and the thread cap get
+one subprocess check each."""
 
 import dataclasses
 import json
-import os
 import pathlib
 import shutil
 import subprocess
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from symplearn import cli
-from symplearn.cli import _apply_thread_env, _THREAD_ENV_VARS, main
+from symplearn.cli import _THREAD_ENV_VARS, main
 from symplearn.data import FULL_SCALE, SMOKE_SCALE
 from symplearn.model import HamiltonianNet, load_checkpoint
 
@@ -183,19 +182,44 @@ def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
 
 # --------------------------------------------------------------------- threads
 
-def test_thread_env_is_set_before_numpy(monkeypatch):
-    for var in _THREAD_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    _apply_thread_env(["train", "--threads", "3"])
-    assert all(os.environ[v] == "3" for v in _THREAD_ENV_VARS)
-    _apply_thread_env(["profile"])  # profiling defaults to a single thread
-    assert all(os.environ[v] == "1" for v in _THREAD_ENV_VARS)
+# Runs `python -m symplearn` with an import hook that prints, at the first
+# import of numpy, the thread cap numpy would read.
+_THREADS_AT_NUMPY_IMPORT = """
+import os, runpy, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("threads at numpy import:", os.environ.get("OPENBLAS_NUM_THREADS"),
+                  file=sys.stderr)
+            sys.meta_path.remove(self)
+        return None
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["symplearn", *sys.argv[1:]]
+runpy.run_module("symplearn", run_name="__main__")
+"""
+
+
+def test_thread_env_is_set_before_numpy(tmp_path, package_env):
+    # --threads from the parsed flag; profile without the flag gets one thread
+    env = {k: v for k, v in package_env.items() if k not in _THREAD_ENV_VARS}
+    for argv, threads in (
+            (["gen-data", "--n-train", "2", "--n-val", "1", "--n-steps", "2",
+              "--threads", "2"], "2"),
+            (["profile", "--batch-size", "2", "--window-steps", "1", "--repeats", "1"], "1")):
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_AT_NUMPY_IMPORT, *argv, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == f"threads at numpy import: {threads}\n"
 
 
 def test_bad_thread_count_exits_one(capsys):
-    assert main(["train", "--threads", "0"]) == 1
-    assert main(["train", "--threads", "two"]) == 1
-    capsys.readouterr()
+    for count in ("0", "-1", "two", "1.5"):
+        assert main(["train", "--threads", count]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_package_import_leaves_numpy_unloaded(package_env):
@@ -206,6 +230,13 @@ def test_package_import_leaves_numpy_unloaded(package_env):
          "import symplearn, sys; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True, env=package_env)
     assert out.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    # a stale _EXPORTS entry (a name its module no longer defines) fails here
+    import symplearn
+    for name in symplearn.__all__:
+        assert getattr(symplearn, name) is not None, name
 
 
 def test_module_entry_point(package_env):
@@ -665,11 +696,14 @@ def test_henon_heiles_starts_below_the_energy_cap(seed, tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("system,param", [("coupled_ho", "alpha=1e200"),
-                                          ("double_well", "width_scale=1e200")])
+                                          ("double_well", "width_scale=1e200"),
+                                          ("coupled_ho", "alpha=1e5")])
 def test_overflowing_system_param_fails_with_one_line(system, param, tmp_path, package_env):
-    # the overflow is reported by the solver's finiteness check alone, with
-    # no NumPy warning lines before it; a child process, because pytest
-    # would catch the warnings before they reach stderr
+    # the overflow is reported by the solver's finiteness check or, where the
+    # states stay finite and only their energies overflow (alpha=1e5),
+    # by energy_drift's, with no NumPy warning lines before it and no
+    # eval.json; a child process, because pytest would catch the warnings
+    # before they reach stderr
     out = subprocess.run(
         [sys.executable, "-m", "symplearn", "eval", "--oracle", "--system", system,
          "--system-param", param, "--grid-points", "3", "--drift-steps", "2",
@@ -678,6 +712,7 @@ def test_overflowing_system_param_fails_with_one_line(system, param, tmp_path, p
     assert out.returncode == 2
     assert out.stderr.startswith("numerical failure: ") and out.stderr.count("\n") == 1, \
         out.stderr
+    assert not (tmp_path / "eval.json").exists()
 
 
 # --------------------------------------------------------------- check-tableau

@@ -1,10 +1,9 @@
-"""Phase-space grid evaluation, energy drift, and report tables."""
+"""Phase-space grid evaluation and energy drift."""
 
 import numpy as np
 import pytest
 
-from symplearn.evaluation import (energy_drift, evaluate_ood, phase_grid,
-                                  report_table)
+from symplearn.evaluation import energy_drift, evaluate_ood, phase_grid
 from symplearn.integrators import FpiConfig
 from symplearn.systems import get_system
 
@@ -97,15 +96,3 @@ def test_energy_drift_grows_for_a_nonsymplectic_method():
     # the symplectic drift is bounded; the rk2 drift keeps accumulating
     assert sym_long <= 1.01 * sym_short
     assert rk_long > 10 * sym_long
-
-
-def test_report_table_markdown():
-    rows = [
-        {"name": "midpoint", "err": 0.125, "iters": 4},
-        {"name": "gauss2", "err": 1.0 / 3.0},
-    ]
-    lines = report_table(rows).splitlines()
-    assert lines[0] == "| name | err | iters |"
-    assert lines[1] == "| --- | --- | --- |"
-    assert lines[2] == "| midpoint | 0.125 | 4 |"
-    assert lines[3] == f"| gauss2 | {1.0 / 3.0!r} | - |"  # missing cell

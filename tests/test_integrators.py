@@ -137,7 +137,7 @@ def test_zero_field_fixed_point_is_immediate():
     assert np.array_equal(got, y)
     assert report.iterations == 1
     assert report.converged
-    assert report.residual == 0.0
+    assert report.residuals == (0.0,)
 
 
 def test_midpoint_step_starts_from_the_given_seed():
@@ -339,7 +339,7 @@ def test_integrate_shapes_and_times():
     assert traj.states.shape == (9, 2)
     assert np.allclose(traj.times, 0.25 * np.arange(9), atol=1e-15)
     assert np.array_equal(traj.states[0], [1.0, 0.0])
-    assert len(traj) == 9
+    assert traj.times.shape == (9,)
     assert len(reports) == 8
 
 

@@ -80,13 +80,18 @@ def test_dynamics_rearranges_the_gradient():
     assert np.array_equal(f[:, 2:], -g[:, :2])
 
 
+def hessian(net, theta, y):
+    """d2H/dy2 [B, 2d, 2d] at the batch y, from the costate step's closed form."""
+    return net._hess_and_tape(net.prepare(theta), y)[0]
+
+
 def test_hessian_matches_finite_differences_and_is_symmetric():
     net = HamiltonianNet(1, hidden=(8, 8))
     theta = net.init_params(2)
     rng = np.random.default_rng(14)
     for _ in range(5):
         point = rng.uniform(-1, 1, size=2)
-        got = net.hess_state(theta, point)
+        got = hessian(net, theta, point[None])[0]
         want = fd_hessian(lambda x: net.eval_h(theta, x), point, eps=1e-4)
         assert np.max(np.abs(got - want)) <= 1e-5
         assert np.max(np.abs(got - got.T)) <= 1e-10
@@ -154,7 +159,7 @@ def test_field_vjp_equals_hessian_contraction():
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
     ybar, _ = net.field_vjp(layers, acts, u)
-    hess = net.hess_state(theta, y)
+    hess = hessian(net, theta, y)
     w = costate_to_direction(u, 1)
     want = np.einsum("bij,bj->bi", hess, w)
     assert np.max(np.abs(ybar - want)) <= 1e-12
@@ -179,7 +184,7 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
         assert np.array_equal(costate_to_direction(u, dim), e_k)
         cols.append(net.field_vjp(layers, acts, u)[0])
     want = np.stack(cols, axis=-1)
-    got = net.hess_state(theta, y)
+    got = hessian(net, theta, y)
     if not hidden:
         assert np.array_equal(got, np.zeros_like(got))
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -318,7 +323,7 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         assert np.array_equal(field(y), net.dynamics(theta, y))
         assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
         hess = net._hess_and_tape(prep, y)[0]
-        assert np.array_equal(hess, net.hess_state(theta, y))
+        assert np.array_equal(hess, hessian(net, theta, y))
         fresh = net.prepare(theta)
         for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
@@ -356,8 +361,8 @@ def test_methods_are_pure():
     y = np.array([[0.3, -0.4], [0.1, 0.2]])
     y_copy = y.copy()
     theta_copy = theta.copy()
-    first = (net.eval_h(theta, y), net.grad_state(theta, y), net.hess_state(theta, y))
-    second = (net.eval_h(theta, y), net.grad_state(theta, y), net.hess_state(theta, y))
+    first = (net.eval_h(theta, y), net.grad_state(theta, y), hessian(net, theta, y))
+    second = (net.eval_h(theta, y), net.grad_state(theta, y), hessian(net, theta, y))
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
     assert np.array_equal(y, y_copy)
@@ -372,7 +377,7 @@ def test_bad_shapes_are_rejected():
     with pytest.raises(ValueError):
         net.eval_h(theta[:-1], np.zeros(2))
     with pytest.raises(ValueError):
-        net.hess_state(theta, np.zeros((2, 3)))
+        net.grad_state(theta, np.zeros((2, 3)))
 
 
 def test_checkpoint_roundtrip(tmp_path):

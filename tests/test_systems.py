@@ -57,10 +57,10 @@ def test_dynamics_batches_like_points():
 def test_registry_and_parameters():
     assert sorted(SYSTEMS) == ["coupled_ho", "double_well", "henon_heiles",
                                "simple_harmonic"]
+    # the parameter reaches the closed forms: H(1, 1) = 1/2 + 1/2 + alpha
     cho = get_system("coupled_ho", alpha=0.25)
-    assert cho.params == {"alpha": 0.25}
-    assert not cho.separable
-    assert get_system("double_well").separable
+    assert cho.hamiltonian(np.array([1.0, 1.0])) == 1.25
+    assert np.array_equal(cho.dynamics(np.array([1.0, 1.0])), [1.25, -1.25])
     with pytest.raises(ValueError, match="unknown system"):
         get_system("pendulum")
 
