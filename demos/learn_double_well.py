@@ -13,6 +13,7 @@ import numpy as np
 
 from symplearn.data import generate_dataset
 from symplearn.evaluation import energy_drift, evaluate_ood
+from symplearn.integrators import integrate
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, train
 
@@ -49,8 +50,8 @@ def main():
 
     # the learned field should also conserve its own energy when integrated
     y0 = np.array([0.0, 0.8])
-    drift = energy_drift(lambda y: net.dynamics(theta, y),
-                         lambda pts: net.eval_h(theta, pts), y0, 0.01, 2000)
+    traj, _ = integrate(lambda y: net.dynamics(theta, y), y0, 0.01, 2000)
+    drift = energy_drift(lambda pts: net.eval_h(theta, pts), traj.states)
     print(f"  learned-H drift along a learned-field orbit: {drift:.2e}")
 
 

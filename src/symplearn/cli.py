@@ -369,6 +369,7 @@ def cmd_eval(opts):
 
     from .data import open_atomically, write_csv
     from .evaluation import energy_drift, evaluate_ood
+    from .integrators import integrate
     from .systems import get_system
     system = get_system(opts["system"], **opts["system_param"])
     if opts["oracle"]:
@@ -390,11 +391,10 @@ def cmd_eval(opts):
     report, points = evaluate_ood(h_fn, dyn_fn, system, slices=opts["slice"], **_given(
         opts, {"grid_points": "points_per_axis"}))
 
-    y0 = _random_state(system, opts["seed"])
-    cfg = _fpi(opts)
-    for key, h_ref in (("drift_model_h", h_fn), ("drift_true_h", system.hamiltonian)):
-        report[key] = energy_drift(dyn_fn, h_ref, y0, opts["drift_h"], opts["drift_steps"],
-                                   cfg=cfg)
+    traj, _ = integrate(dyn_fn, _random_state(system, opts["seed"]), opts["drift_h"],
+                        opts["drift_steps"], cfg=_fpi(opts))
+    report["drift_model_h"] = energy_drift(h_fn, traj.states)
+    report["drift_true_h"] = energy_drift(system.hamiltonian, traj.states)
     report["system"] = system.name
     report["source"] = source
 
@@ -419,6 +419,7 @@ def cmd_integrate(opts):
     import numpy as np
 
     from .data import write_csv
+    from .evaluation import energy_drift
     from .integrators import integrate
     if bool(opts["system"]) == bool(opts["checkpoint"]):
         raise UsageError("pass exactly one of --system or --checkpoint")
@@ -445,13 +446,12 @@ def cmd_integrate(opts):
 
     traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
+    drift = energy_drift(h_fn, traj.states)
     out = _out_dir(opts)
     path = out / "trajectory.csv"
     write_csv(path, ["step", "t"] + [f"x{i}" for i in range(2 * dim)],
               ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
 
-    h_vals = np.asarray(h_fn(traj.states), dtype=np.float64)
-    drift = float(np.max(np.abs(h_vals - h_vals[0])))
     mean_iters = float(np.mean([r.iterations for r in reports]))
     method = f" ({opts['method']})" if opts["method"] else ""
     print(f"integrated {label} for {opts['n_steps']} steps at h={opts['h']}{method}; "

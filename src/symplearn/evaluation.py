@@ -9,7 +9,7 @@ something about generalization rather than memorized paths.
 
 import numpy as np
 
-from .integrators import FpiConfig, NonFiniteError, _is_int, integrate
+from .integrators import NonFiniteError, _is_int
 
 GRID_POINTS_PER_AXIS = 33
 
@@ -81,17 +81,16 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
     return report, points
 
 
-def energy_drift(field, h_fn, y0, h, n_steps, method="implicit_midpoint",
-                 cfg=FpiConfig()):
-    """Max |H(y_k) - H(y_0)| along an integrated trajectory; 0.0 for no steps.
-    A non-finite drift raises NonFiniteError."""
-    if n_steps == 0:
-        return 0.0
-    traj, _ = integrate(field, y0, h, n_steps, method=method, cfg=cfg)
-    y0b = np.atleast_2d(np.asarray(y0, dtype=np.float64))
-    h0 = np.asarray(h_fn(y0b), dtype=np.float64)
-    flat = traj.states.reshape(-1, traj.states.shape[-1])
-    vals = np.asarray(h_fn(flat), dtype=np.float64).reshape(traj.states.shape[0], -1)
+def energy_drift(h_fn, states):
+    """Max |H(y_k) - H(y_0)| over a trajectory's states [n+1, ..., 2d].
+
+    h_fn maps [N, 2d] -> [N] values.  H(y_0) is evaluated as a batch of its
+    own, so a one-state trajectory scores 0.0.  A non-finite drift raises
+    NonFiniteError.
+    """
+    h0 = np.asarray(h_fn(np.atleast_2d(states[0])), dtype=np.float64)
+    flat = states.reshape(-1, states.shape[-1])
+    vals = np.asarray(h_fn(flat), dtype=np.float64).reshape(states.shape[0], -1)
     drift = float(np.max(np.abs(vals - h0[None, :])))
     if not np.isfinite(drift):
         raise NonFiniteError(f"non-finite energy drift {drift!r}")

@@ -68,6 +68,8 @@ def profile_gradient_modes(system_name="coupled_ho", batch_size=512,
     """
     if not (_is_int(repeats) and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
+    if not window_steps:
+        raise ValueError(f"window_steps must list at least one length, got {window_steps!r}")
     system = get_system(system_name)
     net = HamiltonianNet(system.dim)
     theta = net.init_params(seed)

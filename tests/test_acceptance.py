@@ -72,17 +72,15 @@ def test_c1_one_step_map_is_symplectic():
 def test_c2_energy_drift_bounded():
     budget, t0 = 30.0, time.perf_counter()
     cho = get_system("coupled_ho", alpha=0.5)
-    drift_cho = energy_drift(cho.dynamics, cho.hamiltonian,
-                             np.array([0.6, 0.4]), 0.01, 10_000,
-                             cfg=EXTRA_TIGHT)
+    traj, _ = integrate(cho.dynamics, np.array([0.6, 0.4]), 0.01, 10_000, cfg=EXTRA_TIGHT)
+    drift_cho = energy_drift(cho.hamiltonian, traj.states)
     dw = get_system("double_well")
     y0 = np.array([0.0, 0.8])  # a genuine orbit, not a well minimum
-    drift_h = energy_drift(dw.dynamics, dw.hamiltonian, y0, 0.01, 10_000,
-                           cfg=EXTRA_TIGHT)
-    drift_h2 = energy_drift(dw.dynamics, dw.hamiltonian, y0, 0.005, 20_000,
-                            cfg=EXTRA_TIGHT)
-    drift_half_t = energy_drift(dw.dynamics, dw.hamiltonian, y0, 0.01, 5_000,
-                                cfg=EXTRA_TIGHT)
+    traj, _ = integrate(dw.dynamics, y0, 0.01, 10_000, cfg=EXTRA_TIGHT)
+    drift_h = energy_drift(dw.hamiltonian, traj.states)
+    drift_half_t = energy_drift(dw.hamiltonian, traj.states[:5_001])
+    traj, _ = integrate(dw.dynamics, y0, 0.005, 20_000, cfg=EXTRA_TIGHT)
+    drift_h2 = energy_drift(dw.hamiltonian, traj.states)
     ratio = drift_h / drift_h2
     ok = (drift_cho <= 1e-9
           and 4.0 * 0.7 <= ratio <= 4.0 * 1.3

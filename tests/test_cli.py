@@ -94,7 +94,9 @@ def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
     (["grad-check", "--fd-step", "0"], "fd_step"),
     (["profile", "--repeats", "0", "--window-steps", "2", "--batch-size", "4"], "repeats"),
     (["eval", "--oracle", "--grid-points", "0"], "points_per_axis"),
-], ids=["fd-step", "repeats", "grid-points"])
+    (["eval", "--oracle", "--grid-points", "3", "--drift-steps", "0"], "n_steps"),
+    (["profile", "--window-steps", ","], "window_steps"),
+], ids=["fd-step", "repeats", "grid-points", "drift-steps", "window-steps"])
 def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
     assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -230,13 +232,6 @@ def test_package_import_leaves_numpy_unloaded(package_env):
          "import symplearn, sys; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True, env=package_env)
     assert out.stdout.strip() == "False"
-
-
-def test_every_export_resolves():
-    # a stale _EXPORTS entry (a name its module no longer defines) fails here
-    import symplearn
-    for name in symplearn.__all__:
-        assert getattr(symplearn, name) is not None, name
 
 
 def test_module_entry_point(package_env):
@@ -679,9 +674,9 @@ def test_henon_heiles_starts_below_the_energy_cap(seed, tmp_path, monkeypatch, c
     starts = []
     drift = evaluation.energy_drift
 
-    def spy(field, h_ref, y0, *args, **kwargs):
-        starts.append(y0)
-        return drift(field, h_ref, y0, *args, **kwargs)
+    def spy(h_ref, states):
+        starts.append(states[0])
+        return drift(h_ref, states)
 
     monkeypatch.setattr(evaluation, "energy_drift", spy)
     argv = ["--system", "henon_heiles", "--seed", str(seed)]
@@ -689,8 +684,8 @@ def test_henon_heiles_starts_below_the_energy_cap(seed, tmp_path, monkeypatch, c
                  "--out-dir", str(tmp_path / "eval")]) == 0
     assert main(["integrate", *argv, "--out-dir", str(tmp_path / "integrate")]) == 0
     row = (tmp_path / "integrate" / "trajectory.csv").read_text().splitlines()[1]
-    starts.append(np.array([float(c) for c in row.split(",")[2:]]))
-    assert len(starts) == 3
+    assert [float(c) for c in row.split(",")[2:]] == starts[-1].tolist()
+    assert len(starts) == 3     # eval's model and true H, then integrate's
     assert all(hh.hamiltonian(y0) < hh.ic_energy_cap for y0 in starts)
     capsys.readouterr()
 
@@ -702,17 +697,19 @@ def test_overflowing_system_param_fails_with_one_line(system, param, tmp_path, p
     # the overflow is reported by the solver's finiteness check or, where the
     # states stay finite and only their energies overflow (alpha=1e5),
     # by energy_drift's, with no NumPy warning lines before it and no
-    # eval.json; a child process, because pytest would catch the warnings
-    # before they reach stderr
-    out = subprocess.run(
-        [sys.executable, "-m", "symplearn", "eval", "--oracle", "--system", system,
-         "--system-param", param, "--grid-points", "3", "--drift-steps", "2",
-         "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=package_env)
-    assert out.returncode == 2
-    assert out.stderr.startswith("numerical failure: ") and out.stderr.count("\n") == 1, \
-        out.stderr
-    assert not (tmp_path / "eval.json").exists()
+    # eval.json or trajectory.csv; a child process, because pytest would
+    # catch the warnings before they reach stderr
+    for argv, written in ((["eval", "--oracle", "--grid-points", "3", "--drift-steps", "2"],
+                           "eval.json"),
+                          (["integrate", "--n-steps", "2"], "trajectory.csv")):
+        out = subprocess.run(
+            [sys.executable, "-m", "symplearn", *argv, "--system", system,
+             "--system-param", param, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=package_env)
+        assert out.returncode == 2
+        assert out.stderr.startswith("numerical failure: ") and out.stderr.count("\n") == 1, \
+            out.stderr
+        assert not (tmp_path / written).exists()
 
 
 # --------------------------------------------------------------- check-tableau
