@@ -12,11 +12,16 @@ forward, freezing the state at the stored step endpoints and forming
 midpoints by averaging.  Observations contribute jumps: crossing an
 observation time going backward adds that time's loss gradient to lam.
 With the Hessian frozen at the midpoint each backward step is linear in lam,
-so it is solved exactly by one batched linear solve: the costate sweep has no
-iteration and no tolerance of its own.  Each backward step is one fused
-pass at the midpoint: one network forward pass and one primal reverse give
-the closed-form Hessian, and the parameter term's tangent-over-reverse runs
-on that tape and the primal reverse's kept slopes and cotangents.  The
+so it is solved exactly: the costate sweep has no iteration and no tolerance
+of its own.  At dim 1 the 2x2 system is solved in closed form, by Cramer's
+rule on the three distinct Hessian entries (_cramer_step), a few vector
+operations in place of a batched LAPACK call; wider systems keep one batched
+pivoted LU solve, since Cramer's rule is forward stable only for 2x2
+systems.  An exactly singular step raises NonFiniteError naming the backward
+step.  Each backward step is one fused pass at the midpoint: one network
+forward pass and one primal reverse give the closed-form Hessian, and the
+parameter term's tangent-over-reverse runs on that tape and the primal
+reverse's kept slopes and cotangents.  The
 parameter gradient accumulates in place, one quadrature term per step, and
 each step's tape and primal reverse are freed before the next step's pass,
 so the engine holds one step's pieces at a time and its footprint does not
@@ -59,6 +64,26 @@ class AdjointDiagnostics:
     converged_fraction: float = 1.0   # always: every costate step is an exact solve
 
 
+def _cramer_step(hess, lam_end, c):
+    """lam_mid = (I - a)^{-1} lam_end at dim 1, a = c Hess P, by Cramer's rule.
+
+    With Hess = [[h00, h01], [h01, h11]], a = c [[h01, -h00], [h11, -h01]]
+    has zero trace, so (I - a)^{-1} = (I + a) / det with
+    det = 1 + c^2 (h00 h11 - h01^2).  Cramer's rule is forward stable for
+    2x2 systems (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 1.10.1).  A singular step divides by zero; the result is then
+    non-finite, which the caller reports, so no warning is raised here.
+    """
+    h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    lq, lp = lam_end[:, 0], lam_end[:, 1]
+    lam_mid = np.empty_like(lam_end)
+    with np.errstate(all="ignore"):
+        det = 1.0 + c * c * (h00 * h11 - h01 * h01)
+        lam_mid[:, 0] = (lq + c * (h01 * lq - h00 * lp)) / det
+        lam_mid[:, 1] = (lp + c * (h11 * lq - h01 * lp)) / det
+    return lam_mid
+
+
 def solve_adjoint_accumulate(net, theta, states, partials, h):
     """Backward costate sweep with in-place gradient accumulation.
 
@@ -69,12 +94,15 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
               rest enter as jumps on the way back.
     h:        forward step size (positive).
 
-    Each backward step is one exact batched linear solve, with no tolerance:
+    Each backward step is one exact linear solve, with no tolerance:
     (I - (h/2) Hess P) lam_mid = lam_end, Hess frozen at the step midpoint
-    and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end.  It
-    makes one network forward pass and one primal reverse per backward step:
-    the closed-form Hessian and the parameter reverse along P lam_mid share
-    that pass's tape and the reverse's slopes and cotangents.
+    and P lam = (-lam_p, lam_q), then lam_start = 2 lam_mid - lam_end; by
+    Cramer's rule at dim 1, by batched pivoted LU above.  Backward step n
+    reverses forward step n (t_n to t_{n+1}); a singular or non-finite step
+    raises NonFiniteError naming it.  It makes one network forward pass and
+    one primal reverse per backward step: the closed-form Hessian and the
+    parameter reverse along P lam_mid share that pass's tape and the
+    reverse's slopes and cotangents.
 
     Returns (grad, diagnostics) with grad flat [n_params].  No batch scaling
     happens here: partials carry whatever scaling the loss used (a batch mean
@@ -95,6 +123,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
         raise ValueError("need at least one step")
 
     d = states.shape[-1] // 2
+    c = 0.5 * h
     eye = np.eye(2 * d)
     prep = net.prepare(theta)
     grad = np.zeros(net.n_params)
@@ -103,10 +132,16 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
         lam_end = lam + partials[n]      # observation jump at t_{n+1}
         mid = 0.5 * (states[n] + states[n + 1])
         hess, acts, primal = net._hess_and_tape(prep, mid)
-        a = 0.5 * h * canonical_field(hess, d)
-        lam_mid = np.linalg.solve(eye - a, lam_end[..., None])[..., 0]
+        if d == 1:
+            lam_mid = _cramer_step(hess, lam_end, c)
+        else:
+            try:
+                lam_mid = np.linalg.solve(eye - c * canonical_field(hess, d),
+                                          lam_end[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                raise NonFiniteError(f"singular costate solve at backward step {n}") from None
         if not np.all(np.isfinite(lam_mid)):
-            raise NonFiniteError("non-finite costate in backward solve")
+            raise NonFiniteError(f"non-finite costate at backward step {n}")
         # the parameter term, reversed through the same forward tape on the
         # Hessian pass's primal reverse
         _, step_grad = net._tangent_reverse(prep, acts, primal,

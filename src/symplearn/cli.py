@@ -19,8 +19,9 @@ integer like every other option, and _merge_options sets the BLAS variables
 before any handler imports numpy (profile defaults to one thread).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(solver blow-up or a training abort).  A failure prints one line on stderr:
-handlers run with NumPy's floating-point warnings off.
+(solver blow-up, an unconverged integrate step or a training abort).  A
+failure prints one line on stderr: handlers run with NumPy's floating-point
+warnings off.
 """
 
 import argparse
@@ -43,6 +44,11 @@ _THREAD_ENV_VARS = (
 
 class UsageError(Exception):
     """Bad flags, bad config, missing files: exit code 1."""
+
+
+class UnconvergedError(Exception):
+    """An integrate step's fixed-point solve stopped at max_iters short of
+    its tolerance: exit code 2."""
 
 
 # ----------------------------------------------------------------------
@@ -446,6 +452,10 @@ def cmd_integrate(opts):
 
     traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
+    for k, r in enumerate(reports):
+        if not r.converged:
+            raise UnconvergedError(f"step {k} did not converge in {r.iterations} sweeps "
+                                   f"(last residual {r.residuals[-1]:.3e})")
     drift = energy_drift(h_fn, traj.states)
     out = _out_dir(opts)
     path = out / "trajectory.csv"
@@ -622,7 +632,7 @@ def main(argv=None):
     except Exception as err:
         from .integrators import NonFiniteError
         from .training import NumericalAbort
-        if isinstance(err, (NonFiniteError, NumericalAbort)):
+        if isinstance(err, (NonFiniteError, UnconvergedError, NumericalAbort)):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
         if isinstance(err, (UsageError, OSError, ValueError, KeyError)):

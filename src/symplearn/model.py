@@ -389,12 +389,22 @@ class HamiltonianNet:
 
         with J_l = dz_l/dy and curv_l = delta_l * tanh''(z_l) from the
         ordinary reverse sweep (BackPACK's per-layer recursion; Dangel,
-        Kunstner & Hennig, ICLR 2020).  The reverse sweep runs first; the 2d
-        input tangents then go forward together, stacked as [B, 2d, n_l],
-        one matmul per layer on the kept slopes, and only the current
-        layer's stack is held.  Each layer adds J_l^T diag(curv_l) J_l as one
-        batched matmul; the upper triangle is then mirrored onto the lower,
-        so hess is exactly symmetric.
+        Kunstner & Hennig, ICLR 2020).  The reverse sweep runs first.  J_0 is
+        the rows of W_0 at every point, so layer 0 adds one matmul against
+        their pairwise products.
+
+        At width 2 (dim 1) the two input tangents go forward as one [B, n_l]
+        array each: (slopes_0 * W_0[i]) @ W_1 into layer 1, then
+        (t_i * slopes_{l-1}) @ W_l.  Each layer adds the three distinct
+        entries h00, h01 and h11 as row dots of the tangents against curv_l,
+        and h01 is mirrored onto h10.  This skips the [B, 2, n] broadcasts
+        and batched matmuls of the stacked form, and the costate step solves
+        its 2x2 system from these entries by Cramer's rule
+        (adjoint._cramer_step).  Wider inputs keep the stacked form: their 2d
+        tangents go forward as [B, 2d, n_l], one matmul per layer, each layer
+        adds J_l^T diag(curv_l) J_l as one batched matmul, and the upper
+        triangle is mirrored onto the lower at the end.  Either way only the
+        current layer's tangents are held and hess is exactly symmetric.
         """
         acts = self._forward(prep, y)
         primal = self._primal_reverse(prep, acts)
@@ -404,11 +414,28 @@ class HamiltonianNet:
             return np.zeros((batch, width, width)), acts, primal
         slopes, _, curv = primal
         pairs, cross = prep.hess_terms
+        hess = curv[0] @ pairs
+        # J_1 is the slopes against W_0 and W_1 combined: one matmul per
+        # direction at width 2, one for all directions above
+        if width == 2:
+            for l in range(1, last):
+                if l == 1:
+                    n = cross.shape[1] // 2
+                    t0, t1 = slopes[0] @ cross[:, :n], slopes[0] @ cross[:, n:]
+                else:
+                    t0 *= slopes[l - 1]
+                    t1 *= slopes[l - 1]
+                    w = prep.layers[l][0]
+                    t0, t1 = t0 @ w, t1 @ w
+                u = t0 * curv[l]
+                hess[:, 0] += np.einsum("ij,ij->i", u, t0)
+                hess[:, 1] += np.einsum("ij,ij->i", u, t1)
+                np.multiply(t1, curv[l], out=u)
+                hess[:, 3] += np.einsum("ij,ij->i", u, t1)
+            hess[:, 2] = hess[:, 1]
+            return hess.reshape(batch, 2, 2), acts, primal
 
-        # J_0 is the rows of W_0 at every point, so layer 0 adds one matmul
-        # against their pairwise products, and J_1 is one matmul of the slopes
-        # against W_0 and W_1 combined
-        hess = (curv[0] @ pairs).reshape(batch, width, width)
+        hess = hess.reshape(batch, width, width)
         tan = None
         for l in range(1, last):
             w = prep.layers[l][0]

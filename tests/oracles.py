@@ -88,6 +88,37 @@ def naive_tangent_reverse(theta, arch, y, w_dir):
     return s, np.concatenate(grads)
 
 
+def batch_major_hessian(theta, arch, y):
+    """Reference input Hessian d2H/dy2 [B, 2d, 2d] at a batch y, by the
+    batch-major contraction.
+
+    The ordinary reverse sweep gives curv_l = delta_l * tanh''(z_l), delta_l
+    the cotangent on a_{l+1}; the 2d input tangents then go forward stacked
+    as [B, 2d, n_l], and each hidden layer l adds J_l^T diag(curv_l) J_l,
+    J_l = dz_l/dy, as one batched matmul.
+    """
+    layers = naive_unpack(theta, arch)
+    last = len(layers) - 1
+    y = np.asarray(y, dtype=np.float64)
+    acts = [y]
+    for w, b in layers[:last]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    slopes = [1.0 - a * a for a in acts[1:]]
+    curv = [None] * last
+    delta = np.broadcast_to(layers[-1][0][:, 0], acts[-1].shape)
+    for l in range(last - 1, -1, -1):
+        curv[l] = delta * (-2.0 * acts[l + 1] * slopes[l])
+        delta = (delta * slopes[l]) @ layers[l][0].T
+    batch, width = y.shape
+    hess = np.zeros((batch, width, width))
+    tan = np.broadcast_to(np.eye(width), (batch, width, width))
+    for l in range(last):
+        z_tan = tan @ layers[l][0]
+        hess += (z_tan * curv[l][:, None, :]) @ z_tan.transpose(0, 2, 1)
+        tan = z_tan * slopes[l][:, None, :]
+    return hess
+
+
 # ----------------------------------------------------------------------
 # finite differencing
 

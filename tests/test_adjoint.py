@@ -264,6 +264,78 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
     assert rel(grad, want) <= 1e-6
 
 
+def lu_sweep(net, theta, states, partials, h):
+    """The costate sweep with every backward step solved by np.linalg.solve
+    (pivoted LU) on I - (h/2) Hess P, on the package's Hessian pass and
+    parameter reverse."""
+    d = net.dim
+    prep = net.prepare(theta)
+    grad = np.zeros(net.n_params)
+    lam = np.zeros_like(states[-1])
+    for n in range(len(partials) - 1, -1, -1):
+        lam_end = lam + partials[n]
+        hess, acts, primal = net._hess_and_tape(prep, 0.5 * (states[n] + states[n + 1]))
+        a = 0.5 * h * np.concatenate([hess[..., d:], -hess[..., :d]], axis=-1)
+        lam_mid = np.linalg.solve(np.eye(2 * d) - a, lam_end[..., None])[..., 0]
+        w_dir = np.concatenate([-lam_mid[:, d:], lam_mid[:, :d]], axis=1)
+        grad += h * net._tangent_reverse(prep, acts, primal, w_dir, False)[1]
+        lam = 2.0 * lam_mid - lam_end
+    return grad
+
+
+@pytest.mark.parametrize("scale, h", [(1.0, 0.05), (3.0, 0.05), (3.0, 1.0)])
+def test_dim_one_cramer_step_matches_the_lu_solve(monkeypatch, scale, h):
+    # the closed-form step against a pivoted LU solve on random batches, at
+    # the initial weights and at 3x their scale; np.linalg.solve then raises,
+    # so a sweep that fell back to it at dim 1 would fail here
+    net = HamiltonianNet(1)
+    theta = scale * net.init_params(70)
+    rng = np.random.default_rng(71)
+    for batch in (1, 64, 512):
+        states = rng.uniform(-0.8, 0.8, size=(5, batch, 2))
+        partials = rng.standard_normal((4, batch, 2))
+        want = lu_sweep(net, theta, states, partials, h)
+        with monkeypatch.context() as patch:
+            def no_solve(*args, **kwargs):
+                raise AssertionError("np.linalg.solve called at dim 1")
+            patch.setattr(np.linalg, "solve", no_solve)
+            grad, _ = solve_adjoint_accumulate(net, theta, states, partials, h)
+        assert rel(grad, want) <= 1e-13
+
+
+def test_dim_two_costate_step_is_the_lu_solve_bit_for_bit():
+    net = HamiltonianNet(2)
+    theta = 3.0 * net.init_params(72)
+    rng = np.random.default_rng(73)
+    states = rng.uniform(-0.8, 0.8, size=(5, 64, 4))
+    partials = rng.standard_normal((4, 64, 4))
+    grad, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.05)
+    assert np.array_equal(grad, lu_sweep(net, theta, states, partials, 0.05))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_singular_costate_step_raises_non_finite_error(monkeypatch, dim):
+    # Hess = diag(4, -4) per (q, p) pair at h = 0.5 makes I - (h/2) Hess P
+    # exactly singular: LU meets a zero pivot at dim 2 and Cramer's rule
+    # divides by zero at dim 1; either way the sweep names the backward step
+    # and leaks no warning (which pytest would turn into an error)
+    hess_and_tape = HamiltonianNet._hess_and_tape
+
+    def singular(self, prep, y):
+        _, acts, primal = hess_and_tape(self, prep, y)
+        return np.broadcast_to(np.diag([4.0] * dim + [-4.0] * dim),
+                               (len(y), 2 * dim, 2 * dim)), acts, primal
+
+    monkeypatch.setattr(HamiltonianNet, "_hess_and_tape", singular)
+    net = HamiltonianNet(dim, hidden=(5,))
+    theta = net.init_params(74)
+    rng = np.random.default_rng(75)
+    states = rng.uniform(-0.8, 0.8, size=(4, 8, 2 * dim))
+    partials = rng.standard_normal((3, 8, 2 * dim))
+    with pytest.raises(NonFiniteError, match="backward step 2"):
+        solve_adjoint_accumulate(net, theta, states, partials, 0.5)
+
+
 # ----------------------------------------------------------------------
 # memory behavior
 
@@ -332,7 +404,8 @@ def test_blown_up_rollout_releases_all_tapes(traced_bytes):
     assert traced_bytes() - base <= SLACK_BYTES
 
 
-def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch, dim):
     # each backward step runs one network forward pass and one primal
     # reverse, both shared by the closed-form Hessian and the parameter term
     # (no _mixed, which would reverse the primal again), and never evaluates
@@ -345,12 +418,12 @@ def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch
             calls[_name] += 1
             return _original(self, *args)
         monkeypatch.setattr(HamiltonianNet, name, counted)
-    net = HamiltonianNet(2)
+    net = HamiltonianNet(dim)
     theta = net.init_params(63)
     rng = np.random.default_rng(64)
     n_steps = 5
-    states = rng.uniform(-0.8, 0.8, size=(n_steps + 1, 16, 4))
-    partials = rng.standard_normal((n_steps, 16, 4))
+    states = rng.uniform(-0.8, 0.8, size=(n_steps + 1, 16, 2 * dim))
+    partials = rng.standard_normal((n_steps, 16, 2 * dim))
     solve_adjoint_accumulate(net, theta, states, partials, 0.05)
     assert calls == {"_forward": n_steps, "_reverse_input": 0, "_primal_reverse": n_steps,
                      "_mixed": 0}

@@ -653,6 +653,20 @@ def test_integrate_checkpoint_needs_y0(checkpoint, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integrate_unconverged_step_exits_two(tmp_path, capsys):
+    # at h = 0.8 the fixed-point solves of steps 0 and 1 stop at the default
+    # 50 sweeps short of their tolerance: one line naming the first, and no
+    # trajectory written
+    out = tmp_path / "traj"
+    code = main(["integrate", "--system", "double_well", "--h", "0.8", "--n-steps", "5",
+                 "--y0", "1.0,1.0", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 0 did not converge in 50 sweeps "
+                          "(last residual ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_integrate_argument_validation(tmp_path, capsys):
     out = str(tmp_path / "t")
     assert main(["integrate", "--out-dir", out]) == 1  # neither source

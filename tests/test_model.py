@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import central_diff, fd_hessian, naive_h, naive_tangent_reverse
+from oracles import (batch_major_hessian, central_diff, fd_hessian, naive_h,
+                     naive_tangent_reverse)
 
 from symplearn.model import (HamiltonianNet, costate_to_direction,
                              load_checkpoint, param_count, save_checkpoint)
@@ -95,6 +96,26 @@ def test_hessian_matches_finite_differences_and_is_symmetric():
         want = fd_hessian(lambda x: net.eval_h(theta, x), point, eps=1e-4)
         assert np.max(np.abs(got - want)) <= 1e-5
         assert np.max(np.abs(got - got.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hidden", [(), (5,), (8, 8), (16, 32, 16)])
+def test_hessian_matches_the_batch_major_contraction(hidden, dim):
+    # width 2 forms h00, h01 and h11 from one tangent per input direction,
+    # wider inputs keep the stacked tangents; both against the reference
+    # contraction, at the initial weights and at 3x their scale, and exactly
+    # symmetric
+    net = HamiltonianNet(dim, hidden=hidden)
+    rng = np.random.default_rng(15)
+    for scale in (1.0, 3.0):
+        theta = scale * net.init_params(3)
+        for batch in (1, 64, 512):
+            y = rng.uniform(-1, 1, size=(batch, 2 * dim))
+            got = hessian(net, theta, y)
+            want = batch_major_hessian(theta, net.arch, y)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+            assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def test_costate_to_direction_layout():
