@@ -18,10 +18,11 @@ file is read too late to matter: --threads is read by the one parser, as an
 integer like every other option, and _merge_options sets the BLAS variables
 before any handler imports numpy (profile defaults to one thread).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure
-(solver blow-up, an unconverged integrate step or a training abort).  A
-failure prints one line on stderr: handlers run with NumPy's floating-point
-warnings off.
+Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure:
+a NonFiniteError from any command (a non-finite state, loss or gradient, a
+singular costate solve, or a solve that stopped at max_iters short of its
+tolerance).  A failure prints one line on stderr: handlers run with NumPy's
+floating-point warnings off.
 """
 
 import argparse
@@ -44,11 +45,6 @@ _THREAD_ENV_VARS = (
 
 class UsageError(Exception):
     """Bad flags, bad config, missing files: exit code 1."""
-
-
-class UnconvergedError(Exception):
-    """An integrate step's fixed-point solve stopped at max_iters short of
-    its tolerance: exit code 2."""
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +448,6 @@ def cmd_integrate(opts):
 
     traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
-    for k, r in enumerate(reports):
-        if not r.converged:
-            raise UnconvergedError(f"step {k} did not converge in {r.iterations} sweeps "
-                                   f"(last residual {r.residuals[-1]:.3e})")
     drift = energy_drift(h_fn, traj.states)
     out = _out_dir(opts)
     path = out / "trajectory.csv"
@@ -631,8 +623,7 @@ def main(argv=None):
         return 0
     except Exception as err:
         from .integrators import NonFiniteError
-        from .training import NumericalAbort
-        if isinstance(err, (NonFiniteError, UnconvergedError, NumericalAbort)):
+        if isinstance(err, NonFiniteError):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
         if isinstance(err, (UsageError, OSError, ValueError, KeyError)):

@@ -12,9 +12,9 @@ the stored step size.  Initial conditions are drawn uniformly from the
 system's phase-space box (with rejection below the energy cap where the
 system defines one) by `sample_initial_conditions`, which draws the CLI's
 and the profiler's starts too.  Noise for trajectory i comes from its own
-generator seeded with seed XOR i (so two dataset seeds share streams), and
-the content of a trajectory never depends on how many trajectories
-surround it or in what order they were produced.
+generator seeded with (seed, 0, i), so datasets made with different seeds
+share no noise stream, and the content of a trajectory never depends on
+how many trajectories surround it or in what order they were produced.
 
 Each array exists in memory at most once.  Generation keeps only the
 integrator's time-major states, streams both files from them one
@@ -35,7 +35,7 @@ import numpy as np
 from .integrators import REFERENCE_FPI, _is_finite, _is_int, integrate
 from .systems import get_system
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 CLEAN_NAME = "clean.f64"
 NOISY_NAME = "noisy.f64"
@@ -159,14 +159,14 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
         noise_std=noise_std,
     )
 
-    ic_rng = np.random.default_rng((seed, 1))  # distinct stream from the noise ids
+    ic_rng = np.random.default_rng((seed, 1))  # distinct from the (seed, 0, i) noise streams
     ics = sample_initial_conditions(system, manifest.n_traj, ic_rng)
     traj, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
     states = traj.states  # [n + 1, n_traj, 2d]: trajectory i is states[:, i]
     row_shape = manifest.shape[1:]
     clean_rows = (states[:, i] for i in range(manifest.n_traj))
     noisy_rows = (states[:, i]
-                  + noise_std * np.random.default_rng(seed ^ i).standard_normal(row_shape)
+                  + noise_std * np.random.default_rng((seed, 0, i)).standard_normal(row_shape)
                   for i in range(manifest.n_traj))
 
     out_dir = pathlib.Path(out_dir)

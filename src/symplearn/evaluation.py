@@ -19,8 +19,9 @@ def phase_grid(system, points_per_axis=GRID_POINTS_PER_AXIS, slices=None):
 
     The grid varies the last position coordinate and the last momentum
     coordinate; every other coordinate is held at 0.0 unless `slices` maps
-    its index (into the flat [q, p] state) to another value.  Returns
-    (points [P*P, 2d], meta dict).
+    its index (into the flat [q, p] state) to another value; an index outside
+    [0, 2d) or on a grid axis is a ValueError.  Returns (points [P*P, 2d],
+    meta dict).
     """
     if not (_is_int(points_per_axis) and points_per_axis >= 1):
         raise ValueError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
@@ -28,8 +29,10 @@ def phase_grid(system, points_per_axis=GRID_POINTS_PER_AXIS, slices=None):
     width = 2 * d
     free_q, free_p = d - 1, 2 * d - 1
     slices = dict(slices or {})
-    for axis in (free_q, free_p):
-        if axis in slices:
+    for axis in slices:
+        if not (_is_int(axis) and 0 <= axis < width):
+            raise ValueError(f"slice axis {axis!r} is outside [0, {width})")
+        if axis in (free_q, free_p):
             raise ValueError(f"axis {axis} is a grid axis, not a slice axis")
     q_lo, q_hi = system.bounds[free_q]
     p_lo, p_hi = system.bounds[free_p]

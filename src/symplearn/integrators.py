@@ -34,7 +34,9 @@ import numpy as np
 
 
 class NonFiniteError(RuntimeError):
-    """A solver iterate or state stopped being finite."""
+    """A solve failed: an iterate or state stopped being finite, a linear
+    solve was singular, or a fixed-point solve stopped at max_iters short of
+    its tolerance."""
 
 
 def _is_int(value):
@@ -199,8 +201,8 @@ def _check_finite(y, context):
 def _fixed_point(update, x, cfg, context):
     """Iterate x <- update(x) until the max-norm change is at most cfg.tol,
     or for cfg.max_iters sweeps; returns (x, StepReport).  Non-convergence
-    is not fatal: the last iterate comes back with converged=False so the
-    caller can count failures and decide.  A non-finite iterate raises
+    does not raise here: the last iterate comes back with converged=False,
+    and `integrate` rejects it.  A non-finite iterate raises
     NonFiniteError naming context: a NaN or inf makes the change
     max|new - x| NaN or inf, so the stopping rule's residual is also the
     finiteness check.
@@ -294,6 +296,11 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     be negative (the symmetric methods are time-reversible).  Each implicit
     midpoint solve is seeded by extrapolating the states stored so far with
     SEED_WEIGHTS; the first step starts from y0.
+
+    Every rollout in the package goes through here, and the costate sweep
+    is the exact adjoint of the rollout only where each step was solved, so
+    a solve that stops at cfg.max_iters short of cfg.tol raises
+    NonFiniteError naming the step, as a non-finite state does.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -327,6 +334,9 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
                 _check_finite(y, f"step {i}")
         except NonFiniteError as err:
             raise NonFiniteError(f"{err} (step {i} of {n_steps}, h={h})") from None
+        if not rep.converged:
+            raise NonFiniteError(f"step {i} did not converge in {rep.iterations} sweeps "
+                                 f"(last residual {rep.residuals[-1]:.3e})")
         reports.append(rep)
         states[i + 1] = y
 

@@ -96,7 +96,10 @@ def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
     (["eval", "--oracle", "--grid-points", "0"], "points_per_axis"),
     (["eval", "--oracle", "--grid-points", "3", "--drift-steps", "0"], "n_steps"),
     (["profile", "--window-steps", ","], "window_steps"),
-], ids=["fd-step", "repeats", "grid-points", "drift-steps", "window-steps"])
+    (["eval", "--oracle", "--system", "double_well", "--slice", "7=0.5"], "slice axis"),
+    (["eval", "--oracle", "--system", "henon_heiles", "--slice=-1=0.5"], "slice axis"),
+], ids=["fd-step", "repeats", "grid-points", "drift-steps", "window-steps",
+        "slice-axis-above", "slice-axis-negative"])
 def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
     assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -175,7 +178,7 @@ def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate):
 
 def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     # a one-iteration solver at an impossible tolerance converges nowhere,
-    # which the training loop reports as a numerical abort
+    # so the first rollout raises NonFiniteError
     code = run_train(dataset, tmp_path / "out", "--epochs", "1",
                      "--fpi-tol", "1e-16", "--fpi-max-iters", "1")
     assert code == 2
@@ -653,16 +656,20 @@ def test_integrate_checkpoint_needs_y0(checkpoint, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_integrate_unconverged_step_exits_two(tmp_path, capsys):
-    # at h = 0.8 the fixed-point solves of steps 0 and 1 stop at the default
-    # 50 sweeps short of their tolerance: one line naming the first, and no
-    # trajectory written
-    out = tmp_path / "traj"
-    code = main(["integrate", "--system", "double_well", "--h", "0.8", "--n-steps", "5",
-                 "--y0", "1.0,1.0", "--out-dir", str(out)])
-    assert code == 2
+@pytest.mark.parametrize("argv, step", [
+    (["integrate", "--system", "double_well", "--h", "0.8", "--n-steps", "5",
+      "--y0", "1.0,1.0"], 0),
+    (["eval", "--oracle", "--system", "double_well", "--drift-h", "0.8",
+      "--drift-steps", "5", "--grid-points", "3", "--seed", "0"], 4),
+], ids=["integrate", "eval"])
+def test_integrate_unconverged_step_exits_two(tmp_path, capsys, argv, step):
+    # at h = 0.8 a fixed-point solve of the rollout stops at the default 50
+    # sweeps short of its tolerance: one line naming the first such step,
+    # and nothing written (no trajectory.csv, no eval.json)
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: step 0 did not converge in 50 sweeps "
+    assert err.startswith(f"numerical failure: step {step} did not converge in 50 sweeps "
                           "(last residual ") and err.count("\n") == 1, err
     assert not out.exists()
 

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symplearn.data import (CLEAN_NAME, DatasetManifest, MANIFEST_NAME,
-                            NOISY_NAME, export_csv, generate_dataset,
+from symplearn.data import (CLEAN_NAME, DatasetManifest, MANIFEST_FORMAT_VERSION,
+                            MANIFEST_NAME, NOISY_NAME, export_csv, generate_dataset,
                             load_dataset, sample_initial_conditions,
                             sample_windows, split_dataset)
 from symplearn.systems import get_system
@@ -23,21 +23,22 @@ def small_dataset(tmp_path, seed=5, n_train=8, n_val=4, n_steps=40,
 
 
 def test_manifest_roundtrip():
-    manifest = DatasetManifest(format_version=1, system="double_well",
+    manifest = DatasetManifest(format_version=MANIFEST_FORMAT_VERSION, system="double_well",
                                system_params={}, dim=1, seed=3, n_train=10,
                                n_val=2, n_steps=20, dt=0.001, noise_std=0.01)
     again = DatasetManifest.from_json(manifest.to_json())
     assert again == manifest
     assert manifest.n_traj == 12
     assert manifest.shape == (12, 21, 2)
-    with pytest.raises(ValueError, match="format_version"):
-        DatasetManifest.from_json(json.dumps({"format_version": 2}))
+    for version in (MANIFEST_FORMAT_VERSION - 1, MANIFEST_FORMAT_VERSION + 1):
+        with pytest.raises(ValueError, match="format_version"):
+            DatasetManifest.from_json(json.dumps({"format_version": version}))
 
 
 def test_manifest_names_unknown_and_missing_keys():
     raw = json.loads(DatasetManifest(
-        format_version=1, system="double_well", system_params={}, dim=1,
-        seed=3, n_train=10, n_val=2, n_steps=20, dt=0.001,
+        format_version=MANIFEST_FORMAT_VERSION, system="double_well", system_params={},
+        dim=1, seed=3, n_train=10, n_val=2, n_steps=20, dt=0.001,
         noise_std=0.01).to_json())
     with pytest.raises(ValueError, match="unknown \\['colour'\\]"):
         DatasetManifest.from_json(json.dumps({**raw, "colour": "blue"}))
@@ -49,8 +50,8 @@ def test_manifest_names_unknown_and_missing_keys():
 
 
 VALID_MANIFEST = DatasetManifest(
-    format_version=1, system="double_well", system_params={}, dim=1, seed=3,
-    n_train=10, n_val=2, n_steps=20, dt=0.001, noise_std=0.01)
+    format_version=MANIFEST_FORMAT_VERSION, system="double_well", system_params={}, dim=1,
+    seed=3, n_train=10, n_val=2, n_steps=20, dt=0.001, noise_std=0.01)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -89,6 +90,17 @@ def test_generation_is_deterministic(tmp_path):
     assert np.array_equal(noisy_a, noisy_b)
     _, clean_c, _ = small_dataset(tmp_path / "c", seed=6)
     assert not np.array_equal(clean_a, clean_c)
+
+
+def test_datasets_of_different_seeds_share_no_noise_row(tmp_path):
+    # trajectory i draws its noise from the stream (seed, 0, i), so no noise
+    # row of one seed reappears, at any index, under another
+    noise = []
+    for seed in (0, 1):
+        _, clean, noisy = small_dataset(tmp_path / str(seed), seed=seed)
+        noise.append((noisy - clean).reshape(len(clean), -1))
+    gap = np.max(np.abs(noise[0][:, None, :] - noise[1][None, :, :]), axis=2)
+    assert gap.min() > 1e-6
 
 
 def test_trajectories_solve_the_dynamics(tmp_path):
@@ -200,13 +212,15 @@ def test_load_requires_the_exact_byte_length(tmp_path, name, change):
 
 
 # SHA-256 of clean.f64 and noisy.f64 for small_dataset's arguments (seed 5,
-# 8 + 4 trajectories, 40 steps), as written before generation streamed its
-# files: the streamed writer must reproduce them byte for byte
+# 8 + 4 trajectories, 40 steps).  The clean digests date from before
+# generation streamed its files, so the streamed writer reproduces them byte
+# for byte; the noisy ones from manifest format 2, whose noise streams are
+# seeded with (seed, 0, i)
 PINNED_SHA256 = {
     "double_well": ("191e248e1446dd0cd23cdc54251b528f586ee2b91e28f4469d470b5a4a9fdd8d",
-                    "9bf188858d10bdd4a975d038b5b43f615af2cee824f9d26a8e936170857ac560"),
+                    "3b34a2e90bf93e27cbdba64d09aad8c0cf4a15e5491b21c0e8c193e055587544"),
     "henon_heiles": ("311396ca2bfeeab6496b707fa2d2c36491ac0bbad4c45f3af0294f33670f3df7",
-                     "f127419affe96c61db7dbfed4a1b375d66c3aa5b5ec3e9c807a2affe5098ad03"),
+                     "d53f0444607837a31c135581e18d97588c5178926a1f533e5291d4eb286a3613"),
 }
 
 

@@ -153,11 +153,19 @@ def test_midpoint_step_starts_from_the_given_seed():
 
 
 def test_non_convergence_returns_best_iterate():
+    # the steppers flag an unconverged solve; integrate, which every rollout
+    # goes through, rejects it naming the step
     cfg = FpiConfig(tol=1e-15, max_iters=2)
-    _, report = implicit_midpoint_step(sho_field, np.array([1.0, 0.0]), h=0.3,
-                                       cfg=cfg)
+    y = np.array([1.0, 0.0])
+    _, report = implicit_midpoint_step(sho_field, y, h=0.3, cfg=cfg)
     assert not report.converged
     assert report.iterations == 2
+    _, report = prk_step(sho_field, y, 0.3, TABLEAUX["gauss2"], cfg)
+    assert not report.converged and report.iterations == 2
+    for method in ("implicit_midpoint", "gauss2"):
+        with pytest.raises(NonFiniteError,
+                           match=r"^step 0 did not converge in 2 sweeps \(last residual "):
+            integrate(sho_field, y, 0.3, 3, method=method, cfg=cfg)
 
 
 def one_step(f, y, h, method):
