@@ -323,7 +323,7 @@ def cmd_gen_data(opts):
     from .data import FULL_SCALE, SMOKE_SCALE, generate_dataset
     sizes = {**(SMOKE_SCALE if opts["smoke"] else FULL_SCALE),
              **_given(opts, {k: k for k in ("n_train", "n_val", "n_steps", "dt", "noise_std")})}
-    out = _out_dir(opts)
+    out = pathlib.Path(opts["out_dir"])   # generate_dataset makes it once the solve succeeds
     manifest, _, _ = generate_dataset(opts["system"], out, seed=opts["seed"],
                                       system_params=opts["system_param"], **sizes)
     print(f"wrote {manifest.system} dataset to {out}: "

@@ -77,6 +77,18 @@ class PrkTableau:
                              f"b_q and b_p of length s >= 1, got shapes {shapes}")
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise ValueError(f"tableau {self.name!r} has a non-finite coefficient")
+        # settled once per tableau for prk_step: whether any stage reads its
+        # own or a later slope, and the coefficients shaped to scale slopes
+        # stacked as [s, B, 2, d].  The pair axis holds the position and the
+        # momentum coefficient, or one shared entry when the partitions agree,
+        # so that the product runs over whole contiguous rows
+        def pair(x_q, x_p):
+            return x_q[..., None] if np.array_equal(x_q, x_p) else np.stack([x_q, x_p], -1)
+
+        object.__setattr__(self, "_implicit",
+                           bool(np.triu(self.a_q).any() or np.triu(self.a_p).any()))
+        object.__setattr__(self, "_a_pair", pair(self.a_q, self.a_p)[:, :, None, :, None])
+        object.__setattr__(self, "_b_pair", pair(self.b_q, self.b_p)[None, :, None, :, None])
 
     @property
     def stages(self):
@@ -236,6 +248,21 @@ def implicit_midpoint_step(f, y, h, cfg=FpiConfig(), start=None):
                         "implicit midpoint iteration")
 
 
+def _combine(y, h, coeffs, slopes, out):
+    """out[i] = y + h * sum_j coeffs[i, j] * slopes[j] for every row i at once.
+
+    y is [B, 2, d], slopes [k, B, 2, d], coeffs [r, k, 1, 2 or 1, 1] (a row
+    per point; see PrkTableau's pair axis), out [r, B, 2, d].  The sum runs
+    left to right over j, as a per-stage loop would take it.
+    """
+    terms = coeffs * slopes
+    acc = terms[:, 0]
+    for j in range(1, slopes.shape[0]):
+        acc += terms[:, j]
+    acc *= h
+    np.add(y, acc, out=out)
+
+
 def prk_step(f, y, h, tableau, cfg=FpiConfig()):
     """One step of an arbitrary partitioned Runge-Kutta pair.
 
@@ -243,33 +270,37 @@ def prk_step(f, y, h, tableau, cfg=FpiConfig()):
     stages in order, one field evaluation each, and report one iteration.
     Implicit pairs solve the stage slopes of both partitions jointly by
     _fixed_point, seeded with the field at the current state; they contract
-    at rate O(h).
+    at rate O(h).  Each sweep forms all s stage points at once and makes one
+    field call on them, so the field sees an [s*B, 2d] batch ([s, 2d] for a
+    single state [2d]).
     """
     y = np.asarray(y, dtype=np.float64)
     s = tableau.stages
-    dim = y.shape[-1] // 2
-    q0, p0 = y[..., :dim], y[..., dim:]
+    rows = y.reshape(-1, 2, y.shape[-1] // 2)                  # [B, 2, d]
+    shape = (s,) + rows.shape                                  # stage points and slopes
 
-    def stage(i, slopes, known):  # slope of stage i from slopes 0..known-1
-        q_i = q0 + h * sum(tableau.a_q[i, j] * slopes[j][..., :dim] for j in range(known))
-        p_i = p0 + h * sum(tableau.a_p[i, j] * slopes[j][..., dim:] for j in range(known))
-        return f(np.concatenate([q_i, p_i], axis=-1))
-
-    # slopes[i] holds (k_i, l_i) stacked as a full-width field sample
-    if not (np.triu(tableau.a_q).any() or np.triu(tableau.a_p).any()):
-        slopes = []
+    if not tableau._implicit:
+        points, slopes = np.empty(shape), np.empty(shape)
+        points[0] = rows
         for i in range(s):
-            slopes.append(stage(i, slopes, i))
+            if i:
+                _combine(rows, h, tableau._a_pair[i:i + 1, :i], slopes[:i], points[i:i + 1])
+            slopes[i] = f(points[i].reshape(y.shape)).reshape(rows.shape)
             _check_finite(slopes[i], f"{tableau.name} stage {i}")
         report = StepReport((0.0,), True)
     else:
-        slopes, report = _fixed_point(
-            lambda x: np.stack([stage(i, x, s) for i in range(s)], axis=0),
-            np.stack([f(y)] * s, axis=0), cfg, f"{tableau.name} stage iteration")
+        def sweep(slopes):   # fresh points each sweep: a field may keep its input
+            points = np.empty(shape)
+            _combine(rows, h, tableau._a_pair, slopes, points)
+            return f(points.reshape(-1, y.shape[-1])).reshape(shape)
 
-    q1 = q0 + h * sum(tableau.b_q[i] * slopes[i][..., :dim] for i in range(s))
-    p1 = p0 + h * sum(tableau.b_p[i] * slopes[i][..., dim:] for i in range(s))
-    return np.concatenate([q1, p1], axis=-1), report
+        seed = np.empty(shape)
+        seed[:] = f(y).reshape(rows.shape)
+        slopes, report = _fixed_point(sweep, seed, cfg, f"{tableau.name} stage iteration")
+
+    out = np.empty_like(rows)
+    _combine(rows, h, tableau._b_pair, slopes, out[None])
+    return out.reshape(y.shape), report
 
 
 # ----------------------------------------------------------------------

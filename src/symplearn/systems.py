@@ -45,7 +45,10 @@ def double_well(width_scale=1.0):
     def dynamics(y):
         y = np.asarray(y, dtype=np.float64)
         q, p = y[..., 0], y[..., 1]
-        return np.stack([p, q - q ** 3], axis=-1)
+        out = np.empty_like(y)
+        out[..., 0] = p
+        np.subtract(q, q ** 3, out=out[..., 1])
+        return out
 
     return HamiltonianSystem(
         name="double_well",
@@ -73,7 +76,10 @@ def coupled_ho(alpha=0.5):
     def dynamics(y):
         y = np.asarray(y, dtype=np.float64)
         q, p = y[..., 0], y[..., 1]
-        return np.stack([p + alpha * q, -(q + alpha * p)], axis=-1)
+        out = np.empty_like(y)
+        np.add(p, alpha * q, out=out[..., 0])
+        np.negative(q + alpha * p, out=out[..., 1])
+        return out
 
     return HamiltonianSystem(
         name="coupled_ho",
@@ -100,14 +106,12 @@ def henon_heiles():
 
     def dynamics(y):
         y = np.asarray(y, dtype=np.float64)
-        qx, qy, px, py = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        return np.stack(
-            [px,
-             py,
-             -qx - 2.0 * qx * qy,
-             -qy - qx ** 2 + qy ** 2],
-            axis=-1,
-        )
+        qx, qy = y[..., 0], y[..., 1]
+        out = np.empty_like(y)
+        out[..., :2] = y[..., 2:]
+        np.subtract(-qx, 2.0 * qx * qy, out=out[..., 2])
+        np.add(-qy - qx ** 2, qy ** 2, out=out[..., 3])
+        return out
 
     return HamiltonianSystem(
         name="henon_heiles",
@@ -128,7 +132,10 @@ def simple_harmonic():
 
     def dynamics(y):
         y = np.asarray(y, dtype=np.float64)
-        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+        out = np.empty_like(y)
+        out[..., 0] = y[..., 1]
+        np.negative(y[..., 0], out=out[..., 1])
+        return out
 
     return HamiltonianSystem(
         name="simple_harmonic",

@@ -202,6 +202,41 @@ LOBATTO3_A_P = np.array([
 LOBATTO3_B = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
 
 
+def per_stage_prk_step(f, y, h, a_q, b_q, a_p, b_p, tol, max_iters):
+    """Reference step of an implicit partitioned RK pair, one stage at a time.
+
+    Seeds every stage slope with f(y), then sweeps: each stage point is
+    y + h * sum_j a[i, j] * slope_j per partition, the sum taken left to right
+    in a Python loop, and the field is called once per stage.  Stops when the
+    max change of any slope is at most tol, or after max_iters sweeps.
+    Returns (y_next, sweeps).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    s = len(b_q)
+    dim = y.shape[-1] // 2
+
+    def advance(weights_q, weights_p, slopes):
+        point = np.array(y)
+        acc_q = weights_q[0] * slopes[0][..., :dim]
+        acc_p = weights_p[0] * slopes[0][..., dim:]
+        for j in range(1, s):
+            acc_q = acc_q + weights_q[j] * slopes[j][..., :dim]
+            acc_p = acc_p + weights_p[j] * slopes[j][..., dim:]
+        point[..., :dim] = y[..., :dim] + h * acc_q
+        point[..., dim:] = y[..., dim:] + h * acc_p
+        return point
+
+    slopes = [np.asarray(f(y), dtype=np.float64)] * s
+    for sweep in range(1, max_iters + 1):
+        new = [np.asarray(f(advance(a_q[i], a_p[i], slopes)), dtype=np.float64)
+               for i in range(s)]
+        change = max(float(np.max(np.abs(n - o))) for n, o in zip(new, slopes))
+        slopes = new
+        if change <= tol:
+            break
+    return advance(b_q, b_p, slopes), sweep
+
+
 # ----------------------------------------------------------------------
 # tiny closed-form systems
 

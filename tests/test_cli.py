@@ -185,6 +185,16 @@ def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_gen_data_numerical_failure_leaves_no_directory(tmp_path, capsys):
+    # at dt = 1.5 the first Gauss solve stops short of its tolerance; the
+    # output directory is made only after the solve succeeds
+    out = tmp_path / "X"
+    assert main(["gen-data", "--system", "double_well", "--n-train", "4", "--n-val", "2",
+                 "--dt", "1.5", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: step 0 did not converge")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- threads
 
 # Runs `python -m symplearn` with an import hook that prints, at the first

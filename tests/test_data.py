@@ -1,5 +1,6 @@
 """Dataset generation, storage format, and window sampling."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symplearn import data
 from symplearn.data import (CLEAN_NAME, DatasetManifest, MANIFEST_FORMAT_VERSION,
                             MANIFEST_NAME, NOISY_NAME, export_csv, generate_dataset,
                             load_dataset, sample_initial_conditions,
@@ -230,6 +232,35 @@ def test_written_bytes_match_the_pinned_digests(tmp_path, system):
     digests = tuple(hashlib.sha256((tmp_path / "ds" / name).read_bytes()).hexdigest()
                     for name in (CLEAN_NAME, NOISY_NAME))
     assert digests == PINNED_SHA256[system]
+
+
+def test_reference_solve_makes_one_field_call_per_sweep(tmp_path, monkeypatch):
+    # the set-up-sized double-well set (16 + 4 trajectories, 160 steps): each
+    # Gauss step evaluates the field once for its seed and once per sweep over
+    # both stages, 824 calls in all where a call per stage would make 1,488
+    calls, reports = [], []
+    real_integrate = data.integrate
+
+    def counted_system(name, **params):
+        system = get_system(name, **params)
+
+        def counted(y):
+            calls.append(y.shape)
+            return system.dynamics(y)
+
+        return dataclasses.replace(system, dynamics=counted)
+
+    def recorded_integrate(*args, **kwargs):
+        traj, step_reports = real_integrate(*args, **kwargs)
+        reports.extend(step_reports)
+        return traj, step_reports
+
+    monkeypatch.setattr(data, "get_system", counted_system)
+    monkeypatch.setattr(data, "integrate", recorded_integrate)
+    manifest, _, _ = generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=16,
+                                      n_val=4)
+    assert manifest.n_steps == len(reports) == 160
+    assert len(calls) == manifest.n_steps + sum(r.iterations for r in reports) == 824
 
 
 def traced_peak(fn):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
-                     fd_jacobian, midpoint_linear_exact, sho_energy,
-                     sho_exact, sho_field)
+                     fd_jacobian, midpoint_linear_exact, per_stage_prk_step,
+                     sho_energy, sho_exact, sho_field)
 
 from symplearn.data import sample_initial_conditions
 from symplearn import integrators
@@ -16,6 +16,8 @@ from symplearn.integrators import (REFERENCE_FPI, SEED_WEIGHTS, FpiConfig, NonFi
 from symplearn.systems import get_system
 
 TIGHT = FpiConfig(tol=1e-13, max_iters=100)
+LOBATTO3 = PrkTableau(name="lobatto3", a_q=LOBATTO3_A_Q, b_q=LOBATTO3_B,
+                      a_p=LOBATTO3_A_P, b_p=LOBATTO3_B)
 
 
 # ----------------------------------------------------------------------
@@ -63,9 +65,7 @@ def test_checker_accepts_lobatto_three_stage_pair():
     # unequal weights make this pair sensitive to the orientation of the
     # transposed term in the coupling condition; a transposed implementation
     # rejects it
-    pair = PrkTableau(name="lobatto3", a_q=LOBATTO3_A_Q, b_q=LOBATTO3_B,
-                      a_p=LOBATTO3_A_P, b_p=LOBATTO3_B)
-    report = check_symplectic_tableau(pair)
+    report = check_symplectic_tableau(LOBATTO3)
     assert report.symplectic
     assert report.max_violation <= 1e-15
 
@@ -197,6 +197,45 @@ def test_explicit_pairs_take_one_evaluation_per_stage(method, evals):
     assert len(calls) == 3 * evals
     assert [r.iterations for r in reports] == [1, 1, 1]
     assert all(r.converged for r in reports)
+
+
+@pytest.mark.parametrize("method", ["gauss2", "symplectic_euler"])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_implicit_pairs_take_one_evaluation_per_sweep(method, batch):
+    # the seed evaluates the field at y; every sweep after it evaluates all
+    # s stage points in one call on an [s*B, 2d] batch ([s, 2d] for one state)
+    hh = get_system("henon_heiles")
+    tableau = TABLEAUX[method]
+    y = sample_initial_conditions(hh, batch or 1, np.random.default_rng(34))
+    y = y if batch else y[0]
+    shapes = []
+
+    def counted(points):
+        shapes.append(points.shape)
+        return hh.dynamics(points)
+
+    _, report = prk_step(counted, y, 0.05, tableau, TIGHT)
+    assert report.converged and report.iterations >= 2
+    assert len(shapes) == 1 + report.iterations
+    assert shapes[0] == y.shape
+    assert set(shapes[1:]) == {(tableau.stages * (batch or 1), 4)}
+
+
+@pytest.mark.parametrize("tableau", [TABLEAUX["gauss2"], LOBATTO3], ids=["gauss2", "lobatto3"])
+@pytest.mark.parametrize("name", ["double_well", "henon_heiles"])
+@pytest.mark.parametrize("batch", [None, 7])
+def test_stacked_step_equals_the_per_stage_oracle(tableau, name, batch):
+    # the stacked sweep must reproduce a stage-by-stage loop bit for bit: the
+    # same sums in the same order, and so the same sweeps
+    system = get_system(name)
+    y = sample_initial_conditions(system, batch or 1, np.random.default_rng(35))
+    y = y if batch else y[0]
+    for h, cfg in ((0.01, REFERENCE_FPI), (-0.1, FpiConfig())):
+        got, report = prk_step(system.dynamics, y, h, tableau, cfg)
+        want, sweeps = per_stage_prk_step(system.dynamics, y, h, tableau.a_q, tableau.b_q,
+                                          tableau.a_p, tableau.b_p, cfg.tol, cfg.max_iters)
+        assert report.converged and report.iterations == sweeps
+        assert np.array_equal(got, want)
 
 
 def test_generic_prk_midpoint_agrees_with_specialized_step():
