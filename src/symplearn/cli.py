@@ -373,13 +373,13 @@ def cmd_eval(opts):
     from .evaluation import energy_drift, evaluate_ood
     from .integrators import integrate
     from .systems import get_system
+    if opts["oracle"] == bool(opts["checkpoint"]):
+        raise UsageError("pass exactly one of --checkpoint or --oracle")
     system = get_system(opts["system"], **opts["system_param"])
     if opts["oracle"]:
         h_fn, dyn_fn = system.hamiltonian, system.dynamics
         source = f"oracle:{system.name}"
     else:
-        if not opts["checkpoint"]:
-            raise UsageError("--checkpoint is required unless --oracle is given")
         from .model import load_checkpoint
         net, theta, _ = load_checkpoint(opts["checkpoint"])
         if net.dim != system.dim:
@@ -434,6 +434,8 @@ def cmd_integrate(opts):
             y0 = _random_state(system, opts["seed"])
         label = system.name
     else:
+        if opts["system_param"]:
+            raise UsageError("--system-param applies to --system only, not to --checkpoint")
         from .model import load_checkpoint
         net, theta, _ = load_checkpoint(opts["checkpoint"])
         if y0 is None:

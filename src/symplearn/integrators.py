@@ -146,8 +146,10 @@ def check_symplectic_tableau(tableau, tol=1e-12):
     two make a partitioned pair symplectic for any autonomous Hamiltonian.
     The node mismatch max|c_q - c_p| is reported alongside because staggered
     pairs (symplectic Euler) legitimately have unequal nodes, so it never
-    enters the verdict or the reported violation.
+    enters the verdict or the reported violation.  tol must be >= 0.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     b_q, b_p = tableau.b_q, tableau.b_p
     weight = float(np.max(np.abs(b_q - b_p)))
     # coupling[i, j] = b_q[i] a_p[i, j] + b_p[j] a_q[j, i] - b_q[i] b_p[j]

@@ -1,8 +1,10 @@
 """Trainable Hamiltonian: a dense tanh network with hand-written derivatives.
 
 The network maps a phase-space point y = (q, p), flattened into one vector of
-width 2*dim, to a scalar energy.  Everything the solvers need is derived from
-that scalar by explicit forward/reverse sweeps written out below:
+width 2*dim, through one or more tanh hidden layers to a scalar energy (with
+none, H would be linear in y and its field constant).  Everything the solvers
+need is derived from that scalar by explicit forward/reverse sweeps written
+out below:
 
     eval_h       H(theta, y)
     grad_state   dH/dy                       (one reverse sweep)
@@ -31,10 +33,11 @@ time).  Every pass of the engine call shares those tiled rows, so they
 must never be written in place.
 
 One tangent-over-reverse routine, _tangent_reverse, serves the reverse
-through a recorded field evaluation and the costate step's parameter term.
-It runs on the primal reverse's per-layer slopes 1 - a^2, cotangents and
-curvature weights: the costate step hands in the ones its Hessian pass
-made, and a recorded tape gets them from one primal reverse (_mixed).
+through a recorded field evaluation (field_vjp) and the costate step's
+parameter term.  It runs on the primal reverse's per-layer slopes 1 - a^2,
+cotangents and curvature weights: the costate step hands in the ones its
+Hessian pass made, and field_vjp gets them from one primal reverse over the
+recorded tape.
 
 Each pass does only the work its output needs: the output layer is linear
 with one unit, so reverse sweeps start just below it from the row W_L[:, 0],
@@ -126,10 +129,9 @@ class PreparedNet:
         self._rows = {}
 
     def rows(self, batch):
-        """(biases, head, field_head) tiled to [batch, n]: every hidden
-        layer's bias, the head row and field_chain's first row (the head row
-        itself when a layer is hidden), made once per batch size; a batch of
-        one gets [1, n] views, which need no copy.
+        """(biases, head) tiled to [batch, n]: every hidden layer's bias and
+        the head row, made once per batch size; a batch of one gets [1, n]
+        views, which need no copy.
 
         An in-place add of a same-shape operand takes less than half the
         time of one that broadcasts a row (6.0 us against 13.3 us at
@@ -138,25 +140,19 @@ class PreparedNet:
         """
         rows = self._rows.get(batch)
         if rows is None:
-            head = _tiled(self.head, batch)
-            field_head = _tiled(self.field_chain[0], batch) if not self.wt else head
             rows = self._rows[batch] = (
-                [_tiled(b, batch) for _, b in self.layers[:-1]], head, field_head)
+                [_tiled(b, batch) for _, b in self.layers[:-1]], _tiled(self.head, batch))
         return rows
 
     @functools.cached_property
     def field_chain(self):
-        if not self.wt:
-            return canonical_field(self.head, self.dim), []
-        return self.head, [canonical_field(self.wt[0], self.dim), *self.wt[1:]]
+        return [canonical_field(self.wt[0], self.dim), *self.wt[1:]]
 
     @functools.cached_property
     def hess_terms(self):
         w0, wt0 = self.layers[0][0], self.wt[0]
         pairs = np.ascontiguousarray((w0[:, None, :] * w0).reshape(len(w0) ** 2, -1).T)
-        cross = None
-        if len(self.wt) > 1:
-            cross = (wt0[:, :, None] * self.layers[1][0][:, None, :]).reshape(len(wt0), -1)
+        cross = (wt0[:, :, None] * self.layers[1][0][:, None, :]).reshape(len(wt0), -1)
         return pairs, cross
 
 
@@ -172,6 +168,9 @@ class HamiltonianNet:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self.arch = (2 * self.dim, *(int(w) for w in hidden), 1)
+        if len(self.arch) < 3:
+            # linear in y: a constant field, which no registered system has
+            raise ValueError(f"hidden must list at least one layer width, got {hidden!r}")
         if any(w < 1 for w in self.arch):
             raise ValueError(f"bad layer widths {self.arch}")
         self.n_params = param_count(self.arch)
@@ -239,10 +238,8 @@ class HamiltonianNet:
         head row; with field set, the canonical field (dH/dp, -dH/dq) instead,
         through the reverse chain that has the rotation folded in.
         """
-        _, head, field_head = prep.rows(len(acts[0]))
-        bar, back = (field_head, prep.field_chain[1]) if field else (head, prep.wt)
-        if not back:                 # no hidden layer: the tiled row is the result
-            return bar.copy()
+        bar = prep.rows(len(acts[0]))[1]
+        back = prep.field_chain if field else prep.wt
         for l in range(len(back) - 1, -1, -1):
             slope = acts[l + 1] * acts[l + 1]
             np.subtract(1.0, slope, out=slope)
@@ -326,15 +323,7 @@ class HamiltonianNet:
             np.matmul(ones, gz, out=db)
             if l > 0 or need_state:
                 s = gz @ prep.wt[l]
-
-        if need_state and s is None:     # no hidden layer: T is linear in y
-            s = np.zeros_like(w_dir)
         return (s if need_state else None), grad
-
-    def _mixed(self, prep, acts, w_dir):
-        """_tangent_reverse on a recorded tape, after one primal reverse."""
-        primal = self._primal_reverse(prep, acts)
-        return self._tangent_reverse(prep, acts, primal, w_dir, True)
 
     # ------------------------------------------------------------------
     # public operations
@@ -393,58 +382,37 @@ class HamiltonianNet:
         the rows of W_0 at every point, so layer 0 adds one matmul against
         their pairwise products.
 
-        At width 2 (dim 1) the two input tangents go forward as one [B, n_l]
-        array each: (slopes_0 * W_0[i]) @ W_1 into layer 1, then
-        (t_i * slopes_{l-1}) @ W_l.  Each layer adds the three distinct
-        entries h00, h01 and h11 as row dots of the tangents against curv_l,
-        and h01 is mirrored onto h10.  This skips the [B, 2, n] broadcasts
-        and batched matmuls of the stacked form, and the costate step solves
-        its 2x2 system from these entries by Cramer's rule
-        (adjoint._cramer_step).  Wider inputs keep the stacked form: their 2d
-        tangents go forward as [B, 2d, n_l], one matmul per layer, each layer
-        adds J_l^T diag(curv_l) J_l as one batched matmul, and the upper
-        triangle is mirrored onto the lower at the end.  Either way only the
-        current layer's tangents are held and hess is exactly symmetric.
+        Above it, each input direction i goes forward as one [B, n_l]
+        tangent t_i: (slopes_0 * W_0[i]) @ W_1 into layer 1, one matmul of
+        slopes_0 against direction i's column block of the combined weights
+        (hess_terms), then (t_i * slopes_{l-1}) @ W_l.  Each layer adds the
+        upper-triangle entries h_ij, j >= i, as row dots of t_i * curv_l
+        against t_j, and the upper triangle is mirrored onto the lower at the
+        end, so hess is exactly symmetric.  Only the current layer's tangents are held; the
+        costate step at dim 1 solves its 2x2 system from h00, h01 and h11
+        by Cramer's rule (adjoint._cramer_step).
         """
         acts = self._forward(prep, y)
         primal = self._primal_reverse(prep, acts)
         batch, width = y.shape
-        last = len(prep.layers) - 1
-        if last == 0:
-            return np.zeros((batch, width, width)), acts, primal
         slopes, _, curv = primal
         pairs, cross = prep.hess_terms
         hess = curv[0] @ pairs
-        # J_1 is the slopes against W_0 and W_1 combined: one matmul per
-        # direction at width 2, one for all directions above
-        if width == 2:
-            for l in range(1, last):
-                if l == 1:
-                    n = cross.shape[1] // 2
-                    t0, t1 = slopes[0] @ cross[:, :n], slopes[0] @ cross[:, n:]
-                else:
-                    t0 *= slopes[l - 1]
-                    t1 *= slopes[l - 1]
-                    w = prep.layers[l][0]
-                    t0, t1 = t0 @ w, t1 @ w
-                u = t0 * curv[l]
-                hess[:, 0] += np.einsum("ij,ij->i", u, t0)
-                hess[:, 1] += np.einsum("ij,ij->i", u, t1)
-                np.multiply(t1, curv[l], out=u)
-                hess[:, 3] += np.einsum("ij,ij->i", u, t1)
-            hess[:, 2] = hess[:, 1]
-            return hess.reshape(batch, 2, 2), acts, primal
-
-        hess = hess.reshape(batch, width, width)
-        tan = None
-        for l in range(1, last):
-            w = prep.layers[l][0]
-            if tan is None:
-                z_tan = slopes[0] @ cross
+        n = cross.shape[1] // width
+        for l in range(1, len(curv)):
+            if l == 1:
+                tans = [slopes[0] @ cross[:, i * n:(i + 1) * n] for i in range(width)]
             else:
-                z_tan = (tan * slopes[l - 1][:, None, :]).reshape(-1, len(w)) @ w
-            tan = z_tan.reshape(batch, width, -1)
-            hess += (tan * curv[l][:, None, :]) @ tan.transpose(0, 2, 1)
+                w = prep.layers[l][0]
+                for t in tans:
+                    t *= slopes[l - 1]
+                tans = [t @ w for t in tans]
+            u = None                 # one product buffer per layer, not per direction
+            for i, t in enumerate(tans):
+                u = np.multiply(t, curv[l], out=u)
+                for j in range(i, width):
+                    hess[:, i * width + j] += np.einsum("ij,ij->i", u, tans[j])
+        hess = hess.reshape(batch, width, width)
         for i in range(1, width):
             hess[:, i, :i] = hess[:, :i, i]
         return hess, acts, primal
@@ -458,9 +426,12 @@ class HamiltonianNet:
             ybar     = (df/dy)^T u     = d2H/dy2 caught along w = (-u_p, u_q)
             thetabar = (df/dtheta)^T u summed over the batch
 
-        This is the workhorse of the backprop-through-solver engine.
+        This is the workhorse of the backprop-through-solver engine: one
+        primal reverse over the tape, then _tangent_reverse on its pieces.
         """
-        return self._mixed(prep, acts, costate_to_direction(u, self.dim))
+        primal = self._primal_reverse(prep, acts)
+        return self._tangent_reverse(prep, acts, primal, costate_to_direction(u, self.dim),
+                                     True)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,8 @@ class ProfileRow:
 def profile_windows(system, batch_size, window_steps, h, seed):
     """Noise-free windows rolled out from the true field: the profile should
     measure engine overhead, not data quality."""
+    if not (_is_int(batch_size) and batch_size >= 1):
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     y0 = sample_initial_conditions(system, batch_size, np.random.default_rng((seed, 4)))
     traj, _ = integrate(system.dynamics, y0, h, window_steps,
                         method="implicit_midpoint", cfg=REFERENCE_FPI)

@@ -117,9 +117,10 @@ class TrainConfig:
             raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
         if not isinstance(self.fpi, FpiConfig):
             raise ValueError(f"fpi must be an FpiConfig, got {self.fpi!r}")
-        if not (isinstance(self.hidden, (tuple, list))
+        if not (isinstance(self.hidden, (tuple, list)) and self.hidden
                 and all(_is_int(w) and w >= 1 for w in self.hidden)):
-            raise ValueError(f"hidden must be a sequence of integers >= 1, got {self.hidden!r}")
+            raise ValueError(f"hidden must be a non-empty sequence of integers >= 1, "
+                             f"got {self.hidden!r}")
 
 
 def _rollout(net, theta, windows, h, config, record=False):

@@ -408,9 +408,9 @@ def test_blown_up_rollout_releases_all_tapes(traced_bytes):
 def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch, dim):
     # each backward step runs one network forward pass and one primal
     # reverse, both shared by the closed-form Hessian and the parameter term
-    # (no _mixed, which would reverse the primal again), and never evaluates
-    # the vector field itself
-    calls = {"_forward": 0, "_reverse_input": 0, "_primal_reverse": 0, "_mixed": 0}
+    # (no field_vjp, which would reverse the primal again), and never
+    # evaluates the vector field itself
+    calls = {"_forward": 0, "_reverse_input": 0, "_primal_reverse": 0, "field_vjp": 0}
     for name in calls:
         original = getattr(HamiltonianNet, name)
 
@@ -426,7 +426,7 @@ def test_costate_step_takes_one_forward_pass_and_no_field_evaluation(monkeypatch
     partials = rng.standard_normal((n_steps, 16, 2 * dim))
     solve_adjoint_accumulate(net, theta, states, partials, 0.05)
     assert calls == {"_forward": n_steps, "_reverse_input": 0, "_primal_reverse": n_steps,
-                     "_mixed": 0}
+                     "field_vjp": 0}
 
 
 def test_nonfinite_costate_releases_tracked_buffers(traced_bytes):

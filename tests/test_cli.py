@@ -98,8 +98,13 @@ def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
     (["profile", "--window-steps", ","], "window_steps"),
     (["eval", "--oracle", "--system", "double_well", "--slice", "7=0.5"], "slice axis"),
     (["eval", "--oracle", "--system", "henon_heiles", "--slice=-1=0.5"], "slice axis"),
+    (["grad-check", "--hidden", ""], "hidden"),
+    (["grad-check", "--batch-size", "0"], "batch_size"),
+    (["profile", "--batch-size", "0", "--window-steps", "2", "--repeats", "1"], "batch_size"),
+    (["check-tableau", "--method", "gauss2", "--tol", "-1"], "tol"),
 ], ids=["fd-step", "repeats", "grid-points", "drift-steps", "window-steps",
-        "slice-axis-above", "slice-axis-negative"])
+        "slice-axis-above", "slice-axis-negative", "grad-check-hidden", "grad-check-batch-size",
+        "profile-batch-size", "tableau-tol"])
 def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
     assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -125,7 +130,7 @@ def test_missing_dataset_names_the_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--batch-size", "0"), ("--windows-per-traj", "0"), ("--val-batches", "0"),
-    ("--epochs", "-1"), ("--lr", "nan"), ("--no-such-flag", "1"),
+    ("--epochs", "-1"), ("--lr", "nan"), ("--no-such-flag", "1"), ("--hidden", ""),
 ])
 def test_bad_train_values_exit_one(dataset, tmp_path, capsys, flag, value):
     assert run_train(dataset, tmp_path / "out", flag, value) == 1
@@ -421,6 +426,16 @@ def test_config_with_retired_seed_key_exits_one(cmd, tmp_path, capsys):
     assert f"config key {key!r}" in err
 
 
+@pytest.mark.parametrize("cmd", ["train", "grad-check"])
+def test_config_with_empty_hidden_exits_one(cmd, dataset, tmp_path, capsys):
+    # a net with no hidden layer has a constant field, so neither command
+    # takes one
+    flags = ("--data", str(dataset)) if cmd == "train" else ()
+    err = config_error(capsys, tmp_path, cmd, {"hidden": []}, *flags)
+    assert err.startswith("error: hidden ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_switches_take_only_json_booleans(tmp_path, capsys):
     for cmd, key, value in (("eval", "oracle", "false"), ("gen-data", "smoke", 1),
                             ("gen-data", "full", "yes")):
@@ -548,6 +563,16 @@ def test_eval_without_checkpoint_or_oracle_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_with_checkpoint_and_oracle_exits_one(tmp_path, capsys):
+    # scoring the oracle would silently ignore the checkpoint
+    assert main(["eval", "--oracle", "--checkpoint", "nowhere.json",
+                 "--out-dir", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "--checkpoint" in err and "--oracle" in err
+    assert not (tmp_path / "ev").exists()
+
+
 def _bad_header(header):
     return [1, 2]
 
@@ -572,12 +597,19 @@ def _fractional_arch(header):
     return header
 
 
+def _no_hidden_layer(header):
+    header["arch"] = [2, 1]
+    header["param_count"] = 3
+    return header
+
+
 @pytest.mark.parametrize("corrupt, needle", [
     (_bad_header, "JSON object"),
     (_no_arch, "missing ['arch']"),
     (_escaping_data_file, "data_file"),
     (_absolute_data_file, "data_file"),
     (_fractional_arch, "checkpoint arch"),
+    (_no_hidden_layer, "hidden"),
     (None, "non-finite"),
 ])
 def test_eval_malformed_checkpoint_exits_one_with_one_line(checkpoint, tmp_path, capsys,
@@ -684,7 +716,7 @@ def test_integrate_unconverged_step_exits_two(tmp_path, capsys, argv, step):
     assert not out.exists()
 
 
-def test_integrate_argument_validation(tmp_path, capsys):
+def test_integrate_argument_validation(checkpoint, tmp_path, capsys):
     out = str(tmp_path / "t")
     assert main(["integrate", "--out-dir", out]) == 1  # neither source
     assert main(["integrate", "--system", "coupled_ho", "--checkpoint", "x",
@@ -692,6 +724,12 @@ def test_integrate_argument_validation(tmp_path, capsys):
     assert main(["integrate", "--system", "coupled_ho", "--y0", "1,2,3",
                  "--out-dir", out]) == 1               # wrong width
     capsys.readouterr()
+    # a checkpoint's field has no system parameters to set
+    assert main(["integrate", "--checkpoint", str(checkpoint), "--y0", "0.1,0.2",
+                 "--system-param", "alpha=2", "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --system-param ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("seed", range(1, 8))
@@ -752,6 +790,8 @@ def test_check_tableau_verdicts(capsys):
     out = capsys.readouterr().out
     assert "NOT symplectic" in out
     assert "1.000e+00" in out  # the classic method misses by exactly one
+    assert main(["check-tableau", "--method", "gauss2", "--tol", "0"]) == 0
+    assert "gauss2: symplectic (tol 0.0)" in capsys.readouterr().out
     assert main(["check-tableau", "--method", "no_such_method"]) == 1
     capsys.readouterr()
 

@@ -98,13 +98,12 @@ def test_hessian_matches_finite_differences_and_is_symmetric():
         assert np.max(np.abs(got - got.T)) <= 1e-10
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hidden", [(), (5,), (8, 8), (16, 32, 16)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [(1,), (5,), (8, 8), (16, 32, 16)])
 def test_hessian_matches_the_batch_major_contraction(hidden, dim):
-    # width 2 forms h00, h01 and h11 from one tangent per input direction,
-    # wider inputs keep the stacked tangents; both against the reference
-    # contraction, at the initial weights and at 3x their scale, and exactly
-    # symmetric
+    # one tangent per input direction, the upper triangle mirrored, at
+    # widths 2, 4 and 6, against the reference contraction, at the initial
+    # weights and at 3x their scale, and exactly symmetric
     net = HamiltonianNet(dim, hidden=hidden)
     rng = np.random.default_rng(15)
     for scale in (1.0, 3.0):
@@ -131,17 +130,6 @@ def param_contraction(net, theta, y, lam):
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
     return net.field_vjp(layers, acts, lam)[1]
-
-
-def test_linear_net_parameter_contraction_is_exact():
-    # with no hidden layer H = w0 q + w1 p + b, so f = (w1, -w0) and
-    # <lam, f> = lam_q w1 - lam_p w0: the theta gradient is (-lam_p, lam_q, 0)
-    net = HamiltonianNet(1, hidden=())
-    theta = np.array([0.7, -1.3, 0.25])
-    y = np.array([[0.4, 0.9]])
-    lam = np.array([[2.0, -3.0]])
-    got = param_contraction(net, theta, y, lam)
-    assert np.array_equal(got, [3.0, 2.0, 0.0])
 
 
 def test_vjp_params_matches_finite_differences():
@@ -187,7 +175,7 @@ def test_field_vjp_equals_hessian_contraction():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+@pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
     # column k of d2H/dy2 is the state half of the reverse through one field
     # evaluation, with the cotangent u that costate_to_direction maps to e_k
@@ -206,20 +194,17 @@ def test_closed_form_hessian_matches_field_vjp_columns(dim, hidden):
         cols.append(net.field_vjp(layers, acts, u)[0])
     want = np.stack(cols, axis=-1)
     got = hessian(net, theta, y)
-    if not hidden:
-        assert np.array_equal(got, np.zeros_like(got))
     assert np.max(np.abs(got - want)) <= 1e-13
     assert np.array_equal(got, got.swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("batch", [1, 64])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+@pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
-    # _mixed, the fused costate-step reverse with and without its state
-    # half, and field_vjp on top of _mixed, against the plain
-    # tangent-over-reverse sweep; with no hidden layer the state output is
-    # exactly zero
+    # the tangent-over-reverse sweep as field_vjp runs it on a recorded
+    # tape, and as the costate step runs it with and without its state
+    # half, against the plain reference sweep
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(22)
     rng = np.random.default_rng(23)
@@ -234,8 +219,6 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    for part, ref in zip(net._mixed(layers, acts, w_dir), want):
-        check(part, ref)
     for need_state in (True, False):
         # the costate step's parameter reverse: the tangent-over-reverse on
         # the primal pieces a Hessian pass kept, with no second primal
@@ -251,7 +234,7 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
         check(part, ref)
 
 
-@pytest.mark.parametrize("hidden", [(), (16, 32, 16)])
+@pytest.mark.parametrize("hidden", [(1,), (16, 32, 16)])
 def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
     # the passes work in place on their own buffers only: theta, the tape
     # and the direction come out untouched, and no call writes into what an
@@ -270,7 +253,7 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
         fresh = net._forward(layers, y)
         hess, hess_tape, primal = net._hess_and_tape(layers, y)
         return [*fresh, net._reverse_input(layers, acts), net._reverse_input(layers, acts, True),
-                *net._mixed(layers, acts, w_dir),
+                *net.field_vjp(layers, acts, w_dir),
                 hess, *hess_tape, *primal[0], *primal[1], *primal[2]]
 
     first = sweeps()
@@ -294,11 +277,11 @@ def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+@pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
     # the closure ends its reverse on W_0^T with the canonical rotation
-    # folded into its columns, or on the rotated head row when no layer is
-    # hidden; dynamics rotates the plain input gradient afterwards
+    # folded into its columns; dynamics rotates the plain input gradient
+    # afterwards
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(28)
     for batch in (1, 64, 512):
@@ -307,7 +290,7 @@ def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hidden", [(), (5,), (16, 32, 16)])
+@pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
     # one PreparedNet serves batches of 512, 1 and 3 in turn from its bias
     # and head rows tiled per batch size.  The forward pass and the first
@@ -338,9 +321,8 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         assert np.array_equal(net._reverse_input(prep, acts), grad)
         assert np.array_equal(net.grad_state(theta, y), grad)
         primal = net._primal_reverse(prep, acts)
-        if hidden:
-            a = want[-1]
-            assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
+        a = want[-1]
+        assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
         assert np.array_equal(field(y), net.dynamics(theta, y))
         assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
         hess = net._hess_and_tape(prep, y)[0]
@@ -349,12 +331,10 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
     for batch in (1, 3, 512):
-        biases, head_rows, field_rows = prep.rows(batch)
+        biases, head_rows = prep.rows(batch)
         for (_, b), tiled in zip(layers[:-1], biases, strict=True):
             assert np.array_equal(tiled, np.broadcast_to(b, tiled.shape))
         assert np.array_equal(head_rows, np.broadcast_to(head, head_rows.shape))
-        assert np.array_equal(field_rows, np.broadcast_to(prep.field_chain[0],
-                                                          field_rows.shape))
 
 
 def test_field_closure_is_freed_without_the_cycle_collector():
@@ -391,6 +371,9 @@ def test_methods_are_pure():
 
 
 def test_bad_shapes_are_rejected():
+    # a net with no hidden layer is linear in y, so its field is constant
+    with pytest.raises(ValueError, match="^hidden "):
+        HamiltonianNet(1, hidden=())
     net = HamiltonianNet(1)
     theta = net.init_params(0)
     with pytest.raises(ValueError):
