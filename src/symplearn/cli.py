@@ -6,7 +6,8 @@ which only take effect if they are set before numpy first loads.  Heavy
 imports therefore live inside the command handlers.
 
 Each option is declared once, in _build_parser: its flag, its default and
-the parser its value goes through.  Option precedence is CLI flag > --config
+the parser its value goes through; a command declares only the options its
+handler reads (--seed and --out-dir too).  Option precedence is CLI flag > --config
 JSON file > that default.  An option whose library call has a default of its
 own (every TrainConfig and FpiConfig field, the gen-data sizes, integrate's
 method, ...) defaults to None here and is passed only when given.  The config
@@ -18,11 +19,15 @@ file is read too late to matter: --threads is read by the one parser, as an
 integer like every other option, and _merge_options sets the BLAS variables
 before any handler imports numpy (profile defaults to one thread).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure:
-a NonFiniteError from any command (a non-finite state, loss or gradient, a
-singular costate solve, or a solve that stopped at max_iters short of its
-tolerance).  A failure prints one line on stderr: handlers run with NumPy's
-floating-point warnings off.
+Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+Exit 1 is a ValueError, OSError or KeyError: a bad flag or value, or a file
+that cannot be read or does not hold what it should; the four JSON files
+(config, tableau, dataset manifest, checkpoint header) all go through
+data._read_json, whose error names the file.  Exit 2 is a NonFiniteError
+from any command (a non-finite state, loss or gradient, a singular costate
+solve, or a solve that stopped at max_iters short of its tolerance).  A
+failure prints one line on stderr: handlers run with NumPy's floating-point
+warnings off.
 """
 
 import argparse
@@ -41,10 +46,6 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-
-class UsageError(Exception):
-    """Bad flags, bad config, missing files: exit code 1."""
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +116,7 @@ class _Parser(argparse.ArgumentParser):
     prints its usage text and exits 2 (this tool's numerical-failure code)."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser():
@@ -135,8 +136,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
     specs = {}
 
-    def command(name, help_text, out_dir, seed=0):
-        p = sub.add_parser(name, help=help_text)
+    def command(name, help_text, out_dir=None, seed=None):
+        """A subcommand and its option declarer.  --out-dir and --seed are
+        declared with the defaults given, and only for a command that reads
+        them (None leaves one out)."""
+        # no prefix matching: a flag a command lacks (--out) must not pass as one it has
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         spec = specs[name] = {}
 
         def opt(flag, default=None, parse=str, **kw):
@@ -145,8 +150,10 @@ def _build_parser():
 
         p.add_argument("--config", default=S,
                        help="JSON file of option defaults (CLI flags win)")
-        opt("--seed", seed, _int, help="master seed for this command")
-        opt("--out-dir", out_dir, help="directory all outputs are written under")
+        if seed is not None:
+            opt("--seed", seed, _int, help="master seed for this command")
+        if out_dir is not None:
+            opt("--out-dir", out_dir, help="directory all outputs are written under")
         p.add_argument("--threads", type=int, default=S,
                        help="cap BLAS/OpenMP threads (CLI-only; profile defaults to 1)")
         return opt
@@ -160,7 +167,7 @@ def _build_parser():
         opt("--fpi-max-iters", None, _int)
 
     opt = command("gen-data", "integrate a benchmark system and store noisy trajectories",
-                  "runs/dataset")
+                  "runs/dataset", seed=0)
     system_opts(opt, "double_well")
     opt("--n-train", None, _int)
     opt("--n-val", None, _int)
@@ -170,10 +177,10 @@ def _build_parser():
     opt("--smoke", False, _flag, action="store_true",
         help="desk-scale sizes (1024 train / 256 val; the default is 16384 / 8192)")
 
-    # seed None: TrainConfig owns every training default, the seed included
-    opt = command("train", "fit a Hamiltonian network to a stored dataset", "runs/train",
-                  seed=None)
+    opt = command("train", "fit a Hamiltonian network to a stored dataset", "runs/train")
     opt("--data", help="dataset directory from gen-data")
+    # default None: TrainConfig owns every training default, the seed included
+    opt("--seed", None, _int, help="master seed for this command")
     opt("--grad-mode", choices=["adjoint", "backprop"])
     opt("--window-steps", None, _int)
     opt("--stride", None, _int)
@@ -186,7 +193,7 @@ def _build_parser():
     opt("--val-batches", None, _int)
 
     opt = command("eval", "score a checkpoint against a known system on a phase-space grid",
-                  "runs/eval")
+                  "runs/eval", seed=0)
     opt("--checkpoint", help="model .json header path")
     opt("--oracle", False, _flag, action="store_true",
         help="score the true system against itself (pipeline check)")
@@ -199,7 +206,7 @@ def _build_parser():
     opt("--fpi-tol", None, _float)
 
     opt = command("integrate", "roll a system or checkpoint forward and dump the trajectory CSV",
-                  "runs/integrate")
+                  "runs/integrate", seed=0)
     system_opts(opt, None)
     opt("--checkpoint")
     opt("--method")
@@ -209,21 +216,20 @@ def _build_parser():
     solver_opts(opt)
 
     opt = command("profile", "memory/runtime comparison of the two gradient engines",
-                  "runs/profile")
+                  "runs/profile", seed=0)
     opt("--system")
     opt("--batch-size", None, _int)
     opt("--window-steps", None, _numbers(_int), metavar="N1,N2,...")
     opt("--h", None, _float)
     opt("--repeats", None, _int)
 
-    opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair",
-                  "runs/check-tableau")
+    opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair")
     opt("--method", help="registered tableau name")
     opt("--file", help="JSON file with a_q, b_q, a_p, b_p arrays")
     opt("--tol", None, _float)
 
     opt = command("grad-check", "compare costate, reverse-tape, and finite-difference gradients",
-                  "runs/grad-check")
+                  "runs/grad-check", seed=0)
     system_opts(opt, "coupled_ho")
     opt("--hidden", (8,), _numbers(_int), metavar="H1,H2,...")
     opt("--window-steps", 4, _int)
@@ -236,7 +242,6 @@ def _build_parser():
     opt("--data")
     opt("--which", "noisy", choices=["noisy", "clean"])
     opt("--max-traj", None, _int)
-    opt("--out", help="output CSV path (default under --out-dir)")
 
     return parser, specs
 
@@ -251,28 +256,21 @@ def _merge_options(namespace, specs):
     threads = flags.pop("threads", 1 if cmd == "profile" else None)
     if threads is not None:
         if threads < 1:
-            raise UsageError(f"--threads expects a positive integer, got {threads}")
+            raise ValueError(f"--threads expects a positive integer, got {threads}")
         for var in _THREAD_ENV_VARS:
             os.environ[var] = str(threads)
     config_path = flags.pop("config", None)
     spec = specs[cmd]
     given = {}
     if config_path is not None:
-        try:
-            raw = pathlib.Path(config_path).read_text(encoding="utf-8")
-            file_cfg = json.loads(raw)
-        except OSError as err:
-            raise UsageError(f"cannot read config file: {err}") from None
-        except json.JSONDecodeError as err:
-            raise UsageError(f"config file {config_path} is not valid JSON: {err}") from None
-        if not isinstance(file_cfg, dict):
-            raise UsageError(f"config file {config_path} must hold a JSON object")
+        from .data import _read_json     # loads numpy: only once the threads are capped
+        file_cfg = _read_json(config_path)
         if "threads" in file_cfg:
-            raise UsageError("threads must be passed on the command line "
+            raise ValueError("threads must be passed on the command line "
                              "(a config file loads after numpy)")
         for key, value in file_cfg.items():
             if key not in spec:
-                raise UsageError(f"config key {key!r} is not an option of {cmd}")
+                raise ValueError(f"config key {key!r} is not an option of {cmd}")
             given[key] = (value, f"config key {key!r}")
     given.update((key, (value, "--" + key.replace("_", "-")))
                  for key, value in flags.items())
@@ -283,7 +281,7 @@ def _merge_options(namespace, specs):
         try:
             opts[key] = spec[key][1](value)
         except (TypeError, ValueError) as err:
-            raise UsageError(f"{source}: {err}") from None
+            raise ValueError(f"{source}: {err}") from None
     opts["cmd"] = cmd
     return opts
 
@@ -344,11 +342,8 @@ def cmd_train(opts):
     from .model import save_checkpoint
     from .training import train
     if not opts["data"]:
-        raise UsageError("--data (dataset directory) is required")
-    try:
-        manifest, _, noisy = load_dataset(opts["data"])
-    except OSError as err:
-        raise UsageError(f"cannot read dataset at {opts['data']}: {err}") from None
+        raise ValueError("--data (dataset directory) is required")
+    manifest, _, noisy = load_dataset(opts["data"])
     config = _train_config(opts)
     result = train(manifest, noisy, config)
     out = _out_dir(opts)
@@ -374,7 +369,7 @@ def cmd_eval(opts):
     from .integrators import integrate
     from .systems import get_system
     if opts["oracle"] == bool(opts["checkpoint"]):
-        raise UsageError("pass exactly one of --checkpoint or --oracle")
+        raise ValueError("pass exactly one of --checkpoint or --oracle")
     system = get_system(opts["system"], **opts["system_param"])
     if opts["oracle"]:
         h_fn, dyn_fn = system.hamiltonian, system.dynamics
@@ -383,7 +378,7 @@ def cmd_eval(opts):
         from .model import load_checkpoint
         net, theta, _ = load_checkpoint(opts["checkpoint"])
         if net.dim != system.dim:
-            raise UsageError(
+            raise ValueError(
                 f"checkpoint has dim {net.dim}, system {system.name} has dim {system.dim}"
             )
         h_fn = functools.partial(net.eval_h, theta)
@@ -424,7 +419,7 @@ def cmd_integrate(opts):
     from .evaluation import energy_drift
     from .integrators import integrate
     if bool(opts["system"]) == bool(opts["checkpoint"]):
-        raise UsageError("pass exactly one of --system or --checkpoint")
+        raise ValueError("pass exactly one of --system or --checkpoint")
     y0 = opts["y0"]
     if opts["system"]:
         from .systems import get_system
@@ -435,18 +430,18 @@ def cmd_integrate(opts):
         label = system.name
     else:
         if opts["system_param"]:
-            raise UsageError("--system-param applies to --system only, not to --checkpoint")
+            raise ValueError("--system-param applies to --system only, not to --checkpoint")
         from .model import load_checkpoint
         net, theta, _ = load_checkpoint(opts["checkpoint"])
         if y0 is None:
-            raise UsageError("--y0 is required when integrating a checkpoint")
+            raise ValueError("--y0 is required when integrating a checkpoint")
         field = net.field(theta)
         h_fn = functools.partial(net.eval_h, theta)
         dim = net.dim
         label = f"checkpoint:{opts['checkpoint']}"
     y0 = np.array(y0, dtype=np.float64)
     if y0.shape != (2 * dim,):
-        raise UsageError(f"--y0 needs {2 * dim} coordinates, got {y0.size}")
+        raise ValueError(f"--y0 needs {2 * dim} coordinates, got {y0.size}")
 
     traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
@@ -491,35 +486,17 @@ def cmd_profile(opts):
 def cmd_check_tableau(opts):
     from .integrators import PrkTableau, TABLEAUX, check_symplectic_tableau
     if bool(opts["method"]) == bool(opts["file"]):
-        raise UsageError("pass exactly one of --method or --file")
+        raise ValueError("pass exactly one of --method or --file")
     if opts["method"]:
         name = opts["method"]
         if name not in TABLEAUX:
-            raise UsageError(f"unknown tableau {name!r}; known: {sorted(TABLEAUX)}")
+            raise ValueError(f"unknown tableau {name!r}; known: {sorted(TABLEAUX)}")
         tableau = TABLEAUX[name]
     else:
-        import numpy as np
-        try:
-            raw = json.loads(pathlib.Path(opts["file"]).read_text(encoding="utf-8"))
-        except OSError as err:
-            raise UsageError(f"cannot read tableau file: {err}") from None
-        except json.JSONDecodeError as err:
-            raise UsageError(f"tableau file is not valid JSON: {err}") from None
-        if not isinstance(raw, dict):
-            raise UsageError(f"tableau file {opts['file']} must hold a JSON object")
-        try:
-            tableau = PrkTableau(
-                name=raw.get("name", pathlib.Path(opts["file"]).stem),
-                a_q=np.asarray(raw["a_q"], dtype=np.float64),
-                b_q=np.asarray(raw["b_q"], dtype=np.float64),
-                a_p=np.asarray(raw["a_p"], dtype=np.float64),
-                b_p=np.asarray(raw["b_p"], dtype=np.float64),
-            )
-        except KeyError as err:
-            raise UsageError(f"tableau file is missing key {err}") from None
-        except (TypeError, OverflowError) as err:
-            raise UsageError(f"tableau file holds a coefficient that is not a float64: "
-                             f"{err}") from None
+        from .data import _read_json
+        path = pathlib.Path(opts["file"])
+        tableau = PrkTableau(**{"name": path.stem, **_read_json(
+            path, keys={"name", "a_q", "b_q", "a_p", "b_p"}, optional={"name"})})
     report = check_symplectic_tableau(tableau, **_given(opts, {"tol": "tol"}))
     verdict = "symplectic" if report.symplectic else "NOT symplectic"
     tol = f" (tol {opts['tol']})" if opts["tol"] is not None else ""
@@ -588,16 +565,10 @@ def cmd_grad_check(opts):
 def cmd_export_csv(opts):
     from .data import export_csv
     if not opts["data"]:
-        raise UsageError("--data (dataset directory) is required")
-    if opts["out"] is not None:
-        out_path = pathlib.Path(opts["out"])
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out_path = _out_dir(opts) / f"{opts['which']}.csv"
-    try:
-        export_csv(opts["data"], out_path, which=opts["which"], max_traj=opts["max_traj"])
-    except OSError as err:
-        raise UsageError(f"cannot read dataset at {opts['data']}: {err}") from None
+        raise ValueError("--data (dataset directory) is required")
+    # export_csv makes the directory only once the dataset has loaded
+    out_path = export_csv(opts["data"], pathlib.Path(opts["out_dir"]) / f"{opts['which']}.csv",
+                          which=opts["which"], max_traj=opts["max_traj"])
     print(f"wrote {out_path}")
     return 0
 
@@ -628,7 +599,7 @@ def main(argv=None):
         if isinstance(err, NonFiniteError):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
-        if isinstance(err, (UsageError, OSError, ValueError, KeyError)):
+        if isinstance(err, (OSError, ValueError, KeyError)):
             print(f"error: {err}", file=sys.stderr)
             return 1
         raise

@@ -96,18 +96,10 @@ class DatasetManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("manifest must hold a JSON object")
-        version = raw.get("format_version")
-        if not _is_int(version) or version != MANIFEST_FORMAT_VERSION:
-            raise ValueError(f"unsupported manifest format_version {version!r}")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        if raw.keys() != fields:
-            raise ValueError(f"manifest keys: unknown {sorted(raw.keys() - fields)}, "
-                             f"missing {sorted(fields - raw.keys())}")
-        return cls(**raw)
+    def from_json(cls, text=None, path=MANIFEST_NAME):
+        """The manifest in text, or else in the file at path; errors name path."""
+        return cls(**_read_json(path, text, version=MANIFEST_FORMAT_VERSION,
+                                keys={f.name for f in dataclasses.fields(cls)}))
 
 
 def sample_initial_conditions(system, n, rng):
@@ -192,9 +184,7 @@ def load_dataset(dataset_dir):
     finite values.
     """
     dataset_dir = pathlib.Path(dataset_dir)
-    manifest = DatasetManifest.from_json(
-        (dataset_dir / MANIFEST_NAME).read_text(encoding="utf-8")
-    )
+    manifest = DatasetManifest.from_json(path=dataset_dir / MANIFEST_NAME)
     expected = 8 * math.prod(manifest.shape)
     arrays = []
     for name in (CLEAN_NAME, NOISY_NAME):
@@ -249,6 +239,29 @@ def open_atomically(path, mode="w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _read_json(path, text=None, version=None, keys=None, optional=frozenset()):
+    """The JSON object in text, or in the UTF-8 file at path, as a dict.
+
+    With version given, its format_version must equal it (checked before the
+    keys, so an old file says it is old); with keys given, it must hold
+    exactly those keys, less any of optional it leaves out.  Anything else
+    raises one ValueError naming path.
+    """
+    try:
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8") if text is None else text)
+    except ValueError as err:            # bad JSON, or bytes that are not UTF-8
+        raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
+    if version is not None and not (_is_int(raw.get("format_version"))
+                                    and raw["format_version"] == version):
+        raise ValueError(f"{path}: unsupported format_version {raw.get('format_version')!r}")
+    if keys is not None and not keys - optional <= raw.keys() <= keys:
+        raise ValueError(f"{path} keys: unknown {sorted(raw.keys() - keys)}, "
+                         f"missing {sorted(keys - optional - raw.keys())}")
+    return raw
 
 
 def write_csv(path, header, rows):

@@ -68,7 +68,14 @@ class PrkTableau:
     b_p: np.ndarray
 
     def __post_init__(self):
-        """Reject coefficients that do not form a finite s-stage pair."""
+        """Hold the coefficients as float64 arrays; reject any that do not
+        form a finite s-stage pair."""
+        for field in ("a_q", "b_q", "a_p", "b_p"):
+            try:
+                object.__setattr__(self, field, np.asarray(getattr(self, field), np.float64))
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ValueError(f"tableau {self.name!r} {field} is not an array of "
+                                 f"numbers: {err}") from None
         coeffs = (self.a_q, self.b_q, self.a_p, self.b_p)
         shapes = [np.shape(c) for c in coeffs]
         s = shapes[1][0] if len(shapes[1]) == 1 else 0
@@ -104,11 +111,9 @@ class PrkTableau:
 
 
 def _tab(name, a_q, b_q, a_p=None, b_p=None):
-    a_q = np.asarray(a_q, dtype=np.float64)
-    b_q = np.asarray(b_q, dtype=np.float64)
-    a_p = a_q if a_p is None else np.asarray(a_p, dtype=np.float64)
-    b_p = b_q if b_p is None else np.asarray(b_p, dtype=np.float64)
-    return PrkTableau(name=name, a_q=a_q, b_q=b_q, a_p=a_p, b_p=b_p)
+    """A registry pair; without a_p and b_p both partitions share one array."""
+    a_q, b_q = np.asarray(a_q, np.float64), np.asarray(b_q, np.float64)
+    return PrkTableau(name, a_q, b_q, a_q if a_p is None else a_p, b_q if b_p is None else b_p)
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -322,13 +327,13 @@ SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
 def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     """Roll a state forward n_steps of size h; returns (Trajectory, reports).
 
-    method is 'implicit_midpoint' (the specialized fixed-point stepper), any
-    other name from the tableau registry ('symplectic_euler', 'gauss2',
-    'rk2', 'explicit_euler'), or a PrkTableau instance; the last two kinds go
-    through prk_step.  Every method returns one StepReport per step.  h may
-    be negative (the symmetric methods are time-reversible).  Each implicit
-    midpoint solve is seeded by extrapolating the states stored so far with
-    SEED_WEIGHTS; the first step starts from y0.
+    method is a name from the tableau registry: 'implicit_midpoint' runs the
+    specialized fixed-point stepper, the others ('symplectic_euler',
+    'gauss2', 'rk2', 'explicit_euler') go through prk_step.  Every method
+    returns one StepReport per step.  h may be negative (the symmetric
+    methods are time-reversible).  Each implicit midpoint solve is seeded by
+    extrapolating the states stored so far with SEED_WEIGHTS; the first step
+    starts from y0.
 
     Every rollout in the package goes through here, and the costate sweep
     is the exact adjoint of the rollout only where each step was solved, so
@@ -347,12 +352,9 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     states = np.empty((n_steps + 1,) + y0.shape)
     states[0] = y0
     reports = []
-    if isinstance(method, PrkTableau):
-        tableau = method
-    elif method in TABLEAUX:
-        tableau = None if method == "implicit_midpoint" else TABLEAUX[method]
-    else:
+    if method not in TABLEAUX:
         raise ValueError(f"unknown method {method!r}")
+    tableau = None if method == "implicit_midpoint" else TABLEAUX[method]
 
     y = y0
     top = len(SEED_WEIGHTS) - 1

@@ -58,7 +58,7 @@ import pathlib
 
 import numpy as np
 
-from .data import open_atomically
+from .data import _read_json, open_atomically
 from .integrators import _is_int
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -472,22 +472,14 @@ def save_checkpoint(header_path, net, theta, seed):
 def load_checkpoint(header_path):
     """Read a checkpoint pair back; returns (net, theta, header).
 
-    The header must hold exactly the fields save_checkpoint writes, each of
-    its type; data_file must be a bare file name, read from beside the
-    header; and every parameter must be finite.  Anything else raises
-    ValueError naming the field.
+    The header must be a JSON object of the current format_version holding
+    exactly the fields save_checkpoint writes, each of its type; data_file
+    must be a bare file name, read from beside the header; and every
+    parameter must be finite.  Anything else raises ValueError naming the
+    file or the field.
     """
     header_path = pathlib.Path(header_path)
-    with open(header_path, encoding="utf-8") as fh:
-        header = json.load(fh)
-    if not isinstance(header, dict):
-        raise ValueError("checkpoint header must hold a JSON object")
-    if header.keys() != _HEADER_KEYS:
-        raise ValueError(f"checkpoint header keys: unknown {sorted(header.keys() - _HEADER_KEYS)}, "
-                         f"missing {sorted(_HEADER_KEYS - header.keys())}")
-    version = header["format_version"]
-    if not _is_int(version) or version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    header = _read_json(header_path, version=CHECKPOINT_FORMAT_VERSION, keys=_HEADER_KEYS)
     for name, want in (("kind", "hamiltonian-net"), ("dtype", "<f8")):
         if header[name] != want:
             raise ValueError(f"checkpoint {name} must be {want!r}, got {header[name]!r}")

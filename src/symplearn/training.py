@@ -189,7 +189,7 @@ def saturation_epoch(val_losses):
     return None
 
 
-def train(manifest, noisy, config, theta0=None):
+def train(manifest, noisy, config):
     """Fit a Hamiltonian to the noisy trajectories of a loaded dataset.
 
     Deterministic per (config.seed, config): all sampling comes from seeded
@@ -209,7 +209,7 @@ def train(manifest, noisy, config, theta0=None):
             f"window needs {span} stored points, dataset has {manifest.n_steps + 1}"
         )
 
-    theta = net.init_params(config.seed) if theta0 is None else np.array(theta0, dtype=np.float64)
+    theta = net.init_params(config.seed)
     adam = Adam(net.n_params, lr=config.lr)
     sched = ReduceOnPlateau(config.lr)
     rng = np.random.default_rng((config.seed, 2))

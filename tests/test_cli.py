@@ -65,6 +65,7 @@ def test_usage_problems_exit_one(tmp_path, capsys):
     assert main([]) == 1                      # missing command
     assert main(["no-such-command"]) == 1
     assert main(["train", "--no-such-flag"]) == 1
+    assert main(["check-tableau", "--meth", "gauss2"]) == 1   # no prefix matching
     assert main(["train"]) == 1               # --data is required
     out = ["--out-dir", str(tmp_path / "o")]
     assert main(["gen-data", "--system-param", "alpha", *out]) == 1
@@ -106,7 +107,9 @@ def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
         "slice-axis-above", "slice-axis-negative", "grad-check-hidden", "grad-check-batch-size",
         "profile-batch-size", "tableau-tol"])
 def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
-    assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
+    # check-tableau writes no file, so it takes no --out-dir
+    out = [] if argv[0] == "check-tableau" else ["--out-dir", str(tmp_path / "x")]
+    assert main([*argv, *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} ") and len(err.splitlines()) == 1
 
@@ -119,6 +122,49 @@ def test_train_options_are_the_train_config_fields():
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     assert set(specs["train"]) == (fields - {"fpi"}) | {"data", "out_dir", "fpi_tol",
                                                           "fpi_max_iters"}
+
+
+class _ReadRecorder(dict):
+    """Option values that remember every key a handler reads."""
+
+    def __init__(self, opts):
+        super().__init__(opts)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n-train", "2", "--n-val", "1", "--n-steps", "4", "--out-dir", "{out}"],
+    ["train", "--data", "{data}", *TRAIN_FLAGS, "--epochs", "1", "--out-dir", "{out}"],
+    ["eval", "--oracle", "--grid-points", "3", "--drift-steps", "5", "--out-dir", "{out}"],
+    ["integrate", "--system", "coupled_ho", "--n-steps", "5", "--out-dir", "{out}"],
+    ["profile", "--batch-size", "2", "--window-steps", "1", "--repeats", "1",
+     "--out-dir", "{out}"],
+    ["check-tableau", "--method", "gauss2"],
+    ["grad-check", "--hidden", "2", "--window-steps", "1", "--batch-size", "2",
+     "--out-dir", "{out}"],
+    ["export-csv", "--data", "{data}", "--max-traj", "1", "--out-dir", "{out}"],
+], ids=lambda argv: argv[0])
+def test_every_declared_option_is_read(argv, dataset, tmp_path, monkeypatch, capsys):
+    # an option the handler never reads would be accepted and silently ignored
+    merge, runs = cli._merge_options, []
+
+    def recording(*args):
+        runs.append(_ReadRecorder(merge(*args)))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_merge_options", recording)
+    assert main([a.format(data=dataset, out=tmp_path / "out") for a in argv]) == 0
+    capsys.readouterr()
+    _, specs = cli._build_parser()
+    assert set(specs[argv[0]]) - runs[0].read == set()
 
 
 def test_missing_dataset_names_the_path(tmp_path, capsys):
@@ -181,6 +227,36 @@ def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body", [b"{bad", b"[1]", b"\xff{"],
+                         ids=["bad-json", "list", "not-utf8"])
+@pytest.mark.parametrize("kind", ["config", "tableau", "manifest", "checkpoint"])
+def test_malformed_json_input_exits_one_naming_the_file(kind, body, dataset, checkpoint,
+                                                        tmp_path, capsys):
+    # every JSON file a user hands in goes through one reader: one that does
+    # not hold a JSON object stops before any output, on one line naming it
+    out = tmp_path / "out"
+    if kind == "manifest":
+        path = shutil.copytree(dataset, tmp_path / "ds") / "manifest.json"
+        argv = ["train", "--data", str(path.parent), "--out-dir", str(out)]
+    elif kind == "checkpoint":
+        path = shutil.copytree(checkpoint.parent, tmp_path / "fit") / "model.json"
+        argv = ["eval", "--checkpoint", str(path), "--system", "double_well",
+                "--out-dir", str(out)]
+    elif kind == "config":
+        path = tmp_path / "cfg.json"
+        argv = ["train", "--data", str(dataset), "--config", str(path), "--out-dir", str(out)]
+    else:
+        path = tmp_path / "tab.json"
+        argv = ["check-tableau", "--file", str(path)]
+    path.write_bytes(body)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
     # a one-iteration solver at an impossible tolerance converges nowhere,
     # so the first rollout raises NonFiniteError
@@ -197,6 +273,16 @@ def test_gen_data_numerical_failure_leaves_no_directory(tmp_path, capsys):
     assert main(["gen-data", "--system", "double_well", "--n-train", "4", "--n-val", "2",
                  "--dt", "1.5", "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: step 0 did not converge")
+    assert not out.exists()
+
+
+def test_export_csv_of_a_missing_dataset_leaves_no_directory(tmp_path, capsys):
+    # the output directory is made only once the dataset has loaded
+    out = tmp_path / "x"
+    assert main(["export-csv", "--data", str(tmp_path / "nowhere"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "nowhere") in err
     assert not out.exists()
 
 
@@ -846,9 +932,9 @@ def test_grad_check_reports_and_dumps(tmp_path, capsys):
 # ------------------------------------------------------------------ export-csv
 
 def test_export_csv_roundtrip(dataset, tmp_path, capsys):
-    target = tmp_path / "dump" / "rows.csv"
+    target = tmp_path / "dump" / "clean.csv"
     code = main(["export-csv", "--data", str(dataset), "--which", "clean",
-                 "--max-traj", "2", "--out", str(target)])
+                 "--max-traj", "2", "--out-dir", str(target.parent)])
     assert code == 0
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "traj,step,t,q0,p0"
@@ -859,10 +945,10 @@ def test_export_csv_roundtrip(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("max_traj", ["-1", "0"])
 def test_export_csv_rejects_max_traj_below_one(dataset, tmp_path, capsys, max_traj):
-    target = tmp_path / "rows.csv"
+    out = tmp_path / "e"
     code = main(["export-csv", "--data", str(dataset), "--max-traj", max_traj,
-                 "--out", str(target)])
+                 "--out-dir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not target.exists()
+    assert err.startswith("error: max_traj ") and len(err.splitlines()) == 1
+    assert not out.exists()

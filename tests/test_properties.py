@@ -336,8 +336,7 @@ def test_cli_on_a_malformed_tableau_file_exits_one_with_one_line(data):
     with temp_dir() as tmp:
         path = tmp / "tableau.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["check-tableau", "--file", path,
-                                  "--out-dir", tmp / "out"])
+        code, out, err = run_cli(["check-tableau", "--file", path])
     if code == 0:
         assert "symplectic" in out.splitlines()[0]
         assert err == ""

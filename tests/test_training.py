@@ -213,23 +213,6 @@ def test_grad_modes_agree_on_first_epoch_loss(tiny_dataset):
     assert abs(la - lb) <= 1e-5 * abs(la)
 
 
-def test_explicit_theta0_is_used(tiny_dataset):
-    manifest, _, noisy = tiny_dataset
-    cfg = tiny_config(epochs=0)
-    net = HamiltonianNet(manifest.dim, hidden=cfg.hidden)
-    theta0 = net.init_params(99)
-    result = train(manifest, noisy, cfg, theta0=theta0)
-    assert np.array_equal(result.theta, theta0)
-
-
-def test_nan_parameters_abort_with_context(tiny_dataset):
-    manifest, _, noisy = tiny_dataset
-    net = HamiltonianNet(manifest.dim, hidden=(8,))
-    theta0 = np.full(net.n_params, np.nan)
-    with pytest.raises(NonFiniteError, match="epoch 0"):
-        train(manifest, noisy, tiny_config(epochs=1), theta0=theta0)
-
-
 def test_mid_training_blowup_aborts_with_epoch_and_batch(tiny_dataset,
                                                          monkeypatch):
     # the numeric triggers for NonFiniteError live in the solver tests; here
