@@ -41,7 +41,7 @@ def drift_comparison():
 
 def order_of_accuracy():
     print("== global error vs step size on the harmonic oscillator ==")
-    sho = get_system("simple_harmonic")
+    sho = get_system("coupled_ho", alpha=0.0)
     y0 = np.array([1.0, 0.0])
     t_end = 1.0
     exact = np.array([np.cos(t_end), -np.sin(t_end)])
@@ -61,7 +61,7 @@ def order_of_accuracy():
 
 def fixed_point_convergence():
     print("== the implicit solve contracts at rate ~h/2 ==")
-    sho = get_system("simple_harmonic")
+    sho = get_system("coupled_ho", alpha=0.0)
     y0 = np.array([1.0, 0.0])
     for h in (0.4, 0.2, 0.1):
         cfg = FpiConfig(tol=1e-14, max_iters=100)

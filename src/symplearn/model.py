@@ -103,14 +103,6 @@ def _as_batch(y, width):
     raise ValueError("phase points must be a vector [2d] or a batch [B, 2d]")
 
 
-def _tiled(row, batch):
-    if batch == 1:
-        return row[None, :]
-    out = np.empty((batch, len(row)))
-    out[:] = row
-    return out
-
-
 class PreparedNet:
     """One parameter vector laid out for the passes of one engine call: the
     (W, b) views of theta (layers), the row W_L[:, 0] every reverse starts
@@ -130,8 +122,7 @@ class PreparedNet:
 
     def rows(self, batch):
         """(biases, head) tiled to [batch, n]: every hidden layer's bias and
-        the head row, made once per batch size; a batch of one gets [1, n]
-        views, which need no copy.
+        the head row, made once per batch size.
 
         An in-place add of a same-shape operand takes less than half the
         time of one that broadcasts a row (6.0 us against 13.3 us at
@@ -140,8 +131,8 @@ class PreparedNet:
         """
         rows = self._rows.get(batch)
         if rows is None:
-            rows = self._rows[batch] = (
-                [_tiled(b, batch) for _, b in self.layers[:-1]], _tiled(self.head, batch))
+            rows = self._rows[batch] = ([np.tile(b, (batch, 1)) for _, b in self.layers[:-1]],
+                                        np.tile(self.head, (batch, 1)))
         return rows
 
     @functools.cached_property
@@ -212,24 +203,19 @@ class HamiltonianNet:
     # ------------------------------------------------------------------
     # forward / reverse sweeps
 
-    def _forward(self, prep, y, with_h=False):
-        """Activation list a_0 = y, a_1.. through the hidden layers (tanh),
-        then H itself from the linear output layer only when with_h is set:
-        every reverse starts below that layer, so no other pass needs H.
+    def _forward(self, prep, y):
+        """Activation list a_0 = y, a_1.. through the hidden layers (tanh).
+        Every reverse starts below the linear output layer, which only
+        eval_h applies.
 
         Each layer's bias add (of the tiled bias rows) and tanh run in place
         on its fresh product.
         """
         acts = [y]
-        last = len(prep.layers) - 1
-        biases = prep.rows(len(y))[0]
-        for l, (w, b) in enumerate(prep.layers if with_h else prep.layers[:last]):
+        for (w, _), bias in zip(prep.layers[:-1], prep.rows(len(y))[0]):
             z = acts[-1] @ w
-            if l < last:
-                z += biases[l]
-                np.tanh(z, out=z)
-            else:
-                z += b
+            z += bias
+            np.tanh(z, out=z)
             acts.append(z)
         return acts
 
@@ -331,8 +317,11 @@ class HamiltonianNet:
     def eval_h(self, theta, y):
         """Scalar energy H(theta, y); batch in -> vector of energies out."""
         y2, single = _as_batch(y, self.arch[0])
-        out = self._forward(self.prepare(theta), y2, True)[-1][:, 0]
-        return float(out[0]) if single else out
+        prep = self.prepare(theta)
+        w, b = prep.layers[-1]
+        out = self._forward(prep, y2)[-1] @ w
+        out += b
+        return float(out[0, 0]) if single else out[:, 0]
 
     def grad_state(self, theta, y):
         """dH/dy, shape like y."""

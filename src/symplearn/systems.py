@@ -123,34 +123,10 @@ def henon_heiles():
     )
 
 
-def simple_harmonic():
-    """H = (q^2 + p^2)/2; the exact flow is a rotation, handy for oracles."""
-
-    def hamiltonian(y):
-        y = np.asarray(y, dtype=np.float64)
-        return 0.5 * (y[..., 0] ** 2 + y[..., 1] ** 2)
-
-    def dynamics(y):
-        y = np.asarray(y, dtype=np.float64)
-        out = np.empty_like(y)
-        out[..., 0] = y[..., 1]
-        np.negative(y[..., 0], out=out[..., 1])
-        return out
-
-    return HamiltonianSystem(
-        name="simple_harmonic",
-        dim=1,
-        hamiltonian=hamiltonian,
-        dynamics=dynamics,
-        bounds=_unit_box(2),
-    )
-
-
 SYSTEMS = {
     "double_well": double_well,
     "coupled_ho": coupled_ho,
     "henon_heiles": henon_heiles,
-    "simple_harmonic": simple_harmonic,
 }
 
 

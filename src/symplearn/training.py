@@ -217,57 +217,45 @@ def train(manifest, noisy, config):
     batch = min(config.batch_size, len(train_traj) * config.windows_per_traj)
     steps_per_epoch = max(1, (len(train_traj) * config.windows_per_traj) // batch)
 
-    def val_loss_at(theta_now, epoch):
-        rng_val = np.random.default_rng((config.seed, 3, epoch))
-        losses = []
-        for _ in range(config.val_batches):
-            vw, _, _ = sample_windows(
-                val_traj, min(batch, len(val_traj) * 4), config.window_steps,
-                rng_val, stride=config.stride,
-            )
-            losses.append(_forward_loss(net, theta_now, vw, h, config))
-        return float(np.mean(losses))
+    def score(split, stream):
+        """Mean forward loss of the current theta over val_batches batches of
+        split's windows, drawn from stream."""
+        n = min(batch, len(split) * config.windows_per_traj)
+        return float(np.mean([
+            _forward_loss(net, theta, sample_windows(split, n, config.window_steps, stream,
+                                                     stride=config.stride)[0], h, config)
+            for _ in range(config.val_batches)]))
 
     metrics = []
-    where = "epoch 0 (baseline)"     # context for a numerical failure
     try:
-        # epoch 0: the untouched model, so later epochs have a baseline to beat
-        t0 = time.perf_counter()
-        rng_base = np.random.default_rng((config.seed, 3, 0))
-        base_w, _, _ = sample_windows(train_traj, batch, config.window_steps,
-                                      rng_base, stride=config.stride)
-        base_train = _forward_loss(net, theta, base_w, h, config)
-        base_val = val_loss_at(theta, 0)
-        metrics.append({
-            "epoch": 0,
-            "train_loss": base_train,
-            "val_loss": base_val,
-            "lr": config.lr,
-            "wall_time_s": time.perf_counter() - t0,
-        })
-
-        for epoch in range(1, config.epochs + 1):
+        for epoch in range(config.epochs + 1):
             t_epoch = time.perf_counter()
-            epoch_losses = []
-            for bi in range(steps_per_epoch):
-                where = f"epoch {epoch} batch {bi}"
-                windows, _, _ = sample_windows(
-                    train_traj, batch, config.window_steps, rng, stride=config.stride,
-                )
-                loss, grad, _ = loss_and_grad(net, theta, windows, h, config)
-                if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise NonFiniteError("non-finite loss or gradient")
-                adam.lr = sched.lr
-                theta = adam.step(theta, grad)
-                epoch_losses.append(loss)
+            if epoch == 0:
+                # the untouched model, scored on its own stream: the baseline
+                # later epochs have to beat
+                where = "epoch 0 (baseline)"     # context for a numerical failure
+                train_loss = score(train_traj, np.random.default_rng((config.seed, 6)))
+            else:
+                epoch_losses = []
+                for bi in range(steps_per_epoch):
+                    where = f"epoch {epoch} batch {bi}"
+                    windows, _, _ = sample_windows(
+                        train_traj, batch, config.window_steps, rng, stride=config.stride,
+                    )
+                    loss, grad, _ = loss_and_grad(net, theta, windows, h, config)
+                    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+                        raise NonFiniteError("non-finite loss or gradient")
+                    adam.lr = sched.lr
+                    theta = adam.step(theta, grad)
+                    epoch_losses.append(loss)
+                train_loss = float(np.mean(epoch_losses))
             where = f"epoch {epoch} (validation)"
-            vl = val_loss_at(theta, epoch)
-            lr_now = sched.update(vl)
+            vl = score(val_traj, np.random.default_rng((config.seed, 3, epoch)))
             metrics.append({
                 "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)),
+                "train_loss": train_loss,
                 "val_loss": vl,
-                "lr": lr_now,
+                "lr": sched.update(vl) if epoch else sched.lr,
                 "wall_time_s": time.perf_counter() - t_epoch,
             })
     except NonFiniteError as err:

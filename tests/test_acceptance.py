@@ -99,7 +99,7 @@ def test_c3_order_of_accuracy():
 
     def final_error(method, h):
         n = int(round(t_end / h))
-        field = get_system("simple_harmonic").dynamics
+        field = get_system("coupled_ho", alpha=0.0).dynamics
         traj, _ = integrate(field, y0, h, n, method=method, cfg=EXTRA_TIGHT)
         return float(np.max(np.abs(traj.states[-1] - sho_exact(y0, t_end))))
 

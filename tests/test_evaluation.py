@@ -76,7 +76,7 @@ def test_field_error_reports_mean_pointwise_l2():
 
 
 def test_energy_drift_zero_steps_and_sho():
-    sho = get_system("simple_harmonic")
+    sho = get_system("coupled_ho", alpha=0.0)
     y0 = np.array([1.0, 0.0])
     assert energy_drift(sho.hamiltonian, y0[None]) == 0.0
     traj, _ = integrate(sho.dynamics, y0, 0.01, 500, cfg=FpiConfig(tol=1e-13, max_iters=100))

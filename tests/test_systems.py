@@ -23,7 +23,7 @@ def test_hand_computed_energy_values():
     want = 0.5 * (0.09 + 0.16) + 0.5 * (0.01 + 0.04) + 0.01 * 0.2 - 0.008 / 3.0
     assert got == pytest.approx(want, abs=1e-15)
 
-    sho = get_system("simple_harmonic")
+    sho = get_system("coupled_ho", alpha=0.0)
     assert sho.hamiltonian(np.array([0.6, 0.8])) == pytest.approx(0.5, abs=1e-15)
 
 
@@ -55,8 +55,7 @@ def test_dynamics_batches_like_points():
 
 
 def test_registry_and_parameters():
-    assert sorted(SYSTEMS) == ["coupled_ho", "double_well", "henon_heiles",
-                               "simple_harmonic"]
+    assert sorted(SYSTEMS) == ["coupled_ho", "double_well", "henon_heiles"]
     # the parameter reaches the closed forms: H(1, 1) = 1/2 + 1/2 + alpha
     cho = get_system("coupled_ho", alpha=0.25)
     assert cho.hamiltonian(np.array([1.0, 1.0])) == 1.25

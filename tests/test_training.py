@@ -1,8 +1,13 @@
 """Window loss, optimizer pieces, and the training loop."""
 
+import ast
+import collections
+import pathlib
+
 import numpy as np
 import pytest
 
+import symplearn
 from symplearn.adjoint import backward_through_record, solve_adjoint_accumulate
 from symplearn.data import (generate_dataset, load_dataset, sample_windows, split_dataset,
                             write_csv)
@@ -260,6 +265,40 @@ def test_validation_blowup_names_the_epoch(tiny_dataset, monkeypatch):
     monkeypatch.setattr(tr, "_forward_loss", third_fails)
     with pytest.raises(NonFiniteError, match=r"epoch 1 \(validation\)"):
         tr.train(manifest, noisy, tiny_config(epochs=1))
+
+
+def test_baseline_and_validation_draw_from_their_own_streams(tiny_dataset, monkeypatch):
+    # epoch 0 samples the baseline's training windows, then validation's;
+    # both splits hold trajectories of one length, so one stream would give
+    # both the same start indices
+    import symplearn.training as tr
+    manifest, _, noisy = tiny_dataset
+    starts = []
+
+    def recorded(*args, **kwargs):
+        out = sample_windows(*args, **kwargs)
+        starts.append(out[2])
+        return out
+
+    monkeypatch.setattr(tr, "sample_windows", recorded)
+    tr.train(manifest, noisy, tiny_config(epochs=0))
+    assert len(starts) == 2
+    assert not np.array_equal(starts[0], starts[1])
+
+
+def test_each_stream_tag_has_one_call_site():
+    # a seeded draw is default_rng((seed, tag, ...)); two call sites that
+    # share a constant tag draw the same numbers; README's Determinism
+    # section lists the tags
+    sites = collections.defaultdict(list)
+    for path in sorted(pathlib.Path(symplearn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng"
+                    and node.args and isinstance(node.args[0], ast.Tuple)
+                    and isinstance(node.args[0].elts[1], ast.Constant)):
+                sites[node.args[0].elts[1].value].append(f"{path.name}:{node.lineno}")
+    assert {tag: where for tag, where in sites.items() if len(where) > 1} == {}
+    assert sorted(sites) == [0, 1, 2, 3, 4, 5, 6]
 
 
 def test_unconverged_solve_raises_non_finite_error(tiny_dataset):
