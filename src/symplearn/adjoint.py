@@ -31,10 +31,12 @@ grow with the window length.  Each engine call prepares the network once
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
 every network tape alive, then walks the whole computation backward
-through each fixed-point sweep.  Its footprint grows linearly with the
-window length; it exists as the exactness baseline the costate engine is
-checked against.  Neither engine keeps memory accounts; profiling measures
-both footprints in traced bytes (symplearn.memory).
+through each fixed-point sweep and extrapolated seed.  Its footprint grows
+linearly with the window length; it exists as the exactness baseline the
+costate engine is checked against.  Both engines add each parameter reverse
+into their gradient before the next, which reuses its buffer.  Neither
+engine keeps memory accounts; profiling measures both footprints in traced
+bytes (symplearn.memory).
 
 Why not fold theta into an augmented state and integrate one big ODE
 backward: the augmented system is no longer canonically Hamiltonian, so the
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
+from .integrators import SEED_SLOPES, SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
 from .model import canonical_field, costate_to_direction
 
 
@@ -192,8 +194,11 @@ def backward_through_record(net, theta, record, partials):
     same weights.  One owed buffer per weight beyond the first carries it to
     the earlier steps: while step n is reversed, owed[j] holds what the
     seeds of later steps owe states[n - j].  Step n adds owed[0] to the
-    cotangent of states[n] and shifts the rest down by one.  The result is
-    the exact gradient of the computed loss.
+    cotangent of states[n] and shifts the rest down by one.  The seeds of
+    steps 1 and 2 also read h f(states[0]), the field value of step 0's first
+    sweep, so one more buffer, slope, carries their cotangent on that value
+    into the reverse of that sweep.  The result is the exact gradient of the
+    computed loss.
     """
     partials = np.asarray(partials, dtype=np.float64)
     n_steps = len(record.steps)
@@ -205,19 +210,28 @@ def backward_through_record(net, theta, record, partials):
     cot = np.zeros_like(record.states[-1])
     top = len(SEED_WEIGHTS) - 1
     owed = [np.zeros_like(cot) for _ in range(top)]
+    slope = np.zeros_like(cot)     # the cotangent on f(states[0]) that later seeds owe
 
     for n in range(n_steps - 1, -1, -1):
         tapes = record.steps[n]
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
-        # y_0 = sum_j w_j states[n - j] for w = SEED_WEIGHTS[min(n, top)]
-        for acts in reversed(tapes):
-            ybar, thbar = net.field_vjp(prep, acts, h * cot)
+        # y_0 = sum_j w_j states[n - j] (+ s h f(states[0]) at steps 1 and 2)
+        # for w = SEED_WEIGHTS[min(n, top)] and s = SEED_SLOPES[n]
+        for k in range(len(tapes) - 1, -1, -1):
+            u = h * cot
+            if n == 0 and k == 0:
+                u += slope
+            ybar, thbar = net.field_vjp(prep, tapes[k], u)
             grad += thbar
-            cot_yn += cot + 0.5 * ybar
-            cot = 0.5 * ybar
+            ybar *= 0.5
+            cot += ybar
+            cot_yn += cot
+            cot = ybar
         tapes.clear()
+        if 0 < n < len(SEED_SLOPES):
+            slope += (SEED_SLOPES[n] * h) * cot
         # the seed's cotangent: w_0 onto states[n], the rest owed further back
         w = SEED_WEIGHTS[min(n, top)]
         w += (0.0,) * (top + 1 - len(w))

@@ -5,11 +5,10 @@ The workhorse is the implicit midpoint rule
     y' = y + h f((y + y') / 2)
 
 solved by fixed-point iteration.  Inside `integrate` each solve starts from
-a polynomial extrapolation of the states already stored: the quartic
-`5 y_n - 10 y_{n-1} + 10 y_{n-2} - 5 y_{n-3} + y_{n-4}` (O(h^5)) once four
-earlier steps exist, the lower-order rows of SEED_WEIGHTS before that and
-`y_n` at the first step.  The seed costs no field evaluation, where an
-explicit predictor would cost two to save about two sweeps.  The
+an extrapolation of the states already stored, up to the quintic row of
+SEED_WEIGHTS, helped at steps 1 and 2 by the slope h f(y_0) that step 0's
+first sweep has already evaluated.  The seed costs no field evaluation,
+where an explicit predictor would cost two to save about two sweeps.  The
 midpoint rule is symmetric, second order, and symplectic for arbitrary
 smooth Hamiltonians, separable or not, which is why it sits in the training
 loop.  Every other method is a partitioned Runge-Kutta tableau: the
@@ -314,14 +313,18 @@ def prk_step(f, y, h, tableau, cfg=FpiConfig()):
 # trajectory drivers
 
 # Weights on y_n, y_{n-1}, ... of the extrapolated first iterate of step n,
-# indexed by how many earlier states exist, capped at four: row k is the
-# binomial row (-1)^j C(k+1, j+1), the degree-k polynomial through the last
-# k+1 states, so it is exact on any polynomial sequence of degree <= k.  The
-# quartic row saves sweeps over the quadratic (27 -> 25 per 6-step window on
-# Henon-Heiles and 31 -> 28 on the double well, at trained smoke models).
-# Recorded backprop routes the seed's cotangent through the same weights.
-SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
-                (5.0, -10.0, 10.0, -5.0, 1.0))
+# indexed by how many earlier states exist, capped at five (Hairer, Lubich &
+# Wanner, Geometric Numerical Integration, VIII.6).  Rows 1 and 2 add
+# SEED_SLOPES[n] h f(y_0), the field value step 0's first sweep takes at
+# (y_0 + y_0) / 2 = y_0 exactly, and are exact on polynomials of degree 2
+# and 3; rows 3 to 5 are the binomial rows (-1)^j C(k+1, j+1), exact on
+# degree k.  Against the binomial rows capped at the quartic they take 28 ->
+# 25 sweeps per 6-step window on the double well and 25 -> 23 on
+# Henon-Heiles, at trained smoke models.  Recorded backprop routes the
+# seed's cotangent through the same weights.
+SEED_WEIGHTS = ((1.0,), (4.0, -3.0), (4.5, -9.0, 5.5), (4.0, -6.0, 4.0, -1.0),
+                (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
+SEED_SLOPES = (0.0, -2.0, 3.0)
 
 
 def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
@@ -332,8 +335,9 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     'gauss2', 'rk2', 'explicit_euler') go through prk_step.  Every method
     returns one StepReport per step.  h may be negative (the symmetric
     methods are time-reversible).  Each implicit midpoint solve is seeded by
-    extrapolating the states stored so far with SEED_WEIGHTS; the first step
-    starts from y0.
+    extrapolating the states stored so far with SEED_WEIGHTS, plus
+    SEED_SLOPES times the first field value of step 0, h f(y0), at steps 1
+    and 2; the first step starts from y0.
 
     Every rollout in the package goes through here, and the costate sweep
     is the exact adjoint of the rollout only where each step was solved, so
@@ -358,12 +362,25 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
 
     y = y0
     top = len(SEED_WEIGHTS) - 1
+    slope = []           # h f(y_0), kept from step 0's first sweep
+
+    def first_sweep(x):  # step 0's field, evaluated first at (y_0 + y_0) / 2 = y_0
+        value = f(x)
+        if not slope:
+            slope.append(h * value)
+        return value
+
     for i in range(n_steps):
         try:
             if tableau is None:
-                start = (sum(c * states[i - k] for k, c in enumerate(SEED_WEIGHTS[min(i, top)]))
-                         if i else None)
-                y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
+                if i:
+                    start = sum(c * states[i - k]
+                                for k, c in enumerate(SEED_WEIGHTS[min(i, top)]))
+                    if i < len(SEED_SLOPES):
+                        start += SEED_SLOPES[i] * slope[0]
+                    y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
+                else:
+                    y, rep = implicit_midpoint_step(first_sweep, y, h, cfg)
             else:
                 y, rep = prk_step(f, y, h, tableau, cfg)
                 _check_finite(y, f"step {i}")

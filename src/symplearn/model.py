@@ -45,7 +45,7 @@ only eval_h runs the output layer's matmul, and nothing zero or thrown away
 is computed.  Passes write in place only into arrays they have just
 created, never into theta, a tape, a direction or a tiled row; the one
 exception is _tangent_reverse, which consumes the primal reverse's pieces
-handed to it.
+handed to it and overwrites the PreparedNet's one gradient buffer.
 
 Parameters travel as a single flat float64 vector (layer by layer, weight
 matrix then bias) so optimizers, finite differencing and checkpoints stay
@@ -73,21 +73,42 @@ def param_count(arch):
     return int(sum(n_in * n_out + n_out for n_in, n_out in zip(arch[:-1], arch[1:])))
 
 
+@functools.lru_cache(maxsize=None)
+def _direction_map(dim):
+    """The signed permutation matrix P, read-only, with lam @ P = (-lam_p, lam_q)."""
+    p = np.eye(2 * dim, k=dim) - np.eye(2 * dim, k=-dim)
+    p.flags.writeable = False
+    return p
+
+
 def costate_to_direction(lam, dim):
     """Map a costate lam = (lam_q, lam_p) to the direction w = (-lam_p, lam_q).
 
     With the canonical field f = (dH/dp, -dH/dq) one has, for fixed lam,
     <lam, f> = <w, dH/dy>, so contractions of lam against df/dy or df/dtheta
     become plain directional derivatives of dH/dy along w.  Both the costate
-    right-hand side and the parameter-gradient integrand go through here.
+    right-hand side and the parameter-gradient integrand go through here,
+    as one exact product with a signed permutation matrix.
     """
-    return np.concatenate([-lam[..., dim:], lam[..., :dim]], axis=-1)
+    return lam @ _direction_map(dim)
 
 
 def canonical_field(g, dim):
     """Map dH/dy = (g_q, g_p) to the canonical field (g_p, -g_q), along the
     last axis; applied to a matrix's columns it folds the same map into it."""
     return np.concatenate([g[..., dim:], -g[..., :dim]], axis=-1)
+
+
+def _split(flat, shapes):
+    """Flat vector -> list of (W, b) views, no copies, W of each (n_in, n_out)
+    in shapes followed by its bias b of length n_out."""
+    layers, pos = [], 0
+    for n_in, n_out in shapes:
+        w = flat[pos:pos + n_in * n_out].reshape(n_in, n_out)
+        pos += n_in * n_out
+        layers.append((w, flat[pos:pos + n_out]))
+        pos += n_out
+    return layers
 
 
 def _as_batch(y, width):
@@ -110,7 +131,9 @@ class PreparedNet:
     first use, so that a lone dynamics call pays for neither: field_chain,
     the reverse chain with canonical_field folded into its last operand, and
     hess_terms, the closed-form Hessian's weight-only products.  rows(B)
-    holds the rows the passes broadcast over a batch, tiled to [B, n].
+    holds the rows the passes broadcast over a batch, tiled to [B, n], and
+    _ones_row(B) and _grad the batch-sum row and the one parameter-gradient
+    buffer that every _tangent_reverse of the engine call reuses.
     """
 
     def __init__(self, layers, dim):
@@ -119,6 +142,7 @@ class PreparedNet:
         self.head = layers[-1][0][:, 0]
         self.wt = [np.ascontiguousarray(w.T) for w, _ in layers[:-1]]
         self._rows = {}
+        self._ones = {}
 
     def rows(self, batch):
         """(biases, head) tiled to [batch, n]: every hidden layer's bias and
@@ -134,6 +158,17 @@ class PreparedNet:
             rows = self._rows[batch] = ([np.tile(b, (batch, 1)) for _, b in self.layers[:-1]],
                                         np.tile(self.head, (batch, 1)))
         return rows
+
+    def _ones_row(self, batch):
+        if batch not in self._ones:
+            self._ones[batch] = np.ones(batch)
+        return self._ones[batch]
+
+    @functools.cached_property
+    def _grad(self):
+        """A flat gradient laid out like theta, and its (W, b) views."""
+        flat = np.empty(sum(w.size + b.size for w, b in self.layers))
+        return flat, _split(flat, (w.shape for w, _ in self.layers))
 
     @functools.cached_property
     def field_chain(self):
@@ -186,15 +221,7 @@ class HamiltonianNet:
             raise ValueError(
                 f"parameter vector has shape {theta.shape}, expected ({self.n_params},)"
             )
-        layers = []
-        pos = 0
-        for n_in, n_out in zip(self.arch[:-1], self.arch[1:]):
-            w = theta[pos:pos + n_in * n_out].reshape(n_in, n_out)
-            pos += n_in * n_out
-            b = theta[pos:pos + n_out]
-            pos += n_out
-            layers.append((w, b))
-        return layers
+        return _split(theta, zip(self.arch[:-1], self.arch[1:]))
 
     def prepare(self, theta):
         """The PreparedNet of theta, for the passes of one engine call."""
@@ -276,8 +303,8 @@ class HamiltonianNet:
         g_l.  With zt_l the tangent of z_l, the cotangent on z_l is
         gz = curv_l * zt_l + s * slope_l, s the cotangent on a_{l+1}; the
         first term is formed on the way forward.  Batch sums are products
-        with a row of ones, and the layer gradients land in the unpacked
-        views of one flat vector.
+        with a row of ones, and the layer gradients land in the views of
+        prep's one gradient buffer, which the next pass overwrites.
 
         The pass consumes primal: gz is formed in place over curv_l, so the
         caller must never hand it in again.
@@ -291,9 +318,8 @@ class HamiltonianNet:
             zt *= slopes[l]
             tans.append(zt)
 
-        grad = np.empty(self.n_params)
-        grads = self.unpack(grad)
-        ones = np.ones(len(w_dir))
+        grad, grads = prep._grad
+        ones = prep._ones_row(len(w_dir))
         dw, db = grads[last]
         dw[:, 0] = ones @ tans[last]
         db[:] = 0.0
@@ -417,6 +443,7 @@ class HamiltonianNet:
 
         This is the workhorse of the backprop-through-solver engine: one
         primal reverse over the tape, then _tangent_reverse on its pieces.
+        thetabar is prep's gradient buffer, valid until the next pass on prep.
         """
         primal = self._primal_reverse(prep, acts)
         return self._tangent_reverse(prep, acts, primal, costate_to_direction(u, self.dim),

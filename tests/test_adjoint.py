@@ -185,9 +185,9 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
     # at a loose, capped solver the computed loss is far from the converged
     # map's, so only a reverse that also routes each step's leftover
     # first-iterate cotangent back onto the states its seed was extrapolated
-    # from matches finite differences of that loss; dropping it reads ~3e-3.
-    # Seven steps use the quartic row three times, so cotangents owed four
-    # steps back pass through every owed buffer
+    # from matches finite differences of that loss; dropping it reads ~2e-3.
+    # Seven steps use the quintic row twice, so cotangents owed five steps
+    # back pass through every owed buffer
     net = HamiltonianNet(1, hidden=(8, 8))
     theta = net.init_params(70)
     h, cfg = 0.1, FpiConfig(tol=1e-3, max_iters=4)
@@ -200,10 +200,55 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
         assert rel(grad, fd) <= 1e-6
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_backprop_is_exact_through_the_slope_seeds(dim):
+    # a 3-step window seeds steps 1 and 2 with the slope h f(y_0) that step
+    # 0's first sweep evaluated.  At a loose, capped solver only a reverse
+    # that routes both seeds' cotangent on that slope back into the reverse
+    # of step 0's first sweep matches finite differences of the computed
+    # loss; dropping it reads 1.9e-4 (dim 1) and 6.6e-4 (dim 2).  The costate
+    # engine agrees with it at a tight solver
+    net = HamiltonianNet(dim, hidden=(8, 8))
+    theta = net.init_params(74)
+    h = 0.1
+    windows = make_windows(net, theta, batch=4, n_steps=3, h=h, seed=75)
+    config = TrainConfig(grad_mode="backprop", fpi=FpiConfig(tol=1e-3, max_iters=4),
+                         hidden=(8, 8))
+    _, grad, _ = loss_and_grad(net, theta, windows, h, config)
+    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta, eps=1e-5)
+    assert rel(grad, fd) <= 1e-6
+    assert rel(adjoint_grad(net, theta, windows, h, TIGHT),
+               backprop_grad(net, theta, windows, h, TIGHT)) <= 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reused_gradient_buffer_is_never_read_after_the_next_pass(monkeypatch, dim):
+    # every parameter reverse of an engine call writes into the PreparedNet's
+    # one gradient buffer; both engines must give, bit for bit, the gradient
+    # they give when each of those passes runs on a fresh PreparedNet with a
+    # buffer of its own
+    net = HamiltonianNet(dim, hidden=(6, 5))
+    theta = net.init_params(76)
+    h = 0.05
+    windows = make_windows(net, theta, batch=8, n_steps=7, h=h, seed=77)
+    want = [adjoint_grad(net, theta, windows, h, TIGHT),
+            backprop_grad(net, theta, windows, h, TIGHT)]
+    shared = HamiltonianNet._tangent_reverse
+
+    def own_buffer(self, prep, *args):
+        return shared(self, self.prepare(theta), *args)
+
+    monkeypatch.setattr(HamiltonianNet, "_tangent_reverse", own_buffer)
+    got = [adjoint_grad(net, theta, windows, h, TIGHT),
+           backprop_grad(net, theta, windows, h, TIGHT)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 6])
 def test_engines_agree_on_every_seed_branch(n_steps):
-    # windows of 1 to 5 steps end on the y_n, linear, quadratic, cubic and
-    # quartic seeds
+    # windows of 1 to 6 steps end on the y_n seed, the two slope rows and
+    # the cubic, quartic and quintic rows
     net = HamiltonianNet(1, hidden=(6, 6))
     theta = net.init_params(72)
     windows = make_windows(net, theta, batch=4, n_steps=n_steps, h=0.05, seed=73)

@@ -10,9 +10,10 @@ from oracles import (LOBATTO3_A_P, LOBATTO3_A_Q, LOBATTO3_B, canonical_j,
 
 from symplearn.data import sample_initial_conditions
 from symplearn import integrators
-from symplearn.integrators import (REFERENCE_FPI, SEED_WEIGHTS, FpiConfig, NonFiniteError,
-                                   PrkTableau, TABLEAUX, check_symplectic_tableau,
-                                   implicit_midpoint_step, integrate, prk_step)
+from symplearn.integrators import (REFERENCE_FPI, SEED_SLOPES, SEED_WEIGHTS, FpiConfig,
+                                   NonFiniteError, PrkTableau, TABLEAUX,
+                                   check_symplectic_tableau, implicit_midpoint_step, integrate,
+                                   prk_step)
 from symplearn.systems import get_system
 
 TIGHT = FpiConfig(tol=1e-13, max_iters=100)
@@ -252,15 +253,22 @@ def test_generic_prk_midpoint_agrees_with_specialized_step():
 def test_seed_rows_extrapolate_polynomials_exactly(k, coeffs, t0):
     # row k weighs y_n, y_{n-1}, ..., y_{n-k}; on the values of an integer
     # polynomial of degree <= k at consecutive integer times it must land on
-    # the next value exactly (every sum here is an exact integer in float64)
+    # the next value exactly.  A slope row also weighs the derivative at the
+    # oldest node, t0 - k (h f(y_0) at unit step), and must be exact one
+    # degree higher.  Every sum here is an exact integer or half-integer in
+    # float64
     row = SEED_WEIGHTS[k]
+    slope = SEED_SLOPES[k] if k < len(SEED_SLOPES) else 0.0
     assert len(row) == k + 1 and sum(row) == 1.0
-    coeffs = coeffs[:k + 1]
+    coeffs = coeffs[:k + 1 + (slope != 0.0)]
 
     def poly(t):
         return float(sum(c * t ** j for j, c in enumerate(coeffs)))
 
-    got = sum(w * poly(t0 - j) for j, w in enumerate(row))
+    def slope_at(t):
+        return float(sum(j * c * t ** (j - 1) for j, c in enumerate(coeffs) if j))
+
+    got = sum(w * poly(t0 - j) for j, w in enumerate(row)) + slope * slope_at(t0 - k)
     assert got == poly(t0 + 1)
 
 
@@ -268,8 +276,9 @@ def test_seed_rows_extrapolate_polynomials_exactly(k, coeffs, t0):
 def test_extrapolated_seed_saves_sweeps(name, monkeypatch):
     # integrate seeds each solve from its stored states; a hand loop of
     # steps started from y_n is the reference it must beat on sweeps and
-    # match on states, and on a 32-step rollout the quartic row must beat
-    # the table cut back to the quadratic row
+    # match on states, and the slope and quintic rows must beat the
+    # binomial table capped at the quartic row, with no slope, on a 6-step
+    # and on a 32-step rollout
     system = get_system(name)
     y0 = sample_initial_conditions(system, 64, np.random.default_rng(80))
     cfg, h = FpiConfig(), 0.025
@@ -286,10 +295,14 @@ def test_extrapolated_seed_saves_sweeps(name, monkeypatch):
         return sum(r.iterations for r in integrate(system.dynamics, y0, h, n_steps,
                                                    cfg=cfg)[1])
 
-    quartic = sweeps(32)
-    monkeypatch.setattr(integrators, "SEED_WEIGHTS", SEED_WEIGHTS[:3])
-    quadratic = sweeps(32)
-    assert quartic < 0.9 * quadratic     # 131 vs 161 (dw), 103 vs 143 (hh)
+    new = sweeps(6), sweeps(32)
+    monkeypatch.setattr(integrators, "SEED_WEIGHTS", (
+        (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+        (5.0, -10.0, 10.0, -5.0, 1.0)))
+    monkeypatch.setattr(integrators, "SEED_SLOPES", ())
+    quartic = sweeps(6), sweeps(32)
+    # 6 steps: 25 vs 27 (dw), 23 vs 25 (hh); 32 steps: 105 vs 131, 75 vs 103
+    assert new[0] < quartic[0] and new[1] < 0.85 * quartic[1]
 
 
 # ----------------------------------------------------------------------

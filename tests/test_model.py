@@ -238,7 +238,8 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
     # the passes work in place on their own buffers only: theta, the tape
     # and the direction come out untouched, and no call writes into what an
-    # earlier call returned
+    # earlier call returned, apart from field_vjp's parameter gradient, the
+    # PreparedNet's one buffer, which the same inputs refill with the same bits
     net = HamiltonianNet(2, hidden=hidden)
     theta = net.init_params(24)
     rng = np.random.default_rng(25)
