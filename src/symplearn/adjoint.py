@@ -23,10 +23,10 @@ forward pass and one primal reverse give the closed-form Hessian, and the
 parameter term's tangent-over-reverse runs on that tape and the primal
 reverse's kept slopes and cotangents.  The
 parameter gradient accumulates in place, one quadrature term per step, and
-each step's tape and primal reverse are freed before the next step's pass,
-so the engine holds one step's pieces at a time and its footprint does not
-grow with the window length.  Each engine call prepares the network once
-(HamiltonianNet.prepare) for all its passes.
+every step writes its tape and primal reverse over the last step's, in the
+net's workspace, so the engine holds one step's pieces at a time and its
+footprint does not grow with the window length.  Each engine call prepares
+the network once (HamiltonianNet.prepare) for all its passes.
 
 The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that keeps
@@ -150,8 +150,6 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
                                             costate_to_direction(lam_mid, d), False)
         lam = 2.0 * lam_mid - lam_end
         grad += h * step_grad
-        # held into the next Hessian pass, this step's pieces would raise the peak by half
-        del hess, acts, primal
     return grad, AdjointDiagnostics(steps=n_steps)
 
 
@@ -232,9 +230,14 @@ def backward_through_record(net, theta, record, partials):
         tapes.clear()
         if 0 < n < len(SEED_SLOPES):
             slope += (SEED_SLOPES[n] * h) * cot
-        # the seed's cotangent: w_0 onto states[n], the rest owed further back
+        # the seed's cotangent: w_0 onto states[n], the rest owed further
+        # back; the buffers shift down one, the spent first one coming back
+        # zeroed as the last
         w = SEED_WEIGHTS[min(n, top)]
-        w += (0.0,) * (top + 1 - len(w))
-        cot, owed = (cot_yn + owed[0] + w[0] * cot,
-                     [o + c * cot for o, c in zip(owed[1:] + [0.0], w[1:])])
+        cot_n = cot_yn + owed[0] + w[0] * cot
+        owed.append(owed.pop(0))
+        owed[-1].fill(0.0)
+        for j in range(1, len(w)):
+            owed[j - 1] += w[j] * cot
+        cot = cot_n
     return grad

@@ -25,12 +25,20 @@ W^T contiguous, because a matmul against a transposed view costs 1.3-2.7x
 a contiguous one at these shapes, and makes on first use the field's copy
 of the input layer's W^T with the canonical rotation (dH/dp, -dH/dq) folded
 into its columns, so a field evaluation ends on the field itself, and the
-weight-only products of the closed-form Hessian.  Per batch size it also
-keeps the hidden biases and the head rows tiled to [B, n], so the forward
-pass's bias adds and each reverse's first multiply run same-shape instead
-of broadcasting a row (bit for bit the same result, in less than half the
-time).  Every pass of the engine call shares those tiled rows, so they
-must never be written in place.
+weight-only products of the closed-form Hessian.
+
+Every [B, n] array a pass writes and no caller keeps lives in the net's
+Workspace: one buffer set per batch size, made on first use and kept as
+long as the net, so a training run allocates its working memory once
+instead of once per pass (a fresh process otherwise spends much of its time
+faulting freed temporaries back in).  Each set also holds the hidden biases
+and the head row tiled to [B, n], refilled whenever a pass runs on another
+PreparedNet, so the forward pass's bias adds and each reverse's first
+multiply run same-shape instead of broadcasting a row (bit for bit the same
+result, in less than half the time).  Passes write into the set with out=,
+so results are bit for bit those of fresh arrays.  What a caller keeps is
+always fresh: field values, field_vjp's ybar, the Hessian and the
+activations of a taped forward pass.
 
 One tangent-over-reverse routine, _tangent_reverse, serves the reverse
 through a recorded field evaluation (field_vjp) and the costate step's
@@ -42,10 +50,10 @@ recorded tape.
 Each pass does only the work its output needs: the output layer is linear
 with one unit, so reverse sweeps start just below it from the row W_L[:, 0],
 only eval_h runs the output layer's matmul, and nothing zero or thrown away
-is computed.  Passes write in place only into arrays they have just
-created, never into theta, a tape, a direction or a tiled row; the one
-exception is _tangent_reverse, which consumes the primal reverse's pieces
-handed to it and overwrites the PreparedNet's one gradient buffer.
+is computed.  Passes never write into theta, a tape, a direction or a tiled
+row.  A pass's workspace results hold until the next pass on the same net
+and batch size overwrites them; _tangent_reverse also consumes the primal
+reverse's curvatures handed to it.
 
 Parameters travel as a single flat float64 vector (layer by layer, weight
 matrix then bias) so optimizers, finite differencing and checkpoints stay
@@ -54,6 +62,7 @@ trivial.
 
 import functools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -130,10 +139,7 @@ class PreparedNet:
     from (head), and each hidden layer's W^T made contiguous (wt).  Built on
     first use, so that a lone dynamics call pays for neither: field_chain,
     the reverse chain with canonical_field folded into its last operand, and
-    hess_terms, the closed-form Hessian's weight-only products.  rows(B)
-    holds the rows the passes broadcast over a batch, tiled to [B, n], and
-    _ones_row(B) and _grad the batch-sum row and the one parameter-gradient
-    buffer that every _tangent_reverse of the engine call reuses.
+    hess_terms, the closed-form Hessian's weight-only products.
     """
 
     def __init__(self, layers, dim):
@@ -141,34 +147,6 @@ class PreparedNet:
         self.dim = dim
         self.head = layers[-1][0][:, 0]
         self.wt = [np.ascontiguousarray(w.T) for w, _ in layers[:-1]]
-        self._rows = {}
-        self._ones = {}
-
-    def rows(self, batch):
-        """(biases, head) tiled to [batch, n]: every hidden layer's bias and
-        the head row, made once per batch size.
-
-        An in-place add of a same-shape operand takes less than half the
-        time of one that broadcasts a row (6.0 us against 13.3 us at
-        [512, 32]), with the same result bit for bit.  Every pass of the
-        engine call reads these arrays, so no pass may write into them.
-        """
-        rows = self._rows.get(batch)
-        if rows is None:
-            rows = self._rows[batch] = ([np.tile(b, (batch, 1)) for _, b in self.layers[:-1]],
-                                        np.tile(self.head, (batch, 1)))
-        return rows
-
-    def _ones_row(self, batch):
-        if batch not in self._ones:
-            self._ones[batch] = np.ones(batch)
-        return self._ones[batch]
-
-    @functools.cached_property
-    def _grad(self):
-        """A flat gradient laid out like theta, and its (W, b) views."""
-        flat = np.empty(sum(w.size + b.size for w, b in self.layers))
-        return flat, _split(flat, (w.shape for w, _ in self.layers))
 
     @functools.cached_property
     def field_chain(self):
@@ -182,11 +160,102 @@ class PreparedNet:
         return pairs, cross
 
 
+# x86 cores match a load against earlier stores on the low 12 address bits
+# first, so an elementwise pass whose output starts a few bytes past an
+# operand mod 4 KiB stalls on false conflicts ("4K aliasing", Intel 64 and
+# IA-32 Architectures Optimization Reference Manual, 3.6.8): on a Xeon, a
+# [512, 32] product writing 16-48 B past an operand took 9.0-9.3 us against
+# 4.5-4.7 us at 64 B or more.  Fresh arrays of these sizes land 16 B apart
+# mod 4 KiB (the allocator's chunk header), so workspace buffers are placed.
+_PAGE = 4096
+_GAP = 64          # the least distance between two buffers' offsets mod _PAGE
+
+
+def _place(shapes):
+    """Float64 arrays of the given shapes, each starting at its own offset
+    mod _PAGE, spread evenly: at least _GAP bytes apart while there are at
+    most _PAGE / _GAP of them.  Each has a block of its own, so only the
+    buffers a pass writes become resident, and none reaches the 4 MiB at
+    which NumPy asks for huge pages."""
+    step = max(_GAP, _PAGE // len(shapes) // _GAP * _GAP)
+    out = []
+    for i, shape in enumerate(shapes):
+        size = math.prod(shape)
+        block = np.empty(size + _PAGE // 8)
+        pad = (i * step - block.__array_interface__["data"][0]) % _PAGE // 8
+        out.append(block[pad:pad + size].reshape(shape))
+    return out
+
+
+class _Buffers:
+    """The scratch of one batch size B, placed by _place.  Per hidden layer
+    k, one [B, n_k] array in each of biases (the bias row tiled), acts (the
+    un-taped forward activations), slopes, cots and curv (the reverses'
+    slopes, cotangents and curvatures) and tans (the tangent reverse's
+    tangents).  bars, for every hidden layer but the last, holds the
+    cotangent on its output: the input reverse's bars, the primal reverse's
+    deltas or the tangent reverse's cotangents, which never live at once.
+    hess[k - 1], k >= 1, holds the Hessian pass's tangents at layer k, one
+    per input direction, then its product buffer; tans[k] shares the first,
+    since the Hessian pass ends before a tangent reverse starts.  head is
+    the head row tiled, ones the batch-sum row, and owner the PreparedNet
+    the tiled rows were filled from.
+    """
+
+    def __init__(self, batch, arch):
+        width, hidden = arch[0], arch[1:-1]
+        layout = [("ones", [(batch,)]), ("head", [(batch, hidden[-1])]),
+                  *((name, [(batch, n) for n in hidden])
+                    for name in ("biases", "acts", "slopes", "cots", "curv")),
+                  ("bars", [(batch, n) for n in hidden[:-1]]), ("tans", [(batch, hidden[0])]),
+                  ("hess", [(batch, n) for n in hidden[1:] for _ in range(width + 1)])]
+        self.placed = _place([shape for _, shapes in layout for shape in shapes])
+        arrays = iter(self.placed)
+        for name, shapes in layout:
+            setattr(self, name, [next(arrays) for _ in shapes])
+        (self.ones,), (self.head,) = self.ones, self.head
+        self.ones[:] = 1.0
+        self.hess = [self.hess[i:i + width + 1] for i in range(0, len(self.hess), width + 1)]
+        self.tans += [held[0] for held in self.hess]
+        self.owner = None
+
+
+class Workspace(dict):
+    """The scratch one HamiltonianNet's passes write into, for the net's
+    lifetime: a _Buffers set per batch size, made on first use, and grad,
+    one flat parameter gradient laid out like theta with its (W, b) views,
+    which every _tangent_reverse overwrites.
+    """
+
+    def __init__(self, arch):
+        super().__init__()
+        self.arch = arch
+        flat = np.empty(param_count(arch))
+        self.grad = flat, _split(flat, zip(arch[:-1], arch[1:]))
+
+    def __missing__(self, batch):
+        bufs = self[batch] = _Buffers(batch, self.arch)
+        return bufs
+
+    def _filled(self, prep, batch):
+        """The buffer set of batch, its tiled rows filled from prep."""
+        bufs = self[batch]
+        if bufs.owner is not prep:
+            for row, (_, b) in zip(bufs.biases, prep.layers[:-1]):
+                row[:] = b
+            bufs.head[:] = prep.head
+            bufs.owner = prep
+        return bufs
+
+
 class HamiltonianNet:
     """Feed-forward scalar network over phase space, with its derivative passes.
 
-    All public methods accept a single point [2d] or a batch [B, 2d] and are
-    pure: no internal state, bit-identical results for identical inputs.
+    All public methods accept a single point [2d] or a batch [B, 2d] and
+    give pure results: bit-identical for identical inputs, whatever ran
+    before.  Scratch is held: the passes write their working arrays into
+    the net's Workspace, which no method returns apart from field_vjp's
+    parameter gradient.
     """
 
     def __init__(self, dim, hidden=DEFAULT_HIDDEN):
@@ -200,6 +269,7 @@ class HamiltonianNet:
         if any(w < 1 for w in self.arch):
             raise ValueError(f"bad layer widths {self.arch}")
         self.n_params = param_count(self.arch)
+        self.workspace = Workspace(self.arch)
 
     # ------------------------------------------------------------------
     # parameters
@@ -230,17 +300,21 @@ class HamiltonianNet:
     # ------------------------------------------------------------------
     # forward / reverse sweeps
 
-    def _forward(self, prep, y):
+    def _forward(self, prep, y, taped=False):
         """Activation list a_0 = y, a_1.. through the hidden layers (tanh).
         Every reverse starts below the linear output layer, which only
         eval_h applies.
 
-        Each layer's bias add (of the tiled bias rows) and tanh run in place
-        on its fresh product.
+        Each layer's product lands in the workspace, or with taped set in a
+        fresh array that a tape may keep; its bias add (of the tiled bias
+        rows) and tanh run in place on it.
         """
+        bufs = self.workspace._filled(prep, len(y))
         acts = [y]
-        for (w, _), bias in zip(prep.layers[:-1], prep.rows(len(y))[0]):
-            z = acts[-1] @ w
+        for (w, _), bias, z in zip(prep.layers[:-1], bufs.biases, bufs.acts):
+            if taped:
+                z = np.empty_like(z)
+            np.matmul(acts[-1], w, out=z)
             z += bias
             np.tanh(z, out=z)
             acts.append(z)
@@ -251,13 +325,14 @@ class HamiltonianNet:
         head row; with field set, the canonical field (dH/dp, -dH/dq) instead,
         through the reverse chain that has the rotation folded in.
         """
-        bar = prep.rows(len(acts[0]))[1]
+        bufs = self.workspace._filled(prep, len(acts[0]))
+        bar = bufs.head
         back = prep.field_chain if field else prep.wt
         for l in range(len(back) - 1, -1, -1):
-            slope = acts[l + 1] * acts[l + 1]
+            slope = np.multiply(acts[l + 1], acts[l + 1], out=bufs.slopes[l])
             np.subtract(1.0, slope, out=slope)
             slope *= bar
-            bar = slope @ back[l]
+            bar = np.matmul(slope, back[l], out=bufs.bars[l - 1] if l else None)
         return bar
 
     def _primal_reverse(self, prep, acts):
@@ -268,23 +343,22 @@ class HamiltonianNet:
             cots[l]   = g_l = delta_l * slope  the cotangent on z_l
             curv[l]   = -2 a g_l               delta_l * tanh''(z_l)
 
-        delta_l being the cotangent on a_{l+1}.  _tangent_reverse overwrites
-        curv, so the pieces serve one tangent-over-reverse at most.
+        delta_l being the cotangent on a_{l+1}.  All three are the
+        workspace's lists; _tangent_reverse overwrites curv, so the pieces
+        serve one tangent-over-reverse at most.
         """
-        last = len(prep.layers) - 1
-        slopes, cots, curv = [None] * last, [None] * last, [None] * last
-        delta = prep.rows(len(acts[0]))[1]
-        for l in range(last - 1, -1, -1):
+        bufs = self.workspace._filled(prep, len(acts[0]))
+        delta = bufs.head
+        for l in range(len(prep.layers) - 2, -1, -1):
             a = acts[l + 1]
-            slope = a * a
+            slope = np.multiply(a, a, out=bufs.slopes[l])
             np.subtract(1.0, slope, out=slope)
-            g = delta * slope
-            c = a * g
+            g = np.multiply(delta, slope, out=bufs.cots[l])
+            c = np.multiply(a, g, out=bufs.curv[l])
             c *= -2.0
-            slopes[l], cots[l], curv[l] = slope, g, c
             if l > 0:
-                delta = g @ prep.wt[l]
-        return slopes, cots, curv
+                delta = np.matmul(g, prep.wt[l], out=bufs.bars[l - 1])
+        return bufs.slopes, bufs.cots, bufs.curv
 
     def _tangent_reverse(self, prep, acts, primal, w_dir, need_state):
         """Tangent sweep along w_dir, then reverse through primal and tangent,
@@ -304,22 +378,23 @@ class HamiltonianNet:
         gz = curv_l * zt_l + s * slope_l, s the cotangent on a_{l+1}; the
         first term is formed on the way forward.  Batch sums are products
         with a row of ones, and the layer gradients land in the views of
-        prep's one gradient buffer, which the next pass overwrites.
+        the workspace's one gradient buffer, which the next pass overwrites.
 
         The pass consumes primal: gz is formed in place over curv_l, so the
         caller must never hand it in again.
         """
         slopes, cots, gzs = primal
+        bufs = self.workspace._filled(prep, len(w_dir))
         last = len(prep.layers) - 1
         tans = [w_dir]
         for l in range(last):
-            zt = tans[-1] @ prep.layers[l][0]
+            zt = np.matmul(tans[-1], prep.layers[l][0], out=bufs.tans[l])
             gzs[l] *= zt
             zt *= slopes[l]
             tans.append(zt)
 
-        grad, grads = prep._grad
-        ones = prep._ones_row(len(w_dir))
+        grad, grads = self.workspace.grad
+        ones = bufs.ones
         dw, db = grads[last]
         dw[:, 0] = ones @ tans[last]
         db[:] = 0.0
@@ -334,7 +409,7 @@ class HamiltonianNet:
             dw += tans[l].T @ cots[l]
             np.matmul(ones, gz, out=db)
             if l > 0 or need_state:
-                s = gz @ prep.wt[l]
+                s = np.matmul(gz, prep.wt[l], out=bufs.bars[l - 1] if l else None)
         return (s if need_state else None), grad
 
     # ------------------------------------------------------------------
@@ -374,7 +449,7 @@ class HamiltonianNet:
 
         def evaluate(y):
             single = y.ndim == 1
-            acts = self._forward(prep, y[None, :] if single else y)
+            acts = self._forward(prep, y[None, :] if single else y, tapes is not None)
             if tapes is not None:
                 tapes.append(acts)
             f = self._reverse_input(prep, acts, True)
@@ -403,28 +478,31 @@ class HamiltonianNet:
         (hess_terms), then (t_i * slopes_{l-1}) @ W_l.  Each layer adds the
         upper-triangle entries h_ij, j >= i, as row dots of t_i * curv_l
         against t_j, and the upper triangle is mirrored onto the lower at the
-        end, so hess is exactly symmetric.  Only the current layer's tangents are held; the
+        end, so hess is exactly symmetric.  Each layer's tangents and its one
+        product buffer are the workspace's; only hess is fresh.  The
         costate step at dim 1 solves its 2x2 system from h00, h01 and h11
         by Cramer's rule (adjoint._cramer_step).
         """
         acts = self._forward(prep, y)
         primal = self._primal_reverse(prep, acts)
+        held = self.workspace[len(y)].hess
         batch, width = y.shape
         slopes, _, curv = primal
         pairs, cross = prep.hess_terms
         hess = curv[0] @ pairs
         n = cross.shape[1] // width
         for l in range(1, len(curv)):
+            *outs, u = held[l - 1]
             if l == 1:
-                tans = [slopes[0] @ cross[:, i * n:(i + 1) * n] for i in range(width)]
+                tans = [np.matmul(slopes[0], cross[:, i * n:(i + 1) * n], out=out)
+                        for i, out in enumerate(outs)]
             else:
                 w = prep.layers[l][0]
                 for t in tans:
                     t *= slopes[l - 1]
-                tans = [t @ w for t in tans]
-            u = None                 # one product buffer per layer, not per direction
+                tans = [np.matmul(t, w, out=out) for t, out in zip(tans, outs)]
             for i, t in enumerate(tans):
-                u = np.multiply(t, curv[l], out=u)
+                np.multiply(t, curv[l], out=u)
                 for j in range(i, width):
                     hess[:, i * width + j] += np.einsum("ij,ij->i", u, tans[j])
         hess = hess.reshape(batch, width, width)
@@ -443,7 +521,8 @@ class HamiltonianNet:
 
         This is the workhorse of the backprop-through-solver engine: one
         primal reverse over the tape, then _tangent_reverse on its pieces.
-        thetabar is prep's gradient buffer, valid until the next pass on prep.
+        ybar is fresh; thetabar is the workspace's gradient buffer, valid
+        until the next parameter reverse on this net.
         """
         primal = self._primal_reverse(prep, acts)
         return self._tangent_reverse(prep, acts, primal, costate_to_direction(u, self.dim),

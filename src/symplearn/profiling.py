@@ -4,8 +4,9 @@ Memory numbers are real bytes (symplearn.memory): recorded backprop from its
 taped rollout through its reverse, which keeps every solver iterate's tape
 and grows linearly with the window length, and the costate sweep alone, which
 re-derives what it needs from the stored states and partials (checkpoints,
-not counted) and holds only per-step work buffers.  Wall time is the minimum
-over repeats of a full, untraced loss+gradient evaluation.
+not counted) and holds only one step's work buffers, in its net's
+workspace.  Wall time is the minimum over repeats of a full, untraced
+loss+gradient evaluation.
 """
 
 import dataclasses
@@ -47,13 +48,17 @@ def profile_windows(system, batch_size, window_steps, h, seed):
 
 def engine_peak(net, theta, windows, h, config):
     """(loss, traced peak bytes of the gradient engine) for one batch,
-    computed as loss_and_grad computes it."""
+    computed as loss_and_grad computes it.  The engine runs on a fresh net
+    of net's shape made inside the measured block, so the peak counts the
+    workspace it writes into, whatever net has run before."""
     if config.grad_mode == "adjoint":
         loss, partials, states, _, _ = _rollout(net, theta, windows, h, config)
         with METER.measure() as block:
+            net = HamiltonianNet(net.dim, net.arch[1:-1])
             solve_adjoint_accumulate(net, theta, states, partials, h)
         return loss, block.peak_bytes
     with METER.measure() as block:
+        net = HamiltonianNet(net.dim, net.arch[1:-1])
         loss, partials, _, _, record = _rollout(net, theta, windows, h, config, record=True)
         backward_through_record(net, theta, record, partials)
     return loss, block.peak_bytes

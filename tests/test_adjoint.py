@@ -12,7 +12,7 @@ from symplearn.adjoint import (backward_through_record, record_rollout,
                                solve_adjoint_accumulate)
 from symplearn.integrators import FpiConfig, NonFiniteError, integrate
 from symplearn.memory import METER
-from symplearn.model import HamiltonianNet
+from symplearn.model import HamiltonianNet, Workspace
 from symplearn.profiling import engine_peak, profile_windows
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, window_loss
@@ -223,10 +223,10 @@ def test_backprop_is_exact_through_the_slope_seeds(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_reused_gradient_buffer_is_never_read_after_the_next_pass(monkeypatch, dim):
-    # every parameter reverse of an engine call writes into the PreparedNet's
+    # every parameter reverse of an engine call writes into the workspace's
     # one gradient buffer; both engines must give, bit for bit, the gradient
-    # they give when each of those passes runs on a fresh PreparedNet with a
-    # buffer of its own
+    # they give when each of those passes writes into a fresh workspace of
+    # its own
     net = HamiltonianNet(dim, hidden=(6, 5))
     theta = net.init_params(76)
     h = 0.05
@@ -235,8 +235,12 @@ def test_reused_gradient_buffer_is_never_read_after_the_next_pass(monkeypatch, d
             backprop_grad(net, theta, windows, h, TIGHT)]
     shared = HamiltonianNet._tangent_reverse
 
-    def own_buffer(self, prep, *args):
-        return shared(self, self.prepare(theta), *args)
+    def own_buffer(self, *args):
+        kept, self.workspace = self.workspace, Workspace(self.arch)
+        try:
+            return shared(self, *args)
+        finally:
+            self.workspace = kept
 
     monkeypatch.setattr(HamiltonianNet, "_tangent_reverse", own_buffer)
     got = [adjoint_grad(net, theta, windows, h, TIGHT),
@@ -402,7 +406,8 @@ def test_costate_memory_does_not_grow_with_window_length():
 
 def test_costate_step_frees_its_pieces_before_the_next():
     # one backward step's tape and primal reverse set the costate peak; a
-    # second step must not run its Hessian pass while the first's are held
+    # second step must write over the first's pieces, not hold them beside
+    # its own
     system = get_system("coupled_ho")
     net = HamiltonianNet(1)
     theta = net.init_params(0)
@@ -505,6 +510,8 @@ def test_meter_sees_a_buffer_no_engine_code_mentions(monkeypatch):
         with METER.measure() as block:
             solve_adjoint_accumulate(net, theta, states, partials, 0.05)
         return block.peak_bytes
+
+    peak()                       # makes the net's workspace, which both peaks then share
 
     clean = peak()
     stash = []

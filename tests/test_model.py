@@ -126,10 +126,11 @@ def test_costate_to_direction_layout():
 
 def param_contraction(net, theta, y, lam):
     """Sum over the batch of <lam, df/dtheta>: the parameter half of the
-    reverse through one field evaluation at y."""
+    reverse through one field evaluation at y, copied out of the net's
+    gradient buffer, which the next parameter reverse overwrites."""
     layers = net.prepare(theta)
     acts = net._forward(layers, y)
-    return net.field_vjp(layers, acts, lam)[1]
+    return net.field_vjp(layers, acts, lam)[1].copy()
 
 
 def test_vjp_params_matches_finite_differences():
@@ -236,10 +237,10 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
 @pytest.mark.parametrize("hidden", [(1,), (16, 32, 16)])
 def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
-    # the passes work in place on their own buffers only: theta, the tape
-    # and the direction come out untouched, and no call writes into what an
-    # earlier call returned, apart from field_vjp's parameter gradient, the
-    # PreparedNet's one buffer, which the same inputs refill with the same bits
+    # the passes write only into fresh arrays and the net's workspace:
+    # theta, the tape and the direction come out untouched, and the same
+    # calls again refill every workspace buffer they returned with the same
+    # bits and leave every fresh result alone
     net = HamiltonianNet(2, hidden=hidden)
     theta = net.init_params(24)
     rng = np.random.default_rng(25)
@@ -265,6 +266,37 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
         assert np.array_equal(b, c)
     for now, before in zip([theta, y, w_dir, *acts], kept + tape):
         assert np.array_equal(now, before)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_workspace_buffers_sit_apart_mod_4k(dim):
+    # an elementwise pass whose output starts within a few bytes of an
+    # operand mod 4 KiB runs at about half speed (4K aliasing); every pair
+    # of one batch size's buffers must start at least 64 B apart mod 4 KiB
+    net = HamiltonianNet(dim)
+    placed = net.workspace[512].placed
+    offsets = sorted(a.__array_interface__["data"][0] % 4096 for a in placed)
+    assert len(offsets) >= 6 * len(net.arch[1:-1])
+    gaps = np.diff(offsets + [offsets[0] + 4096])
+    assert gaps.min() >= 64
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_results_callers_keep_share_no_memory_with_the_workspace(dim):
+    # field values, field_vjp's ybar and the Hessian are held by solvers and
+    # engines across later passes, so none of them may be a workspace buffer
+    net = HamiltonianNet(dim)
+    theta = net.init_params(32)
+    rng = np.random.default_rng(33)
+    y = rng.uniform(-1, 1, size=(64, 2 * dim))
+    u = rng.standard_normal((64, 2 * dim))
+    prep = net.prepare(theta)
+    tapes = []
+    kept = [net.field(theta)(y), net.field(theta, tapes)(y), *tapes[0][1:],
+            net.field_vjp(prep, net._forward(prep, y), u)[0], net._hess_and_tape(prep, y)[0]]
+    for array in kept:
+        for buffer in net.workspace[64].placed:
+            assert not np.shares_memory(array, buffer)
 
 
 def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
@@ -293,11 +325,11 @@ def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
-    # one PreparedNet serves batches of 512, 1 and 3 in turn from its bias
-    # and head rows tiled per batch size.  The forward pass and the first
-    # multiply of each reverse must equal the broadcasting reference bit for
-    # bit, every pass must equal the same pass on a fresh PreparedNet, and
-    # the cached rows must come out unwritten
+    # one net serves batches of 512, 1 and 3 in turn from its workspace's
+    # bias and head rows tiled per batch size.  The forward pass and the
+    # first multiply of each reverse must equal the broadcasting reference
+    # bit for bit, every pass must equal the same pass on a fresh
+    # PreparedNet, and the tiled rows must come out unwritten
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(30)
     layers = net.unpack(theta)
@@ -332,15 +364,15 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
     for batch in (1, 3, 512):
-        biases, head_rows = prep.rows(batch)
-        for (_, b), tiled in zip(layers[:-1], biases, strict=True):
+        bufs = net.workspace[batch]
+        for (_, b), tiled in zip(layers[:-1], bufs.biases, strict=True):
             assert np.array_equal(tiled, np.broadcast_to(b, tiled.shape))
-        assert np.array_equal(head_rows, np.broadcast_to(head, head_rows.shape))
+        assert np.array_equal(bufs.head, np.broadcast_to(head, bufs.head.shape))
 
 
 def test_field_closure_is_freed_without_the_cycle_collector():
-    # the closure holds the PreparedNet and its tiled rows; it must not sit in
-    # a reference cycle, or every rollout's rows would live until the cycle
+    # the closure holds the PreparedNet; it must not sit in a reference
+    # cycle, or every rollout's prepared weights would live until the cycle
     # collector happened to run
     net = HamiltonianNet(1, hidden=(4,))
     theta = net.init_params(32)

@@ -3,6 +3,10 @@
 import ast
 import collections
 import pathlib
+import platform
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,6 +303,45 @@ def test_each_stream_tag_has_one_call_site():
                 sites[node.args[0].elts[1].value].append(f"{path.name}:{node.lineno}")
     assert {tag: where for tag, where in sites.items() if len(where) > 1} == {}
     assert sorted(sites) == [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
+def test_one_net_serves_every_batch_size_as_fresh_nets_do(grad_mode, dim):
+    # one net's workspace keeps a buffer set per batch size; calls at 512,
+    # 7 and 512 rows on one net, each at its own theta, must equal, bit for
+    # bit, the same calls each on a net of its own
+    system = get_system({1: "double_well", 2: "henon_heiles"}[dim])
+    config = TrainConfig(grad_mode=grad_mode)
+    shared = HamiltonianNet(dim)
+    for i, batch in enumerate((512, 7, 512)):
+        theta = shared.init_params(3 + i)
+        windows = profile_windows(system, batch, 4, 0.05, seed=i)
+        loss, grad, _ = loss_and_grad(shared, theta, windows, 0.05, config)
+        ref_loss, ref_grad, _ = loss_and_grad(HamiltonianNet(dim), theta, windows, 0.05, config)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="minor-fault counts are calibrated for Linux with glibc malloc")
+def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env):
+    # a fresh process must not hand its working memory back to the kernel
+    # between batches: two epochs of 8 batches of 512 windows may take at
+    # most 2,000 minor faults beyond the same run with no epoch (about 350
+    # with the workspace; freeing each pass's buffers took about 23,000)
+    generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=128, n_val=16,
+                     n_steps=160)
+
+    def faults(epochs):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "symplearn", "train", "--data", str(tmp_path / "ds"),
+                        "--epochs", str(epochs), "--batch-size", "512", "--threads", "1",
+                        "--seed", "0", "--out-dir", str(tmp_path / f"fit{epochs}")],
+                       env=package_env, check=True, capture_output=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    assert faults(2) - faults(0) <= 2000
 
 
 def test_unconverged_solve_raises_non_finite_error(tiny_dataset):
