@@ -162,6 +162,10 @@ def _build_parser():
         opt("--system", default)
         opt("--system-param", {}, _kv_floats, action="append", metavar="K=V")
 
+    def source_opts(opt):
+        system_opts(opt, "double_well")
+        opt("--checkpoint", help="model .json header path (default: the system's own H)")
+
     def solver_opts(opt):
         opt("--fpi-tol", None, _float)
         opt("--fpi-max-iters", None, _int)
@@ -192,12 +196,10 @@ def _build_parser():
     opt("--hidden", None, _numbers(_int), metavar="H1,H2,...")
     opt("--val-batches", None, _int)
 
-    opt = command("eval", "score a checkpoint against a known system on a phase-space grid",
+    opt = command("eval", "score a checkpoint (or the system itself) against the system "
+                  "on a phase-space grid",
                   "runs/eval", seed=0)
-    opt("--checkpoint", help="model .json header path")
-    opt("--oracle", False, _flag, action="store_true",
-        help="score the true system against itself (pipeline check)")
-    system_opts(opt, "double_well")
+    source_opts(opt)
     opt("--grid-points", None, _int)
     opt("--slice", {}, _axis_slices, action="append", metavar="AXIS=VALUE",
         help="fix a non-grid coordinate (default 0.0)")
@@ -207,8 +209,7 @@ def _build_parser():
 
     opt = command("integrate", "roll a system or checkpoint forward and dump the trajectory CSV",
                   "runs/integrate", seed=0)
-    system_opts(opt, None)
-    opt("--checkpoint")
+    source_opts(opt)
     opt("--method")
     opt("--h", 0.01, _float)
     opt("--n-steps", 1000, _int)
@@ -361,30 +362,30 @@ def cmd_train(opts):
     return 0
 
 
+def _source(opts):
+    """The system --system and --system-param name, and the energy and field
+    a command scores or rolls out: the system's own or, with --checkpoint,
+    the model's, which must have the system's dimension.  Returns (system,
+    h_fn, field)."""
+    from .systems import get_system
+    system = get_system(opts["system"], **opts["system_param"])
+    if not opts["checkpoint"]:
+        return system, system.hamiltonian, system.dynamics
+    from .model import load_checkpoint
+    net, theta, _ = load_checkpoint(opts["checkpoint"])
+    if net.dim != system.dim:
+        raise ValueError(f"checkpoint {opts['checkpoint']} has dim {net.dim}, "
+                         f"system {system.name} has dim {system.dim}")
+    return system, functools.partial(net.eval_h, theta), net.field(theta)
+
+
 def cmd_eval(opts):
     import numpy as np
 
     from .data import open_atomically, write_csv
     from .evaluation import energy_drift, evaluate_ood
     from .integrators import integrate
-    from .systems import get_system
-    if opts["oracle"] == bool(opts["checkpoint"]):
-        raise ValueError("pass exactly one of --checkpoint or --oracle")
-    system = get_system(opts["system"], **opts["system_param"])
-    if opts["oracle"]:
-        h_fn, dyn_fn = system.hamiltonian, system.dynamics
-        source = f"oracle:{system.name}"
-    else:
-        from .model import load_checkpoint
-        net, theta, _ = load_checkpoint(opts["checkpoint"])
-        if net.dim != system.dim:
-            raise ValueError(
-                f"checkpoint has dim {net.dim}, system {system.name} has dim {system.dim}"
-            )
-        h_fn = functools.partial(net.eval_h, theta)
-        dyn_fn = net.field(theta)
-        source = str(opts["checkpoint"])
-
+    system, h_fn, dyn_fn = _source(opts)
     report, points = evaluate_ood(h_fn, dyn_fn, system, slices=opts["slice"], **_given(
         opts, {"grid_points": "points_per_axis"}))
 
@@ -393,7 +394,7 @@ def cmd_eval(opts):
     report["drift_model_h"] = energy_drift(h_fn, traj.states)
     report["drift_true_h"] = energy_drift(system.hamiltonian, traj.states)
     report["system"] = system.name
-    report["source"] = source
+    report["source"] = opts["checkpoint"] or f"oracle:{system.name}"
 
     out = _out_dir(opts)
     with open_atomically(out / "eval.json") as fh:
@@ -418,37 +419,19 @@ def cmd_integrate(opts):
     from .data import write_csv
     from .evaluation import energy_drift
     from .integrators import integrate
-    if bool(opts["system"]) == bool(opts["checkpoint"]):
-        raise ValueError("pass exactly one of --system or --checkpoint")
-    y0 = opts["y0"]
-    if opts["system"]:
-        from .systems import get_system
-        system = get_system(opts["system"], **opts["system_param"])
-        field, h_fn, dim = system.dynamics, system.hamiltonian, system.dim
-        if y0 is None:
-            y0 = _random_state(system, opts["seed"])
-        label = system.name
-    else:
-        if opts["system_param"]:
-            raise ValueError("--system-param applies to --system only, not to --checkpoint")
-        from .model import load_checkpoint
-        net, theta, _ = load_checkpoint(opts["checkpoint"])
-        if y0 is None:
-            raise ValueError("--y0 is required when integrating a checkpoint")
-        field = net.field(theta)
-        h_fn = functools.partial(net.eval_h, theta)
-        dim = net.dim
-        label = f"checkpoint:{opts['checkpoint']}"
-    y0 = np.array(y0, dtype=np.float64)
-    if y0.shape != (2 * dim,):
-        raise ValueError(f"--y0 needs {2 * dim} coordinates, got {y0.size}")
+    system, h_fn, field = _source(opts)
+    label = f"checkpoint:{opts['checkpoint']}" if opts["checkpoint"] else system.name
+    y0 = np.array(_random_state(system, opts["seed"]) if opts["y0"] is None else opts["y0"],
+                  dtype=np.float64)
+    if y0.shape != (system.width,):
+        raise ValueError(f"--y0 needs {system.width} coordinates, got {y0.size}")
 
     traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
                               **_given(opts, {"method": "method"}))
     drift = energy_drift(h_fn, traj.states)
     out = _out_dir(opts)
     path = out / "trajectory.csv"
-    write_csv(path, ["step", "t"] + [f"x{i}" for i in range(2 * dim)],
+    write_csv(path, ["step", "t"] + [f"x{i}" for i in range(system.width)],
               ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
 
     mean_iters = float(np.mean([r.iterations for r in reports]))

@@ -34,8 +34,12 @@ def _unit_box(width):
 def double_well(width_scale=1.0):
     """One degree of freedom, quartic double well.
 
-    H = p^2/2 + q^4/4 - q^2/2, so qdot = p and pdot = q - q^3.
+    H = p^2/2 + q^4/4 - q^2/2, so qdot = p and pdot = q - q^3.  Starts are
+    drawn from the box [-width_scale, width_scale]^2, so width_scale must be
+    positive.
     """
+    if not width_scale > 0:
+        raise ValueError(f"double_well width_scale must be positive, got {width_scale!r}")
 
     def hamiltonian(y):
         y = np.asarray(y, dtype=np.float64)

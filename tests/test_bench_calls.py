@@ -1,0 +1,72 @@
+"""What the benchmark takes from the package, checked at tier-1 speed.
+
+bench/run.py and bench/tracing.py reach into the package by name and unpack
+what it returns.  The tracer skips a name it cannot find without a word, and
+the benchmark's own test (bench/test_bench.py) takes minutes, so a rename or
+a changed return shape would otherwise first show as a metric reading zero.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
+import numpy as np
+
+from symplearn.adjoint import solve_adjoint_accumulate
+from symplearn.memory import METER
+from symplearn.model import HamiltonianNet
+from symplearn.profiling import profile_gradient_modes, profile_windows
+from symplearn.systems import get_system
+from symplearn.training import TrainConfig, _rollout, loss_and_grad
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_bench_traces_by_is_defined_where_the_tracer_looks():
+    # the tracer wraps a layer's function or method only where that layer
+    # defines it; run.py reads the _reverse_input count as the number of
+    # field evaluations, and costate_to_direction is counted too
+    tracing = _tracing()
+    names = [*tracing.OBSERVERS, *tracing.EXTRA_SPANNED,
+             "model.HamiltonianNet._reverse_input", "model.costate_to_direction"]
+    for name in names:
+        layer, *path = name.split(".")
+        assert layer in tracing.LAYERS, name
+        obj = importlib.import_module(f"symplearn.{layer}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+            assert obj is not None, f"{name} does not exist"
+        assert inspect.isfunction(obj) and obj.__module__ == f"symplearn.{layer}", name
+
+
+def test_the_results_the_bench_unpacks_keep_their_shape():
+    system = get_system("coupled_ho")
+    net = HamiltonianNet(system.dim, hidden=(4,))
+    theta = net.init_params(0)
+    h = 0.01
+    windows = profile_windows(system, 4, 2, h, 0)
+    config = TrainConfig(grad_mode="adjoint", window_steps=2)
+
+    with METER.measure() as block:
+        result = loss_and_grad(net, theta, windows, h, config)
+        assert block.peak_bytes > 0
+    assert len(result) == 3
+    loss, grad, _ = result
+    assert np.isfinite(loss) and grad.shape == theta.shape
+
+    _, partials, states, _, _ = _rollout(net, theta, windows, h, config)
+    sweep = solve_adjoint_accumulate(net, theta, states, partials, h)
+    assert len(sweep) == 2 and 0.0 <= sweep[1].converged_fraction <= 1.0
+
+    rows = profile_gradient_modes(batch_size=2, window_steps=(1, 2), repeats=1)
+    assert {(r.grad_mode, r.window_steps) for r in rows} == {
+        (mode, steps) for mode in ("adjoint", "backprop") for steps in (1, 2)}
+    assert all(r.peak_bytes > 0 for r in rows)

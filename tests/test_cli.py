@@ -69,7 +69,7 @@ def test_usage_problems_exit_one(tmp_path, capsys):
     assert main(["train"]) == 1               # --data is required
     out = ["--out-dir", str(tmp_path / "o")]
     assert main(["gen-data", "--system-param", "alpha", *out]) == 1
-    assert main(["eval", "--oracle", "--slice", "x=1", *out]) == 1
+    assert main(["eval", "--slice", "x=1", *out]) == 1
     assert main(["integrate", "--system", "coupled_ho", "--y0", "a,b", *out]) == 1
     assert main(["train", "--hidden", "a,b", *out]) == 1
     capsys.readouterr()
@@ -82,7 +82,7 @@ def test_unknown_system_exits_one(tmp_path, capsys):
     assert "unknown system" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cmd", [["gen-data", "--smoke"], ["eval", "--oracle"]])
+@pytest.mark.parametrize("cmd", [["gen-data", "--smoke"], ["eval"], ["integrate"]])
 def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
     code = main([*cmd, "--system-param", "foo=1", "--out-dir", str(tmp_path / "x")])
     assert code == 1
@@ -91,14 +91,26 @@ def test_unknown_system_param_exits_one(tmp_path, capsys, cmd):
     assert "'double_well'" in err and "['foo']" in err and "['width_scale']" in err
 
 
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_double_well_width_scale_must_be_positive(width, tmp_path, capsys):
+    # a zero box would put every start on the fixed point (0, 0), and a
+    # negative one is no box; either way the line must name the parameter
+    code = main(["gen-data", "--system-param", f"width_scale={width}", "--n-train", "2",
+                 "--n-val", "1", "--out-dir", str(tmp_path / "ds")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: double_well width_scale must be positive, got {float(width)!r}\n"
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["grad-check", "--fd-step", "0"], "fd_step"),
     (["profile", "--repeats", "0", "--window-steps", "2", "--batch-size", "4"], "repeats"),
-    (["eval", "--oracle", "--grid-points", "0"], "points_per_axis"),
-    (["eval", "--oracle", "--grid-points", "3", "--drift-steps", "0"], "n_steps"),
+    (["eval", "--grid-points", "0"], "points_per_axis"),
+    (["eval", "--grid-points", "3", "--drift-steps", "0"], "n_steps"),
     (["profile", "--window-steps", ","], "window_steps"),
-    (["eval", "--oracle", "--system", "double_well", "--slice", "7=0.5"], "slice axis"),
-    (["eval", "--oracle", "--system", "henon_heiles", "--slice=-1=0.5"], "slice axis"),
+    (["eval", "--system", "double_well", "--slice", "7=0.5"], "slice axis"),
+    (["eval", "--system", "henon_heiles", "--slice=-1=0.5"], "slice axis"),
     (["grad-check", "--hidden", ""], "hidden"),
     (["grad-check", "--batch-size", "0"], "batch_size"),
     (["profile", "--batch-size", "0", "--window-steps", "2", "--repeats", "1"], "batch_size"),
@@ -143,7 +155,7 @@ class _ReadRecorder(dict):
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--n-train", "2", "--n-val", "1", "--n-steps", "4", "--out-dir", "{out}"],
     ["train", "--data", "{data}", *TRAIN_FLAGS, "--epochs", "1", "--out-dir", "{out}"],
-    ["eval", "--oracle", "--grid-points", "3", "--drift-steps", "5", "--out-dir", "{out}"],
+    ["eval", "--grid-points", "3", "--drift-steps", "5", "--out-dir", "{out}"],
     ["integrate", "--system", "coupled_ho", "--n-steps", "5", "--out-dir", "{out}"],
     ["profile", "--batch-size", "2", "--window-steps", "1", "--repeats", "1",
      "--out-dir", "{out}"],
@@ -483,7 +495,7 @@ def test_config_rejects_thread_key_and_bad_json(dataset, tmp_path, capsys):
 def test_config_value_error_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"drift_steps": "x"}))
-    assert main(["eval", "--oracle", "--config", str(cfg),
+    assert main(["eval", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -523,7 +535,7 @@ def test_config_with_empty_hidden_exits_one(cmd, dataset, tmp_path, capsys):
 
 
 def test_config_switches_take_only_json_booleans(tmp_path, capsys):
-    for cmd, key, value in (("eval", "oracle", "false"), ("gen-data", "smoke", 1),
+    for cmd, key, value in (("gen-data", "smoke", "false"), ("gen-data", "smoke", 1),
                             ("gen-data", "full", "yes")):
         err = config_error(capsys, tmp_path, cmd, {key: value})
         assert f"config key {key!r}" in err
@@ -531,7 +543,7 @@ def test_config_switches_take_only_json_booleans(tmp_path, capsys):
 
 
 def test_config_integers_reject_fractions(tmp_path, capsys):
-    err = config_error(capsys, tmp_path, "eval", {"drift_steps": 2.7}, "--oracle")
+    err = config_error(capsys, tmp_path, "eval", {"drift_steps": 2.7})
     assert "config key 'drift_steps'" in err and "2.7" in err
     err = config_error(capsys, tmp_path, "grad-check", {"hidden": [8.7]})
     assert "config key 'hidden'" in err and "8.7" in err
@@ -542,7 +554,7 @@ def test_config_integers_reject_fractions(tmp_path, capsys):
     assert "--hidden" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"drift_steps": 2.0, "grid_points": 3.0}))
-    assert main(["eval", "--oracle", "--config", str(cfg),
+    assert main(["eval", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "ok")]) == 0
     assert json.loads((tmp_path / "ok" / "eval.json").read_text())["points_per_axis"] == 3
 
@@ -551,13 +563,13 @@ def test_numbers_reject_booleans_and_non_finite_values(tmp_path, capsys):
     # a JSON true is not the number 1, and NaN or an infinity is no step size
     for cmd, key, value, flags in (
             ("train", "lr", True, ("--data", "d")),
-            ("eval", "drift_h", float("nan"), ("--oracle",)),
+            ("eval", "drift_h", float("nan"), ()),
             ("integrate", "h", float("inf"), ("--system", "coupled_ho")),
             ("gen-data", "system_param", {"alpha": float("nan")}, ()),
             ("train", "lr", 10 ** 400, ("--data", "d"))):
         err = config_error(capsys, tmp_path, cmd, {key: value}, *flags)
         assert f"config key {key!r}" in err
-    assert main(["eval", "--oracle", "--drift-h", "nan", "--out-dir", str(tmp_path / "o")]) == 1
+    assert main(["eval", "--drift-h", "nan", "--out-dir", str(tmp_path / "o")]) == 1
     assert "--drift-h" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -571,10 +583,10 @@ PARITY = {
                  {"system": "coupled_ho", "system_param": {"alpha": 0.25},
                   "n_train": 3, "n_val": 1, "n_steps": 5, "dt": 0.002,
                   "noise_std": 0.02, "seed": 4}),
-    "eval": (["--oracle", "--system", "henon_heiles", "--slice", "0=0.1",
+    "eval": (["--system", "henon_heiles", "--slice", "0=0.1",
               "--grid-points", "5", "--drift-steps", "10", "--drift-h", "0.02",
               "--fpi-tol", "1e-11", "--seed", "2"],
-             {"oracle": True, "system": "henon_heiles", "slice": {"0": 0.1},
+             {"system": "henon_heiles", "slice": {"0": 0.1},
               "grid_points": 5, "drift_steps": 10, "drift_h": 0.02,
               "fpi_tol": 1e-11, "seed": 2}),
     "integrate": (["--system", "coupled_ho", "--system-param", "alpha=0.3",
@@ -608,15 +620,18 @@ def test_config_file_matches_flags(cmd, tmp_path, capsys):
 # ------------------------------------------------------------------------ eval
 
 def test_eval_oracle_is_exact(tmp_path, capsys):
+    # without --checkpoint, eval scores the system's own H against itself
     out = tmp_path / "ev"
-    code = main(["eval", "--oracle", "--system", "double_well",
+    code = main(["eval", "--system", "double_well",
                  "--grid-points", "9", "--drift-steps", "50",
                  "--out-dir", str(out)])
     assert code == 0
     report = json.loads((out / "eval.json").read_text())
     assert report["h_l1_mean"] == 0.0
     assert report["dyn_l2_mean"] == 0.0
+    assert report["drift_model_h"] == report["drift_true_h"]
     assert report["n_points"] == 81
+    assert report["source"] == "oracle:double_well"
     # the report must not embed wall-clock noise
     assert not any("time" in k or "wall" in k for k in report)
     grid_lines = (out / "grid.csv").read_text().strip().splitlines()
@@ -641,22 +656,20 @@ def test_eval_dimension_mismatch_exits_one(checkpoint, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(checkpoint), "--system",
                  "henon_heiles", "--out-dir", str(tmp_path / "ev")])
     assert code == 1
-    assert "dim" in capsys.readouterr().err
-
-
-def test_eval_without_checkpoint_or_oracle_exits_one(tmp_path, capsys):
-    assert main(["eval", "--out-dir", str(tmp_path / "ev")]) == 1
-    capsys.readouterr()
-
-
-def test_eval_with_checkpoint_and_oracle_exits_one(tmp_path, capsys):
-    # scoring the oracle would silently ignore the checkpoint
-    assert main(["eval", "--oracle", "--checkpoint", "nowhere.json",
-                 "--out-dir", str(tmp_path / "ev")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "--checkpoint" in err and "--oracle" in err
+    assert f"checkpoint {checkpoint} has dim 1, system henon_heiles has dim 2" in err
     assert not (tmp_path / "ev").exists()
+
+
+def test_eval_oracle_flag_and_config_key_exit_one(tmp_path, capsys):
+    # the truth is what eval scores without --checkpoint; the switch that
+    # chose it is gone, and an old config file naming it must fail loudly
+    assert main(["eval", "--oracle", "--out-dir", str(tmp_path / "ev")]) == 1
+    assert "--oracle" in capsys.readouterr().err
+    err = config_error(capsys, tmp_path, "eval", {"oracle": True})
+    assert "config key 'oracle' is not an option of eval" in err
+    assert not (tmp_path / "ev").exists() and not (tmp_path / "o").exists()
 
 
 def _bad_header(header):
@@ -773,21 +786,23 @@ def test_integrate_system_writes_trajectory(tmp_path, capsys):
     assert "energy drift" in capsys.readouterr().out
 
 
-def test_integrate_checkpoint_needs_y0(checkpoint, tmp_path, capsys):
-    out = tmp_path / "traj"
-    assert main(["integrate", "--checkpoint", str(checkpoint),
-                 "--out-dir", str(out)]) == 1
-    code = main(["integrate", "--checkpoint", str(checkpoint),
-                 "--y0", "0.5,0.0", "--h", "0.05", "--n-steps", "5",
-                 "--out-dir", str(out)])
-    assert code == 0
-    capsys.readouterr()
+def test_integrate_checkpoint_starts_where_the_system_does(checkpoint, tmp_path, capsys):
+    # without --y0 both sources start from the system's box on one seeded
+    # stream, so a model's rollout and the truth's begin at the same state
+    starts = []
+    for source in ([], ["--checkpoint", str(checkpoint)]):
+        out = tmp_path / str(len(starts))
+        assert main(["integrate", *source, "--h", "0.05", "--n-steps", "5", "--seed", "9",
+                     "--out-dir", str(out)]) == 0
+        starts.append((out / "trajectory.csv").read_text().splitlines()[1].split(",")[2:])
+    assert starts[0] == starts[1]
+    assert f"integrated checkpoint:{checkpoint} " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, step", [
     (["integrate", "--system", "double_well", "--h", "0.8", "--n-steps", "5",
       "--y0", "1.0,1.0"], 0),
-    (["eval", "--oracle", "--system", "double_well", "--drift-h", "0.8",
+    (["eval", "--system", "double_well", "--drift-h", "0.8",
       "--drift-steps", "5", "--grid-points", "3", "--seed", "0"], 4),
 ], ids=["integrate", "eval"])
 def test_integrate_unconverged_step_exits_two(tmp_path, capsys, argv, step):
@@ -804,17 +819,16 @@ def test_integrate_unconverged_step_exits_two(tmp_path, capsys, argv, step):
 
 def test_integrate_argument_validation(checkpoint, tmp_path, capsys):
     out = str(tmp_path / "t")
-    assert main(["integrate", "--out-dir", out]) == 1  # neither source
-    assert main(["integrate", "--system", "coupled_ho", "--checkpoint", "x",
-                 "--out-dir", out]) == 1               # both sources
+    assert main(["integrate", "--checkpoint", "x", "--out-dir", out]) == 1  # no such file
     assert main(["integrate", "--system", "coupled_ho", "--y0", "1,2,3",
                  "--out-dir", out]) == 1               # wrong width
     capsys.readouterr()
-    # a checkpoint's field has no system parameters to set
-    assert main(["integrate", "--checkpoint", str(checkpoint), "--y0", "0.1,0.2",
-                 "--system-param", "alpha=2", "--out-dir", out]) == 1
+    # the model must live in the named system's phase space
+    assert main(["integrate", "--checkpoint", str(checkpoint), "--system", "henon_heiles",
+                 "--out-dir", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --system-param ") and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"checkpoint {checkpoint} has dim 1, system henon_heiles has dim 2" in err
     assert not (tmp_path / "t").exists()
 
 
@@ -835,7 +849,7 @@ def test_henon_heiles_starts_below_the_energy_cap(seed, tmp_path, monkeypatch, c
 
     monkeypatch.setattr(evaluation, "energy_drift", spy)
     argv = ["--system", "henon_heiles", "--seed", str(seed)]
-    assert main(["eval", "--oracle", "--grid-points", "5", *argv,
+    assert main(["eval", "--grid-points", "5", *argv,
                  "--out-dir", str(tmp_path / "eval")]) == 0
     assert main(["integrate", *argv, "--out-dir", str(tmp_path / "integrate")]) == 0
     row = (tmp_path / "integrate" / "trajectory.csv").read_text().splitlines()[1]
@@ -854,7 +868,7 @@ def test_overflowing_system_param_fails_with_one_line(system, param, tmp_path, p
     # by energy_drift's, with no NumPy warning lines before it and no
     # eval.json or trajectory.csv; a child process, because pytest would
     # catch the warnings before they reach stderr
-    for argv, written in ((["eval", "--oracle", "--grid-points", "3", "--drift-steps", "2"],
+    for argv, written in ((["eval", "--grid-points", "3", "--drift-steps", "2"],
                            "eval.json"),
                           (["integrate", "--n-steps", "2"], "trajectory.csv")):
         out = subprocess.run(

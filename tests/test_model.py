@@ -281,6 +281,17 @@ def test_workspace_buffers_sit_apart_mod_4k(dim):
     assert gaps.min() >= 64
 
 
+def test_workspace_holds_the_buffer_set_of_one_batch_size():
+    # a pass at another batch size replaces the set, so one-shot sizes (an
+    # eval grid, a drift rollout's energies) hold no memory afterwards
+    net = HamiltonianNet(1, hidden=(4,))
+    field = net.field(net.init_params(34))
+    field(np.zeros((512, 2)))
+    first = weakref.ref(net.workspace[512])
+    field(np.zeros((7, 2)))
+    assert first() is None and net.workspace[7].batch == 7
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_results_callers_keep_share_no_memory_with_the_workspace(dim):
     # field values, field_vjp's ybar and the Hessian are held by solvers and
@@ -325,11 +336,12 @@ def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
-    # one net serves batches of 512, 1 and 3 in turn from its workspace's
-    # bias and head rows tiled per batch size.  The forward pass and the
-    # first multiply of each reverse must equal the broadcasting reference
-    # bit for bit, every pass must equal the same pass on a fresh
-    # PreparedNet, and the tiled rows must come out unwritten
+    # one net serves batches of 512, 1 and 3 in turn, each from the
+    # workspace's bias and head rows tiled to the batch size in hand.  The
+    # forward pass and the first multiply of each reverse must equal the
+    # broadcasting reference bit for bit, every pass must equal the same
+    # pass on a fresh PreparedNet, and after each size's passes the tiled
+    # rows must be unwritten
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(30)
     layers = net.unpack(theta)
@@ -363,7 +375,6 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         fresh = net.prepare(theta)
         for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
-    for batch in (1, 3, 512):
         bufs = net.workspace[batch]
         for (_, b), tiled in zip(layers[:-1], bufs.biases, strict=True):
             assert np.array_equal(tiled, np.broadcast_to(b, tiled.shape))

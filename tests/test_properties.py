@@ -309,7 +309,7 @@ def _finite(text):
 def test_cli_on_a_drawn_system_param_exits_one_with_one_line(key, value):
     item = f"{key}={value}"
     with temp_dir() as tmp:
-        code, _, err = run_cli(["eval", "--oracle", "--system", "coupled_ho",
+        code, _, err = run_cli(["eval", "--system", "coupled_ho",
                                 f"--system-param={item}", "--grid-points", 3,
                                 "--drift-steps", 2, "--out-dir", tmp / "out"])
     name, text = item.split("=", 1)
