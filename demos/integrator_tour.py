@@ -29,8 +29,8 @@ def drift_comparison():
     y0 = np.array([0.0, 0.8])
     print(f"  {'method':20s} {'drift T=50':>12s} {'drift T=500':>12s} {'growth':>8s}")
     for method in ("implicit_midpoint", "symplectic_euler", "rk2"):
-        traj, _ = integrate(dw.dynamics, y0, 0.05, 10000, method=method)
-        short, long = (energy_drift(dw.hamiltonian, traj.states[:n + 1])
+        states, _ = integrate(dw.dynamics, y0, 0.05, 10000, method=method)
+        short, long = (energy_drift(dw.hamiltonian, states[:n + 1])
                        for n in (1000, 10000))
         print(f"  {method:20s} {short:12.3e} {long:12.3e} {long / short:8.2f}")
     print()
@@ -50,9 +50,9 @@ def order_of_accuracy():
         errors = {}
         for h in (0.1, 0.05, 0.025):
             n = int(round(t_end / h))
-            traj, _ = integrate(sho.dynamics, y0, h, n, method=method,
-                                cfg=FpiConfig(tol=1e-14, max_iters=200))
-            errors[h] = float(np.max(np.abs(traj.states[-1] - exact)))
+            states, _ = integrate(sho.dynamics, y0, h, n, method=method,
+                                  cfg=FpiConfig(tol=1e-14, max_iters=200))
+            errors[h] = float(np.max(np.abs(states[-1] - exact)))
         print(f"  {method:20s} {errors[0.1]:12.3e} {errors[0.05]:12.3e} "
               f"{errors[0.05] / errors[0.025]:18.2f}")
     print()

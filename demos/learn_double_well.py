@@ -50,8 +50,8 @@ def main():
 
     # the learned field should also conserve its own energy when integrated
     y0 = np.array([0.0, 0.8])
-    traj, _ = integrate(lambda y: net.dynamics(theta, y), y0, 0.01, 2000)
-    drift = energy_drift(lambda pts: net.eval_h(theta, pts), traj.states)
+    states, _ = integrate(net.field(theta), y0, 0.01, 2000)
+    drift = energy_drift(lambda pts: net.eval_h(theta, pts), states)
     print(f"  learned-H drift along a learned-field orbit: {drift:.2e}")
 
 

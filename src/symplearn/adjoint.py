@@ -29,14 +29,15 @@ footprint does not grow with the window length.  Each engine call prepares
 the network once (HamiltonianNet.prepare) for all its passes.
 
 The recorded-backprop engine runs the forward solve through the same
-`integrate` call as the costate engine, with a field callback that keeps
-every network tape alive, then walks the whole computation backward
-through each fixed-point sweep and extrapolated seed.  Its footprint grows
-linearly with the window length; it exists as the exactness baseline the
-costate engine is checked against.  Both engines add each parameter reverse
-into their gradient before the next, which reuses its buffer.  Neither
-engine keeps memory accounts; profiling measures both footprints in traced
-bytes (symplearn.memory).
+`integrate` call as the costate engine, with a field callback that appends
+every network tape to one list in solver order, then walks the whole
+computation backward through each fixed-point sweep and extrapolated seed,
+popping each sweep's tape as it reverses it.  Its footprint grows linearly
+with the window length; it exists as the exactness baseline the costate
+engine is checked against.  Both engines add each parameter reverse into their gradient
+before the next, which reuses its buffer.  Neither engine keeps memory
+accounts; profiling measures both footprints in traced bytes
+(symplearn.memory).
 
 Why not fold theta into an augmented state and integrate one big ODE
 backward: the augmented system is no longer canonically Hamiltonian, so the
@@ -51,13 +52,12 @@ costate at that midpoint, so the midpoint quadrature is the exact discrete
 adjoint (Sanz-Serna, SIAM Review 58(1), 2016).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrators import SEED_SLOPES, SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
-from .model import canonical_field, costate_to_direction
+from .model import costate_to_direction
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
             lam_mid = _cramer_step(hess, lam_end, c)
         else:
             try:
-                lam_mid = np.linalg.solve(eye - c * canonical_field(hess, d),
+                lam_mid = np.linalg.solve(eye + c * costate_to_direction(hess, d),
                                           lam_end[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 raise NonFiniteError(f"singular costate solve at backward step {n}") from None
@@ -161,32 +161,32 @@ def solve_adjoint_accumulate(net, theta, states, partials, h):
 class RecordedRollout:
     states: np.ndarray       # [n+1, B, 2d]
     h: float
-    steps: list              # per step, the tapes of its sweeps, oldest first
-    reports: list
+    tapes: list              # one per fixed-point sweep, in solver order
+    reports: list            # one StepReport per step
 
 
 def record_rollout(net, theta, y0, h, n_steps, cfg=FpiConfig()):
     """Implicit-midpoint rollout through `integrate` that keeps every tape.
 
-    The field callback records the network activations of each evaluation;
-    the evaluations arrive in solver order, one per fixed-point sweep, so
-    each step's StepReport says where its tapes end.  The retained tapes are
-    what makes the later reverse sweep possible, and what makes this
-    engine's memory grow with n_steps.
+    The field callback appends the network activations of each evaluation
+    to one list, in solver order: one tape per fixed-point sweep, so step
+    n's tapes are the next reports[n].iterations of them.  The retained
+    tapes are what makes the later reverse sweep possible, and what makes
+    this engine's memory grow with n_steps.
     """
     y0 = np.atleast_2d(np.asarray(y0, dtype=np.float64))
     tapes = []
-    traj, reports = integrate(net.field(theta, tapes), y0, h, n_steps, cfg=cfg)
-    it = iter(tapes)
-    steps = [list(itertools.islice(it, r.iterations)) for r in reports]
-    return RecordedRollout(states=traj.states, h=h, steps=steps, reports=reports)
+    states, reports = integrate(net.field(theta, tapes), y0, h, n_steps, cfg=cfg)
+    return RecordedRollout(states=states, h=h, tapes=tapes, reports=reports)
 
 
 def backward_through_record(net, theta, record, partials):
     """Reverse sweep over a recorded rollout; returns the flat theta gradient.
 
-    partials is [n, B, 2d] as in solve_adjoint_accumulate.  Tapes are freed
-    as they are consumed, so peak memory sits at the end of the forward pass.
+    partials is [n, B, 2d] as in solve_adjoint_accumulate.  The sweeps are
+    reversed newest first, each popping its tape off record.tapes, which
+    frees it: peak memory sits at the end of the forward pass, and
+    record.tapes ends empty.
     Each step's first iterate was extrapolated from the states before it, so
     the cotangent left on that iterate goes back onto those states with the
     same weights.  One owed buffer per weight beyond the first carries it to
@@ -199,7 +199,7 @@ def backward_through_record(net, theta, record, partials):
     computed loss.
     """
     partials = np.asarray(partials, dtype=np.float64)
-    n_steps = len(record.steps)
+    n_steps = len(record.reports)
     if partials.shape[0] != n_steps:
         raise ValueError(f"partials cover {partials.shape[0]} steps, record has {n_steps}")
     prep = net.prepare(theta)
@@ -211,23 +211,21 @@ def backward_through_record(net, theta, record, partials):
     slope = np.zeros_like(cot)     # the cotangent on f(states[0]) that later seeds owe
 
     for n in range(n_steps - 1, -1, -1):
-        tapes = record.steps[n]
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
         # y_0 = sum_j w_j states[n - j] (+ s h f(states[0]) at steps 1 and 2)
         # for w = SEED_WEIGHTS[min(n, top)] and s = SEED_SLOPES[n]
-        for k in range(len(tapes) - 1, -1, -1):
+        for k in range(record.reports[n].iterations - 1, -1, -1):
             u = h * cot
             if n == 0 and k == 0:
                 u += slope
-            ybar, thbar = net.field_vjp(prep, tapes[k], u)
+            ybar, thbar = net.field_vjp(prep, record.tapes.pop(), u)
             grad += thbar
             ybar *= 0.5
             cot += ybar
             cot_yn += cot
             cot = ybar
-        tapes.clear()
         if 0 < n < len(SEED_SLOPES):
             slope += (SEED_SLOPES[n] * h) * cot
         # the seed's cotangent: w_0 onto states[n], the rest owed further

@@ -389,10 +389,10 @@ def cmd_eval(opts):
     report, points = evaluate_ood(h_fn, dyn_fn, system, slices=opts["slice"], **_given(
         opts, {"grid_points": "points_per_axis"}))
 
-    traj, _ = integrate(dyn_fn, _random_state(system, opts["seed"]), opts["drift_h"],
-                        opts["drift_steps"], cfg=_fpi(opts))
-    report["drift_model_h"] = energy_drift(h_fn, traj.states)
-    report["drift_true_h"] = energy_drift(system.hamiltonian, traj.states)
+    states, _ = integrate(dyn_fn, _random_state(system, opts["seed"]), opts["drift_h"],
+                          opts["drift_steps"], cfg=_fpi(opts))
+    report["drift_model_h"] = energy_drift(h_fn, states)
+    report["drift_true_h"] = energy_drift(system.hamiltonian, states)
     report["system"] = system.name
     report["source"] = opts["checkpoint"] or f"oracle:{system.name}"
 
@@ -426,13 +426,13 @@ def cmd_integrate(opts):
     if y0.shape != (system.width,):
         raise ValueError(f"--y0 needs {system.width} coordinates, got {y0.size}")
 
-    traj, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
-                              **_given(opts, {"method": "method"}))
-    drift = energy_drift(h_fn, traj.states)
+    states, reports = integrate(field, y0, opts["h"], opts["n_steps"], cfg=_fpi(opts),
+                                **_given(opts, {"method": "method"}))
+    drift = energy_drift(h_fn, states)
     out = _out_dir(opts)
     path = out / "trajectory.csv"
     write_csv(path, ["step", "t"] + [f"x{i}" for i in range(system.width)],
-              ([k, t, *y] for k, (t, y) in enumerate(zip(traj.times, traj.states))))
+              ([k, k * opts["h"], *y] for k, y in enumerate(states)))
 
     mean_iters = float(np.mean([r.iterations for r in reports]))
     method = f" ({opts['method']})" if opts["method"] else ""

@@ -153,8 +153,8 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
 
     ic_rng = np.random.default_rng((seed, 1))  # distinct from the (seed, 0, i) noise streams
     ics = sample_initial_conditions(system, manifest.n_traj, ic_rng)
-    traj, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
-    states = traj.states  # [n + 1, n_traj, 2d]: trajectory i is states[:, i]
+    # [n + 1, n_traj, 2d]: trajectory i is states[:, i]
+    states, _ = integrate(system.dynamics, ics, dt, n_steps, method="gauss2", cfg=REFERENCE_FPI)
     row_shape = manifest.shape[1:]
     clean_rows = (states[:, i] for i in range(manifest.n_traj))
     noisy_rows = (states[:, i]
@@ -170,7 +170,7 @@ def generate_dataset(system_name, out_dir, seed, n_train, n_val,
                 fh.write(np.ascontiguousarray(row, dtype="<f8"))
     with open_atomically(out_dir / MANIFEST_NAME) as fh:
         fh.write(manifest.to_json())
-    del traj, states   # freed before load_dataset faults in noisy to check it
+    del states   # freed before load_dataset faults in noisy to check it
     return load_dataset(out_dir)
 
 

@@ -205,12 +205,6 @@ class StepReport:
         return len(self.residuals)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray    # [n+1]
-    states: np.ndarray   # [n+1, ..., 2d]
-
-
 def _check_finite(y, context):
     if not np.all(np.isfinite(y)):
         raise NonFiniteError(f"non-finite state during {context}")
@@ -328,16 +322,18 @@ SEED_SLOPES = (0.0, -2.0, 3.0)
 
 
 def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
-    """Roll a state forward n_steps of size h; returns (Trajectory, reports).
+    """Roll a state forward n_steps of size h; returns (states, reports).
+
+    states is [n_steps + 1, *y0.shape], y0 first, and state k sits at time
+    k * h; reports holds one StepReport per step, whatever the method.
 
     method is a name from the tableau registry: 'implicit_midpoint' runs the
     specialized fixed-point stepper, the others ('symplectic_euler',
-    'gauss2', 'rk2', 'explicit_euler') go through prk_step.  Every method
-    returns one StepReport per step.  h may be negative (the symmetric
-    methods are time-reversible).  Each implicit midpoint solve is seeded by
-    extrapolating the states stored so far with SEED_WEIGHTS, plus
-    SEED_SLOPES times the first field value of step 0, h f(y0), at steps 1
-    and 2; the first step starts from y0.
+    'gauss2', 'rk2', 'explicit_euler') go through prk_step.  h may be
+    negative (the symmetric methods are time-reversible).  Each implicit
+    midpoint solve is seeded by extrapolating the states stored so far with
+    SEED_WEIGHTS, plus SEED_SLOPES times the first field value of step 0,
+    h f(y0), at steps 1 and 2; the first step starts from y0.
 
     Every rollout in the package goes through here, and the costate sweep
     is the exact adjoint of the rollout only where each step was solved, so
@@ -391,9 +387,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
                                  f"(last residual {rep.residuals[-1]:.3e})")
         reports.append(rep)
         states[i + 1] = y
-
-    times = np.arange(n_steps + 1) * h
-    return Trajectory(times=times, states=states), reports
+    return states, reports
 
 
 # stage tolerance of the reference rollouts (datasets, profile windows)

@@ -41,9 +41,9 @@ def profile_windows(system, batch_size, window_steps, h, seed):
     if not (_is_int(batch_size) and batch_size >= 1):
         raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     y0 = sample_initial_conditions(system, batch_size, np.random.default_rng((seed, 4)))
-    traj, _ = integrate(system.dynamics, y0, h, window_steps,
-                        method="implicit_midpoint", cfg=REFERENCE_FPI)
-    return np.ascontiguousarray(np.swapaxes(traj.states, 0, 1))
+    states, _ = integrate(system.dynamics, y0, h, window_steps,
+                          method="implicit_midpoint", cfg=REFERENCE_FPI)
+    return np.ascontiguousarray(np.swapaxes(states, 0, 1))
 
 
 def engine_peak(net, theta, windows, h, config):

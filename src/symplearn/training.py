@@ -137,8 +137,7 @@ def _rollout(net, theta, windows, h, config, record=False):
         rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi)
         states, reports = rec.states, rec.reports
     else:
-        traj, reports = integrate(net.field(theta), y0, h, n_steps, cfg=config.fpi)
-        states = traj.states
+        states, reports = integrate(net.field(theta), y0, h, n_steps, cfg=config.fpi)
     loss, partials = window_loss(states, windows)
     return loss, partials, states, reports, rec
 

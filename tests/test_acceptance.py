@@ -45,8 +45,8 @@ def fd_step_jacobian(field, y, h, eps=1e-6):
     """Central-difference Jacobian of one implicit-midpoint step at y."""
     w = y.size
     bumps = y[None, :] + np.vstack([np.eye(w), -np.eye(w)]) * eps
-    traj, _ = integrate(field, bumps, h, 1, cfg=TIGHT)
-    ends = traj.states[1]
+    states, _ = integrate(field, bumps, h, 1, cfg=TIGHT)
+    ends = states[1]
     return (ends[:w] - ends[w:]).T / (2.0 * eps)
 
 
@@ -72,15 +72,15 @@ def test_c1_one_step_map_is_symplectic():
 def test_c2_energy_drift_bounded():
     budget, t0 = 30.0, time.perf_counter()
     cho = get_system("coupled_ho", alpha=0.5)
-    traj, _ = integrate(cho.dynamics, np.array([0.6, 0.4]), 0.01, 10_000, cfg=EXTRA_TIGHT)
-    drift_cho = energy_drift(cho.hamiltonian, traj.states)
+    states, _ = integrate(cho.dynamics, np.array([0.6, 0.4]), 0.01, 10_000, cfg=EXTRA_TIGHT)
+    drift_cho = energy_drift(cho.hamiltonian, states)
     dw = get_system("double_well")
     y0 = np.array([0.0, 0.8])  # a genuine orbit, not a well minimum
-    traj, _ = integrate(dw.dynamics, y0, 0.01, 10_000, cfg=EXTRA_TIGHT)
-    drift_h = energy_drift(dw.hamiltonian, traj.states)
-    drift_half_t = energy_drift(dw.hamiltonian, traj.states[:5_001])
-    traj, _ = integrate(dw.dynamics, y0, 0.005, 20_000, cfg=EXTRA_TIGHT)
-    drift_h2 = energy_drift(dw.hamiltonian, traj.states)
+    states, _ = integrate(dw.dynamics, y0, 0.01, 10_000, cfg=EXTRA_TIGHT)
+    drift_h = energy_drift(dw.hamiltonian, states)
+    drift_half_t = energy_drift(dw.hamiltonian, states[:5_001])
+    states, _ = integrate(dw.dynamics, y0, 0.005, 20_000, cfg=EXTRA_TIGHT)
+    drift_h2 = energy_drift(dw.hamiltonian, states)
     ratio = drift_h / drift_h2
     ok = (drift_cho <= 1e-9
           and 4.0 * 0.7 <= ratio <= 4.0 * 1.3
@@ -100,8 +100,8 @@ def test_c3_order_of_accuracy():
     def final_error(method, h):
         n = int(round(t_end / h))
         field = get_system("coupled_ho", alpha=0.0).dynamics
-        traj, _ = integrate(field, y0, h, n, method=method, cfg=EXTRA_TIGHT)
-        return float(np.max(np.abs(traj.states[-1] - sho_exact(y0, t_end))))
+        states, _ = integrate(field, y0, h, n, method=method, cfg=EXTRA_TIGHT)
+        return float(np.max(np.abs(states[-1] - sho_exact(y0, t_end))))
 
     ratios = {}
     for method in ("implicit_midpoint", "gauss2"):

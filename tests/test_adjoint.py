@@ -52,24 +52,24 @@ def make_windows(net, theta, batch, n_steps, h, seed, noise=0.05):
     """Observations near (not on) a model rollout, batch-major [B, n+1, 2d]."""
     rng = np.random.default_rng(seed)
     y0 = rng.uniform(-0.8, 0.8, size=(batch, 2 * net.dim))
-    traj, _ = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
-                        cfg=TIGHT)
-    obs = np.swapaxes(traj.states, 0, 1).copy()
+    states, _ = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
+                          cfg=TIGHT)
+    obs = np.swapaxes(states, 0, 1).copy()
     obs[:, 1:, :] += noise * rng.standard_normal(obs[:, 1:, :].shape)
     return obs
 
 
 def pipeline_loss(net, theta, windows, h, cfg):
     n_steps = windows.shape[1] - 1
-    traj, _ = integrate(lambda y: net.dynamics(theta, y), windows[:, 0, :], h,
-                        n_steps, cfg=cfg)
-    loss, partials = window_loss(traj.states, windows)
-    return loss, traj, partials
+    states, _ = integrate(lambda y: net.dynamics(theta, y), windows[:, 0, :], h,
+                          n_steps, cfg=cfg)
+    loss, partials = window_loss(states, windows)
+    return loss, states, partials
 
 
 def adjoint_grad(net, theta, windows, h, cfg):
-    _, traj, partials = pipeline_loss(net, theta, windows, h, cfg)
-    grad, _ = solve_adjoint_accumulate(net, theta, traj.states, partials, h)
+    _, states, partials = pipeline_loss(net, theta, windows, h, cfg)
+    grad, _ = solve_adjoint_accumulate(net, theta, states, partials, h)
     return grad
 
 
@@ -107,31 +107,45 @@ def test_record_rollout_reproduces_integrate_exactly():
     rng = np.random.default_rng(43)
     y0 = rng.uniform(-0.5, 0.5, size=(3, 2))
     cfg = FpiConfig(tol=1e-11, max_iters=60)
-    traj, reports = integrate(lambda y: net.dynamics(theta, y), y0, 0.05, 6, cfg=cfg)
+    states, reports = integrate(lambda y: net.dynamics(theta, y), y0, 0.05, 6, cfg=cfg)
     record = record_rollout(net, theta, y0, 0.05, 6, cfg=cfg)
-    assert np.array_equal(record.states, traj.states)
+    assert np.array_equal(record.states, states)
     assert [r.iterations for r in record.reports] == \
            [r.iterations for r in reports]
 
 
-def test_record_keeps_one_tape_per_sweep_and_backward_frees_them(traced_bytes):
+def test_record_keeps_one_tape_per_sweep_and_backward_frees_them(traced_bytes, monkeypatch):
     net = HamiltonianNet(1, hidden=(64,))
     theta = net.init_params(46)
     y0 = np.random.default_rng(47).uniform(-0.5, 0.5, size=(256, 2))
     partials = np.ones((5, 256, 2))
-    # a first pass warms the interpreter's caches
-    backward_through_record(net, theta, record_rollout(net, theta, y0, 0.05, 5), partials)
+    # a first pass warms the interpreter's caches and checks the order: the
+    # reverse pops the tapes newest first, each off the list before its
+    # sweep is reversed (ids only, so that no tape is held here)
+    warm = record_rollout(net, theta, y0, 0.05, 5)
+    order = [id(acts) for acts in warm.tapes]
+    popped = []
+    field_vjp = net.field_vjp
+
+    def logged(prep, acts, u):
+        popped.append((id(acts), len(warm.tapes)))
+        return field_vjp(prep, acts, u)
+
+    monkeypatch.setattr(net, "field_vjp", logged)
+    backward_through_record(net, theta, warm, partials)
+    assert popped == [(order[i], i) for i in reversed(range(len(order)))]
+    monkeypatch.undo()
+    del warm
     base = traced_bytes()
     record = record_rollout(net, theta, y0, 0.05, 5)
-    # every field evaluation is a sweep: the tapes split exactly by report
-    assert [len(tapes) for tapes in record.steps] == \
-           [r.iterations for r in record.reports]
-    tape_bytes = sum(a.nbytes for tapes in record.steps for acts in tapes for a in acts[1:])
+    # every field evaluation is a sweep, and each leaves one tape
+    assert len(record.tapes) == sum(r.iterations for r in record.reports)
+    tape_bytes = sum(a.nbytes for acts in record.tapes for a in acts[1:])
     held = traced_bytes() - base
     assert held >= tape_bytes + record.states.nbytes
     grad = backward_through_record(net, theta, record, partials)
     del grad
-    assert all(not tapes for tapes in record.steps)
+    assert not record.tapes
     assert traced_bytes() - base <= held - tape_bytes + SLACK_BYTES
     del record
     assert traced_bytes() - base <= SLACK_BYTES
@@ -172,9 +186,9 @@ def test_engines_agree_under_final_only_observation():
     windows = make_windows(net, theta, batch=3, n_steps=5, h=0.02, seed=49)
     cfg = TIGHT
 
-    _, traj, partials = pipeline_loss(net, theta, windows, 0.02, cfg)
+    _, states, partials = pipeline_loss(net, theta, windows, 0.02, cfg)
     partials[:-1] = 0.0
-    g_adj, _ = solve_adjoint_accumulate(net, theta, traj.states, partials, 0.02)
+    g_adj, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.02)
 
     record = record_rollout(net, theta, windows[:, 0, :], 0.02, 5, cfg=cfg)
     g_bp = backward_through_record(net, theta, record, partials)
@@ -265,9 +279,9 @@ def test_gradient_scales_linearly_with_partials():
     net = HamiltonianNet(1, hidden=(5,))
     theta = net.init_params(50)
     windows = make_windows(net, theta, batch=2, n_steps=3, h=0.05, seed=51)
-    _, traj, partials = pipeline_loss(net, theta, windows, 0.05, TIGHT)
-    g1, _ = solve_adjoint_accumulate(net, theta, traj.states, partials, 0.05)
-    g3, _ = solve_adjoint_accumulate(net, theta, traj.states, 3.0 * partials, 0.05)
+    _, states, partials = pipeline_loss(net, theta, windows, 0.05, TIGHT)
+    g1, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.05)
+    g3, _ = solve_adjoint_accumulate(net, theta, states, 3.0 * partials, 0.05)
     assert rel(3.0 * g1, g3) <= 1e-10
 
 
@@ -275,13 +289,13 @@ def test_gradient_adds_over_the_batch():
     net = HamiltonianNet(1, hidden=(5,))
     theta = net.init_params(52)
     windows = make_windows(net, theta, batch=3, n_steps=3, h=0.05, seed=53)
-    _, traj, partials = pipeline_loss(net, theta, windows, 0.05, TIGHT)
+    _, states, partials = pipeline_loss(net, theta, windows, 0.05, TIGHT)
     # undo the 1/B mean scale so single-row gradients add up exactly
     partials = partials * windows.shape[0]
-    whole, _ = solve_adjoint_accumulate(net, theta, traj.states, partials, 0.05)
+    whole, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.05)
     parts = np.zeros_like(whole)
     for i in range(3):
-        gi, _ = solve_adjoint_accumulate(net, theta, traj.states[:, i:i + 1],
+        gi, _ = solve_adjoint_accumulate(net, theta, states[:, i:i + 1],
                                          partials[:, i:i + 1], 0.05)
         parts += gi
     assert rel(whole, parts) <= 1e-11
@@ -396,9 +410,9 @@ def test_costate_memory_does_not_grow_with_window_length():
     def peak(n_steps):
         windows = make_windows(net, theta, batch=32, n_steps=n_steps, h=0.01,
                                seed=57)
-        _, traj, partials = pipeline_loss(net, theta, windows, 0.01, TIGHT)
+        _, states, partials = pipeline_loss(net, theta, windows, 0.01, TIGHT)
         with METER.measure() as meter:
-            solve_adjoint_accumulate(net, theta, traj.states, partials, 0.01)
+            solve_adjoint_accumulate(net, theta, states, partials, 0.01)
             return meter.peak_bytes
 
     assert peak(16) <= 1.05 * peak(4)

@@ -10,10 +10,13 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+from collections import defaultdict
 
 import numpy as np
 
-from symplearn.adjoint import solve_adjoint_accumulate
+from symplearn.adjoint import record_rollout, solve_adjoint_accumulate
+from symplearn.data import generate_dataset
+from symplearn.integrators import TABLEAUX, implicit_midpoint_step, prk_step
 from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
 from symplearn.profiling import profile_gradient_modes, profile_windows
@@ -47,7 +50,7 @@ def test_every_name_the_bench_traces_by_is_defined_where_the_tracer_looks():
         assert inspect.isfunction(obj) and obj.__module__ == f"symplearn.{layer}", name
 
 
-def test_the_results_the_bench_unpacks_keep_their_shape():
+def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
     system = get_system("coupled_ho")
     net = HamiltonianNet(system.dim, hidden=(4,))
     theta = net.init_params(0)
@@ -70,3 +73,23 @@ def test_the_results_the_bench_unpacks_keep_their_shape():
     assert {(r.grad_mode, r.window_steps) for r in rows} == {
         (mode, steps) for mode in ("adjoint", "backprop") for steps in (1, 2)}
     assert all(r.peak_bytes > 0 for r in rows)
+
+    # the tracer's observers read the solver reports and the written arrays
+    observe, stats = _tracing().OBSERVERS, defaultdict(float)
+    observe["adjoint.record_rollout"](
+        stats, record_rollout(net, theta, windows[:, 0], h, 2))
+    assert stats["adjoint.record_rollout.steps"] == 2
+    y0 = windows[0, 0]
+    for name, result in (
+            ("integrators.implicit_midpoint_step",
+             implicit_midpoint_step(system.dynamics, y0, h)),
+            ("integrators.prk_step", prk_step(system.dynamics, y0, h, TABLEAUX["gauss2"]))):
+        y, report = result
+        assert y.shape == y0.shape and report.iterations >= 1 and report.converged
+        observe[name](stats, result)
+    assert stats["integrators.midpoint_step.steps"] == stats["integrators.prk_step.steps"] == 1
+    assert stats["integrators.midpoint_step.nonconverged"] == 0
+
+    observe["data.generate_dataset"](
+        stats, generate_dataset("coupled_ho", tmp_path, 0, 2, 1, n_steps=3))
+    assert stats["data.bytes_written"] == sum(f.stat().st_size for f in tmp_path.iterdir())

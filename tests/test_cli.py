@@ -774,16 +774,19 @@ def test_eval_and_integrate_write_the_bytes_of_dynamics(checkpoint, tmp_path, mo
 # ------------------------------------------------------------------- integrate
 
 def test_integrate_system_writes_trajectory(tmp_path, capsys):
-    out = tmp_path / "traj"
-    code = main(["integrate", "--system", "coupled_ho", "--h", "0.05",
-                 "--n-steps", "20", "--y0", "0.3,0.2", "--out-dir", str(out)])
-    assert code == 0
-    lines = (out / "trajectory.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,t,x0,x1"
-    assert len(lines) == 22
-    first = lines[1].split(",")
-    assert float(first[2]) == 0.3 and float(first[3]) == 0.2
-    assert "energy drift" in capsys.readouterr().out
+    # row k is the state at t = k * h, backward in time for a negative h
+    for h in (0.05, -0.03):
+        out = tmp_path / str(h)
+        code = main(["integrate", "--system", "coupled_ho", "--h", str(h),
+                     "--n-steps", "20", "--y0", "0.3,0.2", "--out-dir", str(out)])
+        assert code == 0
+        lines = (out / "trajectory.csv").read_text().strip().splitlines()
+        assert lines[0] == "step,t,x0,x1"
+        assert len(lines) == 22
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [[str(k), repr(k * h)] for k in range(21)]
+        assert float(rows[0][2]) == 0.3 and float(rows[0][3]) == 0.2
+        assert "energy drift" in capsys.readouterr().out
 
 
 def test_integrate_checkpoint_starts_where_the_system_does(checkpoint, tmp_path, capsys):

@@ -251,9 +251,9 @@ def test_reference_solve_makes_one_field_call_per_sweep(tmp_path, monkeypatch):
         return dataclasses.replace(system, dynamics=counted)
 
     def recorded_integrate(*args, **kwargs):
-        traj, step_reports = real_integrate(*args, **kwargs)
+        states, step_reports = real_integrate(*args, **kwargs)
         reports.extend(step_reports)
-        return traj, step_reports
+        return states, step_reports
 
     monkeypatch.setattr(data, "get_system", counted_system)
     monkeypatch.setattr(data, "integrate", recorded_integrate)

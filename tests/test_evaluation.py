@@ -79,9 +79,9 @@ def test_energy_drift_zero_steps_and_sho():
     sho = get_system("coupled_ho", alpha=0.0)
     y0 = np.array([1.0, 0.0])
     assert energy_drift(sho.hamiltonian, y0[None]) == 0.0
-    traj, _ = integrate(sho.dynamics, y0, 0.01, 500, cfg=FpiConfig(tol=1e-13, max_iters=100))
+    states, _ = integrate(sho.dynamics, y0, 0.01, 500, cfg=FpiConfig(tol=1e-13, max_iters=100))
     # midpoint preserves the quadratic invariant to solver tolerance
-    assert energy_drift(sho.hamiltonian, traj.states) <= 1e-10
+    assert energy_drift(sho.hamiltonian, states) <= 1e-10
 
 
 def test_energy_drift_grows_for_a_nonsymplectic_method():
@@ -90,9 +90,9 @@ def test_energy_drift_grows_for_a_nonsymplectic_method():
     y0 = np.array([0.0, 0.8])
     sym, _ = integrate(dw.dynamics, y0, 0.05, 2000)
     rk, _ = integrate(dw.dynamics, y0, 0.05, 2000, method="rk2")
-    sym_short = energy_drift(dw.hamiltonian, sym.states[:401])
-    sym_long = energy_drift(dw.hamiltonian, sym.states)
-    rk_long = energy_drift(dw.hamiltonian, rk.states)
+    sym_short = energy_drift(dw.hamiltonian, sym[:401])
+    sym_long = energy_drift(dw.hamiltonian, sym)
+    rk_long = energy_drift(dw.hamiltonian, rk)
     # the symplectic drift is bounded; the rk2 drift keeps accumulating
     assert sym_long <= 1.01 * sym_short
     assert rk_long > 10 * sym_long

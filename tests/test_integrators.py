@@ -170,8 +170,8 @@ def test_non_convergence_returns_best_iterate():
 
 
 def one_step(f, y, h, method):
-    traj, _ = integrate(f, y, h, 1, method=method, cfg=TIGHT)
-    return traj.states[-1]
+    states, _ = integrate(f, y, h, 1, method=method, cfg=TIGHT)
+    return states[-1]
 
 
 def test_staggered_euler_hand_step():
@@ -282,12 +282,12 @@ def test_extrapolated_seed_saves_sweeps(name, monkeypatch):
     system = get_system(name)
     y0 = sample_initial_conditions(system, 64, np.random.default_rng(80))
     cfg, h = FpiConfig(), 0.025
-    traj, reports = integrate(system.dynamics, y0, h, 6, cfg=cfg)
+    states, reports = integrate(system.dynamics, y0, h, 6, cfg=cfg)
     y, plain = y0, []
     for i in range(6):
         y, rep = implicit_midpoint_step(system.dynamics, y, h, cfg)
         plain.append(rep)
-        assert np.max(np.abs(traj.states[i + 1] - y)) <= 1e-9
+        assert np.max(np.abs(states[i + 1] - y)) <= 1e-9
     assert reports[0] == plain[0]
     assert sum(r.iterations for r in reports) < sum(r.iterations for r in plain)
 
@@ -313,15 +313,15 @@ def test_time_reversibility():
     dw = get_system("double_well")
     y0 = np.array([0.9, 0.1])
     fwd, _ = integrate(dw.dynamics, y0, h=0.05, n_steps=100, cfg=TIGHT)
-    back, _ = integrate(dw.dynamics, fwd.states[-1], h=-0.05, n_steps=100,
+    back, _ = integrate(dw.dynamics, fwd[-1], h=-0.05, n_steps=100,
                         cfg=TIGHT)
-    assert np.max(np.abs(back.states[-1] - y0)) <= 1e-9
+    assert np.max(np.abs(back[-1] - y0)) <= 1e-9
 
 
 def test_quadratic_invariant_is_conserved_to_roundoff():
-    traj, _ = integrate(sho_field, np.array([1.0, 0.0]), h=0.1, n_steps=1000,
-                        cfg=FpiConfig(tol=1e-12, max_iters=100))
-    drift = np.max(np.abs(sho_energy(traj.states) - 0.5))
+    states, _ = integrate(sho_field, np.array([1.0, 0.0]), h=0.1, n_steps=1000,
+                          cfg=FpiConfig(tol=1e-12, max_iters=100))
+    drift = np.max(np.abs(sho_energy(states) - 0.5))
     assert drift <= 1e-10
 
 
@@ -335,9 +335,9 @@ def test_order_of_accuracy(method, expected, tol_frac):
 
     def global_error(h):
         n = int(round(t_end / h))
-        traj, _ = integrate(sho_field, y0, h=h, n_steps=n, method=method,
-                            cfg=TIGHT)
-        return np.max(np.abs(traj.states[-1] - sho_exact(y0, t_end)))
+        states, _ = integrate(sho_field, y0, h=h, n_steps=n, method=method,
+                              cfg=TIGHT)
+        return np.max(np.abs(states[-1] - sho_exact(y0, t_end)))
 
     ratio = global_error(0.05) / global_error(0.025)
     assert abs(ratio - expected) <= tol_frac * expected
@@ -356,9 +356,9 @@ def test_one_step_jacobian_is_symplectic(name, method):
     lo, hi = system.bounds[:, 0], system.bounds[:, 1]
 
     def step(y):
-        traj, _ = integrate(system.dynamics, y, h=0.01, n_steps=1,
-                            method=method, cfg=cfg)
-        return traj.states[-1]
+        states, _ = integrate(system.dynamics, y, h=0.01, n_steps=1,
+                              method=method, cfg=cfg)
+        return states[-1]
 
     for _ in range(5):
         y = lo + (hi - lo) * rng.random(system.width)
@@ -394,12 +394,10 @@ def test_rk2_jacobian_is_not_symplectic():
 
 
 def test_integrate_shapes_and_times():
-    traj, reports = integrate(sho_field, np.array([1.0, 0.0]), h=0.25,
-                              n_steps=8)
-    assert traj.states.shape == (9, 2)
-    assert np.allclose(traj.times, 0.25 * np.arange(9), atol=1e-15)
-    assert np.array_equal(traj.states[0], [1.0, 0.0])
-    assert traj.times.shape == (9,)
+    states, reports = integrate(sho_field, np.array([1.0, 0.0]), h=0.25,
+                                n_steps=8)
+    assert states.shape == (9, 2)
+    assert np.array_equal(states[0], [1.0, 0.0])
     assert len(reports) == 8
 
 
@@ -409,7 +407,7 @@ def test_integrate_batch_matches_individual_runs():
     together, _ = integrate(sho_field, batch, h=0.1, n_steps=30, cfg=TIGHT)
     for i in range(5):
         solo, _ = integrate(sho_field, batch[i], h=0.1, n_steps=30, cfg=TIGHT)
-        assert np.max(np.abs(together.states[:, i, :] - solo.states)) <= 1e-11
+        assert np.max(np.abs(together[:, i, :] - solo)) <= 1e-11
 
 
 def test_integrate_rejects_bad_arguments():
@@ -460,6 +458,6 @@ def test_midpoint_nonfinite_sweep_raises_with_step_context(bad):
 
 def test_reference_integrator_is_fourth_order_accurate():
     y0 = np.array([0.3, 0.7])
-    traj, _ = integrate(sho_field, y0, h=0.01, n_steps=100, method="gauss2",
-                        cfg=REFERENCE_FPI)
-    assert np.max(np.abs(traj.states[-1] - sho_exact(y0, 1.0))) <= 1e-10
+    states, _ = integrate(sho_field, y0, h=0.01, n_steps=100, method="gauss2",
+                          cfg=REFERENCE_FPI)
+    assert np.max(np.abs(states[-1] - sho_exact(y0, 1.0))) <= 1e-10

@@ -79,9 +79,9 @@ def test_henon_heiles_low_energy_orbit_stays_bounded():
     y0 = np.array([0.1, 0.2, 0.2981, 0.15])
     e0 = hh.hamiltonian(y0)
     assert e0 < 1.0 / 6.0
-    traj, _ = integrate(hh.dynamics, y0, h=0.02, n_steps=5000,
-                        cfg=FpiConfig(tol=1e-12, max_iters=100))
-    assert np.all(np.isfinite(traj.states))
-    assert np.max(np.abs(traj.states)) <= 1.5
-    energies = hh.hamiltonian(traj.states)
+    states, _ = integrate(hh.dynamics, y0, h=0.02, n_steps=5000,
+                          cfg=FpiConfig(tol=1e-12, max_iters=100))
+    assert np.all(np.isfinite(states))
+    assert np.max(np.abs(states)) <= 1.5
+    energies = hh.hamiltonian(states)
     assert np.max(np.abs(energies - e0)) <= 1e-4

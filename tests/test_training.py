@@ -308,9 +308,10 @@ def test_each_stream_tag_has_one_call_site():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
 def test_one_net_serves_every_batch_size_as_fresh_nets_do(grad_mode, dim):
-    # one net's workspace keeps a buffer set per batch size; calls at 512,
-    # 7 and 512 rows on one net, each at its own theta, must equal, bit for
-    # bit, the same calls each on a net of its own
+    # one net's workspace keeps one buffer set and replaces it when the
+    # batch size changes; calls at 512, 7 and 512 rows on one net, each at
+    # its own theta, must equal, bit for bit, the same calls each on a net
+    # of its own
     system = get_system({1: "double_well", 2: "henon_heiles"}[dim])
     config = TrainConfig(grad_mode=grad_mode)
     shared = HamiltonianNet(dim)
