@@ -6,13 +6,14 @@ keeps every solver iterate and differentiates through the tape.  Both sit on
 the same forward rollout, so their gradients agree to solver tolerance --
 but one runs in constant memory and the other grows with the window length.
 
-    python3 demos/adjoint_vs_backprop.py
+    OMP_NUM_THREADS=1 python3 demos/adjoint_vs_backprop.py
 """
 
 import numpy as np
 
 from symplearn.model import HamiltonianNet
-from symplearn.profiling import profile_gradient_modes, profile_windows
+from symplearn.profiling import (PROFILE_BATCH, PROFILE_H, PROFILE_SYSTEM,
+                                 profile_gradient_modes, profile_windows)
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, loss_and_grad
 
@@ -36,12 +37,14 @@ def gradient_agreement():
 
 
 def memory_growth():
-    print("== peak engine memory vs window length (batch 512) ==")
-    rows = profile_gradient_modes(batch_size=512, window_steps=(4, 8, 16, 32),
-                                  repeats=1)
-    print(f"  {'engine':10s} {'steps':>5s} {'peak bytes':>12s} {'wall s':>8s}")
+    print("== peak engine memory and wall time vs window length ==")
+    print(f"  {PROFILE_SYSTEM}, fresh network, batch {PROFILE_BATCH}, h = {PROFILE_H}; "
+          f"fastest of three loss+gradient calls")
+    rows = profile_gradient_modes()
+    print(f"  {'engine':10s} {'steps':>5s} {'peak bytes':>12s} {'wall ms':>8s}")
     for r in rows:
-        print(f"  {r.grad_mode:10s} {r.window_steps:5d} {r.peak_bytes:12d} {r.wall_s:8.4f}")
+        print(f"  {r.grad_mode:10s} {r.window_steps:5d} {r.peak_bytes:12d} "
+              f"{1e3 * r.wall_s:8.1f}")
     print()
     adj = [r.peak_bytes for r in rows if r.grad_mode == "adjoint"]
     bp = [r.peak_bytes for r in rows if r.grad_mode == "backprop"]

@@ -17,7 +17,7 @@ values go through the same parser, and a value that does not parse exits 1
 naming its flag or config key.  The thread cap is CLI-only, since a config
 file is read too late to matter: --threads is read by the one parser, as an
 integer like every other option, and _merge_options sets the BLAS variables
-before any handler imports numpy (profile defaults to one thread).
+before any handler imports numpy.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
 Exit 1 is a ValueError, OSError or KeyError: a bad flag or value, or a file
@@ -155,7 +155,7 @@ def _build_parser():
         if out_dir is not None:
             opt("--out-dir", out_dir, help="directory all outputs are written under")
         p.add_argument("--threads", type=int, default=S,
-                       help="cap BLAS/OpenMP threads (CLI-only; profile defaults to 1)")
+                       help="cap BLAS/OpenMP threads (CLI-only)")
         return opt
 
     def system_opts(opt, default):
@@ -216,14 +216,6 @@ def _build_parser():
     opt("--y0", None, _numbers(_float), metavar="X1,X2,...")
     solver_opts(opt)
 
-    opt = command("profile", "memory/runtime comparison of the two gradient engines",
-                  "runs/profile", seed=0)
-    opt("--system")
-    opt("--batch-size", None, _int)
-    opt("--window-steps", None, _numbers(_int), metavar="N1,N2,...")
-    opt("--h", None, _float)
-    opt("--repeats", None, _int)
-
     opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair")
     opt("--method", help="registered tableau name")
     opt("--file", help="JSON file with a_q, b_q, a_p, b_p arrays")
@@ -250,11 +242,11 @@ def _build_parser():
 def _merge_options(namespace, specs):
     """Option values of the parsed command: flag > config file > default,
     every given value through its option's parser.  A JSON null counts as
-    not given.  First caps the BLAS threads at --threads, which profile
-    defaults to 1, while numpy is still unloaded."""
+    not given.  First caps the BLAS threads at --threads, if given, while
+    numpy is still unloaded."""
     flags = dict(vars(namespace))
     cmd = flags.pop("cmd")
-    threads = flags.pop("threads", 1 if cmd == "profile" else None)
+    threads = flags.pop("threads", None)
     if threads is not None:
         if threads < 1:
             raise ValueError(f"--threads expects a positive integer, got {threads}")
@@ -442,30 +434,6 @@ def cmd_integrate(opts):
     return 0
 
 
-def cmd_profile(opts):
-    from .data import write_csv
-    from .profiling import ProfileRow, profile_gradient_modes
-    rows = profile_gradient_modes(seed=opts["seed"], **_given(opts, {
-        "system": "system_name", "batch_size": "batch_size",
-        "window_steps": "window_steps", "h": "h", "repeats": "repeats"}))
-    out = _out_dir(opts)
-    path = out / "profile.csv"
-    write_csv(path, [f.name for f in dataclasses.fields(ProfileRow)],
-              map(dataclasses.astuple, rows))
-    by_mode = {}
-    for r in rows:
-        by_mode.setdefault(r.grad_mode, []).append(r)
-        print(f"{r.grad_mode:9s} steps={r.window_steps:3d} "
-              f"peak_bytes={r.peak_bytes:>12d} wall_s={r.wall_s:.4f}")
-    for mode, mode_rows in by_mode.items():
-        first, last = mode_rows[0], mode_rows[-1]
-        ratio = last.peak_bytes / first.peak_bytes
-        print(f"{mode}: peak memory ratio ({last.window_steps} vs "
-              f"{first.window_steps} steps) = {ratio:.3f}")
-    print(f"profile {path}")
-    return 0
-
-
 def cmd_check_tableau(opts):
     from .integrators import PrkTableau, TABLEAUX, check_symplectic_tableau
     if bool(opts["method"]) == bool(opts["file"]):
@@ -561,7 +529,6 @@ _HANDLERS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "integrate": cmd_integrate,
-    "profile": cmd_profile,
     "check-tableau": cmd_check_tableau,
     "grad-check": cmd_grad_check,
     "export-csv": cmd_export_csv,

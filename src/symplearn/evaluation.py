@@ -60,7 +60,9 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
     Values are aligned by subtracting the mean difference before the error
     norms.  Returns (report, points): report is a flat dict of floats plus
     grid metadata; points holds the per-point arrays the report summarizes,
-    keyed pts, h_true, h_pred, h_err_aligned and dyn_l2_err.
+    keyed pts, h_true, h_pred, h_err_aligned and dyn_l2_err.  A non-finite
+    summary (the true system or the model overflowing on the grid) raises
+    NonFiniteError naming the first.
     """
     pts, meta = phase_grid(system, points_per_axis, slices)
     h_true = np.asarray(system.hamiltonian(pts), dtype=np.float64)
@@ -76,9 +78,11 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
         "h_l1_mean_raw": float(np.mean(np.abs(h_pred - h_true))),
         "offset": offset,
         "dyn_l2_mean": float(np.mean(dyn_err)),
-        "n_points": int(pts.shape[0]),
-        **meta,
     }
+    for name, value in report.items():
+        if not np.isfinite(value):
+            raise NonFiniteError(f"non-finite {name} {value!r} on the evaluation grid")
+    report.update(n_points=int(pts.shape[0]), **meta)
     points = {"pts": pts, "h_true": h_true, "h_pred": h_pred,
               "h_err_aligned": aligned, "dyn_l2_err": dyn_err}
     return report, points

@@ -160,9 +160,7 @@ def test_c5_memory_footprint_shapes():
     the window; they are checkpoint storage, which the constant-memory claim
     excludes, so the costate peak does not count them."""
     budget, t0 = 300.0, time.perf_counter()
-    rows = profile_gradient_modes(system_name="coupled_ho", batch_size=512,
-                                  window_steps=(4, 8, 16, 32), h=0.01,
-                                  repeats=1)
+    rows = profile_gradient_modes(window_steps=(4, 8, 16, 32), repeats=1)
     peaks = {(r.grad_mode, r.window_steps): r.peak_bytes for r in rows}
     adj_ratio = peaks[("adjoint", 32)] / peaks[("adjoint", 4)]
     bp_series = [peaks[("backprop", n)] for n in (4, 8, 16, 32)]

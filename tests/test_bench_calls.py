@@ -69,7 +69,7 @@ def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
     sweep = solve_adjoint_accumulate(net, theta, states, partials, h)
     assert len(sweep) == 2 and 0.0 <= sweep[1].converged_fraction <= 1.0
 
-    rows = profile_gradient_modes(batch_size=2, window_steps=(1, 2), repeats=1)
+    rows = profile_gradient_modes(window_steps=(1, 2), repeats=1)
     assert {(r.grad_mode, r.window_steps) for r in rows} == {
         (mode, steps) for mode in ("adjoint", "backprop") for steps in (1, 2)}
     assert all(r.peak_bytes > 0 for r in rows)

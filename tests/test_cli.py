@@ -7,6 +7,7 @@ one subprocess check each."""
 import dataclasses
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -105,19 +106,15 @@ def test_double_well_width_scale_must_be_positive(width, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (["grad-check", "--fd-step", "0"], "fd_step"),
-    (["profile", "--repeats", "0", "--window-steps", "2", "--batch-size", "4"], "repeats"),
     (["eval", "--grid-points", "0"], "points_per_axis"),
     (["eval", "--grid-points", "3", "--drift-steps", "0"], "n_steps"),
-    (["profile", "--window-steps", ","], "window_steps"),
     (["eval", "--system", "double_well", "--slice", "7=0.5"], "slice axis"),
     (["eval", "--system", "henon_heiles", "--slice=-1=0.5"], "slice axis"),
     (["grad-check", "--hidden", ""], "hidden"),
     (["grad-check", "--batch-size", "0"], "batch_size"),
-    (["profile", "--batch-size", "0", "--window-steps", "2", "--repeats", "1"], "batch_size"),
     (["check-tableau", "--method", "gauss2", "--tol", "-1"], "tol"),
-], ids=["fd-step", "repeats", "grid-points", "drift-steps", "window-steps",
-        "slice-axis-above", "slice-axis-negative", "grad-check-hidden", "grad-check-batch-size",
-        "profile-batch-size", "tableau-tol"])
+], ids=["fd-step", "grid-points", "drift-steps", "slice-axis-above", "slice-axis-negative",
+        "grad-check-hidden", "grad-check-batch-size", "tableau-tol"])
 def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name):
     # check-tableau writes no file, so it takes no --out-dir
     out = [] if argv[0] == "check-tableau" else ["--out-dir", str(tmp_path / "x")]
@@ -134,6 +131,18 @@ def test_train_options_are_the_train_config_fields():
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     assert set(specs["train"]) == (fields - {"fpi"}) | {"data", "out_dir", "fpi_tol",
                                                           "fpi_max_iters"}
+
+
+def test_readme_command_tables_name_every_subcommand():
+    # the quick start's commands and the "Other subcommands" table together
+    # name each subcommand once, so adding or deleting one leaves README stale
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    quick = readme.split("## Quick start (CLI)")[1].split("```")[1]
+    table = readme.split("Other subcommands:")[1].split("\n\n")[1]
+    named = (re.findall(r"^symplearn ([\w-]+)", quick, re.M)
+             + re.findall(r"^\| `([\w-]+)` \|", table, re.M))
+    _, specs = cli._build_parser()
+    assert sorted(named) == sorted(specs)
 
 
 class _ReadRecorder(dict):
@@ -157,8 +166,6 @@ class _ReadRecorder(dict):
     ["train", "--data", "{data}", *TRAIN_FLAGS, "--epochs", "1", "--out-dir", "{out}"],
     ["eval", "--grid-points", "3", "--drift-steps", "5", "--out-dir", "{out}"],
     ["integrate", "--system", "coupled_ho", "--n-steps", "5", "--out-dir", "{out}"],
-    ["profile", "--batch-size", "2", "--window-steps", "1", "--repeats", "1",
-     "--out-dir", "{out}"],
     ["check-tableau", "--method", "gauss2"],
     ["grad-check", "--hidden", "2", "--window-steps", "1", "--batch-size", "2",
      "--out-dir", "{out}"],
@@ -320,12 +327,12 @@ runpy.run_module("symplearn", run_name="__main__")
 
 
 def test_thread_env_is_set_before_numpy(tmp_path, package_env):
-    # --threads from the parsed flag; profile without the flag gets one thread
+    # --threads from the parsed flag; without the flag no command caps the threads
     env = {k: v for k, v in package_env.items() if k not in _THREAD_ENV_VARS}
     for argv, threads in (
             (["gen-data", "--n-train", "2", "--n-val", "1", "--n-steps", "2",
               "--threads", "2"], "2"),
-            (["profile", "--batch-size", "2", "--window-steps", "1", "--repeats", "1"], "1")):
+            (["gen-data", "--n-train", "2", "--n-val", "1", "--n-steps", "2"], "None")):
         out = subprocess.run(
             [sys.executable, "-c", _THREADS_AT_NUMPY_IMPORT, *argv, "--out-dir", str(tmp_path)],
             capture_output=True, text=True, env=env)
@@ -670,6 +677,24 @@ def test_eval_oracle_flag_and_config_key_exit_one(tmp_path, capsys):
     err = config_error(capsys, tmp_path, "eval", {"oracle": True})
     assert "config key 'oracle' is not an option of eval" in err
     assert not (tmp_path / "ev").exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--system", "henon_heiles", "--slice", "0=1e308", "--grid-points", "2",
+      "--drift-steps", "2"], "h_l1_mean nan"),
+    (["--checkpoint", "{checkpoint}", "--system", "coupled_ho",
+      "--system-param", "alpha=1e200"], "dyn_l2_mean inf"),
+], ids=["oracle-overflow", "checkpoint-overflow"])
+def test_eval_non_finite_grid_exits_two_and_writes_nothing(checkpoint, tmp_path, capsys,
+                                                           argv, name):
+    # the true system overflowing on the grid makes a summary non-finite,
+    # which JSON cannot hold: eval fails before writing a report
+    out = tmp_path / "ev"
+    assert main(["eval", *(a.format(checkpoint=checkpoint) for a in argv),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: non-finite {name} on the evaluation grid\n"
+    assert not out.exists()
 
 
 def _bad_header(header):
