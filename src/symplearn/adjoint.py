@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import SEED_SLOPES, SEED_WEIGHTS, FpiConfig, NonFiniteError, integrate
+from .integrators import FpiConfig, NonFiniteError, _seed_terms, integrate
 from .model import costate_to_direction
 
 
@@ -189,14 +189,13 @@ def backward_through_record(net, theta, record, partials):
     record.tapes ends empty.
     Each step's first iterate was extrapolated from the states before it, so
     the cotangent left on that iterate goes back onto those states with the
-    same weights.  One owed buffer per weight beyond the first carries it to
-    the earlier steps: while step n is reversed, owed[j] holds what the
-    seeds of later steps owe states[n - j].  Step n adds owed[0] to the
-    cotangent of states[n] and shifts the rest down by one.  The seeds of
-    steps 1 and 2 also read h f(states[0]), the field value of step 0's first
-    sweep, so one more buffer, slope, carries their cotangent on that value
-    into the reverse of that sweep.  The result is the exact gradient of the
-    computed loss.
+    weights integrators._seed_terms gave the forward pass.  One zeroed
+    [n+1, B, 2d] array carries it to the earlier steps: entry m holds what
+    the seeds of later steps owe states[m], and step n adds entry n to the
+    cotangent of states[n].  The seeds of steps 1 and 2 also read
+    h f(states[0]), the field value of step 0's first sweep, so one more
+    buffer, slope, carries their cotangent on that value into the reverse of
+    that sweep.  The result is the exact gradient of the computed loss.
     """
     partials = np.asarray(partials, dtype=np.float64)
     n_steps = len(record.reports)
@@ -206,16 +205,15 @@ def backward_through_record(net, theta, record, partials):
     h = record.h
     grad = np.zeros(net.n_params)
     cot = np.zeros_like(record.states[-1])
-    top = len(SEED_WEIGHTS) - 1
-    owed = [np.zeros_like(cot) for _ in range(top)]
+    owed = np.zeros_like(record.states)
     slope = np.zeros_like(cot)     # the cotangent on f(states[0]) that later seeds owe
 
     for n in range(n_steps - 1, -1, -1):
         cot = cot + partials[n]
         cot_yn = np.zeros_like(cot)
+        weights, slope_weight = _seed_terms(n)
         # iterates, newest first: y_k = y_n + h f((y_n + y_{k-1}) / 2), with
-        # y_0 = sum_j w_j states[n - j] (+ s h f(states[0]) at steps 1 and 2)
-        # for w = SEED_WEIGHTS[min(n, top)] and s = SEED_SLOPES[n]
+        # y_0 = sum_j weights[j] states[n - j] (+ slope_weight h f(states[0]))
         for k in range(record.reports[n].iterations - 1, -1, -1):
             u = h * cot
             if n == 0 and k == 0:
@@ -226,16 +224,11 @@ def backward_through_record(net, theta, record, partials):
             cot += ybar
             cot_yn += cot
             cot = ybar
-        if 0 < n < len(SEED_SLOPES):
-            slope += (SEED_SLOPES[n] * h) * cot
-        # the seed's cotangent: w_0 onto states[n], the rest owed further
-        # back; the buffers shift down one, the spent first one coming back
-        # zeroed as the last
-        w = SEED_WEIGHTS[min(n, top)]
-        cot_n = cot_yn + owed[0] + w[0] * cot
-        owed.append(owed.pop(0))
-        owed[-1].fill(0.0)
-        for j in range(1, len(w)):
-            owed[j - 1] += w[j] * cot
+        if n and slope_weight:
+            slope += (slope_weight * h) * cot
+        # the seed's cotangent: weights[0] onto states[n], the rest owed further back
+        cot_n = cot_yn + owed[n] + weights[0] * cot
+        for j in range(1, len(weights)):
+            owed[n - j] += weights[j] * cot
         cot = cot_n
     return grad

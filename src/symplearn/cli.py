@@ -5,7 +5,8 @@ level: --threads works by setting the BLAS thread-count environment variables,
 which only take effect if they are set before numpy first loads.  Heavy
 imports therefore live inside the command handlers.
 
-Each option is declared once, in _build_parser: its flag, its default and
+Each command and option is declared once, in _build_parser: a command with
+the handler main dispatches it to, an option with its flag, its default and
 the parser its value goes through; a command declares only the options its
 handler reads (--seed and --out-dir too).  Option precedence is CLI flag > --config
 JSON file > that default.  An option whose library call has a default of its
@@ -136,12 +137,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
     specs = {}
 
-    def command(name, help_text, out_dir=None, seed=None):
-        """A subcommand and its option declarer.  --out-dir and --seed are
-        declared with the defaults given, and only for a command that reads
-        them (None leaves one out)."""
+    def command(name, help_text, handler, out_dir=None, seed=None):
+        """A subcommand bound to its handler, and its option declarer.
+        --out-dir and --seed are declared with the defaults given, and only
+        for a command that reads them (None leaves one out)."""
         # no prefix matching: a flag a command lacks (--out) must not pass as one it has
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         spec = specs[name] = {}
 
         def opt(flag, default=None, parse=str, **kw):
@@ -171,7 +173,7 @@ def _build_parser():
         opt("--fpi-max-iters", None, _int)
 
     opt = command("gen-data", "integrate a benchmark system and store noisy trajectories",
-                  "runs/dataset", seed=0)
+                  cmd_gen_data, "runs/dataset", seed=0)
     system_opts(opt, "double_well")
     opt("--n-train", None, _int)
     opt("--n-val", None, _int)
@@ -181,7 +183,8 @@ def _build_parser():
     opt("--smoke", False, _flag, action="store_true",
         help="desk-scale sizes (1024 train / 256 val; the default is 16384 / 8192)")
 
-    opt = command("train", "fit a Hamiltonian network to a stored dataset", "runs/train")
+    opt = command("train", "fit a Hamiltonian network to a stored dataset", cmd_train,
+                  "runs/train")
     opt("--data", help="dataset directory from gen-data")
     # default None: TrainConfig owns every training default, the seed included
     opt("--seed", None, _int, help="master seed for this command")
@@ -197,8 +200,7 @@ def _build_parser():
     opt("--val-batches", None, _int)
 
     opt = command("eval", "score a checkpoint (or the system itself) against the system "
-                  "on a phase-space grid",
-                  "runs/eval", seed=0)
+                  "on a phase-space grid", cmd_eval, "runs/eval", seed=0)
     source_opts(opt)
     opt("--grid-points", None, _int)
     opt("--slice", {}, _axis_slices, action="append", metavar="AXIS=VALUE",
@@ -208,7 +210,7 @@ def _build_parser():
     opt("--fpi-tol", None, _float)
 
     opt = command("integrate", "roll a system or checkpoint forward and dump the trajectory CSV",
-                  "runs/integrate", seed=0)
+                  cmd_integrate, "runs/integrate", seed=0)
     source_opts(opt)
     opt("--method")
     opt("--h", 0.01, _float)
@@ -216,13 +218,14 @@ def _build_parser():
     opt("--y0", None, _numbers(_float), metavar="X1,X2,...")
     solver_opts(opt)
 
-    opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair")
+    opt = command("check-tableau", "verify the symplecticity conditions of a coefficient pair",
+                  cmd_check_tableau)
     opt("--method", help="registered tableau name")
     opt("--file", help="JSON file with a_q, b_q, a_p, b_p arrays")
     opt("--tol", None, _float)
 
     opt = command("grad-check", "compare costate, reverse-tape, and finite-difference gradients",
-                  "runs/grad-check", seed=0)
+                  cmd_grad_check, "runs/grad-check", seed=0)
     system_opts(opt, "coupled_ho")
     opt("--hidden", (8,), _numbers(_int), metavar="H1,H2,...")
     opt("--window-steps", 4, _int)
@@ -231,7 +234,8 @@ def _build_parser():
     opt("--fd-step", 1e-5, _float)
     opt("--fpi-tol", 1e-12, _float)
 
-    opt = command("export-csv", "dump stored trajectories as CSV", "runs/export")
+    opt = command("export-csv", "dump stored trajectories as CSV", cmd_export_csv,
+                  "runs/export")
     opt("--data")
     opt("--which", "noisy", choices=["noisy", "clean"])
     opt("--max-traj", None, _int)
@@ -246,6 +250,7 @@ def _merge_options(namespace, specs):
     numpy is still unloaded."""
     flags = dict(vars(namespace))
     cmd = flags.pop("cmd")
+    del flags["handler"]             # main's dispatch, bound by command()
     threads = flags.pop("threads", None)
     if threads is not None:
         if threads < 1:
@@ -275,7 +280,6 @@ def _merge_options(namespace, specs):
             opts[key] = spec[key][1](value)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{source}: {err}") from None
-    opts["cmd"] = cmd
     return opts
 
 
@@ -524,24 +528,14 @@ def cmd_export_csv(opts):
     return 0
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "integrate": cmd_integrate,
-    "check-tableau": cmd_check_tableau,
-    "grad-check": cmd_grad_check,
-    "export-csv": cmd_export_csv,
-}
-
-
 def main(argv=None):
     parser, specs = _build_parser()
     try:
-        opts = _merge_options(parser.parse_args(argv), specs)
+        namespace = parser.parse_args(argv)
+        opts = _merge_options(namespace, specs)
         import numpy as np           # only now: --threads is applied
         with np.errstate(all="ignore"):
-            return _HANDLERS[opts["cmd"]](opts)
+            return namespace.handler(opts)
     except SystemExit:               # --help has printed its text
         return 0
     except Exception as err:

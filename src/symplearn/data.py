@@ -211,7 +211,11 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     every stride-th stored point, window_steps + 1 of them, so it spans
     window_steps solver steps of size stride * dt.  Returns
     (windows [B, window_steps + 1, 2d], traj_idx, start_idx).
+    window_steps and stride must be integers >= 1.
     """
+    for name, value in (("window_steps", window_steps), ("stride", stride)):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     n_traj, n_points = trajectories.shape[:2]
     span = window_steps * stride
     if span + 1 > n_points:

@@ -314,11 +314,18 @@ def prk_step(f, y, h, tableau, cfg=FpiConfig()):
 # and 3; rows 3 to 5 are the binomial rows (-1)^j C(k+1, j+1), exact on
 # degree k.  Against the binomial rows capped at the quartic they take 28 ->
 # 25 sweeps per 6-step window on the double well and 25 -> 23 on
-# Henon-Heiles, at trained smoke models.  Recorded backprop routes the
-# seed's cotangent through the same weights.
+# Henon-Heiles, at trained smoke models.  `integrate` and recorded
+# backprop's reverse both read the tables only through _seed_terms.
 SEED_WEIGHTS = ((1.0,), (4.0, -3.0), (4.5, -9.0, 5.5), (4.0, -6.0, 4.0, -1.0),
                 (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
 SEED_SLOPES = (0.0, -2.0, 3.0)
+
+
+def _seed_terms(i):
+    """Step i's seed terms: its SEED_WEIGHTS row, on states[i], states[i-1],
+    ..., and its SEED_SLOPES weight on h f(states[0]), 0.0 past the table."""
+    return (SEED_WEIGHTS[min(i, len(SEED_WEIGHTS) - 1)],
+            SEED_SLOPES[i] if i < len(SEED_SLOPES) else 0.0)
 
 
 def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
@@ -357,7 +364,6 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     tableau = None if method == "implicit_midpoint" else TABLEAUX[method]
 
     y = y0
-    top = len(SEED_WEIGHTS) - 1
     slope = []           # h f(y_0), kept from step 0's first sweep
 
     def first_sweep(x):  # step 0's field, evaluated first at (y_0 + y_0) / 2 = y_0
@@ -370,10 +376,10 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
         try:
             if tableau is None:
                 if i:
-                    start = sum(c * states[i - k]
-                                for k, c in enumerate(SEED_WEIGHTS[min(i, top)]))
-                    if i < len(SEED_SLOPES):
-                        start += SEED_SLOPES[i] * slope[0]
+                    weights, slope_weight = _seed_terms(i)
+                    start = sum(c * states[i - k] for k, c in enumerate(weights))
+                    if slope_weight:
+                        start += slope_weight * slope[0]
                     y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
                 else:
                     y, rep = implicit_midpoint_step(first_sweep, y, h, cfg)

@@ -264,15 +264,17 @@ class HamiltonianNet:
     """
 
     def __init__(self, dim, hidden=DEFAULT_HIDDEN):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not (_is_int(dim) and dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+        hidden = tuple(hidden)
+        # no hidden layer leaves H linear in y: a constant field, which no
+        # registered system has
+        if not (hidden and all(_is_int(w) and w >= 1 for w in hidden)):
+            raise ValueError(f"hidden must be a non-empty sequence of integers >= 1, "
+                             f"got {hidden!r}")
         self.dim = int(dim)
+        # Python ints, numpy widths included: save_checkpoint writes arch as JSON
         self.arch = (2 * self.dim, *(int(w) for w in hidden), 1)
-        if len(self.arch) < 3:
-            # linear in y: a constant field, which no registered system has
-            raise ValueError(f"hidden must list at least one layer width, got {hidden!r}")
-        if any(w < 1 for w in self.arch):
-            raise ValueError(f"bad layer widths {self.arch}")
         self.n_params = param_count(self.arch)
         self.workspace = Workspace(self.arch)
 

@@ -202,11 +202,6 @@ def train(manifest, noisy, config):
     if len(val_traj) == 0:
         raise ValueError("dataset has no validation split")
     h = config.stride * manifest.dt
-    span = config.window_steps * config.stride + 1
-    if span > manifest.n_steps + 1:
-        raise ValueError(
-            f"window needs {span} stored points, dataset has {manifest.n_steps + 1}"
-        )
 
     theta = net.init_params(config.seed)
     adam = Adam(net.n_params, lr=config.lr)

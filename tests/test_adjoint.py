@@ -1,6 +1,8 @@
 """Both gradient engines against finite differences and against each other."""
 
+import ast
 import gc
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 from oracles import central_diff, fd_jacobian
 
+import symplearn
+from symplearn import integrators
 from symplearn.adjoint import (backward_through_record, record_rollout,
                                solve_adjoint_accumulate)
 from symplearn.integrators import FpiConfig, NonFiniteError, integrate
@@ -200,8 +204,8 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
     # map's, so only a reverse that also routes each step's leftover
     # first-iterate cotangent back onto the states its seed was extrapolated
     # from matches finite differences of that loss; dropping it reads ~2e-3.
-    # Seven steps use the quintic row twice, so cotangents owed five steps
-    # back pass through every owed buffer
+    # Seven steps use the quintic row twice, so cotangents are owed five
+    # steps back
     net = HamiltonianNet(1, hidden=(8, 8))
     theta = net.init_params(70)
     h, cfg = 0.1, FpiConfig(tol=1e-3, max_iters=4)
@@ -212,6 +216,41 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
         fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta,
                           eps=1e-5)
         assert rel(grad, fd) <= 1e-6
+
+
+def test_backprop_stays_exact_under_a_patched_seed_table(monkeypatch):
+    # the reverse must take its seed terms from where integrate takes them:
+    # with the binomial table capped at the quartic row and no slope rows
+    # patched into integrators, a reverse that kept the shipped table reads
+    # 9.0e-6 against central differences of the computed loss, and one that
+    # reads the patched table 1.5e-10
+    monkeypatch.setattr(integrators, "SEED_WEIGHTS", (
+        (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+        (5.0, -10.0, 10.0, -5.0, 1.0)))
+    monkeypatch.setattr(integrators, "SEED_SLOPES", ())
+    net = HamiltonianNet(1, hidden=(8, 8))
+    theta = net.init_params(70)
+    h = 0.1
+    config = TrainConfig(grad_mode="backprop", fpi=FpiConfig(tol=1e-3, max_iters=4),
+                         hidden=(8, 8))
+    windows = make_windows(net, theta, batch=4, n_steps=7, h=h, seed=71)
+    _, grad, _ = loss_and_grad(net, theta, windows, h, config)
+    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta, eps=1e-5)
+    assert rel(grad, fd) <= 1e-8
+
+
+def test_only_integrators_names_the_seed_tables():
+    # a second module that read SEED_WEIGHTS or SEED_SLOPES could drift from
+    # the forward pass's seed; everything else goes through _seed_terms
+    names = {"SEED_WEIGHTS", "SEED_SLOPES"}
+    readers = set()
+    for path in sorted(pathlib.Path(symplearn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in names)
+                    or (isinstance(node, ast.alias) and node.name in names)):
+                readers.add(path.name)
+    assert readers == {"integrators.py"}
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -186,6 +186,22 @@ def test_every_declared_option_is_read(argv, dataset, tmp_path, monkeypatch, cap
     assert set(specs[argv[0]]) - runs[0].read == set()
 
 
+def test_window_longer_than_the_trajectories_exits_one(tmp_path, capsys):
+    # 7 steps of stride 25 span 176 stored points and a smoke trajectory
+    # has 161; the window sampler's check reports it before any solve, and
+    # no output directory is made
+    ds = tmp_path / "ds"
+    assert main(["gen-data", "--smoke", "--n-train", "4", "--n-val", "2",
+                 "--out-dir", str(ds)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(ds), "--window-steps", "7", "--stride", "25",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: window needs 176 stored points, trajectories have 161\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_dataset_names_the_path(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nowhere"),
                  "--out-dir", str(tmp_path / "out")])

@@ -193,6 +193,19 @@ def test_sample_windows_degenerate_fit(tmp_path):
         sample_windows(noisy, 8, window_steps=5, rng=rng, stride=5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("stride", 0), ("stride", -1), ("stride", 2.5), ("stride", True),
+    ("window_steps", 0), ("window_steps", 1.5),
+])
+def test_sample_windows_rejects_non_positive_or_fractional_sizes(name, value):
+    # stride 0 divided by zero, -1 cut 1-point windows and 2.5 indexed out of
+    # range; each must be a ValueError naming the argument
+    noisy = np.zeros((2, 11, 2))
+    kw = {"window_steps": 2, "stride": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        sample_windows(noisy, 4, rng=np.random.default_rng(0), **kw)
+
+
 def test_load_rejects_truncated_arrays(tmp_path):
     small_dataset(tmp_path)
     root = tmp_path / "ds"

@@ -415,9 +415,17 @@ def test_methods_are_pure():
 
 
 def test_bad_shapes_are_rejected():
-    # a net with no hidden layer is linear in y, so its field is constant
-    with pytest.raises(ValueError, match="^hidden "):
-        HamiltonianNet(1, hidden=())
+    # a net with no hidden layer is linear in y, so its field is constant;
+    # int() would turn widths 2.7 and 3.9 into 2 and 3, dim 1.5 into 1 and
+    # True into a width-1 layer, so each must fail naming what it is
+    for hidden in ((), (2.7, 3.9), (True,)):
+        with pytest.raises(ValueError, match="^hidden "):
+            HamiltonianNet(1, hidden=hidden)
+    with pytest.raises(ValueError, match="^dim "):
+        HamiltonianNet(1.5)
+    # numpy integers are integers, and arch keeps Python ints for the JSON header
+    net = HamiltonianNet(np.int64(1), hidden=np.array([3, 4]))
+    assert net.arch == (2, 3, 4, 1) and all(type(w) is int for w in net.arch)
     net = HamiltonianNet(1)
     theta = net.init_params(0)
     with pytest.raises(ValueError):
