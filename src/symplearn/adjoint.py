@@ -24,7 +24,7 @@ parameter term's tangent-over-reverse runs on that tape and the primal
 reverse's kept slopes and cotangents.  The
 parameter gradient accumulates in place, one quadrature term per step, and
 every step writes its tape and primal reverse over the last step's, in the
-net's workspace, so the engine holds one step's pieces at a time and its
+net's buffer set, so the engine holds one step's pieces at a time and its
 footprint does not grow with the window length.  Each engine call prepares
 the network once (HamiltonianNet.prepare) for all its passes.
 

@@ -480,21 +480,18 @@ def cmd_grad_check(opts):
     seed, h, n_steps = opts["seed"], opts["h"], opts["window_steps"]
     theta = net.init_params(seed)
     windows = profile_windows(system, opts["batch_size"], n_steps, h, seed)
+    adjoint, backprop = (TrainConfig(grad_mode=mode, fpi=_fpi(opts))
+                         for mode in ("adjoint", "backprop"))
 
-    def config(mode):
-        return TrainConfig(grad_mode=mode, window_steps=n_steps, fpi=_fpi(opts),
-                           seed=seed)
+    loss0, g_adj, _ = loss_and_grad(net, theta, windows, h, adjoint)
+    _, g_bp, _ = loss_and_grad(net, theta, windows, h, backprop)
 
-    loss0, g_adj, _ = loss_and_grad(net, theta, windows, h, config("adjoint"))
-    _, g_bp, _ = loss_and_grad(net, theta, windows, h, config("backprop"))
-
-    cfg_fwd = config("adjoint")
     g_fd = np.empty(net.n_params)
     for i in range(net.n_params):
         bump = np.zeros(net.n_params)
         bump[i] = step
-        up = _forward_loss(net, theta + bump, windows, h, cfg_fwd)
-        dn = _forward_loss(net, theta - bump, windows, h, cfg_fwd)
+        up = _forward_loss(net, theta + bump, windows, h, adjoint)
+        dn = _forward_loss(net, theta - bump, windows, h, adjoint)
         g_fd[i] = (up - dn) / (2.0 * step)
 
     scale = max(float(np.max(np.abs(g_adj))), float(np.max(np.abs(g_fd))), 1e-300)

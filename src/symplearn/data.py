@@ -32,7 +32,7 @@ import pathlib
 
 import numpy as np
 
-from .integrators import REFERENCE_FPI, _is_finite, _is_int, integrate
+from .integrators import REFERENCE_FPI, _check_count, _is_finite, _is_int, integrate
 from .systems import get_system
 
 MANIFEST_FORMAT_VERSION = 2
@@ -76,9 +76,7 @@ class DatasetManifest:
         finite numbers."""
         for name, low in (("dim", 1), ("seed", 0), ("n_train", 1), ("n_val", 0),
                           ("n_steps", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"manifest {name} must be an integer >= {low}, got {value!r}")
+            _check_count(f"manifest {name}", getattr(self, name), low)
         if not (_is_finite(self.dt) and self.dt > 0):
             raise ValueError(f"manifest dt must be a finite number > 0, got {self.dt!r}")
         if not (_is_finite(self.noise_std) and self.noise_std >= 0):
@@ -211,11 +209,11 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     every stride-th stored point, window_steps + 1 of them, so it spans
     window_steps solver steps of size stride * dt.  Returns
     (windows [B, window_steps + 1, 2d], traj_idx, start_idx).
-    window_steps and stride must be integers >= 1.
+    batch_size, window_steps and stride must be integers >= 1.
     """
-    for name, value in (("window_steps", window_steps), ("stride", stride)):
-        if not (_is_int(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value in (("batch_size", batch_size), ("window_steps", window_steps),
+                        ("stride", stride)):
+        _check_count(name, value)
     n_traj, n_points = trajectories.shape[:2]
     span = window_steps * stride
     if span + 1 > n_points:
@@ -284,10 +282,9 @@ def export_csv(dataset_dir, out_path, which="noisy", max_traj=None):
     manifest, clean, noisy = load_dataset(dataset_dir)
     if which not in ("clean", "noisy"):
         raise ValueError("which must be 'clean' or 'noisy'")
-    if max_traj is not None and max_traj < 1:
-        raise ValueError(f"max_traj must be at least 1, got {max_traj}")
     data = clean if which == "clean" else noisy
     if max_traj is not None:
+        _check_count("max_traj", max_traj)
         data = data[:max_traj]
     d = manifest.dim
     cols = ["traj", "step", "t"] + [f"q{i}" for i in range(d)] + [f"p{i}" for i in range(d)]

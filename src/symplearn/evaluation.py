@@ -9,7 +9,7 @@ something about generalization rather than memorized paths.
 
 import numpy as np
 
-from .integrators import NonFiniteError, _is_int
+from .integrators import NonFiniteError, _check_count, _is_int
 
 GRID_POINTS_PER_AXIS = 33
 
@@ -23,8 +23,7 @@ def phase_grid(system, points_per_axis=GRID_POINTS_PER_AXIS, slices=None):
     [0, 2d) or on a grid axis is a ValueError.  Returns (points [P*P, 2d],
     meta dict).
     """
-    if not (_is_int(points_per_axis) and points_per_axis >= 1):
-        raise ValueError(f"points_per_axis must be an integer >= 1, got {points_per_axis!r}")
+    _check_count("points_per_axis", points_per_axis)
     d = system.dim
     width = 2 * d
     free_q, free_p = d - 1, 2 * d - 1

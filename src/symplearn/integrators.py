@@ -43,6 +43,12 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name, value, low=1):
+    """Raise ValueError naming name unless value is an integer >= low."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _is_finite(value):
     """An integer or a finite float, not a boolean."""
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
@@ -191,8 +197,7 @@ class FpiConfig:
     def __post_init__(self):
         if not (_is_finite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
-        if not (_is_int(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -347,8 +352,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     a solve that stops at cfg.max_iters short of cfg.tol raises
     NonFiniteError naming the step, as a non-finite state does.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_count("n_steps", n_steps)
     if h == 0:
         raise ValueError("h must be nonzero")
     y0 = np.asarray(y0, dtype=np.float64)

@@ -27,18 +27,18 @@ of the input layer's W^T with the canonical rotation (dH/dp, -dH/dq) folded
 into its columns, so a field evaluation ends on the field itself, and the
 weight-only products of the closed-form Hessian.
 
-Every [B, n] array a pass writes and no caller keeps lives in the net's
-Workspace: one buffer set, for the batch size in hand, replaced when a pass
-runs at another size, so a training run allocates its working memory once
-instead of once per pass (a fresh process otherwise spends much of its time
-faulting freed temporaries back in).  The set also holds the hidden biases
-and the head row tiled to [B, n], refilled whenever a pass runs on another
-PreparedNet, so the forward pass's bias adds and each reverse's first
-multiply run same-shape instead of broadcasting a row (bit for bit the same
-result, in less than half the time).  Passes write into the set with out=,
-so results are bit for bit those of fresh arrays.  What a caller keeps is
-always fresh: field values, field_vjp's ybar, the Hessian and the
-activations of a taped forward pass.
+Every [B, n] array a pass writes and no caller keeps, and the parameter
+gradient, live in the net's one buffer set, for the batch size in hand,
+replaced when a pass runs at another size, so a training run allocates its
+working memory once instead of once per pass (a fresh process otherwise
+spends much of its time faulting freed temporaries back in).  The set also
+holds the hidden biases and the head row tiled to [B, n], refilled whenever
+a pass runs on another PreparedNet, so the forward pass's bias adds and
+each reverse's first multiply run same-shape instead of broadcasting a row
+(bit for bit the same result, in less than half the time).  Passes write
+into the set with out=, so results are bit for bit those of fresh arrays.
+What a caller keeps is always fresh: field values, field_vjp's ybar, the
+Hessian and the activations of a taped forward pass.
 
 One tangent-over-reverse routine, _tangent_reverse, serves the reverse
 through a recorded field evaluation (field_vjp) and the costate step's
@@ -51,7 +51,7 @@ Each pass does only the work its output needs: the output layer is linear
 with one unit, so reverse sweeps start just below it from the row W_L[:, 0],
 only eval_h runs the output layer's matmul, and nothing zero or thrown away
 is computed.  Passes never write into theta, a tape, a direction or a tiled
-row.  A pass's workspace results hold until the next pass on the same net
+row.  A pass's results in the set hold until the next pass on the same net
 overwrites them; _tangent_reverse also consumes the primal reverse's
 curvatures handed to it.
 
@@ -68,13 +68,27 @@ import pathlib
 import numpy as np
 
 from .data import _read_json, open_atomically
-from .integrators import _is_int
+from .integrators import _check_count, _is_int
 
 CHECKPOINT_FORMAT_VERSION = 1
 _HEADER_KEYS = {"format_version", "kind", "dim", "arch", "seed", "param_count", "dtype",
                 "data_file"}
 
 DEFAULT_HIDDEN = (16, 32, 16)
+
+
+def _widths(hidden):
+    """The hidden widths as a tuple of Python ints (save_checkpoint writes
+    arch as JSON), from a list, a tuple or a 1-D integer array.  With no
+    hidden layer H is linear in y and its field constant, which no
+    registered system has."""
+    sequence = isinstance(hidden, (list, tuple)) or (isinstance(hidden, np.ndarray)
+                                                      and hidden.ndim == 1)
+    widths = tuple(hidden) if sequence else ()
+    if not (widths and all(_is_int(w) and w >= 1 for w in widths)):
+        raise ValueError(f"hidden must be a non-empty sequence of integers >= 1, "
+                         f"got {hidden!r}")
+    return tuple(int(w) for w in widths)
 
 
 def param_count(arch):
@@ -167,7 +181,7 @@ class PreparedNet:
 # IA-32 Architectures Optimization Reference Manual, 3.6.8): on a Xeon, a
 # [512, 32] product writing 16-48 B past an operand took 9.0-9.3 us against
 # 4.5-4.7 us at 64 B or more.  Fresh arrays of these sizes land 16 B apart
-# mod 4 KiB (the allocator's chunk header), so workspace buffers are placed.
+# mod 4 KiB (the allocator's chunk header), so the scratch buffers are placed.
 _PAGE = 4096
 _GAP = 64          # the least distance between two buffers' offsets mod _PAGE
 
@@ -200,7 +214,9 @@ class _Buffers:
     per input direction, then its product buffer; tans[k] shares the first,
     since the Hessian pass ends before a tangent reverse starts.  head is
     the head row tiled, ones the batch-sum row, and owner the PreparedNet
-    the tiled rows were filled from.
+    the tiled rows were filled from.  grad is one flat parameter gradient
+    laid out like theta, with its (W, b) views, which every _tangent_reverse
+    overwrites.
     """
 
     def __init__(self, batch, arch):
@@ -220,37 +236,8 @@ class _Buffers:
         self.hess = [self.hess[i:i + width + 1] for i in range(0, len(self.hess), width + 1)]
         self.tans += [held[0] for held in self.hess]
         self.owner = None
-
-
-class Workspace:
-    """The scratch one HamiltonianNet's passes write into, for the net's
-    lifetime: the _Buffers set of the batch size in hand, which a pass at
-    another size replaces, and grad, one flat parameter gradient laid out
-    like theta with its (W, b) views, which every _tangent_reverse
-    overwrites.
-    """
-
-    def __init__(self, arch):
-        self.arch = arch
-        self.bufs = None
         flat = np.empty(param_count(arch))
         self.grad = flat, _split(flat, zip(arch[:-1], arch[1:]))
-
-    def __getitem__(self, batch):
-        """The buffer set of batch, made when the set in hand is of another size."""
-        if self.bufs is None or self.bufs.batch != batch:
-            self.bufs = _Buffers(batch, self.arch)
-        return self.bufs
-
-    def _filled(self, prep, batch):
-        """The buffer set of batch, its tiled rows filled from prep."""
-        bufs = self[batch]
-        if bufs.owner is not prep:
-            for row, (_, b) in zip(bufs.biases, prep.layers[:-1]):
-                row[:] = b
-            bufs.head[:] = prep.head
-            bufs.owner = prep
-        return bufs
 
 
 class HamiltonianNet:
@@ -259,24 +246,29 @@ class HamiltonianNet:
     All public methods accept a single point [2d] or a batch [B, 2d] and
     give pure results: bit-identical for identical inputs, whatever ran
     before.  Scratch is held: the passes write their working arrays into
-    the net's Workspace, which no method returns apart from field_vjp's
-    parameter gradient.
+    the net's one _Buffers set (_scratch), which no method returns apart
+    from field_vjp's parameter gradient.
     """
 
     def __init__(self, dim, hidden=DEFAULT_HIDDEN):
-        if not (_is_int(dim) and dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-        hidden = tuple(hidden)
-        # no hidden layer leaves H linear in y: a constant field, which no
-        # registered system has
-        if not (hidden and all(_is_int(w) and w >= 1 for w in hidden)):
-            raise ValueError(f"hidden must be a non-empty sequence of integers >= 1, "
-                             f"got {hidden!r}")
+        _check_count("dim", dim)
         self.dim = int(dim)
-        # Python ints, numpy widths included: save_checkpoint writes arch as JSON
-        self.arch = (2 * self.dim, *(int(w) for w in hidden), 1)
+        self.arch = (2 * self.dim, *_widths(hidden), 1)
         self.n_params = param_count(self.arch)
-        self.workspace = Workspace(self.arch)
+        self._bufs = None
+
+    def _scratch(self, prep, batch):
+        """The buffer set of batch, made when the set in hand is of another
+        size, with its tiled rows filled from prep."""
+        bufs = self._bufs
+        if bufs is None or bufs.batch != batch:
+            bufs = self._bufs = _Buffers(batch, self.arch)
+        if bufs.owner is not prep:
+            for row, (_, b) in zip(bufs.biases, prep.layers[:-1]):
+                row[:] = b
+            bufs.head[:] = prep.head
+            bufs.owner = prep
+        return bufs
 
     # ------------------------------------------------------------------
     # parameters
@@ -312,11 +304,11 @@ class HamiltonianNet:
         Every reverse starts below the linear output layer, which only
         eval_h applies.
 
-        Each layer's product lands in the workspace, or with taped set in a
+        Each layer's product lands in the buffer set, or with taped set in a
         fresh array that a tape may keep; its bias add (of the tiled bias
         rows) and tanh run in place on it.
         """
-        bufs = self.workspace._filled(prep, len(y))
+        bufs = self._scratch(prep, len(y))
         acts = [y]
         for (w, _), bias, z in zip(prep.layers[:-1], bufs.biases, bufs.acts):
             if taped:
@@ -332,7 +324,7 @@ class HamiltonianNet:
         head row; with field set, the canonical field (dH/dp, -dH/dq) instead,
         through the reverse chain that has the rotation folded in.
         """
-        bufs = self.workspace._filled(prep, len(acts[0]))
+        bufs = self._scratch(prep, len(acts[0]))
         bar = bufs.head
         back = prep.field_chain if field else prep.wt
         for l in range(len(back) - 1, -1, -1):
@@ -351,10 +343,10 @@ class HamiltonianNet:
             curv[l]   = -2 a g_l               delta_l * tanh''(z_l)
 
         delta_l being the cotangent on a_{l+1}.  All three are the
-        workspace's lists; _tangent_reverse overwrites curv, so the pieces
+        buffer set's lists; _tangent_reverse overwrites curv, so the pieces
         serve one tangent-over-reverse at most.
         """
-        bufs = self.workspace._filled(prep, len(acts[0]))
+        bufs = self._scratch(prep, len(acts[0]))
         delta = bufs.head
         for l in range(len(prep.layers) - 2, -1, -1):
             a = acts[l + 1]
@@ -385,13 +377,13 @@ class HamiltonianNet:
         gz = curv_l * zt_l + s * slope_l, s the cotangent on a_{l+1}; the
         first term is formed on the way forward.  Batch sums are products
         with a row of ones, and the layer gradients land in the views of
-        the workspace's one gradient buffer, which the next pass overwrites.
+        the buffer set's gradient, which the next pass overwrites.
 
         The pass consumes primal: gz is formed in place over curv_l, so the
         caller must never hand it in again.
         """
         slopes, cots, gzs = primal
-        bufs = self.workspace._filled(prep, len(w_dir))
+        bufs = self._scratch(prep, len(w_dir))
         last = len(prep.layers) - 1
         tans = [w_dir]
         for l in range(last):
@@ -400,7 +392,7 @@ class HamiltonianNet:
             zt *= slopes[l]
             tans.append(zt)
 
-        grad, grads = self.workspace.grad
+        grad, grads = bufs.grad
         ones = bufs.ones
         dw, db = grads[last]
         dw[:, 0] = ones @ tans[last]
@@ -486,13 +478,13 @@ class HamiltonianNet:
         upper-triangle entries h_ij, j >= i, as row dots of t_i * curv_l
         against t_j, and the upper triangle is mirrored onto the lower at the
         end, so hess is exactly symmetric.  Each layer's tangents and its one
-        product buffer are the workspace's; only hess is fresh.  The
+        product buffer are the buffer set's; only hess is fresh.  The
         costate step at dim 1 solves its 2x2 system from h00, h01 and h11
         by Cramer's rule (adjoint._cramer_step).
         """
         acts = self._forward(prep, y)
         primal = self._primal_reverse(prep, acts)
-        held = self.workspace[len(y)].hess
+        held = self._scratch(prep, len(y)).hess
         batch, width = y.shape
         slopes, _, curv = primal
         pairs, cross = prep.hess_terms
@@ -528,7 +520,7 @@ class HamiltonianNet:
 
         This is the workhorse of the backprop-through-solver engine: one
         primal reverse over the tape, then _tangent_reverse on its pieces.
-        ybar is fresh; thetabar is the workspace's gradient buffer, valid
+        ybar is fresh; thetabar is the buffer set's gradient, valid
         until the next parameter reverse on this net.
         """
         primal = self._primal_reverse(prep, acts)

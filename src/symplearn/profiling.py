@@ -6,7 +6,7 @@ taped rollout through its reverse, which keeps every solver iterate's tape
 and grows linearly with the window length, and the costate sweep alone, which
 re-derives what it needs from the stored states and partials (checkpoints,
 not counted) and holds only one step's work buffers, in its net's
-workspace.  Wall time is the minimum over repeats of a full, untraced
+buffer set.  Wall time is the minimum over repeats of a full, untraced
 loss+gradient evaluation.  Every row runs one regime: a fresh coupled_ho
 network (seed 0) on 512 noise-free windows at h = 0.01, where steps take
 about one fixed-point sweep, fewer than in training.
@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import backward_through_record, solve_adjoint_accumulate
 from .data import sample_initial_conditions
-from .integrators import REFERENCE_FPI, _is_int, integrate
+from .integrators import REFERENCE_FPI, _check_count, integrate
 from .memory import METER
 from .model import HamiltonianNet
 from .systems import get_system
@@ -40,8 +40,7 @@ class ProfileRow:
 def profile_windows(system, batch_size, window_steps, h, seed):
     """Noise-free windows rolled out from the true field: the profile should
     measure engine overhead, not data quality."""
-    if not (_is_int(batch_size) and batch_size >= 1):
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    _check_count("batch_size", batch_size)
     y0 = sample_initial_conditions(system, batch_size, np.random.default_rng((seed, 4)))
     states, _ = integrate(system.dynamics, y0, h, window_steps,
                           method="implicit_midpoint", cfg=REFERENCE_FPI)
@@ -51,7 +50,7 @@ def profile_windows(system, batch_size, window_steps, h, seed):
 def engine_peak(net, theta, windows, h, config):
     """Traced peak bytes of the gradient engine for one batch, computed as
     loss_and_grad computes it.  The engine runs on a fresh net of net's
-    shape made inside the measured block, so the peak counts the workspace
+    shape made inside the measured block, so the peak counts the buffer set
     it writes into, whatever net has run before."""
     if config.grad_mode == "adjoint":
         _, partials, states, _, _ = _rollout(net, theta, windows, h, config)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import adjoint as adj
 from .data import sample_windows, split_dataset
-from .integrators import FpiConfig, NonFiniteError, _is_finite, _is_int, integrate
-from .model import DEFAULT_HIDDEN, HamiltonianNet
+from .integrators import FpiConfig, NonFiniteError, _check_count, _is_finite, integrate
+from .model import DEFAULT_HIDDEN, HamiltonianNet, _widths
 
 
 def window_loss(pred_states, windows):
@@ -110,17 +110,12 @@ class TrainConfig:
         for name, low in (("window_steps", 1), ("stride", 1), ("batch_size", 1),
                           ("epochs", 0), ("windows_per_traj", 1), ("seed", 0),
                           ("val_batches", 1)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_count(name, getattr(self, name), low)
         if not (_is_finite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a positive finite number, got {self.lr!r}")
         if not isinstance(self.fpi, FpiConfig):
             raise ValueError(f"fpi must be an FpiConfig, got {self.fpi!r}")
-        if not (isinstance(self.hidden, (tuple, list)) and self.hidden
-                and all(_is_int(w) and w >= 1 for w in self.hidden)):
-            raise ValueError(f"hidden must be a non-empty sequence of integers >= 1, "
-                             f"got {self.hidden!r}")
+        object.__setattr__(self, "hidden", _widths(self.hidden))
 
 
 def _rollout(net, theta, windows, h, config, record=False):

@@ -16,7 +16,7 @@ from symplearn.adjoint import (backward_through_record, record_rollout,
                                solve_adjoint_accumulate)
 from symplearn.integrators import FpiConfig, NonFiniteError, integrate
 from symplearn.memory import METER
-from symplearn.model import HamiltonianNet, Workspace
+from symplearn.model import HamiltonianNet
 from symplearn.profiling import engine_peak, profile_windows
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, _forward_loss, loss_and_grad, window_loss
@@ -276,9 +276,9 @@ def test_backprop_is_exact_through_the_slope_seeds(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_reused_gradient_buffer_is_never_read_after_the_next_pass(monkeypatch, dim):
-    # every parameter reverse of an engine call writes into the workspace's
+    # every parameter reverse of an engine call writes into the buffer set's
     # one gradient buffer; both engines must give, bit for bit, the gradient
-    # they give when each of those passes writes into a fresh workspace of
+    # they give when each of those passes writes into a fresh buffer set of
     # its own
     net = HamiltonianNet(dim, hidden=(6, 5))
     theta = net.init_params(76)
@@ -289,11 +289,11 @@ def test_reused_gradient_buffer_is_never_read_after_the_next_pass(monkeypatch, d
     shared = HamiltonianNet._tangent_reverse
 
     def own_buffer(self, *args):
-        kept, self.workspace = self.workspace, Workspace(self.arch)
+        kept, self._bufs = self._bufs, None
         try:
             return shared(self, *args)
         finally:
-            self.workspace = kept
+            self._bufs = kept
 
     monkeypatch.setattr(HamiltonianNet, "_tangent_reverse", own_buffer)
     got = [adjoint_grad(net, theta, windows, h, TIGHT),
@@ -564,7 +564,7 @@ def test_meter_sees_a_buffer_no_engine_code_mentions(monkeypatch):
             solve_adjoint_accumulate(net, theta, states, partials, 0.05)
         return block.peak_bytes
 
-    peak()                       # makes the net's workspace, which both peaks then share
+    peak()                       # makes the net's buffer set, which both peaks then share
 
     clean = peak()
     stash = []

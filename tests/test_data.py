@@ -14,6 +14,7 @@ from symplearn.data import (CLEAN_NAME, DatasetManifest, MANIFEST_FORMAT_VERSION
                             MANIFEST_NAME, NOISY_NAME, export_csv, generate_dataset,
                             load_dataset, sample_initial_conditions,
                             sample_windows, split_dataset)
+from symplearn.integrators import integrate
 from symplearn.systems import get_system
 
 
@@ -204,6 +205,25 @@ def test_sample_windows_rejects_non_positive_or_fractional_sizes(name, value):
     kw = {"window_steps": 2, "stride": 1, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         sample_windows(noisy, 4, rng=np.random.default_rng(0), **kw)
+
+
+@pytest.mark.parametrize("name", ["n_steps", "batch_size", "max_traj"])
+@pytest.mark.parametrize("value", [True, 2.5, 0])
+def test_count_arguments_are_integers_at_least_one(tmp_path, name, value):
+    # integrate's n_steps, sample_windows' batch_size and export_csv's
+    # max_traj: True used to run one step or export one trajectory,
+    # batch_size 0 gave an empty batch, and 2.5 raised TypeError; each must
+    # be a ValueError naming the argument
+    if name == "max_traj":
+        small_dataset(tmp_path, n_steps=5)
+    calls = {
+        "n_steps": lambda: integrate(lambda y: -y, np.zeros(2), 0.1, value),
+        "batch_size": lambda: sample_windows(np.zeros((2, 11, 2)), value, 2,
+                                             np.random.default_rng(0)),
+        "max_traj": lambda: export_csv(tmp_path / "ds", tmp_path / "dump.csv", max_traj=value),
+    }
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+        calls[name]()
 
 
 def test_load_rejects_truncated_arrays(tmp_path):

@@ -237,9 +237,9 @@ def test_mixed_sweep_matches_the_reference_sweep(hidden, dim, batch):
 
 @pytest.mark.parametrize("hidden", [(1,), (16, 32, 16)])
 def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
-    # the passes write only into fresh arrays and the net's workspace:
+    # the passes write only into fresh arrays and the net's buffer set:
     # theta, the tape and the direction come out untouched, and the same
-    # calls again refill every workspace buffer they returned with the same
+    # calls again refill every set buffer they returned with the same
     # bits and leave every fresh result alone
     net = HamiltonianNet(2, hidden=hidden)
     theta = net.init_params(24)
@@ -274,7 +274,7 @@ def test_workspace_buffers_sit_apart_mod_4k(dim):
     # operand mod 4 KiB runs at about half speed (4K aliasing); every pair
     # of one batch size's buffers must start at least 64 B apart mod 4 KiB
     net = HamiltonianNet(dim)
-    placed = net.workspace[512].placed
+    placed = net._scratch(net.prepare(net.init_params(0)), 512).placed
     offsets = sorted(a.__array_interface__["data"][0] % 4096 for a in placed)
     assert len(offsets) >= 6 * len(net.arch[1:-1])
     gaps = np.diff(offsets + [offsets[0] + 4096])
@@ -287,15 +287,16 @@ def test_workspace_holds_the_buffer_set_of_one_batch_size():
     net = HamiltonianNet(1, hidden=(4,))
     field = net.field(net.init_params(34))
     field(np.zeros((512, 2)))
-    first = weakref.ref(net.workspace[512])
+    first = weakref.ref(net._bufs)
+    assert first().batch == 512
     field(np.zeros((7, 2)))
-    assert first() is None and net.workspace[7].batch == 7
+    assert first() is None and net._bufs.batch == 7
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_results_callers_keep_share_no_memory_with_the_workspace(dim):
     # field values, field_vjp's ybar and the Hessian are held by solvers and
-    # engines across later passes, so none of them may be a workspace buffer
+    # engines across later passes, so none of them may be a scratch buffer
     net = HamiltonianNet(dim)
     theta = net.init_params(32)
     rng = np.random.default_rng(33)
@@ -306,7 +307,7 @@ def test_results_callers_keep_share_no_memory_with_the_workspace(dim):
     kept = [net.field(theta)(y), net.field(theta, tapes)(y), *tapes[0][1:],
             net.field_vjp(prep, net._forward(prep, y), u)[0], net._hess_and_tape(prep, y)[0]]
     for array in kept:
-        for buffer in net.workspace[64].placed:
+        for buffer in net._bufs.placed:
             assert not np.shares_memory(array, buffer)
 
 
@@ -337,7 +338,7 @@ def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
 @pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
     # one net serves batches of 512, 1 and 3 in turn, each from the
-    # workspace's bias and head rows tiled to the batch size in hand.  The
+    # buffer set's bias and head rows tiled to the batch size in hand.  The
     # forward pass and the first multiply of each reverse must equal the
     # broadcasting reference bit for bit, every pass must equal the same
     # pass on a fresh PreparedNet, and after each size's passes the tiled
@@ -375,7 +376,8 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
         fresh = net.prepare(theta)
         for got, ref in zip(net.field_vjp(prep, acts, u), net.field_vjp(fresh, acts, u)):
             assert np.array_equal(got, ref)
-        bufs = net.workspace[batch]
+        bufs = net._bufs
+        assert bufs.batch == batch
         for (_, b), tiled in zip(layers[:-1], bufs.biases, strict=True):
             assert np.array_equal(tiled, np.broadcast_to(b, tiled.shape))
         assert np.array_equal(bufs.head, np.broadcast_to(head, bufs.head.shape))
@@ -417,8 +419,9 @@ def test_methods_are_pure():
 def test_bad_shapes_are_rejected():
     # a net with no hidden layer is linear in y, so its field is constant;
     # int() would turn widths 2.7 and 3.9 into 2 and 3, dim 1.5 into 1 and
-    # True into a width-1 layer, so each must fail naming what it is
-    for hidden in ((), (2.7, 3.9), (True,)):
+    # True into a width-1 layer, and a bare width 5 is no sequence, so each
+    # must fail naming what it is
+    for hidden in ((), (2.7, 3.9), (True,), 5):
         with pytest.raises(ValueError, match="^hidden "):
             HamiltonianNet(1, hidden=hidden)
     with pytest.raises(ValueError, match="^dim "):

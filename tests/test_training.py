@@ -308,7 +308,7 @@ def test_each_stream_tag_has_one_call_site():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
 def test_one_net_serves_every_batch_size_as_fresh_nets_do(grad_mode, dim):
-    # one net's workspace keeps one buffer set and replaces it when the
+    # one net keeps one buffer set and replaces it when the
     # batch size changes; calls at 512, 7 and 512 rows on one net, each at
     # its own theta, must equal, bit for bit, the same calls each on a net
     # of its own
@@ -330,7 +330,7 @@ def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env):
     # a fresh process must not hand its working memory back to the kernel
     # between batches: two epochs of 8 batches of 512 windows may take at
     # most 2,000 minor faults beyond the same run with no epoch (about 350
-    # with the workspace; freeing each pass's buffers took about 23,000)
+    # with the net's buffer set; freeing each pass's buffers took about 23,000)
     generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=128, n_val=16,
                      n_steps=160)
 
