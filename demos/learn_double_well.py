@@ -2,7 +2,9 @@
 
 Generates a small noisy dataset, fits the Hamiltonian network with the
 costate (adjoint) gradient engine, and scores the result on a phase-space
-grid the training data never visited.  Takes well under a minute.
+grid the training data never visited.  train() yields each epoch's record as
+the epoch ends, so the table below grows while the fit runs.  Takes well
+under a minute.
 
     python3 demos/learn_double_well.py
 """
@@ -15,7 +17,7 @@ from symplearn.data import generate_dataset
 from symplearn.evaluation import energy_drift, evaluate_ood
 from symplearn.integrators import integrate
 from symplearn.systems import get_system
-from symplearn.training import TrainConfig, train
+from symplearn.training import TrainConfig, saturation_epoch, train
 
 
 def main():
@@ -29,16 +31,16 @@ def main():
         print(f"training {config.epochs} epochs "
               f"({config.grad_mode} gradients, window of "
               f"{config.window_steps} solver steps) ...")
-        result = train(manifest, noisy, config)
+        print(f"  {'epoch':>5s} {'train loss':>12s} {'val loss':>12s} {'lr':>10s}")
+        val_losses = []
+        for m, net, theta in train(manifest, noisy, config):
+            print(f"  {m['epoch']:5d} {m['train_loss']:12.4e} {m['val_loss']:12.4e} "
+                  f"{m['lr']:10.3g}")
+            val_losses.append(m["val_loss"])
+    saturated = saturation_epoch(val_losses[1:])
+    if saturated is not None:
+        print(f"validation loss saturated at epoch {saturated}")
 
-    print(f"  {'epoch':>5s} {'train loss':>12s} {'val loss':>12s} {'lr':>10s}")
-    for m in result.metrics:
-        print(f"  {m['epoch']:5d} {m['train_loss']:12.4e} {m['val_loss']:12.4e} "
-              f"{m['lr']:10.3g}")
-    if result.saturation_epoch is not None:
-        print(f"validation loss saturated at epoch {result.saturation_epoch}")
-
-    net, theta = result.net, result.theta
     system = get_system("double_well")
     grid, _ = evaluate_ood(lambda pts: net.eval_h(theta, pts),
                            lambda pts: net.dynamics(theta, pts), system)

@@ -21,14 +21,14 @@ integer like every other option, and _merge_options sets the BLAS variables
 before any handler imports numpy.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
-Exit 1 is a ValueError, OSError or KeyError: a bad flag or value, or a file
-that cannot be read or does not hold what it should; the four JSON files
-(config, tableau, dataset manifest, checkpoint header) all go through
-data._read_json, whose error names the file.  Exit 2 is a NonFiniteError
-from any command (a non-finite state, loss or gradient, a singular costate
-solve, or a solve that stopped at max_iters short of its tolerance).  A
-failure prints one line on stderr: handlers run with NumPy's floating-point
-warnings off.
+Exit 1 is a ValueError, OSError, KeyError or MemoryError: a bad flag or
+value, a size too large to allocate, or a file that cannot be read or does
+not hold what it should; the four JSON files (config, tableau, dataset
+manifest, checkpoint header) all go through data._read_json, whose error
+names the file.  Exit 2 is a NonFiniteError from any command (a non-finite
+state, loss or gradient, a singular costate solve, or a solve that stopped
+at max_iters short of its tolerance).  A failure prints one line on stderr:
+handlers run with NumPy's floating-point warnings off.
 """
 
 import argparse
@@ -335,25 +335,27 @@ def _train_config(opts):
 
 
 def cmd_train(opts):
+    """Train; --out-dir is made once epoch 0 is scored, metrics.csv rewritten
+    as each epoch ends, and the checkpoint written after the last one."""
     from .data import load_dataset, write_csv
     from .model import save_checkpoint
-    from .training import train
+    from .training import saturation_epoch, train
     if not opts["data"]:
         raise ValueError("--data (dataset directory) is required")
     manifest, _, noisy = load_dataset(opts["data"])
     config = _train_config(opts)
-    result = train(manifest, noisy, config)
-    out = _out_dir(opts)
-    header_path, _ = save_checkpoint(out / "model.json", result.net, result.theta,
-                                     seed=config.seed)
-    write_csv(out / "metrics.csv", list(result.metrics[0]),
-              (row.values() for row in result.metrics))
-    first, last = result.metrics[0], result.metrics[-1]
+    rows = []
+    for row, net, theta in train(manifest, noisy, config):
+        rows.append(row)
+        out = _out_dir(opts)
+        write_csv(out / "metrics.csv", list(row), (r.values() for r in rows))
+    header_path, _ = save_checkpoint(out / "model.json", net, theta, seed=config.seed)
+    first, last = rows[0], rows[-1]
     print(f"trained {config.epochs} epochs on {manifest.system} "
           f"({config.grad_mode} gradients)")
     print(f"train loss {first['train_loss']:.6g} -> {last['train_loss']:.6g}, "
           f"val loss {first['val_loss']:.6g} -> {last['val_loss']:.6g}, "
-          f"saturation epoch {result.saturation_epoch}")
+          f"saturation epoch {saturation_epoch([r['val_loss'] for r in rows[1:]])}")
     print(f"checkpoint {header_path}, metrics {out / 'metrics.csv'}")
     return 0
 
@@ -450,8 +452,11 @@ def cmd_check_tableau(opts):
     else:
         from .data import _read_json
         path = pathlib.Path(opts["file"])
-        tableau = PrkTableau(**{"name": path.stem, **_read_json(
-            path, keys={"name", "a_q", "b_q", "a_p", "b_p"}, optional={"name"})})
+        fields = _read_json(path, keys={"name", "a_q", "b_q", "a_p", "b_p"}, optional={"name"})
+        try:
+            tableau = PrkTableau(**{"name": path.stem, **fields})
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     report = check_symplectic_tableau(tableau, **_given(opts, {"tol": "tol"}))
     verdict = "symplectic" if report.symplectic else "NOT symplectic"
     tol = f" (tol {opts['tol']})" if opts["tol"] is not None else ""
@@ -540,8 +545,8 @@ def main(argv=None):
         if isinstance(err, NonFiniteError):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
-        if isinstance(err, (OSError, ValueError, KeyError)):
-            print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, (OSError, ValueError, KeyError, MemoryError)):
+            print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
             return 1
         raise
 

@@ -94,9 +94,9 @@ class DatasetManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text=None, path=MANIFEST_NAME):
-        """The manifest in text, or else in the file at path; errors name path."""
-        return cls(**_read_json(path, text, version=MANIFEST_FORMAT_VERSION,
+    def from_json(cls, path):
+        """The manifest in the file at path; errors name path."""
+        return cls(**_read_json(path, version=MANIFEST_FORMAT_VERSION,
                                 keys={f.name for f in dataclasses.fields(cls)}))
 
 
@@ -182,7 +182,7 @@ def load_dataset(dataset_dir):
     finite values.
     """
     dataset_dir = pathlib.Path(dataset_dir)
-    manifest = DatasetManifest.from_json(path=dataset_dir / MANIFEST_NAME)
+    manifest = DatasetManifest.from_json(dataset_dir / MANIFEST_NAME)
     expected = 8 * math.prod(manifest.shape)
     arrays = []
     for name in (CLEAN_NAME, NOISY_NAME):
@@ -243,8 +243,8 @@ def open_atomically(path, mode="w"):
         raise
 
 
-def _read_json(path, text=None, version=None, keys=None, optional=frozenset()):
-    """The JSON object in text, or in the UTF-8 file at path, as a dict.
+def _read_json(path, version=None, keys=None, optional=frozenset()):
+    """The JSON object in the UTF-8 file at path, as a dict.
 
     With version given, its format_version must equal it (checked before the
     keys, so an old file says it is old); with keys given, it must hold
@@ -252,7 +252,7 @@ def _read_json(path, text=None, version=None, keys=None, optional=frozenset()):
     raises one ValueError naming path.
     """
     try:
-        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8") if text is None else text)
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     except ValueError as err:            # bad JSON, or bytes that are not UTF-8
         raise ValueError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):

@@ -33,11 +33,11 @@ def phase_grid(system, points_per_axis=GRID_POINTS_PER_AXIS, slices=None):
             raise ValueError(f"slice axis {axis!r} is outside [0, {width})")
         if axis in (free_q, free_p):
             raise ValueError(f"axis {axis} is a grid axis, not a slice axis")
+    pts = np.zeros((points_per_axis * points_per_axis, width))  # first: fail before the axes
     q_lo, q_hi = system.bounds[free_q]
     p_lo, p_hi = system.bounds[free_p]
     q_axis = np.linspace(q_lo, q_hi, points_per_axis)
     p_axis = np.linspace(p_lo, p_hi, points_per_axis)
-    pts = np.zeros((points_per_axis * points_per_axis, width))
     for axis, value in slices.items():
         pts[:, axis] = value
     qv, pv = np.meshgrid(q_axis, p_axis, indexing="ij")

@@ -74,10 +74,15 @@ class PrkTableau:
 
     def __post_init__(self):
         """Hold the coefficients as float64 arrays; reject any that do not
-        form a finite s-stage pair."""
+        form a finite s-stage pair, or a name that is not a string."""
+        if not isinstance(self.name, str):
+            raise ValueError(f"tableau name must be a string, got {self.name!r}")
         for field in ("a_q", "b_q", "a_p", "b_p"):
+            value = getattr(self, field)
             try:
-                object.__setattr__(self, field, np.asarray(getattr(self, field), np.float64))
+                if any(isinstance(x, bool) for x in np.asarray(value, object).flat):
+                    raise TypeError("a boolean is not a number")  # NumPy would read 0 or 1
+                object.__setattr__(self, field, np.asarray(value, np.float64))
             except (TypeError, ValueError, OverflowError) as err:
                 raise ValueError(f"tableau {self.name!r} {field} is not an array of "
                                  f"numbers: {err}") from None

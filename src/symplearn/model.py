@@ -532,11 +532,6 @@ class HamiltonianNet:
 # checkpoints: JSON header + sibling little-endian float64 binary
 
 
-def _binary_sibling(header_path):
-    header_path = pathlib.Path(header_path)
-    return header_path.with_suffix(".bin")
-
-
 def save_checkpoint(header_path, net, theta, seed):
     """Write <stem>.bin holding theta, then <stem>.json describing the model;
     each is renamed into place whole, so a header never meets a partial binary."""
@@ -544,7 +539,7 @@ def save_checkpoint(header_path, net, theta, seed):
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (net.n_params,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({net.n_params},)")
-    bin_path = _binary_sibling(header_path)
+    bin_path = header_path.with_suffix(".bin")
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": "hamiltonian-net",

@@ -159,14 +159,6 @@ def _forward_loss(net, theta, windows, h, config):
     return _rollout(net, theta, windows, h, config)[0]
 
 
-@dataclasses.dataclass
-class TrainResult:
-    theta: np.ndarray
-    net: HamiltonianNet
-    metrics: list                 # dict rows: epoch, train_loss, val_loss, lr, wall_time_s
-    saturation_epoch: int | None
-
-
 def saturation_epoch(val_losses):
     """First epoch index (1-based) after which the validation loss improved by
     less than 1% for 3 consecutive epochs; None if it never saturated."""
@@ -185,6 +177,10 @@ def saturation_epoch(val_losses):
 
 def train(manifest, noisy, config):
     """Fit a Hamiltonian to the noisy trajectories of a loaded dataset.
+
+    A generator: as each epoch ends it yields (row, net, theta), row holding
+    the epoch's metrics and theta the parameters after it, from the untouched
+    model's epoch 0 on.  Nothing runs until the first record is asked for.
 
     Deterministic per (config.seed, config): all sampling comes from seeded
     generators and both gradient engines are single-threaded.  A failed
@@ -215,10 +211,9 @@ def train(manifest, noisy, config):
                                                      stride=config.stride)[0], h, config)
             for _ in range(config.val_batches)]))
 
-    metrics = []
-    try:
-        for epoch in range(config.epochs + 1):
-            t_epoch = time.perf_counter()
+    for epoch in range(config.epochs + 1):
+        t_epoch = time.perf_counter()
+        try:
             if epoch == 0:
                 # the untouched model, scored on its own stream: the baseline
                 # later epochs have to beat
@@ -240,15 +235,12 @@ def train(manifest, noisy, config):
                 train_loss = float(np.mean(epoch_losses))
             where = f"epoch {epoch} (validation)"
             vl = score(val_traj, np.random.default_rng((config.seed, 3, epoch)))
-            metrics.append({
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "val_loss": vl,
-                "lr": sched.update(vl) if epoch else sched.lr,
-                "wall_time_s": time.perf_counter() - t_epoch,
-            })
-    except NonFiniteError as err:
-        raise NonFiniteError(f"{err} at {where}") from None
-
-    sat = saturation_epoch([row["val_loss"] for row in metrics[1:]])
-    return TrainResult(theta=theta, net=net, metrics=metrics, saturation_epoch=sat)
+        except NonFiniteError as err:
+            raise NonFiniteError(f"{err} at {where}") from None
+        yield {
+            "epoch": epoch,
+            "train_loss": train_loss,
+            "val_loss": vl,
+            "lr": sched.update(vl) if epoch else sched.lr,
+            "wall_time_s": time.perf_counter() - t_epoch,
+        }, net, theta

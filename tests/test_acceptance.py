@@ -178,10 +178,10 @@ def test_c6_desk_scale_learning(tmp_path):
     budget, t0 = 900.0, time.perf_counter()
     manifest, _, noisy = generate_dataset("double_well", tmp_path / "ds",
                                           seed=0, n_train=1024, n_val=256)
-    result = train(manifest, noisy, TrainConfig(epochs=10))
-    reduction = (result.metrics[0]["train_loss"]
-                 / result.metrics[-1]["train_loss"])
-    net, theta = result.net, result.theta
+    losses = []
+    for row, net, theta in train(manifest, noisy, TrainConfig(epochs=10)):
+        losses.append(row["train_loss"])
+    reduction = losses[0] / losses[-1]
     grid, _ = evaluate_ood(lambda p: net.eval_h(theta, p),
                         lambda p: net.dynamics(theta, p),
                         get_system("double_well"))

@@ -18,6 +18,7 @@ import pytest
 from symplearn import cli
 from symplearn.cli import _THREAD_ENV_VARS, main
 from symplearn.data import FULL_SCALE, SMOKE_SCALE
+from symplearn.integrators import NonFiniteError
 from symplearn.model import HamiltonianNet, load_checkpoint
 
 
@@ -299,6 +300,68 @@ def test_numerical_failure_exits_two(dataset, tmp_path, capsys):
                      "--fpi-tol", "1e-16", "--fpi-max-iters", "1")
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+# each asks for more than the 128 TiB of x86-64 user address space, which
+# every overcommit policy refuses at once, so no memory is touched
+@pytest.mark.parametrize("argv", [
+    ["eval", "--grid-points", "100000000"],
+    ["integrate", "--n-steps", "100000000000000"],
+    ["gen-data", "--n-train", "100000000000000"],
+    ["train", "--hidden", "100000000000000"],
+], ids=["eval-grid", "integrate-steps", "gen-data-trajectories", "train-width"])
+def test_out_of_memory_exits_one_naming_the_allocation(argv, dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    data = ["--data", str(dataset)] if argv[0] == "train" else []
+    assert main([*argv, *data, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_train_stopped_in_epoch_k_leaves_k_rows_and_no_checkpoint(k, dataset, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the fixture's 8 trajectories give 4 batches of 8 windows per epoch;
+    # the first batch of epoch k fails, after epochs 0..k-1 have been written
+    import symplearn.training as tr
+    calls, loss_and_grad = [], tr.loss_and_grad
+
+    def fails_in_epoch_k(*args):
+        calls.append(1)
+        if len(calls) > 4 * (k - 1):
+            raise NonFiniteError("synthetic overflow")
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(tr, "loss_and_grad", fails_in_epoch_k)
+    out = tmp_path / "out"
+    assert run_train(dataset, out, "--epochs", "3") == 2
+    assert capsys.readouterr().err == (f"numerical failure: synthetic overflow "
+                                       f"at epoch {k} batch 0\n")
+    assert [r["epoch"] for r in read_metrics(out)] == [str(e) for e in range(k)]
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
+
+
+def test_metrics_csv_grows_by_one_row_per_epoch(dataset, tmp_path, monkeypatch):
+    # after every epoch the file on disk is the head of the finished run's
+    import symplearn.data
+    snapshots, write_csv = [], symplearn.data.write_csv
+
+    def recording(path, header, rows):
+        write_csv(path, header, rows)
+        snapshots.append(read_metrics(path.parent))
+
+    monkeypatch.setattr(symplearn.data, "write_csv", recording)
+    out = tmp_path / "out"
+    assert run_train(dataset, out, "--epochs", "3") == 0
+
+    def stripped(rows):  # wall clock is the one legitimately varying column
+        return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]
+
+    final = stripped(read_metrics(out))
+    assert len(final) == len(snapshots) == 4
+    for n, rows in enumerate(snapshots, 1):
+        assert stripped(rows) == final[:n]
 
 
 def test_gen_data_numerical_failure_leaves_no_directory(tmp_path, capsys):
@@ -960,15 +1023,20 @@ def test_check_tableau_from_file(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ([1, 2], "JSON object"),
     ({"a_q": [[0.5, 0.1]], "b_q": [1.0], "a_p": [[0.5]], "b_p": [1]}, "shape"),
-], ids=["list", "non-square"])
+    ({"name": 5, "a_q": [[0.5]], "b_q": [1], "a_p": [[0.5]], "b_p": [1]}, "name"),
+    ({"a_q": [[0.5]], "b_q": [True], "a_p": [[0.5]], "b_p": [1]}, "b_q"),
+    ({"name": ["x"], "a_q": [[0.5]], "b_q": [True], "a_p": [[0.5]], "b_p": [1]}, "name"),
+], ids=["list", "non-square", "number-name", "boolean-weight", "list-name-boolean-weight"])
 def test_check_tableau_rejects_a_malformed_file(tmp_path, capsys, body, message):
+    # NumPy would read a boolean as 0 or 1, and a name that is not a string
+    # would be printed as one: both are errors naming the file and the field
     path = tmp_path / "tab.json"
     path.write_text(json.dumps(body))
     assert main(["check-tableau", "--file", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-    assert message in captured.err
+    assert message in captured.err and str(path) in captured.err
 
 
 # ------------------------------------------------------------------ grad-check

@@ -25,31 +25,38 @@ def small_dataset(tmp_path, seed=5, n_train=8, n_val=4, n_steps=40,
                             **kw)
 
 
-def test_manifest_roundtrip():
+def manifest_from(tmp_path, text):
+    """DatasetManifest.from_json of text, written to a manifest file."""
+    path = tmp_path / MANIFEST_NAME
+    path.write_text(text, encoding="utf-8")
+    return DatasetManifest.from_json(path)
+
+
+def test_manifest_roundtrip(tmp_path):
     manifest = DatasetManifest(format_version=MANIFEST_FORMAT_VERSION, system="double_well",
                                system_params={}, dim=1, seed=3, n_train=10,
                                n_val=2, n_steps=20, dt=0.001, noise_std=0.01)
-    again = DatasetManifest.from_json(manifest.to_json())
+    again = manifest_from(tmp_path, manifest.to_json())
     assert again == manifest
     assert manifest.n_traj == 12
     assert manifest.shape == (12, 21, 2)
     for version in (MANIFEST_FORMAT_VERSION - 1, MANIFEST_FORMAT_VERSION + 1):
         with pytest.raises(ValueError, match="format_version"):
-            DatasetManifest.from_json(json.dumps({"format_version": version}))
+            manifest_from(tmp_path, json.dumps({"format_version": version}))
 
 
-def test_manifest_names_unknown_and_missing_keys():
+def test_manifest_names_unknown_and_missing_keys(tmp_path):
     raw = json.loads(DatasetManifest(
         format_version=MANIFEST_FORMAT_VERSION, system="double_well", system_params={},
         dim=1, seed=3, n_train=10, n_val=2, n_steps=20, dt=0.001,
         noise_std=0.01).to_json())
     with pytest.raises(ValueError, match="unknown \\['colour'\\]"):
-        DatasetManifest.from_json(json.dumps({**raw, "colour": "blue"}))
+        manifest_from(tmp_path, json.dumps({**raw, "colour": "blue"}))
     del raw["dt"]
     with pytest.raises(ValueError, match="missing \\['dt'\\]"):
-        DatasetManifest.from_json(json.dumps(raw))
+        manifest_from(tmp_path, json.dumps(raw))
     with pytest.raises(ValueError, match="JSON object"):
-        DatasetManifest.from_json("[1, 2]")
+        manifest_from(tmp_path, "[1, 2]")
 
 
 VALID_MANIFEST = DatasetManifest(
@@ -63,10 +70,10 @@ VALID_MANIFEST = DatasetManifest(
     ("n_val", -1), ("n_steps", 20.0), ("dt", 0.0), ("dt", float("nan")),
     ("dt", "0.001"), ("noise_std", -0.01), ("noise_std", float("inf")),
 ])
-def test_manifest_rejects_a_bad_field_by_name(field, value):
+def test_manifest_rejects_a_bad_field_by_name(field, value, tmp_path):
     raw = json.loads(VALID_MANIFEST.to_json())
     with pytest.raises(ValueError, match=field):
-        DatasetManifest.from_json(json.dumps({**raw, field: value}))
+        manifest_from(tmp_path, json.dumps({**raw, field: value}))
 
 
 def test_generate_writes_the_documented_layout(tmp_path):

@@ -67,6 +67,15 @@ def temp_dir():
         yield pathlib.Path(name)
 
 
+def manifest_from(text):
+    """DatasetManifest.from_json of text, written to a file of its own (a lone
+    surrogate is written as such, which is not UTF-8)."""
+    with temp_dir() as tmp:
+        path = tmp / "manifest.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        return DatasetManifest.from_json(path)
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -107,7 +116,7 @@ def check_manifest(manifest):
     assert math.isfinite(manifest.dt) and manifest.dt > 0
     assert math.isfinite(manifest.noise_std) and manifest.noise_std >= 0
     assert all(math.isfinite(v) for v in manifest.system_params.values())
-    assert DatasetManifest.from_json(manifest.to_json()) == manifest
+    assert manifest_from(manifest.to_json()) == manifest
 
 
 @SETTINGS
@@ -116,7 +125,7 @@ def test_manifest_loads_valid_or_raises_value_error(dataset, data):
     _, base = dataset
     text = json.dumps(mutate(base, data.draw(mutations(base))))
     try:
-        manifest = DatasetManifest.from_json(text)
+        manifest = manifest_from(text)
     except ValueError:
         return
     check_manifest(manifest)
@@ -126,7 +135,7 @@ def test_manifest_loads_valid_or_raises_value_error(dataset, data):
 @given(text=st.text(max_size=40))
 def test_manifest_text_loads_valid_or_raises_value_error(text):
     try:
-        manifest = DatasetManifest.from_json(text)
+        manifest = manifest_from(text)
     except ValueError:
         return
     check_manifest(manifest)
@@ -143,7 +152,7 @@ def test_cli_on_a_malformed_manifest_exits_one_with_one_line(dataset, data):
         code, _, err = run_cli(["export-csv", "--data", copy, "--max-traj", 1,
                                 "--out-dir", tmp / "out"])
         if code == 0:
-            check_manifest(DatasetManifest.from_json(json.dumps(doc)))
+            check_manifest(manifest_from(json.dumps(doc)))
             assert err == ""
         else:
             assert_one_line_error(code, err)

@@ -7,6 +7,7 @@ import platform
 import resource
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def tiny_dataset(tmp_path_factory):
     generate_dataset("double_well", root, seed=7, n_train=8, n_val=2,
                      n_steps=60)
     return load_dataset(root)
+
+
+def drain(manifest, noisy, config):
+    """Run train() to the end: its rows as metrics, with the last record's
+    net and theta."""
+    metrics = []
+    for row, net, theta in train(manifest, noisy, config):
+        metrics.append(row)
+    return types.SimpleNamespace(metrics=metrics, net=net, theta=theta)
 
 
 def tiny_config(**overrides):
@@ -175,7 +185,7 @@ def test_each_sweep_evaluates_the_field_once(tiny_dataset, monkeypatch, grad_mod
 def test_train_reduces_loss_and_reports_metrics(tiny_dataset):
     manifest, _, noisy = tiny_dataset
     config = tiny_config()
-    result = train(manifest, noisy, config)
+    result = drain(manifest, noisy, config)
     assert result.theta.shape == (result.net.n_params,)
     assert len(result.metrics) == 4  # epoch 0 baseline + 3 epochs
     assert [row["epoch"] for row in result.metrics] == [0, 1, 2, 3]
@@ -197,8 +207,8 @@ def test_train_reduces_loss_and_reports_metrics(tiny_dataset):
 
 def test_train_is_deterministic(tiny_dataset):
     manifest, _, noisy = tiny_dataset
-    a = train(manifest, noisy, tiny_config(epochs=2))
-    b = train(manifest, noisy, tiny_config(epochs=2))
+    a = drain(manifest, noisy, tiny_config(epochs=2))
+    b = drain(manifest, noisy, tiny_config(epochs=2))
     assert np.array_equal(a.theta, b.theta)
     assert [r["train_loss"] for r in a.metrics] == \
            [r["train_loss"] for r in b.metrics]
@@ -207,16 +217,29 @@ def test_train_is_deterministic(tiny_dataset):
 def test_zero_epochs_returns_the_initialization(tiny_dataset):
     manifest, _, noisy = tiny_dataset
     cfg = tiny_config(epochs=0)
-    result = train(manifest, noisy, cfg)
+    result = drain(manifest, noisy, cfg)
     net = HamiltonianNet(manifest.dim, hidden=cfg.hidden)
     assert np.array_equal(result.theta, net.init_params(cfg.seed))
     assert len(result.metrics) == 1 and result.metrics[0]["epoch"] == 0
 
 
+def test_each_record_holds_its_own_epochs_parameters(tiny_dataset):
+    # later epochs leave a yielded theta alone, and a record of epoch 1 is
+    # what a one-epoch run ends with
+    manifest, _, noisy = tiny_dataset
+    records = list(train(manifest, noisy, tiny_config(epochs=2)))
+    one = drain(manifest, noisy, tiny_config(epochs=1))
+    assert [row["epoch"] for row, _, _ in records] == [0, 1, 2]
+    assert np.array_equal(records[1][2], one.theta)
+    assert not np.array_equal(records[1][2], records[2][2])
+    assert [row["val_loss"] for row, _, _ in records[:2]] == \
+           [row["val_loss"] for row in one.metrics]
+
+
 def test_grad_modes_agree_on_first_epoch_loss(tiny_dataset):
     manifest, _, noisy = tiny_dataset
-    adj = train(manifest, noisy, tiny_config(epochs=1, grad_mode="adjoint"))
-    bp = train(manifest, noisy, tiny_config(epochs=1, grad_mode="backprop"))
+    adj = drain(manifest, noisy, tiny_config(epochs=1, grad_mode="adjoint"))
+    bp = drain(manifest, noisy, tiny_config(epochs=1, grad_mode="backprop"))
     la = adj.metrics[1]["train_loss"]
     lb = bp.metrics[1]["train_loss"]
     assert abs(la - lb) <= 1e-5 * abs(la)
@@ -236,7 +259,7 @@ def test_mid_training_blowup_aborts_with_epoch_and_batch(tiny_dataset,
 
     monkeypatch.setattr(tr, "loss_and_grad", boom)
     with pytest.raises(NonFiniteError, match="epoch 1 batch 0"):
-        tr.train(manifest, noisy, tiny_config(epochs=1))
+        drain(manifest, noisy, tiny_config(epochs=1))
 
 
 def test_nonfinite_gradient_aborts(tiny_dataset, monkeypatch):
@@ -249,7 +272,7 @@ def test_nonfinite_gradient_aborts(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(tr, "loss_and_grad", bad_grad)
     with pytest.raises(NonFiniteError, match="non-finite.*epoch 1 batch 0"):
-        tr.train(manifest, noisy, tiny_config(epochs=1))
+        drain(manifest, noisy, tiny_config(epochs=1))
 
 
 def test_validation_blowup_names_the_epoch(tiny_dataset, monkeypatch):
@@ -268,7 +291,7 @@ def test_validation_blowup_names_the_epoch(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(tr, "_forward_loss", third_fails)
     with pytest.raises(NonFiniteError, match=r"epoch 1 \(validation\)"):
-        tr.train(manifest, noisy, tiny_config(epochs=1))
+        drain(manifest, noisy, tiny_config(epochs=1))
 
 
 def test_baseline_and_validation_draw_from_their_own_streams(tiny_dataset, monkeypatch):
@@ -285,7 +308,7 @@ def test_baseline_and_validation_draw_from_their_own_streams(tiny_dataset, monke
         return out
 
     monkeypatch.setattr(tr, "sample_windows", recorded)
-    tr.train(manifest, noisy, tiny_config(epochs=0))
+    drain(manifest, noisy, tiny_config(epochs=0))
     assert len(starts) == 2
     assert not np.array_equal(starts[0], starts[1])
 
@@ -360,13 +383,13 @@ def test_unconverged_solve_raises_non_finite_error(tiny_dataset):
     manifest, _, noisy = tiny_dataset
     with pytest.raises(NonFiniteError,
                        match=r"^step 0 did not converge in 2 sweeps .* at epoch 0 \(baseline\)$"):
-        train(manifest, noisy, tiny_config(epochs=1, fpi=FpiConfig(max_iters=2)))
+        drain(manifest, noisy, tiny_config(epochs=1, fpi=FpiConfig(max_iters=2)))
 
 
 def test_train_rejects_windows_longer_than_trajectories(tiny_dataset):
     manifest, _, noisy = tiny_dataset
     with pytest.raises(ValueError, match="stored points"):
-        train(manifest, noisy, tiny_config(window_steps=7, stride=10))
+        drain(manifest, noisy, tiny_config(window_steps=7, stride=10))
 
 
 # ------------------------------------------------------------------ reporting
