@@ -42,8 +42,7 @@ def main():
         print(f"validation loss saturated at epoch {saturated}")
 
     system = get_system("double_well")
-    grid, _ = evaluate_ood(lambda pts: net.eval_h(theta, pts),
-                           lambda pts: net.dynamics(theta, pts), system)
+    grid, _ = evaluate_ood(lambda pts: net.eval_h(theta, pts), net.field(theta), system)
     print("on a 33x33 grid over the full sampling box "
           "(constant-aligned, since only gradients of H are observable):")
     print(f"  mean |H_model - H_true| = {grid['h_l1_mean']:.4f}")

@@ -82,6 +82,13 @@ def _flag(value):
     return value
 
 
+def _text(value):
+    """A string: a flag always is one; a config file must hold a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expects a string, got {value!r}")
+    return value
+
+
 def _numbers(kind):
     """Parser for a comma-separated list, or a JSON list, of kind."""
     def parse(value):
@@ -146,7 +153,7 @@ def _build_parser():
         p.set_defaults(handler=handler)
         spec = specs[name] = {}
 
-        def opt(flag, default=None, parse=str, **kw):
+        def opt(flag, default=None, parse=_text, **kw):
             spec[flag[2:].replace("-", "_")] = (default, parse)
             p.add_argument(flag, default=S, **kw)
 

@@ -66,18 +66,19 @@ def evaluate_ood(h_fn, dyn_fn, system, points_per_axis=GRID_POINTS_PER_AXIS,
     pts, meta = phase_grid(system, points_per_axis, slices)
     h_true = np.asarray(system.hamiltonian(pts), dtype=np.float64)
     h_pred = np.asarray(h_fn(pts), dtype=np.float64)
-    offset = float(np.mean(h_pred - h_true))
-    aligned = np.abs(h_pred - offset - h_true)
     f_true = np.asarray(system.dynamics(pts), dtype=np.float64)
     f_pred = np.asarray(dyn_fn(pts), dtype=np.float64)
-    dyn_err = np.sqrt(np.sum((f_pred - f_true) ** 2, axis=1))
-    report = {
-        "h_l1_mean": float(np.mean(aligned)),
-        "h_l1_max": float(np.max(aligned)),
-        "h_l1_mean_raw": float(np.mean(np.abs(h_pred - h_true))),
-        "offset": offset,
-        "dyn_l2_mean": float(np.mean(dyn_err)),
-    }
+    with np.errstate(all="ignore"):  # inf - inf is NaN, reported just below
+        offset = float(np.mean(h_pred - h_true))
+        aligned = np.abs(h_pred - offset - h_true)
+        dyn_err = np.sqrt(np.sum((f_pred - f_true) ** 2, axis=1))
+        report = {
+            "h_l1_mean": float(np.mean(aligned)),
+            "h_l1_max": float(np.max(aligned)),
+            "h_l1_mean_raw": float(np.mean(np.abs(h_pred - h_true))),
+            "offset": offset,
+            "dyn_l2_mean": float(np.mean(dyn_err)),
+        }
     for name, value in report.items():
         if not np.isfinite(value):
             raise NonFiniteError(f"non-finite {name} {value!r} on the evaluation grid")
@@ -97,7 +98,8 @@ def energy_drift(h_fn, states):
     h0 = np.asarray(h_fn(np.atleast_2d(states[0])), dtype=np.float64)
     flat = states.reshape(-1, states.shape[-1])
     vals = np.asarray(h_fn(flat), dtype=np.float64).reshape(states.shape[0], -1)
-    drift = float(np.max(np.abs(vals - h0[None, :])))
+    with np.errstate(all="ignore"):  # inf - inf is NaN, reported just below
+        drift = float(np.max(np.abs(vals - h0[None, :])))
     if not np.isfinite(drift):
         raise NonFiniteError(f"non-finite energy drift {drift!r}")
     return drift

@@ -365,12 +365,12 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     if y0.shape[-1] % 2:
         raise ValueError(f"state width {y0.shape[-1]} is odd: a state is (q, p)")
 
-    states = np.empty((n_steps + 1,) + y0.shape)
-    states[0] = y0
-    reports = []
     if method not in TABLEAUX:
         raise ValueError(f"unknown method {method!r}")
     tableau = None if method == "implicit_midpoint" else TABLEAUX[method]
+    states = np.empty((n_steps + 1,) + y0.shape)
+    states[0] = y0
+    reports = []
 
     y = y0
     slope = []           # h f(y_0), kept from step 0's first sweep

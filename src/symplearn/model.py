@@ -7,10 +7,8 @@ need is derived from that scalar by explicit forward/reverse sweeps written
 out below:
 
     eval_h       H(theta, y)
-    grad_state   dH/dy                       (one reverse sweep)
-    dynamics     (dH/dp, -dH/dq)             (canonical field from grad_state)
-    field        the same field as a closure   (one prepared network per
-                                              rollout; optionally keeps tapes)
+    field        the canonical field (dH/dp, -dH/dq) as a closure (one
+                 prepared network per rollout; optionally keeps tapes)
     field_vjp    (df/dy)^T u, (df/dtheta)^T u  (reverse over a directional tangent)
 
 No autodiff framework is used: the passes are few, the layer structure is
@@ -112,15 +110,9 @@ def costate_to_direction(lam, dim):
     become plain directional derivatives of dH/dy along w.  Both the costate
     right-hand side and the parameter-gradient integrand go through here,
     as one exact product with a signed permutation matrix (on a Xeon, 2 us
-    at [512, 4], where canonical_field(-lam, dim) takes 11 us).
+    at [512, 4], where concatenating the two swapped halves takes 11 us).
     """
     return lam @ _direction_map(dim)
-
-
-def canonical_field(g, dim):
-    """Map dH/dy = (g_q, g_p) to the canonical field (g_p, -g_q), along the
-    last axis; applied to a matrix's columns it folds the same map into it."""
-    return np.concatenate([g[..., dim:], -g[..., :dim]], axis=-1)
 
 
 def _split(flat, shapes):
@@ -152,9 +144,9 @@ class PreparedNet:
     """One parameter vector laid out for the passes of one engine call: the
     (W, b) views of theta (layers), the row W_L[:, 0] every reverse starts
     from (head), and each hidden layer's W^T made contiguous (wt).  Built on
-    first use, so that a lone dynamics call pays for neither: field_chain,
-    the reverse chain with canonical_field folded into its last operand, and
-    hess_terms, the closed-form Hessian's weight-only products.
+    first use, so that a pass pays only for what it walks: field_chain, the
+    reverse chain with the canonical rotation folded into W_0^T's columns,
+    and hess_terms, the closed-form Hessian's weight-only products.
     """
 
     def __init__(self, layers, dim):
@@ -165,7 +157,8 @@ class PreparedNet:
 
     @functools.cached_property
     def field_chain(self):
-        return [canonical_field(self.wt[0], self.dim), *self.wt[1:]]
+        wt0, dim = self.wt[0], self.dim
+        return [np.concatenate([wt0[:, dim:], -wt0[:, :dim]], axis=1), *self.wt[1:]]
 
     @functools.cached_property
     def hess_terms(self):
@@ -243,7 +236,8 @@ class _Buffers:
 class HamiltonianNet:
     """Feed-forward scalar network over phase space, with its derivative passes.
 
-    All public methods accept a single point [2d] or a batch [B, 2d] and
+    eval_h and the field closure take a single point [2d] or a batch
+    [B, 2d], field_vjp a PreparedNet and a field evaluation's tape.  All
     give pure results: bit-identical for identical inputs, whatever ran
     before.  Scratch is held: the passes write their working arrays into
     the net's one _Buffers set (_scratch), which no method returns apart
@@ -319,14 +313,12 @@ class HamiltonianNet:
             acts.append(z)
         return acts
 
-    def _reverse_input(self, prep, acts, field=False):
-        """d(sum of outputs)/d(input), walked back layer by layer from the
-        head row; with field set, the canonical field (dH/dp, -dH/dq) instead,
-        through the reverse chain that has the rotation folded in.
-        """
+    def _reverse_input(self, prep, acts):
+        """The canonical field (dH/dp, -dH/dq) at the tape's input, walked
+        back layer by layer from the head row through prep.field_chain."""
         bufs = self._scratch(prep, len(acts[0]))
         bar = bufs.head
-        back = prep.field_chain if field else prep.wt
+        back = prep.field_chain
         for l in range(len(back) - 1, -1, -1):
             slope = np.multiply(acts[l + 1], acts[l + 1], out=bufs.slopes[l])
             np.subtract(1.0, slope, out=slope)
@@ -423,17 +415,6 @@ class HamiltonianNet:
         out += b
         return float(out[0, 0]) if single else out[:, 0]
 
-    def grad_state(self, theta, y):
-        """dH/dy, shape like y."""
-        y2, single = _as_batch(y, self.arch[0])
-        prep = self.prepare(theta)
-        g = self._reverse_input(prep, self._forward(prep, y2))
-        return g[0] if single else g
-
-    def dynamics(self, theta, y):
-        """Canonical vector field (dH/dp, -dH/dq) at y."""
-        return canonical_field(self.grad_state(theta, y), self.dim)
-
     def field(self, theta, tapes=None):
         """The canonical field y -> (dH/dp, -dH/dq) over a batch [B, 2d], as
         a closure over one PreparedNet of theta for a whole rollout.
@@ -451,7 +432,7 @@ class HamiltonianNet:
             acts = self._forward(prep, y[None, :] if single else y, tapes is not None)
             if tapes is not None:
                 tapes.append(acts)
-            f = self._reverse_input(prep, acts, True)
+            f = self._reverse_input(prep, acts)
             return f[0] if single else f
 
         return evaluate

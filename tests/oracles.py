@@ -45,6 +45,42 @@ def naive_h(theta, arch, point):
     return float(a[0])
 
 
+def canonical_rotation(g):
+    """(g_q, g_p) -> (g_p, -g_q) along the last axis: dH/dy to the field."""
+    dim = g.shape[-1] // 2
+    return np.concatenate([g[..., dim:], -g[..., :dim]], axis=-1)
+
+
+def broadcasting_forward(theta, arch, y):
+    """Reference activations [y, a_1, ...] of the hidden layers at a batch
+    y [B, 2d], each bias row added by broadcasting."""
+    acts = [np.asarray(y, dtype=np.float64)]
+    for w, b in naive_unpack(theta, arch)[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    return acts
+
+
+def broadcasting_field(theta, arch, y):
+    """Reference canonical field (dH/dp, -dH/dq) at a batch y [B, 2d] or a
+    single point [2d], which goes through as a batch of one.
+
+    The forward pass of broadcasting_forward, then the input reverse from
+    the output weights' column: each layer's cotangent is multiplied by its
+    slope 1 - a^2 and then by W^T made contiguous (a transposed view may
+    take another BLAS kernel, and the comparison is bit for bit).  The
+    rotation is applied to the input gradient afterwards.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    acts = broadcasting_forward(theta, arch, np.atleast_2d(y))
+    layers = naive_unpack(theta, arch)
+    grad = layers[-1][0][:, 0]
+    for l in range(len(layers) - 2, -1, -1):
+        slope = 1.0 - acts[l + 1] * acts[l + 1]
+        grad = (slope * grad) @ np.ascontiguousarray(layers[l][0].T)
+    field = canonical_rotation(grad)
+    return field[0] if y.ndim == 1 else field
+
+
 def naive_tangent_reverse(theta, arch, y, w_dir):
     """Reference tangent-over-reverse sweep through the network at a batch y.
 

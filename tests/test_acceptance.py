@@ -182,9 +182,8 @@ def test_c6_desk_scale_learning(tmp_path):
     for row, net, theta in train(manifest, noisy, TrainConfig(epochs=10)):
         losses.append(row["train_loss"])
     reduction = losses[0] / losses[-1]
-    grid, _ = evaluate_ood(lambda p: net.eval_h(theta, p),
-                        lambda p: net.dynamics(theta, p),
-                        get_system("double_well"))
+    grid, _ = evaluate_ood(lambda p: net.eval_h(theta, p), net.field(theta),
+                           get_system("double_well"))
     ok = grid["h_l1_mean"] <= 0.05 and reduction >= 10.0
     elapsed = time.perf_counter() - t0
     report(6, ok,

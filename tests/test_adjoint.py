@@ -56,7 +56,7 @@ def make_windows(net, theta, batch, n_steps, h, seed, noise=0.05):
     """Observations near (not on) a model rollout, batch-major [B, n+1, 2d]."""
     rng = np.random.default_rng(seed)
     y0 = rng.uniform(-0.8, 0.8, size=(batch, 2 * net.dim))
-    states, _ = integrate(lambda y: net.dynamics(theta, y), y0, h, n_steps,
+    states, _ = integrate(net.field(theta), y0, h, n_steps,
                           cfg=TIGHT)
     obs = np.swapaxes(states, 0, 1).copy()
     obs[:, 1:, :] += noise * rng.standard_normal(obs[:, 1:, :].shape)
@@ -65,7 +65,7 @@ def make_windows(net, theta, batch, n_steps, h, seed, noise=0.05):
 
 def pipeline_loss(net, theta, windows, h, cfg):
     n_steps = windows.shape[1] - 1
-    states, _ = integrate(lambda y: net.dynamics(theta, y), windows[:, 0, :], h,
+    states, _ = integrate(net.field(theta), windows[:, 0, :], h,
                           n_steps, cfg=cfg)
     loss, partials = window_loss(states, windows)
     return loss, states, partials
@@ -98,7 +98,7 @@ def test_adjoint_rhs_is_negative_jacobian_transpose():
     for _ in range(5):
         y = rng.uniform(-1, 1, size=2)
         lam = rng.standard_normal(2)
-        jac = fd_jacobian(lambda s: net.dynamics(theta, s), y, eps=1e-6)
+        jac = fd_jacobian(net.field(theta), y, eps=1e-6)
         want = -jac.T @ lam
         acts = net._forward(layers, y[None])
         ybar, _ = net.field_vjp(layers, acts, lam[None])
@@ -111,7 +111,7 @@ def test_record_rollout_reproduces_integrate_exactly():
     rng = np.random.default_rng(43)
     y0 = rng.uniform(-0.5, 0.5, size=(3, 2))
     cfg = FpiConfig(tol=1e-11, max_iters=60)
-    states, reports = integrate(lambda y: net.dynamics(theta, y), y0, 0.05, 6, cfg=cfg)
+    states, reports = integrate(net.field(theta), y0, 0.05, 6, cfg=cfg)
     record = record_rollout(net, theta, y0, 0.05, 6, cfg=cfg)
     assert np.array_equal(record.states, states)
     assert [r.iterations for r in record.reports] == \
@@ -356,7 +356,7 @@ def test_costate_step_is_exact_beyond_the_contraction_limit():
     want = np.zeros(net.n_params)
     rho = 0.0
     for b in range(4):
-        jac = fd_jacobian(lambda y: net.dynamics(theta, y), mid[b])
+        jac = fd_jacobian(net.field(theta), mid[b])
         rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(jac)))))
         mu = np.linalg.solve((np.eye(2) - 0.5 * h * jac).T, partials[0, b])
         acts = net._forward(layers, mid[b:b + 1])
@@ -592,6 +592,8 @@ def test_shape_validation():
         solve_adjoint_accumulate(net, theta, states[:, 0], partials, 0.1)
     with pytest.raises(ValueError):
         solve_adjoint_accumulate(net, theta, states, partials[:2], 0.1)
+    with pytest.raises(ValueError, match="need at least one step"):
+        solve_adjoint_accumulate(net, theta, states[:1], partials[:0], 0.1)
     record = record_rollout(net, theta, np.zeros((2, 2)), 0.1, 3)
     with pytest.raises(ValueError):
         backward_through_record(net, theta, record, partials[:2])

@@ -15,6 +15,8 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import broadcasting_field
+
 from symplearn import cli
 from symplearn.cli import _THREAD_ENV_VARS, main
 from symplearn.data import FULL_SCALE, SMOKE_SCALE
@@ -244,22 +246,28 @@ def _manifest(**changes):
 
 
 # the fixture dataset holds 8 + 2 trajectories; the split-changing cases keep
-# that total, so the arrays still match the manifest's byte count
-@pytest.mark.parametrize("mutate", [
-    _append("noisy.f64", b"\0\0\0"), _manifest(n_train=-3, n_val=13),
-    _manifest(n_train=9, n_val=True), _manifest(dim="1"), _manifest(n_steps=60.0),
-    _manifest(dt=float("nan")), _manifest(noise_std=-0.01),
-    _manifest(format_version=True), _poke("noisy.f64", 5, np.nan),
+# that total, so the arrays still match the manifest's byte count (10 + 0 is
+# the split gen-data --n-val 0 writes, which train cannot validate on)
+@pytest.mark.parametrize("mutate, message", [
+    (_append("noisy.f64", b"\0\0\0"), "noisy.f64 holds 9763 bytes"),
+    (_manifest(n_train=-3, n_val=13), "n_train"), (_manifest(n_train=9, n_val=True), "n_val"),
+    (_manifest(dim="1"), "dim"), (_manifest(n_steps=60.0), "n_steps"),
+    (_manifest(dt=float("nan")), "dt"), (_manifest(noise_std=-0.01), "noise_std"),
+    (_manifest(format_version=True), "format_version"),
+    (_poke("noisy.f64", 5, np.nan), "non-finite"),
+    (_manifest(n_train=10, n_val=0), "dataset has no validation split"),
+    (_manifest(system_params={"width_scale": float("nan")}), "system_params"),
 ], ids=["noisy-3-trailing-bytes", "negative-n-train", "boolean-n-val", "string-dim",
         "fractional-n-steps", "nan-dt", "negative-noise-std", "boolean-format-version",
-        "noisy-nan"])
-def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate):
+        "noisy-nan", "no-validation-split", "nan-system-param"])
+def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate, message):
     bad = tmp_path / "bad"
     shutil.copytree(dataset, bad)
     mutate(bad)
     assert run_train(bad, tmp_path / "out", "--epochs", "1") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -578,14 +586,21 @@ def test_config_rejects_thread_key_and_bad_json(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_config_value_error_names_the_key(tmp_path, capsys):
+def test_config_value_error_names_the_key(tmp_path, monkeypatch, capsys):
+    # a JSON true or object is no path: read as text, they would send the
+    # output to ./True and "./{'a': [1]}"
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"drift_steps": "x"}))
-    assert main(["eval", "--config", str(cfg),
-                 "--out-dir", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert "drift_steps" in err
+    for argv, config in (
+            (["eval", "--out-dir", str(tmp_path / "o")], {"drift_steps": "x"}),
+            (["gen-data", "--n-train", "2", "--n-val", "1"], {"out_dir": True}),
+            (["integrate", "--n-steps", "2"], {"out_dir": {"a": [1]}})):
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"config key {next(iter(config))!r}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def config_error(capsys, tmp_path, cmd, config, *flags):
@@ -853,8 +868,8 @@ def test_eval_reruns_are_identical(checkpoint, tmp_path):
 def test_eval_and_integrate_write_the_bytes_of_dynamics(checkpoint, tmp_path, monkeypatch,
                                                         capsys, method):
     # eval's grid and drift rollouts and integrate --checkpoint run on one
-    # prepared field closure per command; integrating net.dynamics instead
-    # must write the same files byte for byte
+    # prepared field closure per command; the broadcasting reference field
+    # in its place must write the same files byte for byte
     extra = ["--method", method] if method else []
 
     def run(out):
@@ -866,8 +881,8 @@ def test_eval_and_integrate_write_the_bytes_of_dynamics(checkpoint, tmp_path, mo
                      "--out-dir", str(out / "integrate")]) == 0
 
     run(tmp_path / "field")
-    monkeypatch.setattr(HamiltonianNet, "field",
-                        lambda net, theta, tapes=None: lambda y: net.dynamics(theta, y))
+    monkeypatch.setattr(HamiltonianNet, "field", lambda net, theta, tapes=None:
+                        lambda y: broadcasting_field(theta, net.arch, y))
     run(tmp_path / "dynamics")
     capsys.readouterr()
     for name in ("eval/eval.json", "eval/grid.csv", "integrate/trajectory.csv"):
@@ -1026,7 +1041,9 @@ def test_check_tableau_from_file(tmp_path, capsys):
     ({"name": 5, "a_q": [[0.5]], "b_q": [1], "a_p": [[0.5]], "b_p": [1]}, "name"),
     ({"a_q": [[0.5]], "b_q": [True], "a_p": [[0.5]], "b_p": [1]}, "b_q"),
     ({"name": ["x"], "a_q": [[0.5]], "b_q": [True], "a_p": [[0.5]], "b_p": [1]}, "name"),
-], ids=["list", "non-square", "number-name", "boolean-weight", "list-name-boolean-weight"])
+    ({"a_q": [[0.5]], "b_q": [1], "a_p": [[float("inf")]], "b_p": [1]}, "non-finite coefficient"),
+], ids=["list", "non-square", "number-name", "boolean-weight", "list-name-boolean-weight",
+        "infinite-coefficient"])
 def test_check_tableau_rejects_a_malformed_file(tmp_path, capsys, body, message):
     # NumPy would read a boolean as 0 or 1, and a name that is not a string
     # would be printed as one: both are errors naming the file and the field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symplearn.evaluation import energy_drift, evaluate_ood, phase_grid
-from symplearn.integrators import FpiConfig, integrate
+from symplearn.integrators import FpiConfig, NonFiniteError, integrate
 from symplearn.systems import get_system
 
 
@@ -96,3 +96,17 @@ def test_energy_drift_grows_for_a_nonsymplectic_method():
     # the symplectic drift is bounded; the rk2 drift keeps accumulating
     assert sym_long <= 1.01 * sym_short
     assert rk_long > 10 * sym_long
+
+
+def test_non_finite_energies_raise_non_finite_error_and_no_warning():
+    # inf - inf is NaN: each summary must reach its NonFiniteError without
+    # a NumPy warning first, which tier-1 turns into an error
+    dw = get_system("double_well")
+
+    def infinite(pts):
+        return np.full(len(pts), np.inf)
+
+    with pytest.raises(NonFiniteError, match="energy drift"):
+        energy_drift(infinite, np.zeros((3, 2)))
+    with pytest.raises(NonFiniteError, match="h_l1_mean"):
+        evaluate_ood(infinite, dw.dynamics, dw, points_per_axis=3)

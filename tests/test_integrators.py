@@ -416,8 +416,12 @@ def test_integrate_rejects_bad_arguments():
         integrate(sho_field, y0, h=0.1, n_steps=0)
     with pytest.raises(ValueError):
         integrate(sho_field, y0, h=0.0, n_steps=1)
-    with pytest.raises(ValueError):
-        integrate(sho_field, y0, h=0.1, n_steps=1, method="leapfrog")
+    # the method is looked up before the states are allocated: 10**13 steps
+    # would be 145 TiB, beyond any address space, so an allocation first
+    # would raise MemoryError instead
+    for n_steps in (1, 10**13):
+        with pytest.raises(ValueError, match="unknown method 'leapfrog'"):
+            integrate(sho_field, y0, h=0.1, n_steps=n_steps, method="leapfrog")
     with pytest.raises(ValueError):
         integrate(sho_field, np.zeros(3), h=0.1, n_steps=1)
 

@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (batch_major_hessian, central_diff, fd_hessian, naive_h,
+from oracles import (batch_major_hessian, broadcasting_field, broadcasting_forward,
+                     canonical_rotation, central_diff, fd_hessian, naive_h,
                      naive_tangent_reverse)
 
 from symplearn.model import (HamiltonianNet, costate_to_direction,
@@ -41,10 +42,11 @@ def test_single_point_and_batch_agree():
     rng = np.random.default_rng(11)
     batch = rng.uniform(-1, 1, size=(7, 2))
     vals = net.eval_h(theta, batch)
-    grads = net.grad_state(theta, batch)
+    field = net.field(theta)
+    fields = field(batch)
     for i in range(7):
         assert abs(net.eval_h(theta, batch[i]) - vals[i]) <= 1e-13
-        assert np.max(np.abs(net.grad_state(theta, batch[i]) - grads[i])) <= 1e-13
+        assert np.max(np.abs(field(batch[i]) - fields[i])) <= 1e-13
 
 
 def test_init_params_bounds_and_determinism():
@@ -58,27 +60,35 @@ def test_init_params_bounds_and_determinism():
         assert np.all(bias == 0.0)
 
 
+def fd_field(net, theta, point):
+    """The canonical field at one point, rotated from central differences of H."""
+    return canonical_rotation(central_diff(lambda x: net.eval_h(theta, x), point, eps=1e-6))
+
+
 def test_grad_state_matches_finite_differences():
     net = HamiltonianNet(1)
     theta = net.init_params(1)
     rng = np.random.default_rng(12)
     for _ in range(10):
         point = rng.uniform(-1.5, 1.5, size=2)
-        want = central_diff(lambda x: net.eval_h(theta, x), point, eps=1e-6)
-        got = net.grad_state(theta, point)
+        want = fd_field(net, theta, point)
+        got = net.field(theta)(point)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-8 * scale
 
 
 def test_dynamics_rearranges_the_gradient():
+    # at dim 2 the field is (dH/dp1, dH/dp2, -dH/dq1, -dH/dq2), each half
+    # in coordinate order
     net = HamiltonianNet(2, hidden=(6,))
     theta = net.init_params(5)
     rng = np.random.default_rng(13)
     y = rng.uniform(-1, 1, size=(4, 4))
-    g = net.grad_state(theta, y)
-    f = net.dynamics(theta, y)
-    assert np.array_equal(f[:, :2], g[:, 2:])
-    assert np.array_equal(f[:, 2:], -g[:, :2])
+    f = net.field(theta)(y)
+    for point, got in zip(y, f):
+        want = fd_field(net, theta, point)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-8 * scale
 
 
 def hessian(net, theta, y):
@@ -141,7 +151,7 @@ def test_vjp_params_matches_finite_differences():
     lam = rng.standard_normal((3, 2))
 
     def contraction(th):
-        return float(np.sum(lam * net.dynamics(th, y)))
+        return float(np.sum(lam * net.field(th)(y)))
 
     want = central_diff(contraction, theta, eps=1e-6)
     got = param_contraction(net, theta, y, lam)
@@ -254,8 +264,7 @@ def test_sweeps_leave_their_inputs_alone_and_repeat_bitwise(hidden):
     def sweeps():
         fresh = net._forward(layers, y)
         hess, hess_tape, primal = net._hess_and_tape(layers, y)
-        return [*fresh, net._reverse_input(layers, acts), net._reverse_input(layers, acts, True),
-                *net.field_vjp(layers, acts, w_dir),
+        return [*fresh, net._reverse_input(layers, acts), *net.field_vjp(layers, acts, w_dir),
                 hess, *hess_tape, *primal[0], *primal[1], *primal[2]]
 
     first = sweeps()
@@ -315,9 +324,10 @@ def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
     net = HamiltonianNet(2, hidden=(6, 5))
     theta = net.init_params(26)
     y = np.random.default_rng(27).uniform(-1, 1, size=(9, 4))
-    assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
+    want = broadcasting_field(theta, net.arch, y)
+    assert np.array_equal(net.field(theta)(y), want)
     tapes = []
-    assert np.array_equal(net.field(theta, tapes)(y), net.dynamics(theta, y))
+    assert np.array_equal(net.field(theta, tapes)(y), want)
     assert len(tapes) == 1 and np.array_equal(tapes[0][0], y)
 
 
@@ -325,13 +335,13 @@ def test_field_closure_matches_dynamics_and_keeps_tapes_on_request():
 @pytest.mark.parametrize("hidden", [(1,), (5,), (16, 32, 16)])
 def test_field_closure_is_dynamics_bit_for_bit(hidden, dim):
     # the closure ends its reverse on W_0^T with the canonical rotation
-    # folded into its columns; dynamics rotates the plain input gradient
-    # afterwards
+    # folded into its columns; the reference rotates the plain input
+    # gradient afterwards
     net = HamiltonianNet(dim, hidden=hidden)
     theta = 2.0 * net.init_params(28)
     for batch in (1, 64, 512):
         y = np.random.default_rng(batch).uniform(-1, 1, size=(batch, 2 * dim))
-        assert np.array_equal(net.field(theta)(y), net.dynamics(theta, y))
+        assert np.array_equal(net.field(theta)(y), broadcasting_field(theta, net.arch, y))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -353,24 +363,17 @@ def test_tiled_rows_serve_every_batch_size_bit_for_bit(hidden, dim):
     for batch in (512, 1, 3, 512, 1):
         y = rng.uniform(-1, 1, size=(batch, 2 * dim))
         u = rng.standard_normal((batch, 2 * dim))
-        want = [y]
-        for w, b in layers[:-1]:
-            want.append(np.tanh(want[-1] @ w + b))
-        grad = head
-        for l in range(len(layers) - 2, -1, -1):
-            grad = ((1.0 - want[l + 1] * want[l + 1]) * grad) @ np.ascontiguousarray(
-                layers[l][0].T)
-        grad = np.broadcast_to(grad, y.shape)
+        want = broadcasting_forward(theta, net.arch, y)
+        want_field = broadcasting_field(theta, net.arch, y)
 
         acts = net._forward(prep, y)
         assert all(np.array_equal(a, b) for a, b in zip(acts, want, strict=True))
-        assert np.array_equal(net._reverse_input(prep, acts), grad)
-        assert np.array_equal(net.grad_state(theta, y), grad)
+        assert np.array_equal(net._reverse_input(prep, acts), want_field)
         primal = net._primal_reverse(prep, acts)
         a = want[-1]
         assert np.array_equal(primal[1][-1], (1.0 - a * a) * head)
-        assert np.array_equal(field(y), net.dynamics(theta, y))
-        assert np.array_equal(field(y[0]), net.dynamics(theta, y[0]))
+        assert np.array_equal(field(y), want_field)
+        assert np.array_equal(field(y[0]), broadcasting_field(theta, net.arch, y[0]))
         hess = net._hess_and_tape(prep, y)[0]
         assert np.array_equal(hess, hessian(net, theta, y))
         fresh = net.prepare(theta)
@@ -408,8 +411,8 @@ def test_methods_are_pure():
     y = np.array([[0.3, -0.4], [0.1, 0.2]])
     y_copy = y.copy()
     theta_copy = theta.copy()
-    first = (net.eval_h(theta, y), net.grad_state(theta, y), hessian(net, theta, y))
-    second = (net.eval_h(theta, y), net.grad_state(theta, y), hessian(net, theta, y))
+    first = (net.eval_h(theta, y), net.field(theta)(y), hessian(net, theta, y))
+    second = (net.eval_h(theta, y), net.field(theta)(y), hessian(net, theta, y))
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
     assert np.array_equal(y, y_copy)
@@ -436,7 +439,9 @@ def test_bad_shapes_are_rejected():
     with pytest.raises(ValueError):
         net.eval_h(theta[:-1], np.zeros(2))
     with pytest.raises(ValueError):
-        net.grad_state(theta, np.zeros((2, 3)))
+        net.eval_h(theta, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="vector"):
+        net.eval_h(theta, np.zeros((1, 2, 2)))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -453,6 +458,9 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_corruption(tmp_path):
     net = HamiltonianNet(1, hidden=(4,))
     theta = net.init_params(1)
+    with pytest.raises(ValueError, match="theta has shape"):
+        save_checkpoint(tmp_path / "m.json", net, theta[:-1], seed=1)
+    assert not any(tmp_path.iterdir())
     header, binary = save_checkpoint(tmp_path / "m.json", net, theta, seed=1)
 
     data = binary.read_bytes()
