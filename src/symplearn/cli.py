@@ -11,7 +11,9 @@ the parser its value goes through; a command declares only the options its
 handler reads (--seed and --out-dir too).  Option precedence is CLI flag > --config
 JSON file > that default.  An option whose library call has a default of its
 own (every TrainConfig and FpiConfig field, the gen-data sizes, integrate's
-method, ...) defaults to None here and is passed only when given.  The config
+method, ...) defaults to None here and is passed only when given; an unset
+solver option takes train's value from TrainConfig().fpi and every other
+command's from FpiConfig().  The config
 file is a flat JSON object whose keys are the option names with underscores
 (for example {"grad_mode": "backprop", "epochs": 5}); flag strings and config
 values go through the same parser, and a value that does not parse exits 1
@@ -303,10 +305,12 @@ def _given(opts, names):
             if opts.get(key) is not None}
 
 
-def _fpi(opts):
-    """FpiConfig from the solver options given; FpiConfig fills in the rest."""
+def _fpi(opts, base=None):
+    """The solver options given, over base: FpiConfig() unless the caller
+    has solver defaults of its own (train's are TrainConfig's)."""
     from .integrators import FpiConfig
-    return FpiConfig(**_given(opts, {"fpi_tol": "tol", "fpi_max_iters": "max_iters"}))
+    return dataclasses.replace(base or FpiConfig(),
+                               **_given(opts, {"fpi_tol": "tol", "fpi_max_iters": "max_iters"}))
 
 
 def _random_state(system, seed):
@@ -338,7 +342,7 @@ def _train_config(opts):
     """TrainConfig from the training options given; TrainConfig fills in the rest."""
     from .training import TrainConfig
     fields = {f.name: f.name for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(fpi=_fpi(opts), **_given(opts, fields))
+    return TrainConfig(fpi=_fpi(opts, TrainConfig().fpi), **_given(opts, fields))
 
 
 def cmd_train(opts):

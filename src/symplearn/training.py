@@ -9,8 +9,20 @@ above the observation-noise floor, which at the storage rate would dominate
 the loss and leave nothing to optimize.
 
 Gradients come from either engine in `adjoint` (grad_mode 'adjoint' or
-'backprop'); both see exactly the same forward map, so the parameter
-trajectories they produce stay within solver tolerance of each other.
+'backprop'); both see exactly the same forward map.  At the training solver
+stop their gradients on a trained smoke model's batch differ by 6e-9 to
+3e-8 of the largest entry.
+
+Training stops each window's solves at a change of 1e-7 between sweeps
+(TrainConfig.fpi), not at FpiConfig()'s 1e-10.  The observations carry
+noise of std 0.01: over seeds 0-9 on both smoke workloads the looser stop
+moves the trained model's grid error, loss reduction, drift and final
+validation loss by under 2e-7 of their spread across seeds, and it cuts
+the forward sweeps of a 6-step window on the trained models from 25 to 17
+(double well) and from 23 to 13 (Henon-Heiles).  Long rollouts (`eval`,
+`integrate`) keep FpiConfig()'s tight solve: the energy of a solve stopped
+short of round-off drifts over long times (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, VIII.5-6).
 """
 
 import dataclasses
@@ -98,7 +110,7 @@ class TrainConfig:
     epochs: int = 25
     windows_per_traj: int = 16          # epoch length: n_train * this / batch_size
     lr: float = 0.01
-    fpi: FpiConfig = FpiConfig()
+    fpi: FpiConfig = FpiConfig(tol=1e-7)   # looser than FpiConfig(): see the docstring
     hidden: tuple = DEFAULT_HIDDEN
     seed: int = 0
     val_batches: int = 2

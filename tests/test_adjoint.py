@@ -314,6 +314,26 @@ def test_engines_agree_on_every_seed_branch(n_steps):
     assert rel(g_adj, g_bp) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["double_well", "henon_heiles"])
+def test_engines_agree_at_the_training_tolerance(name):
+    # at TrainConfig's looser solver stop the engines part by what the
+    # unfinished solve leaves: on these training-shaped windows (6 steps of
+    # h = 0.025, noise 0.01) 1e-10 to 7e-9 of the largest entry, and 6e-9 to
+    # 3e-8 on the trained smoke models' batches
+    system = get_system(name)
+    net = HamiltonianNet(system.dim)
+    worst = 0.0
+    for seed in range(4):
+        theta = net.init_params(seed)
+        windows = profile_windows(system, 64, 6, 0.025, seed)
+        noise = np.random.default_rng(seed).standard_normal(windows[:, 1:].shape)
+        windows[:, 1:] += 0.01 * noise
+        g_adj, g_bp = (loss_and_grad(net, theta, windows, 0.025, TrainConfig(grad_mode=mode))[1]
+                       for mode in ("adjoint", "backprop"))
+        worst = max(worst, rel(g_adj, g_bp))
+    assert worst <= 1e-7
+
+
 def test_gradient_scales_linearly_with_partials():
     net = HamiltonianNet(1, hidden=(5,))
     theta = net.init_params(50)

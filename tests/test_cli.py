@@ -17,11 +17,12 @@ import pytest
 
 from oracles import broadcasting_field
 
-from symplearn import cli
+from symplearn import cli, integrators
 from symplearn.cli import _THREAD_ENV_VARS, main
 from symplearn.data import FULL_SCALE, SMOKE_SCALE
-from symplearn.integrators import NonFiniteError
+from symplearn.integrators import FpiConfig, NonFiniteError
 from symplearn.model import HamiltonianNet, load_checkpoint
+from symplearn.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,44 @@ def test_numeric_values_below_their_range_exit_one(tmp_path, capsys, argv, name)
     assert main([*argv, *out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} ") and len(err.splitlines()) == 1
+
+
+def parsed(argv):
+    """The option values a command line gives its handler."""
+    parser, specs = cli._build_parser()
+    return cli._merge_options(parser.parse_args(argv), specs)
+
+
+def test_train_solver_options_fall_back_to_the_training_default(tmp_path):
+    # train's unset solver options come from TrainConfig, not FpiConfig
+    train_fpi = TrainConfig().fpi
+    assert train_fpi.tol != FpiConfig().tol
+    assert cli._train_config(parsed(["train"])).fpi == train_fpi
+    want = dataclasses.replace(train_fpi, max_iters=40)
+    assert cli._train_config(parsed(["train", "--fpi-max-iters", "40"])).fpi == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fpi_max_iters": 40}))
+    assert cli._train_config(parsed(["train", "--config", str(cfg)])).fpi == want
+    assert cli._train_config(parsed(["train", "--fpi-tol", "1e-9"])).fpi.tol == 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--grid-points", "3", "--drift-steps", "5"],
+    ["integrate", "--system", "coupled_ho", "--n-steps", "5"],
+], ids=lambda argv: argv[0])
+def test_rollout_commands_solve_to_the_fpi_default(argv, tmp_path, monkeypatch, capsys):
+    # eval and integrate roll out long trajectories: without --fpi-tol they
+    # keep FpiConfig()'s tight solve, whatever training uses
+    seen, rollout = [], integrators.integrate
+
+    def recording(*args, **kw):
+        seen.append(kw["cfg"])
+        return rollout(*args, **kw)
+
+    monkeypatch.setattr(integrators, "integrate", recording)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert seen == [FpiConfig()]
 
 
 def test_train_options_are_the_train_config_fields():

@@ -347,6 +347,18 @@ def test_one_net_serves_every_batch_size_as_fresh_nets_do(grad_mode, dim):
         assert np.array_equal(grad, ref_grad)
 
 
+def test_training_default_takes_fewer_sweeps_than_the_fpi_default():
+    # training stops its solves looser than FpiConfig(); a path that sent
+    # training back through FpiConfig() would pay the saved sweeps again
+    system = get_system("double_well")
+    net = HamiltonianNet(system.dim)
+    theta = net.init_params(0)
+    windows = profile_windows(system, 64, 6, 0.025, seed=0)
+    sweeps = [sum(r.iterations for r in loss_and_grad(net, theta, windows, 0.025, config)[2])
+              for config in (TrainConfig(), TrainConfig(fpi=FpiConfig()))]
+    assert sweeps[0] < sweeps[1]
+
+
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="minor-fault counts are calibrated for Linux with glibc malloc")
 def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env):
