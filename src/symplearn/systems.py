@@ -51,7 +51,7 @@ def double_well(width_scale=1.0):
         q, p = y[..., 0], y[..., 1]
         out = np.empty_like(y)
         out[..., 0] = p
-        np.subtract(q, q ** 3, out=out[..., 1])
+        np.subtract(q, q * q * q, out=out[..., 1])
         return out
 
     return HamiltonianSystem(

@@ -267,8 +267,9 @@ def test_c9_pipeline_determinism(tmp_path, package_env):
     identical = [first[rel] == (work / rel).read_bytes() for rel in artifacts]
 
     def without_walltime(text):
-        return [",".join(ln.split(",")[:-1])
-                for ln in text.strip().splitlines()]
+        rows = [ln.split(",") for ln in text.strip().splitlines()]
+        keep = [i for i, name in enumerate(rows[0]) if name != "wall_time_s"]
+        return [[row[i] for i in keep] for row in rows]
 
     identical.append(without_walltime(first_metrics)
                      == without_walltime((tr / "metrics.csv").read_text()))

@@ -317,9 +317,11 @@ def test_engines_agree_on_every_seed_branch(n_steps):
 @pytest.mark.parametrize("name", ["double_well", "henon_heiles"])
 def test_engines_agree_at_the_training_tolerance(name):
     # at TrainConfig's looser solver stop the engines part by what the
-    # unfinished solve leaves: on these training-shaped windows (6 steps of
-    # h = 0.025, noise 0.01) 1e-10 to 7e-9 of the largest entry, and 6e-9 to
-    # 3e-8 on the trained smoke models' batches
+    # unfinished solve leaves, held to 1e-3 of that stop: on these
+    # training-shaped windows (6 steps of h = 0.025, noise 0.01) the gap is
+    # 6.5e-9 to 4.9e-8 of the largest entry at the default of 1e-4, and
+    # 1.7e-6 to 4.6e-6 on the trained smoke models' batches, where the
+    # field is stronger (see the training tests for that regime)
     system = get_system(name)
     net = HamiltonianNet(system.dim)
     worst = 0.0
@@ -331,7 +333,7 @@ def test_engines_agree_at_the_training_tolerance(name):
         g_adj, g_bp = (loss_and_grad(net, theta, windows, 0.025, TrainConfig(grad_mode=mode))[1]
                        for mode in ("adjoint", "backprop"))
         worst = max(worst, rel(g_adj, g_bp))
-    assert worst <= 1e-7
+    assert worst <= 1e-3 * TrainConfig().fpi.tol
 
 
 def test_gradient_scales_linearly_with_partials():

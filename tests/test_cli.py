@@ -407,6 +407,9 @@ def test_metrics_csv_grows_by_one_row_per_epoch(dataset, tmp_path, monkeypatch):
 
     final = stripped(read_metrics(out))
     assert len(final) == len(snapshots) == 4
+    # columns only ever append: readers of metrics.csv take train_loss by position
+    assert list(read_metrics(out)[0]) == ["epoch", "train_loss", "val_loss", "lr",
+                                          "wall_time_s", "val_excess"]
     for n, rows in enumerate(snapshots, 1):
         assert stripped(rows) == final[:n]
 

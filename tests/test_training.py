@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import dataclasses
 import pathlib
 import platform
 import resource
@@ -190,9 +191,10 @@ def test_train_reduces_loss_and_reports_metrics(tiny_dataset):
     assert len(result.metrics) == 4  # epoch 0 baseline + 3 epochs
     assert [row["epoch"] for row in result.metrics] == [0, 1, 2, 3]
     for row in result.metrics:
-        assert set(row) == {"epoch", "train_loss", "val_loss", "lr",
-                            "wall_time_s"}
+        assert list(row) == ["epoch", "train_loss", "val_loss", "lr", "wall_time_s",
+                             "val_excess"]
         assert np.isfinite(row["train_loss"]) and np.isfinite(row["val_loss"])
+        assert np.isfinite(row["val_excess"])
     # the logged epoch losses come from different batches, whose spread is
     # about what three epochs gain here, so both thetas are scored on one
     # fixed sample of training windows
@@ -203,6 +205,18 @@ def test_train_reduces_loss_and_reports_metrics(tiny_dataset):
     theta0 = result.net.init_params(config.seed)
     assert (_forward_loss(result.net, result.theta, windows, h, config)
             < _forward_loss(result.net, theta0, windows, h, config))
+
+
+def test_true_field_scores_zero_excess(tiny_dataset, monkeypatch):
+    # val_excess compares the model's validation loss with the true field's
+    # on the same windows and solver, so a model that is the true field
+    # reads exactly 0
+    manifest, _, noisy = tiny_dataset
+    truth = get_system(manifest.system, **manifest.system_params).dynamics
+    monkeypatch.setattr(HamiltonianNet, "field", lambda self, theta: truth)
+    (row,) = drain(manifest, noisy, tiny_config(epochs=0)).metrics
+    assert row["val_excess"] == 0.0
+    assert row["val_loss"] > 0.0
 
 
 def test_train_is_deterministic(tiny_dataset):
@@ -359,13 +373,45 @@ def test_training_default_takes_fewer_sweeps_than_the_fpi_default():
     assert sweeps[0] < sweeps[1]
 
 
+@pytest.mark.parametrize("system", ["double_well", "henon_heiles"])
+def test_training_default_stays_near_a_tight_solve_on_a_trained_model(tmp_path, system):
+    # a briefly trained model's field is strong enough that the training
+    # stop saves sweeps on training-shaped windows (6 steps of stride 25):
+    # 8 against 30 (double well) and 28 (Henon-Heiles) for a tol-1e-12
+    # solve.  Loss and gradient of both engines must stay near the tight
+    # backprop ones; on the bench's seed-0 and seed-1 batches of the trained
+    # smoke models they moved by at most 5.8e-7 (loss, relative) and 4.8e-5
+    # (gradient, of its largest entry), and here by at most 2.0e-7 and
+    # 5.3e-6.  A stop at 1e-3 moves the double well's by 2.8e-6 and 1.4e-4
+    generate_dataset(system, tmp_path / "ds", seed=3, n_train=16, n_val=4, n_steps=150)
+    manifest, _, noisy = load_dataset(tmp_path / "ds")
+    config = TrainConfig(hidden=(16, 16), epochs=10, batch_size=64, lr=0.02, val_batches=1)
+    result = drain(manifest, noisy, config)
+    windows, _, _ = sample_windows(split_dataset(manifest, noisy)[0], 64, 6,
+                                   np.random.default_rng(0), stride=25)
+    h = 25 * manifest.dt
+    tight = dataclasses.replace(config, grad_mode="backprop",
+                                fpi=FpiConfig(tol=1e-12, max_iters=100))
+    ref_loss, ref_grad, ref_reports = loss_and_grad(result.net, result.theta, windows, h, tight)
+    scale = np.max(np.abs(ref_grad))
+    for mode in ("adjoint", "backprop"):
+        loss, grad, reports = loss_and_grad(result.net, result.theta, windows, h,
+                                            dataclasses.replace(config, grad_mode=mode))
+        assert sum(r.iterations for r in reports) < sum(r.iterations for r in ref_reports)
+        assert abs(loss - ref_loss) <= 1e-6 * ref_loss
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-4 * scale
+
+
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="minor-fault counts are calibrated for Linux with glibc malloc")
-def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env):
+@pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
+def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env, grad_mode):
     # a fresh process must not hand its working memory back to the kernel
     # between batches: two epochs of 8 batches of 512 windows may take at
-    # most 2,000 minor faults beyond the same run with no epoch (about 350
-    # with the net's buffer set; freeing each pass's buffers took about 23,000)
+    # most 2,000 minor faults beyond the same run with no epoch (about 365
+    # with the net's buffer set; freeing each pass's buffers took about
+    # 23,000).  Recorded backprop's tapes are fresh per sweep: about 1,670
+    # at the training stop of 1e-4, against 2,220 at 1e-7
     generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=128, n_val=16,
                      n_steps=160)
 
@@ -373,7 +419,8 @@ def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env):
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         subprocess.run([sys.executable, "-m", "symplearn", "train", "--data", str(tmp_path / "ds"),
                         "--epochs", str(epochs), "--batch-size", "512", "--threads", "1",
-                        "--seed", "0", "--out-dir", str(tmp_path / f"fit{epochs}")],
+                        "--grad-mode", grad_mode, "--seed", "0",
+                        "--out-dir", str(tmp_path / f"fit{epochs}")],
                        env=package_env, check=True, capture_output=True)
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
