@@ -92,21 +92,26 @@ def _text(value):
 
 
 def _numbers(kind):
-    """Parser for a comma-separated list, or a JSON list, of kind."""
+    """Parser for a comma-separated string, or a JSON list, of kind."""
     def parse(value):
         if isinstance(value, str):
             value = value.replace(",", " ").split()
+        elif not isinstance(value, list):
+            raise ValueError(f"expects a list or a comma-separated string, got {value!r}")
         return tuple(kind(v) for v in value)
     return parse
 
 
 def _kv_floats(value):
-    """K=V strings, or a JSON object, as {K: _float(V)}."""
+    """A list of K=V strings (a repeated flag), or a JSON object, as
+    {K: _float(V)}."""
     if isinstance(value, dict):
         return {str(k): _float(v) for k, v in value.items()}
+    if not isinstance(value, list):
+        raise ValueError(f"expects a list of K=V strings or an object, got {value!r}")
     out = {}
     for item in value:
-        if "=" not in item:
+        if not isinstance(item, str) or "=" not in item:
             raise ValueError(f"expects K=V, got {item!r}")
         k, v = item.split("=", 1)
         out[k.strip()] = _float(v)

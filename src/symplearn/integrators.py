@@ -322,9 +322,11 @@ def prk_step(f, y, h, tableau, cfg=FpiConfig()):
 # SEED_SLOPES[n] h f(y_0), the field value step 0's first sweep takes at
 # (y_0 + y_0) / 2 = y_0 exactly, and are exact on polynomials of degree 2
 # and 3; rows 3 to 5 are the binomial rows (-1)^j C(k+1, j+1), exact on
-# degree k.  Against the binomial rows capped at the quartic they take 28 ->
-# 25 sweeps per 6-step window on the double well and 25 -> 23 on
-# Henon-Heiles, at trained smoke models.  `integrate` and recorded
+# degree k.  Against the binomial rows capped at the quartic, at trained
+# smoke models (batches of 512 6 x 25 windows), they take 28 -> 25 sweeps
+# per window on the double well and 25 -> 23 on Henon-Heiles at tol 1e-10;
+# at training's stop of 1e-4 they still save one on both systems, 9 -> 8
+# (3,2,1,1,1,1 -> 3,1,1,1,1,1 sweeps per step).  `integrate` and recorded
 # backprop's reverse both read the tables only through _seed_terms.
 SEED_WEIGHTS = ((1.0,), (4.0, -3.0), (4.5, -9.0, 5.5), (4.0, -6.0, 4.0, -1.0),
                 (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .adjoint import backward_through_record, solve_adjoint_accumulate
+from .adjoint import solve_adjoint_accumulate
 from .data import sample_initial_conditions
 from .integrators import REFERENCE_FPI, _check_count, integrate
 from .memory import METER
@@ -48,20 +48,19 @@ def profile_windows(system, batch_size, window_steps, h, seed):
 
 
 def engine_peak(net, theta, windows, h, config):
-    """Traced peak bytes of the gradient engine for one batch, computed as
-    loss_and_grad computes it.  The engine runs on a fresh net of net's
-    shape made inside the measured block, so the peak counts the buffer set
-    it writes into, whatever net has run before."""
-    if config.grad_mode == "adjoint":
-        _, partials, states, _, _ = _rollout(net, theta, windows, h, config)
+    """Traced peak bytes of the gradient engine for one batch.  The engine
+    runs on a fresh net of net's shape made inside the measured block, so the
+    peak counts the buffer set it writes into, whatever net has run before:
+    recorded backprop is a whole loss_and_grad, the costate engine its sweep
+    alone, after an untraced rollout."""
+    if config.grad_mode == "backprop":
         with METER.measure() as block:
-            net = HamiltonianNet(net.dim, net.arch[1:-1])
-            solve_adjoint_accumulate(net, theta, states, partials, h)
+            loss_and_grad(HamiltonianNet(net.dim, net.arch[1:-1]), theta, windows, h, config)
         return block.peak_bytes
+    _, partials, states, _ = _rollout(net.field(theta), windows, h, config)
     with METER.measure() as block:
         net = HamiltonianNet(net.dim, net.arch[1:-1])
-        _, partials, _, _, record = _rollout(net, theta, windows, h, config, record=True)
-        backward_through_record(net, theta, record, partials)
+        solve_adjoint_accumulate(net, theta, states, partials, h)
     return block.peak_bytes
 
 

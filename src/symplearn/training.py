@@ -132,23 +132,16 @@ class TrainConfig:
         object.__setattr__(self, "hidden", _widths(self.hidden))
 
 
-def _rollout(net, theta, windows, h, config, record=False):
-    """Forward half of one batch: roll the model field through the windows
-    and score the predictions.
+def _rollout(field, windows, h, config):
+    """Forward half of one batch: roll field through the windows with
+    training's solver and score the predictions.
 
-    record=True keeps the network tapes for recorded backprop.  Returns
-    (loss, partials, states, reports, record or None).
+    Returns (loss, partials, states, reports).
     """
-    n_steps = windows.shape[1] - 1
-    y0 = windows[:, 0, :]
-    rec = None
-    if record:
-        rec = adj.record_rollout(net, theta, y0, h, n_steps, cfg=config.fpi)
-        states, reports = rec.states, rec.reports
-    else:
-        states, reports = integrate(net.field(theta), y0, h, n_steps, cfg=config.fpi)
+    states, reports = integrate(field, windows[:, 0, :], h, windows.shape[1] - 1,
+                                cfg=config.fpi)
     loss, partials = window_loss(states, windows)
-    return loss, partials, states, reports, rec
+    return loss, partials, states, reports
 
 
 def loss_and_grad(net, theta, windows, h, config):
@@ -158,25 +151,20 @@ def loss_and_grad(net, theta, windows, h, config):
     forward solve converged (`integrate` raises otherwise) and the costate
     steps are exact solves.
     """
-    backprop = config.grad_mode == "backprop"
-    loss, partials, states, reports, record = _rollout(net, theta, windows, h, config,
-                                                       record=backprop)
-    if backprop:
-        grad = adj.backward_through_record(net, theta, record, partials)
+    if config.grad_mode == "backprop":
+        record = adj.record_rollout(net, theta, windows[:, 0, :], h, windows.shape[1] - 1,
+                                    cfg=config.fpi)
+        loss, partials = window_loss(record.states, windows)
+        grad, reports = adj.backward_through_record(net, theta, record, partials), record.reports
     else:
+        loss, partials, states, reports = _rollout(net.field(theta), windows, h, config)
         grad, _ = adj.solve_adjoint_accumulate(net, theta, states, partials, h)
     return loss, grad, reports
 
 
 def _forward_loss(net, theta, windows, h, config):
     """Loss only, no gradient; used for validation and the epoch-0 baseline."""
-    return _field_loss(net.field(theta), windows, h, config)
-
-
-def _field_loss(f, windows, h, config):
-    """Loss of the field f rolled through the windows with training's solver."""
-    states, _ = integrate(f, windows[:, 0, :], h, windows.shape[1] - 1, cfg=config.fpi)
-    return window_loss(states, windows)[0]
+    return _rollout(net.field(theta), windows, h, config)[0]
 
 
 def saturation_epoch(val_losses):
@@ -226,17 +214,18 @@ def train(manifest, noisy, config):
     batch = min(config.batch_size, len(train_traj) * config.windows_per_traj)
     steps_per_epoch = max(1, (len(train_traj) * config.windows_per_traj) // batch)
 
-    def score(split, stream):
-        """Mean forward losses of the current theta and of the true field
-        over val_batches batches of split's windows, drawn from stream."""
+    def score(split, stream, *fields):
+        """Mean forward losses over val_batches batches of split's windows,
+        drawn from stream: the current theta's, then each of fields' on the
+        same windows."""
         n = min(batch, len(split) * config.windows_per_traj)
-        pairs = []
+        rows = []
         for _ in range(config.val_batches):
             windows = sample_windows(split, n, config.window_steps, stream,
                                      stride=config.stride)[0]
-            pairs.append((_forward_loss(net, theta, windows, h, config),
-                          _field_loss(truth, windows, h, config)))
-        return [float(np.mean(losses)) for losses in zip(*pairs)]
+            rows.append([_forward_loss(net, theta, windows, h, config)]
+                        + [_rollout(f, windows, h, config)[0] for f in fields])
+        return [float(np.mean(losses)) for losses in zip(*rows)]
 
     for epoch in range(config.epochs + 1):
         t_epoch = time.perf_counter()
@@ -245,7 +234,7 @@ def train(manifest, noisy, config):
                 # the untouched model, scored on its own stream: the baseline
                 # later epochs have to beat
                 where = "epoch 0 (baseline)"     # context for a numerical failure
-                train_loss, _ = score(train_traj, np.random.default_rng((config.seed, 6)))
+                train_loss = score(train_traj, np.random.default_rng((config.seed, 6)))[0]
             else:
                 epoch_losses = []
                 for bi in range(steps_per_epoch):
@@ -261,7 +250,7 @@ def train(manifest, noisy, config):
                     epoch_losses.append(loss)
                 train_loss = float(np.mean(epoch_losses))
             where = f"epoch {epoch} (validation)"
-            vl, floor = score(val_traj, np.random.default_rng((config.seed, 3, epoch)))
+            vl, floor = score(val_traj, np.random.default_rng((config.seed, 3, epoch)), truth)
         except NonFiniteError as err:
             raise NonFiniteError(f"{err} at {where}") from None
         yield {

@@ -10,18 +10,19 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
+import pytest
 
 from symplearn.adjoint import record_rollout, solve_adjoint_accumulate
-from symplearn.data import generate_dataset
+from symplearn.data import generate_dataset, load_dataset
 from symplearn.integrators import TABLEAUX, implicit_midpoint_step, prk_step
 from symplearn.memory import METER
 from symplearn.model import HamiltonianNet
 from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
-from symplearn.training import TrainConfig, _rollout, loss_and_grad
+from symplearn.training import TrainConfig, _rollout, loss_and_grad, train
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -65,7 +66,7 @@ def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
     loss, grad, _ = result
     assert np.isfinite(loss) and grad.shape == theta.shape
 
-    _, partials, states, _, _ = _rollout(net, theta, windows, h, config)
+    _, partials, states, _ = _rollout(net.field(theta), windows, h, config)
     sweep = solve_adjoint_accumulate(net, theta, states, partials, h)
     assert len(sweep) == 2 and 0.0 <= sweep[1].converged_fraction <= 1.0
 
@@ -93,3 +94,54 @@ def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
     observe["data.generate_dataset"](
         stats, generate_dataset("coupled_ho", tmp_path, 0, 2, 1, n_steps=3))
     assert stats["data.bytes_written"] == sum(f.stat().st_size for f in tmp_path.iterdir())
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each layer.function by wrapping it wherever the
+    package holds it by name, as the tracer does; returns the counter."""
+    counts, layers = Counter(), _tracing().LAYERS
+    for name in names:
+        layer, attr = name.split(".")
+        original = getattr(importlib.import_module(f"symplearn.{layer}"), attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for held_in in layers:
+            module = importlib.import_module(f"symplearn.{held_in}")
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("grad_mode, expected", [
+    ("backprop", {"adjoint.record_rollout": 1, "adjoint.backward_through_record": 1}),
+    ("adjoint", {"adjoint.solve_adjoint_accumulate": 1}),
+])
+def test_a_training_step_calls_what_the_bench_times(monkeypatch, grad_mode, expected):
+    # bench/run.py files these spans as adjoint.record_rollout.total_s,
+    # adjoint.backward.total_s and adjoint.costate_sweep.*; a training step
+    # that stopped calling one would read 0 there
+    counts = _count_calls(monkeypatch, "adjoint.record_rollout",
+                          "adjoint.backward_through_record",
+                          "adjoint.solve_adjoint_accumulate")
+    system = get_system("coupled_ho")
+    net = HamiltonianNet(system.dim, hidden=(4,))
+    windows = profile_windows(system, 4, 2, 0.01, 0)
+    loss_and_grad(net, net.init_params(0), windows, 0.01,
+                  TrainConfig(grad_mode=grad_mode, window_steps=2))
+    assert counts == expected
+
+
+def test_train_calls_the_forward_loss_the_bench_times_as_validation(tmp_path, monkeypatch):
+    # training.validation_s is the span of training._forward_loss: one call
+    # per batch of epoch 0's baseline and of every epoch's validation
+    counts = _count_calls(monkeypatch, "training._forward_loss")
+    generate_dataset("double_well", tmp_path, seed=7, n_train=8, n_val=2, n_steps=60)
+    config = TrainConfig(window_steps=2, stride=10, batch_size=8, epochs=2,
+                         windows_per_traj=8, hidden=(8,), val_batches=3)
+    manifest, _, noisy = load_dataset(tmp_path)
+    for _ in train(manifest, noisy, config):
+        pass
+    assert counts == {"training._forward_loss": config.val_batches * (config.epochs + 2)}

@@ -717,6 +717,21 @@ def test_numbers_reject_booleans_and_non_finite_values(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_lists_of_the_wrong_json_kind_exit_one(tmp_path, capsys):
+    # a bare string is not a list of K=V strings (iterating it would read
+    # its characters), and a bare number is not a list of numbers
+    for cmd, key, value, expected in (
+            ("eval", "system_param", "alpha=0.5", "a list of K=V strings or an object"),
+            ("eval", "slice", "0=1", "a list of K=V strings or an object"),
+            ("grad-check", "hidden", 16, "a list or a comma-separated string"),
+            ("integrate", "y0", 0.5, "a list or a comma-separated string")):
+        err = config_error(capsys, tmp_path, cmd, {key: value})
+        assert f"config key {key!r}: expects {expected}, got {value!r}" in err
+    err = config_error(capsys, tmp_path, "eval", {"system_param": [1]})
+    assert "config key 'system_param': expects K=V, got 1" in err
+    assert not (tmp_path / "o").exists()
+
+
 # the same options as flags and as a config file (keys with underscores,
 # lists and K=V pairs as JSON) must write the same files
 PARITY = {

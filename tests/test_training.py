@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import symplearn
-from symplearn.adjoint import backward_through_record, solve_adjoint_accumulate
+from symplearn.adjoint import (backward_through_record, record_rollout,
+                               solve_adjoint_accumulate)
 from symplearn.data import (generate_dataset, load_dataset, sample_windows, split_dataset,
                             write_csv)
 from symplearn.integrators import FpiConfig, NonFiniteError
@@ -169,8 +170,12 @@ def test_each_sweep_evaluates_the_field_once(tiny_dataset, monkeypatch, grad_mod
     config = tiny_config(grad_mode=grad_mode, window_steps=4)
     h = config.stride * manifest.dt
     backprop = grad_mode == "backprop"
-    _, partials, states, reports, record = _rollout(net, theta, windows, h, config,
-                                                    record=backprop)
+    if backprop:
+        record = record_rollout(net, theta, windows[:, 0], h, config.window_steps,
+                                cfg=config.fpi)
+        partials, reports = window_loss(record.states, windows)[1], record.reports
+    else:
+        _, partials, states, reports = _rollout(net.field(theta), windows, h, config)
     sweeps = sum(r.iterations for r in reports)
     assert sweeps > len(reports)
     assert len(calls) == sweeps
@@ -217,6 +222,27 @@ def test_true_field_scores_zero_excess(tiny_dataset, monkeypatch):
     (row,) = drain(manifest, noisy, tiny_config(epochs=0)).metrics
     assert row["val_excess"] == 0.0
     assert row["val_loss"] > 0.0
+
+
+def test_only_validation_rolls_the_true_field(tiny_dataset, monkeypatch):
+    # the true field's loss is val_excess's noise floor, a validation figure:
+    # epoch 0's baseline on training windows rolls the model alone
+    import symplearn.training as tr
+    manifest, _, noisy = tiny_dataset
+    system = get_system(manifest.system, **manifest.system_params)
+    monkeypatch.setattr(tr, "get_system", lambda name, **params: system)
+    fields, integrate = [], tr.integrate
+
+    def recorded(f, *args, **kwargs):
+        fields.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "integrate", recorded)
+    config = tiny_config(epochs=0, val_batches=2)
+    drain(manifest, noisy, config)
+    # baseline, validation and floor, one batch each per val batch
+    assert len(fields) == 3 * config.val_batches
+    assert sum(f is system.dynamics for f in fields) == config.val_batches
 
 
 def test_train_is_deterministic(tiny_dataset):
