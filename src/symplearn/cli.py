@@ -511,8 +511,8 @@ def cmd_grad_check(opts):
     for i in range(net.n_params):
         bump = np.zeros(net.n_params)
         bump[i] = step
-        up = _forward_loss(net, theta + bump, windows, h, adjoint)
-        dn = _forward_loss(net, theta - bump, windows, h, adjoint)
+        up = _forward_loss(net.field(theta + bump), windows, h, adjoint)
+        dn = _forward_loss(net.field(theta - bump), windows, h, adjoint)
         g_fd[i] = (up - dn) / (2.0 * step)
 
     scale = max(float(np.max(np.abs(g_adj))), float(np.max(np.abs(g_fd))), 1e-300)

@@ -73,7 +73,7 @@ class DatasetManifest:
     def __post_init__(self):
         """Reject a field of the wrong type or range, naming it: counts are
         integers (not booleans); dt, noise_std and the system parameters
-        finite numbers."""
+        finite numbers; system, with system_params, a registered system of that dim."""
         for name, low in (("dim", 1), ("seed", 0), ("n_train", 1), ("n_val", 0),
                           ("n_steps", 1)):
             _check_count(f"manifest {name}", getattr(self, name), low)
@@ -89,6 +89,9 @@ class DatasetManifest:
         if not all(_is_finite(v) for v in self.system_params.values()):
             raise ValueError(f"manifest system_params must map names to finite numbers, "
                              f"got {self.system_params!r}")
+        dim = get_system(self.system, **self.system_params).dim
+        if self.dim != dim:
+            raise ValueError(f"manifest dim is {self.dim}, but system {self.system!r} has {dim}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -208,7 +211,8 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     Picks batch_size (trajectory, start) pairs uniformly; a window takes
     every stride-th stored point, window_steps + 1 of them, so it spans
     window_steps solver steps of size stride * dt.  Returns
-    (windows [B, window_steps + 1, 2d], traj_idx, start_idx).
+    (windows [window_steps + 1, B, 2d], traj_idx, start_idx), time-major
+    like a rollout's states: windows[k, b] is traj_idx[b]'s point start_idx[b] + k * stride.
     batch_size, window_steps and stride must be integers >= 1.
     """
     for name, value in (("batch_size", batch_size), ("window_steps", window_steps),
@@ -223,7 +227,7 @@ def sample_windows(trajectories, batch_size, window_steps, rng, stride=1):
     traj_idx = rng.integers(0, n_traj, size=batch_size)
     start_idx = rng.integers(0, n_points - span, size=batch_size)
     offsets = np.arange(0, span + 1, stride)
-    windows = trajectories[traj_idx[:, None], start_idx[:, None] + offsets[None, :]]
+    windows = trajectories[traj_idx[None, :], start_idx[None, :] + offsets[:, None]]
     return windows, traj_idx, start_idx
 
 
@@ -253,7 +257,7 @@ def _read_json(path, version=None, keys=None, optional=frozenset()):
     """
     try:
         raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:            # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as err:   # bad JSON or UTF-8, or nested too deep
         raise ValueError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")

@@ -352,7 +352,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     negative (the symmetric methods are time-reversible).  Each implicit
     midpoint solve is seeded by extrapolating the states stored so far with
     SEED_WEIGHTS, plus SEED_SLOPES times the first field value of step 0,
-    h f(y0), at steps 1 and 2; the first step starts from y0.
+    h f(y0), at steps 1 and 2; row 0 is (1.0,): the first step starts from y0.
 
     Every rollout in the package goes through here, and the costate sweep
     is the exact adjoint of the rollout only where each step was solved, so
@@ -377,7 +377,7 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     y = y0
     slope = []           # h f(y_0), kept from step 0's first sweep
 
-    def first_sweep(x):  # step 0's field, evaluated first at (y_0 + y_0) / 2 = y_0
+    def field(x):        # step 0's first sweep evaluates (y_0 + y_0) / 2 = y_0
         value = f(x)
         if not slope:
             slope.append(h * value)
@@ -386,14 +386,11 @@ def integrate(f, y0, h, n_steps, method="implicit_midpoint", cfg=FpiConfig()):
     for i in range(n_steps):
         try:
             if tableau is None:
-                if i:
-                    weights, slope_weight = _seed_terms(i)
-                    start = sum(c * states[i - k] for k, c in enumerate(weights))
-                    if slope_weight:
-                        start += slope_weight * slope[0]
-                    y, rep = implicit_midpoint_step(f, y, h, cfg, start=start)
-                else:
-                    y, rep = implicit_midpoint_step(first_sweep, y, h, cfg)
+                weights, slope_weight = _seed_terms(i)
+                start = sum(c * states[i - k] for k, c in enumerate(weights))
+                if slope_weight:
+                    start += slope_weight * slope[0]
+                y, rep = implicit_midpoint_step(field, y, h, cfg, start=start)
             else:
                 y, rep = prk_step(f, y, h, tableau, cfg)
                 _check_finite(y, f"step {i}")

@@ -38,13 +38,12 @@ class ProfileRow:
 
 
 def profile_windows(system, batch_size, window_steps, h, seed):
-    """Noise-free windows rolled out from the true field: the profile should
-    measure engine overhead, not data quality."""
+    """Noise-free time-major windows [window_steps + 1, B, 2d] from the true
+    field: the profile should measure engine overhead, not data quality."""
     _check_count("batch_size", batch_size)
     y0 = sample_initial_conditions(system, batch_size, np.random.default_rng((seed, 4)))
-    states, _ = integrate(system.dynamics, y0, h, window_steps,
-                          method="implicit_midpoint", cfg=REFERENCE_FPI)
-    return np.ascontiguousarray(np.swapaxes(states, 0, 1))
+    return integrate(system.dynamics, y0, h, window_steps,
+                     method="implicit_midpoint", cfg=REFERENCE_FPI)[0]
 
 
 def engine_peak(net, theta, windows, h, config):

@@ -41,13 +41,13 @@ from .systems import get_system
 def window_loss(pred_states, windows):
     """Squared mismatch over a window, skipping the shared initial point.
 
-    pred_states is time-major [n+1, B, 2d], windows batch-major [B, n+1, 2d].
+    pred_states and windows are both time-major [n+1, B, 2d].
     Returns (loss, partials [n, B, 2d]) where loss sums residual squares over
     steps and coordinates and averages over the batch; partials is the
     gradient of that scalar with respect to the predictions.
     """
     pred_states = np.asarray(pred_states, dtype=np.float64)
-    obs = np.swapaxes(np.asarray(windows, dtype=np.float64), 0, 1)
+    obs = np.asarray(windows, dtype=np.float64)
     if pred_states.ndim != 3 or pred_states.shape != obs.shape:
         raise ValueError(
             f"predictions {pred_states.shape} do not line up with windows {obs.shape}"
@@ -133,13 +133,12 @@ class TrainConfig:
 
 
 def _rollout(field, windows, h, config):
-    """Forward half of one batch: roll field through the windows with
-    training's solver and score the predictions.
+    """Forward half of one batch: roll field from windows[0] through the
+    windows [n+1, B, 2d] with training's solver and score the predictions.
 
     Returns (loss, partials, states, reports).
     """
-    states, reports = integrate(field, windows[:, 0, :], h, windows.shape[1] - 1,
-                                cfg=config.fpi)
+    states, reports = integrate(field, windows[0], h, len(windows) - 1, cfg=config.fpi)
     loss, partials = window_loss(states, windows)
     return loss, partials, states, reports
 
@@ -152,8 +151,7 @@ def loss_and_grad(net, theta, windows, h, config):
     steps are exact solves.
     """
     if config.grad_mode == "backprop":
-        record = adj.record_rollout(net, theta, windows[:, 0, :], h, windows.shape[1] - 1,
-                                    cfg=config.fpi)
+        record = adj.record_rollout(net, theta, windows[0], h, len(windows) - 1, cfg=config.fpi)
         loss, partials = window_loss(record.states, windows)
         grad, reports = adj.backward_through_record(net, theta, record, partials), record.reports
     else:
@@ -162,9 +160,10 @@ def loss_and_grad(net, theta, windows, h, config):
     return loss, grad, reports
 
 
-def _forward_loss(net, theta, windows, h, config):
-    """Loss only, no gradient; used for validation and the epoch-0 baseline."""
-    return _rollout(net.field(theta), windows, h, config)[0]
+def _forward_loss(field, windows, h, config):
+    """field's loss on the windows, no gradient: validation's for the model
+    and its noise floor (the true field), the epoch-0 baseline's and c4's."""
+    return _rollout(field, windows, h, config)[0]
 
 
 def saturation_epoch(val_losses):
@@ -223,8 +222,8 @@ def train(manifest, noisy, config):
         for _ in range(config.val_batches):
             windows = sample_windows(split, n, config.window_steps, stream,
                                      stride=config.stride)[0]
-            rows.append([_forward_loss(net, theta, windows, h, config)]
-                        + [_rollout(f, windows, h, config)[0] for f in fields])
+            rows.append([_forward_loss(f, windows, h, config)
+                         for f in (net.field(theta), *fields)])
         return [float(np.mean(losses)) for losses in zip(*rows)]
 
     for epoch in range(config.epochs + 1):

@@ -134,8 +134,8 @@ def test_c4_gradient_correctness():
         for i in range(net.n_params):
             bump = np.zeros(net.n_params)
             bump[i] = step
-            up = _forward_loss(net, theta + bump, windows, 0.01, cfg("adjoint"))
-            dn = _forward_loss(net, theta - bump, windows, 0.01, cfg("adjoint"))
+            up = _forward_loss(net.field(theta + bump), windows, 0.01, cfg("adjoint"))
+            dn = _forward_loss(net.field(theta - bump), windows, 0.01, cfg("adjoint"))
             g_fd[i] = (up - dn) / (2.0 * step)
         floor = 1e-6 * max(np.max(np.abs(g_adj)), np.max(np.abs(g_fd)))
         rel_fd = np.max(np.abs(g_adj - g_fd)

@@ -53,19 +53,19 @@ def rel(a, b):
 
 
 def make_windows(net, theta, batch, n_steps, h, seed, noise=0.05):
-    """Observations near (not on) a model rollout, batch-major [B, n+1, 2d]."""
+    """Observations near (not on) a model rollout, time-major [n+1, B, 2d]."""
     rng = np.random.default_rng(seed)
     y0 = rng.uniform(-0.8, 0.8, size=(batch, 2 * net.dim))
     states, _ = integrate(net.field(theta), y0, h, n_steps,
                           cfg=TIGHT)
-    obs = np.swapaxes(states, 0, 1).copy()
-    obs[:, 1:, :] += noise * rng.standard_normal(obs[:, 1:, :].shape)
-    return obs
+    # noise drawn in [B, n, 2d] order: the figures quoted in this file rest on it
+    states[1:] += noise * rng.standard_normal((batch, n_steps, 2 * net.dim)).swapaxes(0, 1)
+    return states
 
 
 def pipeline_loss(net, theta, windows, h, cfg):
-    n_steps = windows.shape[1] - 1
-    states, _ = integrate(net.field(theta), windows[:, 0, :], h,
+    n_steps = len(windows) - 1
+    states, _ = integrate(net.field(theta), windows[0], h,
                           n_steps, cfg=cfg)
     loss, partials = window_loss(states, windows)
     return loss, states, partials
@@ -78,8 +78,8 @@ def adjoint_grad(net, theta, windows, h, cfg):
 
 
 def backprop_grad(net, theta, windows, h, cfg):
-    record = record_rollout(net, theta, windows[:, 0, :], h,
-                            windows.shape[1] - 1, cfg=cfg)
+    record = record_rollout(net, theta, windows[0], h,
+                            len(windows) - 1, cfg=cfg)
     _, partials = window_loss(record.states, windows)
     return backward_through_record(net, theta, record, partials)
 
@@ -194,7 +194,7 @@ def test_engines_agree_under_final_only_observation():
     partials[:-1] = 0.0
     g_adj, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.02)
 
-    record = record_rollout(net, theta, windows[:, 0, :], 0.02, 5, cfg=cfg)
+    record = record_rollout(net, theta, windows[0], 0.02, 5, cfg=cfg)
     g_bp = backward_through_record(net, theta, record, partials)
     assert rel(g_adj, g_bp) <= 1e-6
 
@@ -213,7 +213,7 @@ def test_backprop_is_exact_through_the_extrapolated_seed():
     for n_steps in (5, 7):
         windows = make_windows(net, theta, batch=4, n_steps=n_steps, h=h, seed=71)
         _, grad, _ = loss_and_grad(net, theta, windows, h, config)
-        fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta,
+        fd = central_diff(lambda th: _forward_loss(net.field(th), windows, h, config), theta,
                           eps=1e-5)
         assert rel(grad, fd) <= 1e-6
 
@@ -235,7 +235,8 @@ def test_backprop_stays_exact_under_a_patched_seed_table(monkeypatch):
                          hidden=(8, 8))
     windows = make_windows(net, theta, batch=4, n_steps=7, h=h, seed=71)
     _, grad, _ = loss_and_grad(net, theta, windows, h, config)
-    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta, eps=1e-5)
+    fd = central_diff(lambda th: _forward_loss(net.field(th), windows, h, config), theta,
+                      eps=1e-5)
     assert rel(grad, fd) <= 1e-8
 
 
@@ -268,7 +269,8 @@ def test_backprop_is_exact_through_the_slope_seeds(dim):
     config = TrainConfig(grad_mode="backprop", fpi=FpiConfig(tol=1e-3, max_iters=4),
                          hidden=(8, 8))
     _, grad, _ = loss_and_grad(net, theta, windows, h, config)
-    fd = central_diff(lambda th: _forward_loss(net, th, windows, h, config), theta, eps=1e-5)
+    fd = central_diff(lambda th: _forward_loss(net.field(th), windows, h, config), theta,
+                      eps=1e-5)
     assert rel(grad, fd) <= 1e-6
     assert rel(adjoint_grad(net, theta, windows, h, TIGHT),
                backprop_grad(net, theta, windows, h, TIGHT)) <= 1e-6
@@ -328,8 +330,8 @@ def test_engines_agree_at_the_training_tolerance(name):
     for seed in range(4):
         theta = net.init_params(seed)
         windows = profile_windows(system, 64, 6, 0.025, seed)
-        noise = np.random.default_rng(seed).standard_normal(windows[:, 1:].shape)
-        windows[:, 1:] += 0.01 * noise
+        noise = np.random.default_rng(seed).standard_normal((64, 6, system.width))
+        windows[1:] += 0.01 * noise.swapaxes(0, 1)   # the gaps above were measured on this draw
         g_adj, g_bp = (loss_and_grad(net, theta, windows, 0.025, TrainConfig(grad_mode=mode))[1]
                        for mode in ("adjoint", "backprop"))
         worst = max(worst, rel(g_adj, g_bp))
@@ -352,7 +354,7 @@ def test_gradient_adds_over_the_batch():
     windows = make_windows(net, theta, batch=3, n_steps=3, h=0.05, seed=53)
     _, states, partials = pipeline_loss(net, theta, windows, 0.05, TIGHT)
     # undo the 1/B mean scale so single-row gradients add up exactly
-    partials = partials * windows.shape[0]
+    partials = partials * windows.shape[1]
     whole, _ = solve_adjoint_accumulate(net, theta, states, partials, 0.05)
     parts = np.zeros_like(whole)
     for i in range(3):

@@ -9,7 +9,9 @@ a changed return shape would otherwise first show as a metric reading zero.
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import types
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -19,16 +21,16 @@ from symplearn.adjoint import record_rollout, solve_adjoint_accumulate
 from symplearn.data import generate_dataset, load_dataset
 from symplearn.integrators import TABLEAUX, implicit_midpoint_step, prk_step
 from symplearn.memory import METER
-from symplearn.model import HamiltonianNet
+from symplearn.model import HamiltonianNet, save_checkpoint
 from symplearn.profiling import profile_gradient_modes, profile_windows
 from symplearn.systems import get_system
 from symplearn.training import TrainConfig, _rollout, loss_and_grad, train
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -38,7 +40,7 @@ def test_every_name_the_bench_traces_by_is_defined_where_the_tracer_looks():
     # the tracer wraps a layer's function or method only where that layer
     # defines it; run.py reads the _reverse_input count as the number of
     # field evaluations, and costate_to_direction is counted too
-    tracing = _tracing()
+    tracing = _bench_module("tracing")
     names = [*tracing.OBSERVERS, *tracing.EXTRA_SPANNED,
              "model.HamiltonianNet._reverse_input", "model.costate_to_direction"]
     for name in names:
@@ -76,9 +78,9 @@ def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
     assert all(r.peak_bytes > 0 for r in rows)
 
     # the tracer's observers read the solver reports and the written arrays
-    observe, stats = _tracing().OBSERVERS, defaultdict(float)
+    observe, stats = _bench_module("tracing").OBSERVERS, defaultdict(float)
     observe["adjoint.record_rollout"](
-        stats, record_rollout(net, theta, windows[:, 0], h, 2))
+        stats, record_rollout(net, theta, windows[0], h, 2))
     assert stats["adjoint.record_rollout.steps"] == 2
     y0 = windows[0, 0]
     for name, result in (
@@ -99,7 +101,7 @@ def test_the_results_the_bench_unpacks_keep_their_shape(tmp_path):
 def _count_calls(monkeypatch, *names):
     """Count the calls of each layer.function by wrapping it wherever the
     package holds it by name, as the tracer does; returns the counter."""
-    counts, layers = Counter(), _tracing().LAYERS
+    counts, layers = Counter(), _bench_module("tracing").LAYERS
     for name in names:
         layer, attr = name.split(".")
         original = getattr(importlib.import_module(f"symplearn.{layer}"), attr)
@@ -136,7 +138,8 @@ def test_a_training_step_calls_what_the_bench_times(monkeypatch, grad_mode, expe
 
 def test_train_calls_the_forward_loss_the_bench_times_as_validation(tmp_path, monkeypatch):
     # training.validation_s is the span of training._forward_loss: one call
-    # per batch of epoch 0's baseline and of every epoch's validation
+    # per batch of epoch 0's baseline, and two per batch of every epoch's
+    # validation, the model's and its noise floor's
     counts = _count_calls(monkeypatch, "training._forward_loss")
     generate_dataset("double_well", tmp_path, seed=7, n_train=8, n_val=2, n_steps=60)
     config = TrainConfig(window_steps=2, stride=10, batch_size=8, epochs=2,
@@ -144,4 +147,23 @@ def test_train_calls_the_forward_loss_the_bench_times_as_validation(tmp_path, mo
     manifest, _, noisy = load_dataset(tmp_path)
     for _ in train(manifest, noisy, config):
         pass
-    assert counts == {"training._forward_loss": config.val_batches * (config.epochs + 2)}
+    assert counts == {"training._forward_loss": config.val_batches * (2 * config.epochs + 3)}
+
+
+@pytest.mark.parametrize("grad_mode", ["adjoint", "backprop"])
+def test_the_bench_batch_feeds_a_training_step(tmp_path, monkeypatch, grad_mode):
+    # bench/run.py's training_batch hands a sample_windows batch to
+    # loss_and_grad as it is; a layout the two disagree on would first show
+    # as a failed replay.  run.py pins the BLAS thread variables when loaded
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    run = _bench_module("run")
+    generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=4, n_val=1)
+    net = HamiltonianNet(1, hidden=(8,))
+    theta = net.init_params(0)
+    save_checkpoint(tmp_path / "fit" / "model.json", net, theta, seed=0)
+    workload = types.SimpleNamespace(grad_mode=grad_mode)
+    net, theta, windows, h, config = run.training_batch(workload, tmp_path / "fit",
+                                                        tmp_path / "ds", 0)
+    assert windows.shape == (config.window_steps + 1, 4 * config.windows_per_traj, 2)
+    loss, grad, _ = loss_and_grad(net, theta, windows, h, config)
+    assert np.isfinite(loss) and grad.shape == theta.shape and np.all(np.isfinite(grad))

@@ -296,9 +296,12 @@ def _manifest(**changes):
     (_poke("noisy.f64", 5, np.nan), "non-finite"),
     (_manifest(n_train=10, n_val=0), "dataset has no validation split"),
     (_manifest(system_params={"width_scale": float("nan")}), "system_params"),
+    # half the trajectories at twice the width: the byte count still matches,
+    # and the double well's field would leave columns 2 and 3 unwritten
+    (_manifest(dim=2, n_train=4, n_val=1), "manifest dim is 2, but system 'double_well' has 1"),
 ], ids=["noisy-3-trailing-bytes", "negative-n-train", "boolean-n-val", "string-dim",
         "fractional-n-steps", "nan-dt", "negative-noise-std", "boolean-format-version",
-        "noisy-nan", "no-validation-split", "nan-system-param"])
+        "noisy-nan", "no-validation-split", "nan-system-param", "dim-not-the-systems"])
 def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate, message):
     bad = tmp_path / "bad"
     shutil.copytree(dataset, bad)
@@ -310,8 +313,8 @@ def test_malformed_dataset_exits_one(dataset, tmp_path, capsys, mutate, message)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("body", [b"{bad", b"[1]", b"\xff{"],
-                         ids=["bad-json", "list", "not-utf8"])
+@pytest.mark.parametrize("body", [b"{bad", b"[1]", b"\xff{", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["bad-json", "list", "not-utf8", "nested-too-deep"])
 @pytest.mark.parametrize("kind", ["config", "tableau", "manifest", "checkpoint"])
 def test_malformed_json_input_exits_one_naming_the_file(kind, body, dataset, checkpoint,
                                                         tmp_path, capsys):

@@ -170,10 +170,11 @@ def test_sample_windows_shapes_and_content(tmp_path):
     rng = np.random.default_rng(10)
     windows, traj_idx, start_idx = sample_windows(noisy, 16, window_steps=4,
                                                   rng=rng, stride=5)
-    assert windows.shape == (16, 5, 2)
-    for b in range(16):
-        picks = noisy[traj_idx[b], start_idx[b] + 5 * np.arange(5)]
-        assert np.array_equal(windows[b], picks)
+    # time-major, like a rollout's states
+    assert windows.shape == (5, 16, 2)
+    for k in range(5):
+        for b in range(16):
+            assert np.array_equal(windows[k, b], noisy[traj_idx[b], start_idx[b] + 5 * k])
     # windows never run off the stored trajectory
     assert np.all(start_idx + 4 * 5 <= manifest.n_steps)
 

@@ -305,6 +305,20 @@ def test_extrapolated_seed_saves_sweeps(name, monkeypatch):
     assert new[0] < quartic[0] and new[1] < 0.85 * quartic[1]
 
 
+def test_every_midpoint_step_takes_its_seed_from_the_table(monkeypatch):
+    # step 0 included, so the forward reads the seed table as recorded
+    # backprop's reverse does; row 0, (1.0,), starts step 0 from y_0, bit
+    # for bit as an unseeded step does
+    calls, seed_terms = [], integrators._seed_terms
+    monkeypatch.setattr(integrators, "_seed_terms", lambda i: calls.append(i) or seed_terms(i))
+    system = get_system("double_well")
+    y0 = sample_initial_conditions(system, 8, np.random.default_rng(81))
+    states, reports = integrate(system.dynamics, y0, 0.025, 5)
+    assert calls == [0, 1, 2, 3, 4]
+    y1, rep = implicit_midpoint_step(system.dynamics, y0, 0.025)
+    assert np.array_equal(states[1], y1) and reports[0] == rep
+
+
 # ----------------------------------------------------------------------
 # geometric properties over many steps
 

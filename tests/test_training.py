@@ -55,7 +55,7 @@ def tiny_config(**overrides):
 
 def test_window_loss_hand_example():
     pred = np.array([[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]])  # [n+1, 1, 2]
-    obs = np.array([[[9.0, 9.0], [3.5, 4.0], [5.0, 7.0]]])       # [1, n+1, 2]
+    obs = np.array([[[9.0, 9.0]], [[3.5, 4.0]], [[5.0, 7.0]]])   # [n+1, 1, 2]
     loss, partials = window_loss(pred, obs)
     # the shared initial point is excluded: the (1,2) vs (9,9) gap is free
     assert loss == pytest.approx(0.5 ** 2 + 1.0 ** 2)
@@ -66,7 +66,7 @@ def test_window_loss_hand_example():
 def test_window_loss_matches_finite_differences():
     rng = np.random.default_rng(0)
     pred = rng.normal(size=(4, 3, 2))
-    obs = rng.normal(size=(3, 4, 2))
+    obs = rng.normal(size=(3, 4, 2)).swapaxes(0, 1)
     loss, partials = window_loss(pred, obs)
     eps = 1e-6
     # partials[k] is the sensitivity to pred[k + 1] (the initial point is free)
@@ -84,20 +84,20 @@ def test_window_loss_batch_mean_and_scale_override():
     # the loss and its partials carry the 1/B of a batch mean
     rng = np.random.default_rng(1)
     pred = rng.normal(size=(3, 4, 2))
-    obs = rng.normal(size=(4, 3, 2))
+    obs = rng.normal(size=(4, 3, 2)).swapaxes(0, 1)
     loss_mean, part_mean = window_loss(pred, obs)
-    resid = pred[1:] - np.swapaxes(obs, 0, 1)[1:]
+    resid = pred[1:] - obs[1:]
     assert loss_mean == pytest.approx(np.sum(resid ** 2) / 4.0)
     assert np.allclose(part_mean, 2.0 * resid / 4.0)
     # the mean equals the average of the per-window sums (batches of one)
-    singles = [window_loss(pred[:, b:b + 1], obs[b:b + 1]) for b in range(4)]
+    singles = [window_loss(pred[:, b:b + 1], obs[:, b:b + 1]) for b in range(4)]
     assert loss_mean == pytest.approx(np.mean([loss for loss, _ in singles]))
     assert np.allclose(part_mean, np.concatenate([p for _, p in singles], axis=1) / 4.0)
 
 
 def test_window_loss_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="line up"):
-        window_loss(np.zeros((3, 2, 2)), np.zeros((2, 4, 2)))
+        window_loss(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(ValueError, match="line up"):   # one unbatched window
         window_loss(np.zeros((2, 2)), np.zeros((2, 2)))
 
@@ -171,7 +171,7 @@ def test_each_sweep_evaluates_the_field_once(tiny_dataset, monkeypatch, grad_mod
     h = config.stride * manifest.dt
     backprop = grad_mode == "backprop"
     if backprop:
-        record = record_rollout(net, theta, windows[:, 0], h, config.window_steps,
+        record = record_rollout(net, theta, windows[0], h, config.window_steps,
                                 cfg=config.fpi)
         partials, reports = window_loss(record.states, windows)[1], record.reports
     else:
@@ -208,8 +208,8 @@ def test_train_reduces_loss_and_reports_metrics(tiny_dataset):
                                    np.random.default_rng(0), stride=config.stride)
     h = config.stride * manifest.dt
     theta0 = result.net.init_params(config.seed)
-    assert (_forward_loss(result.net, result.theta, windows, h, config)
-            < _forward_loss(result.net, theta0, windows, h, config))
+    assert (_forward_loss(result.net.field(result.theta), windows, h, config)
+            < _forward_loss(result.net.field(theta0), windows, h, config))
 
 
 def test_true_field_scores_zero_excess(tiny_dataset, monkeypatch):
@@ -316,20 +316,21 @@ def test_nonfinite_gradient_aborts(tiny_dataset, monkeypatch):
 
 
 def test_validation_blowup_names_the_epoch(tiny_dataset, monkeypatch):
-    # the baseline scores one training and one validation batch; the third
+    # the baseline scores one training batch, then epoch 0's validation
+    # scores one batch for the model and its noise floor; the fourth
     # forward-only loss is epoch 1's validation
     import symplearn.training as tr
     manifest, _, noisy = tiny_dataset
     calls = []
     forward_loss = tr._forward_loss
 
-    def third_fails(*args):
+    def fourth_fails(*args):
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == 4:
             raise NonFiniteError("synthetic overflow")
         return forward_loss(*args)
 
-    monkeypatch.setattr(tr, "_forward_loss", third_fails)
+    monkeypatch.setattr(tr, "_forward_loss", fourth_fails)
     with pytest.raises(NonFiniteError, match=r"epoch 1 \(validation\)"):
         drain(manifest, noisy, tiny_config(epochs=1))
 
