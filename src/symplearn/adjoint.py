@@ -32,10 +32,11 @@ The recorded-backprop engine runs the forward solve through the same
 `integrate` call as the costate engine, with a field callback that appends
 every network tape to one list in solver order, then walks the whole
 computation backward through each fixed-point sweep and extrapolated seed,
-popping each sweep's tape as it reverses it.  Its footprint grows linearly
-with the window length; it exists as the exactness baseline the costate
-engine is checked against.  Both engines add each parameter reverse into their gradient
-before the next, which reuses its buffer.  Neither engine keeps memory
+popping each sweep's tape and handing it back to the net once reversed.
+Its footprint grows linearly with the window length; it exists as the
+exactness baseline the costate engine is checked against.  Both engines
+add each parameter reverse into their gradient before the next, which
+reuses its buffer.  Neither engine keeps memory
 accounts; profiling measures both footprints in traced bytes
 (symplearn.memory).
 
@@ -47,8 +48,8 @@ is both cheaper and exact for the discrete map.
 The two engines part only by what the forward solve leaves unfinished.
 At training's solver stop (TrainConfig().fpi, a change of 1e-4; training
 says why it is looser than FpiConfig()) their gradients on trained smoke
-models' batches differ by 1.7e-6 to 4.6e-6 of the largest entry, and by
-4e-12 to 2e-11 at FpiConfig()'s 1e-10.  The midpoint
+models' batches differ by 1.2e-6 to 5.0e-6 of the largest entry, and by
+3e-12 to 1.2e-11 at FpiConfig()'s 1e-10.  The midpoint
 rule's one-step map has derivative (I - (h/2)Df)^{-1}(I + (h/2)Df); its
 transpose is exactly one backward midpoint step of the costate equation at
 the same frozen midpoint, and the parameter term lands on the averaged
@@ -189,9 +190,10 @@ def backward_through_record(net, theta, record, partials):
     """Reverse sweep over a recorded rollout; returns the flat theta gradient.
 
     partials is [n, B, 2d] as in solve_adjoint_accumulate.  The sweeps are
-    reversed newest first, each popping its tape off record.tapes, which
-    frees it: peak memory sits at the end of the forward pass, and
-    record.tapes ends empty.
+    reversed newest first, each popping its tape off record.tapes and
+    handing it back to the net (HamiltonianNet.give_back) once reversed:
+    peak memory sits at the end of the forward pass, record.tapes ends
+    empty, and the net's next record writes over the tapes.
     Each step's first iterate was extrapolated from the states before it, so
     the cotangent left on that iterate goes back onto those states with the
     weights integrators._seed_terms gave the forward pass.  One zeroed
@@ -223,7 +225,9 @@ def backward_through_record(net, theta, record, partials):
             u = h * cot
             if n == 0 and k == 0:
                 u += slope
-            ybar, thbar = net.field_vjp(prep, record.tapes.pop(), u)
+            acts = record.tapes.pop()
+            ybar, thbar = net.field_vjp(prep, acts, u)
+            net.give_back(acts)
             grad += thbar
             ybar *= 0.5
             cot += ybar

@@ -35,8 +35,10 @@ a pass runs on another PreparedNet, so the forward pass's bias adds and
 each reverse's first multiply run same-shape instead of broadcasting a row
 (bit for bit the same result, in less than half the time).  Passes write
 into the set with out=, so results are bit for bit those of fresh arrays.
-What a caller keeps is always fresh: field values, field_vjp's ybar, the
-Hessian and the activations of a taped forward pass.
+What a caller keeps is always fresh: field values, field_vjp's ybar and
+the Hessian.  A taped forward pass writes over a tape handed back to the
+set (give_back), else into fresh arrays, so recorded backprop reuses one
+batch's tapes for the next instead of faulting them in again.
 
 One tangent-over-reverse routine, _tangent_reverse, serves the reverse
 through a recorded field evaluation (field_vjp) and the costate step's
@@ -72,7 +74,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 _HEADER_KEYS = {"format_version", "kind", "dim", "arch", "seed", "param_count", "dtype",
                 "data_file"}
 
-DEFAULT_HIDDEN = (16, 32, 16)
+DEFAULT_HIDDEN = (16, 16, 16)
 
 
 def _widths(hidden):
@@ -209,7 +211,9 @@ class _Buffers:
     the head row tiled, ones the batch-sum row, and owner the PreparedNet
     the tiled rows were filled from.  grad is one flat parameter gradient
     laid out like theta, with its (W, b) views, which every _tangent_reverse
-    overwrites.
+    overwrites.  spare holds the hidden layers of tapes handed back
+    (HamiltonianNet.give_back), which taped forward passes write over
+    before they allocate fresh ones.
     """
 
     def __init__(self, batch, arch):
@@ -229,6 +233,7 @@ class _Buffers:
         self.hess = [self.hess[i:i + width + 1] for i in range(0, len(self.hess), width + 1)]
         self.tans += [held[0] for held in self.hess]
         self.owner = None
+        self.spare = []
         flat = np.empty(param_count(arch))
         self.grad = flat, _split(flat, zip(arch[:-1], arch[1:]))
 
@@ -264,6 +269,13 @@ class HamiltonianNet:
             bufs.owner = prep
         return bufs
 
+    def give_back(self, acts):
+        """Hand back a taped pass's activations, which the caller will not
+        read again, for a later taped pass to write over; a tape of another
+        batch size than the buffer set's is left to be freed."""
+        if self._bufs is not None and len(acts[0]) == self._bufs.batch:
+            self._bufs.spare.append(acts[1:])
+
     # ------------------------------------------------------------------
     # parameters
 
@@ -298,15 +310,16 @@ class HamiltonianNet:
         Every reverse starts below the linear output layer, which only
         eval_h applies.
 
-        Each layer's product lands in the buffer set, or with taped set in a
-        fresh array that a tape may keep; its bias add (of the tiled bias
-        rows) and tanh run in place on it.
+        Each layer's product lands in the buffer set, or with taped set in
+        an array that a tape may keep: a spare tape's, else a fresh one.  Its
+        bias add (of the tiled bias rows) and tanh run in place on it.
         """
         bufs = self._scratch(prep, len(y))
+        outs = bufs.acts
+        if taped:
+            outs = bufs.spare.pop() if bufs.spare else [np.empty_like(z) for z in outs]
         acts = [y]
-        for (w, _), bias, z in zip(prep.layers[:-1], bufs.biases, bufs.acts):
-            if taped:
-                z = np.empty_like(z)
+        for (w, _), bias, z in zip(prep.layers[:-1], bufs.biases, outs):
             np.matmul(acts[-1], w, out=z)
             z += bias
             np.tanh(z, out=z)

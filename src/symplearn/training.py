@@ -10,8 +10,8 @@ the loss and leave nothing to optimize.
 
 Gradients come from either engine in `adjoint` (grad_mode 'adjoint' or
 'backprop'); both see exactly the same forward map.  At the training solver
-stop their gradients on a trained smoke model's batch differ by 1.7e-6 to
-4.6e-6 of the largest entry.
+stop their gradients on a trained smoke model's batch differ by 1.2e-6 to
+5.0e-6 of the largest entry.
 
 Training stops each window's solves at a change of 1e-4 between sweeps
 (TrainConfig.fpi), not at FpiConfig()'s 1e-10.  The observations carry

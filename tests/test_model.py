@@ -18,7 +18,8 @@ def test_param_count_default_arch():
     # hand count for (2, 16, 32, 16, 1):
     # 2*16+16 + 16*32+32 + 32*16+16 + 16*1+1 = 48 + 544 + 528 + 17
     assert param_count((2, 16, 32, 16, 1)) == 1137
-    assert HamiltonianNet(1).n_params == 1137
+    # the default (2, 16, 16, 16, 1): 48 + 272 + 272 + 17
+    assert HamiltonianNet(1).n_params == 609
     assert param_count((2, 1)) == 3
 
 

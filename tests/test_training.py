@@ -435,10 +435,11 @@ def test_training_default_stays_near_a_tight_solve_on_a_trained_model(tmp_path, 
 def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env, grad_mode):
     # a fresh process must not hand its working memory back to the kernel
     # between batches: two epochs of 8 batches of 512 windows may take at
-    # most 2,000 minor faults beyond the same run with no epoch (about 365
+    # most 2,000 minor faults beyond the same run with no epoch (about 250
     # with the net's buffer set; freeing each pass's buffers took about
-    # 23,000).  Recorded backprop's tapes are fresh per sweep: about 1,670
-    # at the training stop of 1e-4, against 2,220 at 1e-7
+    # 23,000).  Recorded backprop writes each batch's tapes over the ones
+    # the last reverse handed back, and is held to 1,000: it reads about
+    # 660, against about 1,260 with a fresh tape per sweep
     generate_dataset("double_well", tmp_path / "ds", seed=0, n_train=128, n_val=16,
                      n_steps=160)
 
@@ -451,7 +452,7 @@ def test_training_batches_fault_in_no_fresh_memory(tmp_path, package_env, grad_m
                        env=package_env, check=True, capture_output=True)
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
-    assert faults(2) - faults(0) <= 2000
+    assert faults(2) - faults(0) <= (1000 if grad_mode == "backprop" else 2000)
 
 
 def test_unconverged_solve_raises_non_finite_error(tiny_dataset):
